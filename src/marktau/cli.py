@@ -42,7 +42,7 @@ from .simulation import (
     size_power_curve,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _ERRORS = (DataError, KernelError, EstimationError, InferenceError, SimulationError)
 
@@ -302,6 +302,7 @@ def cmd_test(args) -> int:
         "grid": [float(v) for v in grid.points],
         "excluded_points": list(result.excluded_points),
         "skipped_pairs": result.skipped_pairs,
+        "covariance_rank": result.covariance_rank,
         "h": result.estimate.h,
         "n": result.estimate.n,
     }

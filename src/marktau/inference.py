@@ -6,8 +6,11 @@ Two null hypotheses about tau(v) on the evaluation grid:
 * constancy: tau(v) does not vary with v (a flat, possibly nonzero, effect).
 
 Both statistics are maxima of studentized squares, and both critical values
-come from resampling the subject contributions with independent standard
-normal multipliers, holding the data fixed. Grid points flagged by the
+come from Gaussian multiplier resampling holding the data fixed. Given the
+data, the multiplier sums G = draws @ xi of the n x g subject contributions
+xi are exactly N(0, xi^T xi), and both statistics read only G at the usable
+grid points, so the resampler draws G directly from that grid-sized
+covariance and no draw touches the n subjects. Grid points flagged by the
 estimator (or with a zero variance estimate) are excluded from the maxima;
 constancy pairs with a zero pair-variance are skipped with a diagnostic
 count rather than failing the test.
@@ -36,6 +39,9 @@ __all__ = [
     "TestResult",
     "multiplier_draws",
     "xi_matrix",
+    "arm_grams",
+    "resampling_covariance",
+    "covariance_factor",
     "global_statistic",
     "global_resample",
     "pair_variance_table",
@@ -87,7 +93,8 @@ class TestResult:
     ``resampled`` holds the sorted resampled statistics. ``excluded_points``
     are grid values left out of the maxima (no events in the kernel window,
     or a zero variance estimate); ``skipped_pairs`` counts constancy pairs
-    dropped for a zero pair-variance.
+    dropped for a zero pair-variance; ``covariance_rank`` is the numerical
+    rank of the resampling covariance over the usable points.
     """
 
     kind: str
@@ -101,39 +108,68 @@ class TestResult:
     seed: int
     excluded_points: tuple[float, ...]
     skipped_pairs: int
+    covariance_rank: int
     estimate: EstimateGrid
 
 
-def multiplier_draws(n: int, resamples: int, seed) -> np.ndarray:
-    """Standard normal multipliers, one row per draw, shape (resamples, n).
+def multiplier_draws(est: EstimateGrid, resamples: int, seed) -> np.ndarray:
+    """Standard normals Z of shape (resamples, usable points), one stream.
 
-    Each draw's row comes from its own child stream of the master seed, so
-    any execution schedule over draws sees identical multipliers.
+    The whole matrix comes from one generator seeded by ``seed`` (an integer
+    or a SeedSequence); draws are never scheduled in parallel.
     """
-    if n < 1 or resamples < 1:
-        raise InferenceError("need n >= 1 subjects and resamples >= 1")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    out = np.empty((resamples, n))
-    for b, child in enumerate(base.spawn(resamples)):
-        out[b] = np.random.default_rng(child).standard_normal(n)
-    return out
+    if resamples < 1:
+        raise InferenceError(f"resamples must be >= 1, got {resamples}")
+    points = int(np.count_nonzero(_usable_points(est)))
+    return np.random.default_rng(seed).standard_normal((resamples, points))
+
+
+def _arm_scales(pi: float) -> tuple[float, float]:
+    """Contribution scales (control, treated): -1 / (1 - pi) and 1 / pi."""
+    if not 0.0 < pi < 1.0:
+        raise InferenceError(f"treated fraction must be in (0,1), got {pi!r}")
+    return -1.0 / (1.0 - pi), 1.0 / pi
 
 
 def xi_matrix(theta: np.ndarray, arm: np.ndarray, pi_hat: float) -> np.ndarray:
-    """Signed, inverse-assignment-weighted contributions used by the resampler.
+    """Signed, inverse-assignment-weighted subject contributions.
 
     Row i is theta_i / pi_hat for treated subjects and -theta_i / (1 - pi_hat)
     for controls, so that sum_i xi_i / n reproduces the treatment contrast of
-    group means.
+    group means. The resampler needs only xi^T xi (see
+    :func:`resampling_covariance`).
     """
-    if not 0.0 < pi_hat < 1.0:
-        raise InferenceError(f"treated fraction must be in (0,1), got {pi_hat!r}")
-    sign = np.where(arm == 1, 1.0 / pi_hat, -1.0 / (1.0 - pi_hat))
-    return sign[:, None] * theta
+    s0, s1 = _arm_scales(pi_hat)
+    return np.where(arm == 1, s1, s0)[:, None] * theta
 
 
 def _usable_points(est: EstimateGrid) -> np.ndarray:
     return ~est.flagged & (est.sigma2 > 0.0)
+
+
+def arm_grams(theta: np.ndarray, arm: np.ndarray, usable: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arm Gram matrices theta_a^T theta_a over the usable points, control first."""
+    control, treated = (theta[np.ix_(arm == a, usable)] for a in (0, 1))
+    return control.T @ control, treated.T @ treated
+
+
+def resampling_covariance(grams: tuple[np.ndarray, np.ndarray], pi: float) -> np.ndarray:
+    """xi^T xi over the usable points: the sum over arms of s_a^2 Gram_a."""
+    s0, s1 = _arm_scales(pi)
+    return s0**2 * grams[0] + s1**2 * grams[1]
+
+
+def covariance_factor(cov: np.ndarray) -> tuple[np.ndarray, int]:
+    """L with L L^T = cov, by an eigendecomposition clipped at zero, and the rank.
+
+    Cholesky would fail here: the covariance is often singular, since grid
+    points with identical contributions give identical columns. The rank
+    counts eigenvalues above eps * max eigenvalue * dimension.
+    """
+    w, u = np.linalg.eigh(cov)
+    tol = np.finfo(float).eps * w.max(initial=0.0) * w.size
+    return u * np.sqrt(np.clip(w, 0.0, None)), int(np.count_nonzero(w > tol))
 
 
 def global_statistic(est: EstimateGrid) -> float:
@@ -145,52 +181,46 @@ def global_statistic(est: EstimateGrid) -> float:
     return float(np.max(values))
 
 
-def global_resample(est: EstimateGrid, theta: np.ndarray, arm: np.ndarray,
-                    draws: np.ndarray, pi_hat: float) -> np.ndarray:
+def global_resample(est: EstimateGrid, draws: np.ndarray) -> np.ndarray:
     """Resampled analogue of the global statistic, one value per draw.
 
-    Each draw replaces tau(v) with the multiplier-weighted mean of subject
-    contributions and studentizes by the same sigma2(v).
+    ``draws`` holds the multiplier sums G, one row per draw and one column
+    per usable point; each replaces n * tau(v) and is studentized by the
+    same sigma2(v).
     """
-    usable = _usable_points(est)
-    if not np.any(usable):
-        raise InferenceError("no usable grid points: every point is flagged")
-    xi = xi_matrix(theta, arm, pi_hat)
-    sums = draws @ xi[:, usable]  # (B, usable points)
-    scaled = (est.h / est.n) * sums**2 / est.sigma2[usable]
+    scaled = (est.h / est.n) * draws**2 / est.sigma2[_usable_points(est)]
     return scaled.max(axis=1)
 
 
-def pair_variance_table(theta: np.ndarray, arm: np.ndarray, n: int, h) -> np.ndarray:
-    """Variance estimates for sqrt(n h) * (tau(v1) - tau(v2)), all grid pairs.
+def pair_variance_table(grams: tuple[np.ndarray, np.ndarray], est: EstimateGrid,
+                        ) -> np.ndarray:
+    """Variance estimates for sqrt(n h) * (tau(v1) - tau(v2)), all usable pairs.
 
     Entry (j, k) is (n h) * sum over arms of n_a^(-2) * sum_i of
-    (theta_i(v_j) - theta_i(v_k))^2, computed via per-arm Gram matrices.
+    (theta_i(v_j) - theta_i(v_k))^2, computed from the per-arm Gram matrices
+    of :func:`arm_grams`.
     """
-    hval = h.h if isinstance(h, Bandwidth) else float(h)
-    g = theta.shape[1]
-    table = np.zeros((g, g))
-    for a in (0, 1):
-        rows = theta[arm == a]
-        n_a = rows.shape[0]
-        if n_a == 0:
-            raise InferenceError(f"treatment group {a} is empty")
-        gram = rows.T @ rows
+    table = np.zeros_like(grams[0])
+    for gram, n_a in zip(grams, (est.n0, est.n1)):
         diag = np.diag(gram)
         table += (diag[:, None] + diag[None, :] - 2.0 * gram) / n_a**2
-    return n * hval * table
+    return est.nh * table
 
 
 def _constancy_pairs(est: EstimateGrid, zeta: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Index pairs (j < k) of usable points with positive pair-variance."""
-    usable = np.flatnonzero(_usable_points(est))
-    if usable.size < 2:
+    """Index pairs (j < k) of usable points with positive pair-variance.
+
+    Indices count usable points only, as the rows of ``zeta`` and the
+    columns of the resampling draws do. Returns the kept pairs, their
+    pair-variances and the number of pairs skipped for a zero one.
+    """
+    usable = int(np.count_nonzero(_usable_points(est)))
+    if usable < 2:
         raise InferenceError(
-            f"constancy test needs at least 2 usable grid points, got {usable.size}"
+            f"constancy test needs at least 2 usable grid points, got {usable}"
         )
-    jj, kk = np.triu_indices(usable.size, k=1)
-    j_idx, k_idx = usable[jj], usable[kk]
+    j_idx, k_idx = np.triu_indices(usable, k=1)
     zeta_pairs = zeta[j_idx, k_idx]
     keep = zeta_pairs > 0.0
     skipped = int(np.count_nonzero(~keep))
@@ -199,20 +229,25 @@ def _constancy_pairs(est: EstimateGrid, zeta: np.ndarray,
     return j_idx[keep], k_idx[keep], zeta_pairs[keep], skipped
 
 
-def constancy_statistic(est: EstimateGrid, zeta: np.ndarray) -> float:
-    """max over usable pairs v1 < v2 of (n h) * (tau(v1) - tau(v2))^2 / zeta."""
-    j_idx, k_idx, zeta_pairs, _ = _constancy_pairs(est, zeta)
-    diffs = est.tau[j_idx] - est.tau[k_idx]
+def constancy_statistic(est: EstimateGrid, pairs: tuple) -> float:
+    """max over usable pairs v1 < v2 of (n h) * (tau(v1) - tau(v2))^2 / zeta.
+
+    ``pairs`` is the result of :func:`_constancy_pairs`.
+    """
+    j_idx, k_idx, zeta_pairs, _ = pairs
+    tau = est.tau[_usable_points(est)]
+    diffs = tau[j_idx] - tau[k_idx]
     return float(np.max(est.nh * diffs**2 / zeta_pairs))
 
 
-def constancy_resample(est: EstimateGrid, theta: np.ndarray, arm: np.ndarray,
-                       draws: np.ndarray, pi_hat: float, zeta: np.ndarray) -> np.ndarray:
-    """Resampled analogue of the constancy statistic, one value per draw."""
-    j_idx, k_idx, zeta_pairs, _ = _constancy_pairs(est, zeta)
-    xi = xi_matrix(theta, arm, pi_hat)
-    sums = draws @ xi  # (B, g); pair differences are differences of columns
-    diffs = sums[:, j_idx] - sums[:, k_idx]
+def constancy_resample(est: EstimateGrid, draws: np.ndarray, pairs: tuple) -> np.ndarray:
+    """Resampled analogue of the constancy statistic, one value per draw.
+
+    ``draws`` are the multiplier sums as in :func:`global_resample`; pair
+    differences are differences of their columns.
+    """
+    j_idx, k_idx, zeta_pairs, _ = pairs
+    diffs = draws[:, j_idx] - draws[:, k_idx]
     scaled = (est.h / est.n) * diffs**2 / zeta_pairs
     return scaled.max(axis=1)
 
@@ -251,29 +286,37 @@ def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = 
 def _test_from_estimate(kind: str, dataset: Dataset, est: EstimateGrid,
                         theta: np.ndarray, draws: np.ndarray, config: TestConfig,
                         ) -> TestResult:
+    """Test from an estimate, its contributions and standard normal ``draws``.
+
+    ``draws`` come from :func:`multiplier_draws`; the multiplier sums are
+    draws @ L^T with L L^T the resampling covariance.
+    """
     pi = config.pi_design if config.pi_design is not None else dataset.pi_hat
-    if not 0.0 < pi < 1.0:
-        raise InferenceError(f"treated fraction must be in (0,1), got {pi!r}")
+    usable = _usable_points(est)
+    grams = arm_grams(theta, dataset.arm, usable)
+    factor, rank = covariance_factor(resampling_covariance(grams, pi))
+    sums = draws @ factor.T
     skipped_pairs = 0
     if kind == "global":
         stat = global_statistic(est)
-        resampled = global_resample(est, theta, dataset.arm, draws, pi)
+        resampled = global_resample(est, sums)
     elif kind == "constancy":
-        zeta = pair_variance_table(theta, dataset.arm, dataset.n, est.bandwidth)
-        stat = constancy_statistic(est, zeta)
-        skipped_pairs = _constancy_pairs(est, zeta)[3]
-        resampled = constancy_resample(est, theta, dataset.arm, draws, pi, zeta)
+        pairs = _constancy_pairs(est, pair_variance_table(grams, est))
+        stat = constancy_statistic(est, pairs)
+        resampled = constancy_resample(est, sums, pairs)
+        skipped_pairs = pairs[3]
     else:
         raise InferenceError(f"unknown test kind {kind!r}; expected one of {TEST_KINDS}")
     resampled = np.sort(resampled)
     crit = critical_value(resampled, config.alpha)
     pval = p_value(resampled, stat, config.add_one_correction)
-    excluded = tuple(float(v) for v in est.points[~_usable_points(est)])
+    excluded = tuple(float(v) for v in est.points[~usable])
     return TestResult(
         kind=kind, statistic=stat, critical_value=crit, p_value=pval,
         reject=stat > crit, resampled=resampled, alpha=config.alpha,
         resamples=int(draws.shape[0]), seed=config.seed,
-        excluded_points=excluded, skipped_pairs=skipped_pairs, estimate=est,
+        excluded_points=excluded, skipped_pairs=skipped_pairs, covariance_rank=rank,
+        estimate=est,
     )
 
 
@@ -290,5 +333,5 @@ def run_test(kind: str, dataset: Dataset, config: TestConfig) -> TestResult:
         dataset, config.grid, alpha=config.alpha,
         bandwidth=config.bandwidth, varpi=config.varpi, kernel=config.kernel,
     )
-    draws = multiplier_draws(dataset.n, config.resamples, config.seed)
+    draws = multiplier_draws(est, config.resamples, config.seed)
     return _test_from_estimate(kind, dataset, est, theta, draws, config)

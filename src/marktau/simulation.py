@@ -362,7 +362,7 @@ def _test_rep(args: tuple[Scenario, int, str, int]) -> bool:
     dataset = generate_dataset(scenario, np.random.default_rng(data_ss))
     est, theta = _estimate_with_terms(dataset, grid, alpha=scenario.alpha,
                                       varpi=scenario.varpi)
-    draws = multiplier_draws(dataset.n, resamples, mult_ss)
+    draws = multiplier_draws(est, resamples, mult_ss)
     config = TestConfig(grid=grid, resamples=resamples, alpha=scenario.alpha,
                         seed=scenario.seed)
     return bool(_test_from_estimate(kind, dataset, est, theta, draws, config).reject)

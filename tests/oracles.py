@@ -81,3 +81,16 @@ def normal_quantile_bisect(p, tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def subject_space_sums(theta, arm, pi, normals):
+    """Multiplier sums the slow way: a (B, n) normal matrix times the contributions.
+
+    Row i of the contribution matrix is theta_i / pi for a treated subject
+    and -theta_i / (1 - pi) for a control, built one subject at a time.
+    The package draws these sums directly from their covariance instead.
+    """
+    xi = theta.copy()
+    for i in range(theta.shape[0]):
+        xi[i] = theta[i] / pi if int(arm[i]) == 1 else -theta[i] / (1.0 - pi)
+    return normals @ xi

@@ -13,7 +13,7 @@ def _run(capsys, *argv):
 def _read_artifact(path):
     """Split a CSV artifact into (config dict, header, data rows)."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    prefix = "# marktau format=1 config="
+    prefix = "# marktau format=2 config="
     assert lines[0].startswith(prefix)
     config = json.loads(lines[0][len(prefix):])
     header = lines[1].split(",")
@@ -43,7 +43,7 @@ def test_estimate_artifacts(tmp_path, capsys, trial_files):
         assert int(row[7]) >= 0 and int(row[8]) >= 0
 
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
-    assert summary["format_version"] == 1
+    assert summary["format_version"] == 2
     assert summary["config"] == config
     assert summary["n"] == summary["n0"] + summary["n1"]
     assert summary["h"] > 0
@@ -125,10 +125,11 @@ def test_test_report_and_determinism(tmp_path, capsys, trial_files):
     report = json.loads(out.read_text(encoding="utf-8"))
     for key in ("format_version", "config", "kind", "statistic",
                 "critical_value", "p_value", "reject", "alpha", "B", "seed",
-                "grid", "excluded_points", "skipped_pairs", "h", "n"):
+                "grid", "excluded_points", "skipped_pairs", "covariance_rank", "h", "n"):
         assert key in report, key
     assert report["kind"] == "global"
     assert report["B"] == 60 and report["seed"] == 11
+    assert 1 <= report["covariance_rank"] <= 5
     first = out.read_bytes()
 
     code, _, _ = _run(capsys, *args)

@@ -2,30 +2,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import marktau as mt
-from marktau.estimator import EstimateGrid, _estimate_with_terms, ipcw_kernel_matrix
+from marktau.estimator import EstimateGrid, _estimate_with_terms
 from marktau.inference import (
     InferenceError,
+    _constancy_pairs,
     _test_from_estimate,
+    _usable_points,
+    arm_grams,
     constancy_resample,
     constancy_statistic,
+    covariance_factor,
     critical_value,
     global_resample,
     global_statistic,
     multiplier_draws,
     p_value,
     pair_variance_table,
+    resampling_covariance,
     xi_matrix,
 )
 
 from conftest import hand_dataset
+from oracles import subject_space_sums
 
 NULL_SCENARIO = mt.Scenario(
     c1=3.0, c2=0.0, c3=-2.0, n=500, reps=1, seed=0,
     censor_mean0=5.440745, censor_mean1=5.499379,
     grid=mt.EvaluationGrid.explicit([0.2, 0.4, 0.6, 0.8], mt.MarkInterval(0.1, 0.9)),
 )
+# kernel windows of neighbouring points overlap here, so the resampling
+# covariance has off-diagonal terms
+DENSE_GRID = mt.EvaluationGrid.evenly_spaced(mt.MarkInterval(0.1, 0.9), 20)
 
 
 def _manual_grid(points, tau, sigma2, *, n=1000, h=0.1, flagged=None):
@@ -76,7 +86,8 @@ def test_all_points_flagged_errors():
 def test_constancy_statistic_hand_value():
     est = _manual_grid([0.3, 0.7], [1.0, 0.5], [25.0, 25.0])
     zeta = np.array([[0.0, 25.0], [25.0, 0.0]])
-    assert constancy_statistic(est, zeta) == pytest.approx(1.0, rel=1e-12)
+    pairs = _constancy_pairs(est, zeta)
+    assert constancy_statistic(est, pairs) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_xi_matrix_decomposition():
@@ -91,53 +102,112 @@ def test_xi_matrix_decomposition():
         xi_matrix(theta, arm, pi_hat=1.0)
 
 
+def _grid_covariance(ds, est, theta, pi):
+    usable = _usable_points(est)
+    grams = arm_grams(theta, ds.arm, usable)
+    return usable, grams, resampling_covariance(grams, pi)
+
+
 def test_conditional_variance_identity():
-    # with the empirical treated fraction, (h/n) * sum_i xi_i(v)^2 equals
-    # the variance estimate at v exactly
+    # with the empirical treated fraction, (h/n) * diag(xi^T xi) equals the
+    # variance estimate at v exactly
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.45, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
     h = 0.1
-    est = mt.estimate_on_grid(ds, grid, bandwidth=h)
-    theta = ipcw_kernel_matrix(ds, grid.points, h)
-    xi = xi_matrix(theta, ds.arm, ds.pi_hat)
-    np.testing.assert_allclose(
-        (h / ds.n) * np.sum(xi**2, axis=0), est.sigma2, rtol=1e-12
-    )
-
-
-def test_one_hot_draws_recover_subject_contributions():
-    ds = hand_dataset()
-    grid = mt.EvaluationGrid.explicit([0.5], mt.MarkInterval(0.1, 0.9))
-    h = 0.1
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
-    xi = xi_matrix(theta, ds.arm, ds.pi_hat)
-    draws = np.eye(ds.n)
-    out = global_resample(est, theta, ds.arm, draws, ds.pi_hat)
-    np.testing.assert_allclose(
-        out, (h / ds.n) * xi[:, 0] ** 2 / est.sigma2[0], rtol=1e-12
+    usable, _, cov = _grid_covariance(ds, est, theta, ds.pi_hat)
+    assert np.all(usable)
+    np.testing.assert_allclose((h / ds.n) * np.diag(cov), est.sigma2, rtol=1e-12)
+
+
+def _mirrored_fixture():
+    # both failure marks sit at 0.5; the grid points mirrored around 0.5 carry
+    # identical contributions, so the resampling covariance is singular
+    ds = hand_dataset(v=0.5)
+    grid = mt.EvaluationGrid.explicit([0.375, 0.5, 0.625], mt.MarkInterval(0.1, 0.9))
+    return ds, grid, 0.25
+
+
+def _null_fixture():
+    ds = mt.generate_dataset(NULL_SCENARIO, np.random.default_rng(44))
+    return ds, DENSE_GRID, None
+
+
+@pytest.mark.parametrize("fixture, rank", [(_mirrored_fixture, 1), (_null_fixture, 20)])
+def test_covariance_factor_reproduces_xi_gram(fixture, rank):
+    ds, grid, h = fixture()
+    est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
+    for pi in (ds.pi_hat, 0.25):
+        usable, _, cov = _grid_covariance(ds, est, theta, pi)
+        xi = xi_matrix(theta, ds.arm, pi)[:, usable]
+        scale = np.abs(cov).max()
+        np.testing.assert_allclose(cov, xi.T @ xi, rtol=0, atol=1e-12 * scale)
+        factor, found = covariance_factor(cov)
+        assert factor.shape == cov.shape
+        assert np.abs(factor @ factor.T - cov).max() <= 1e-12 * scale
+        assert found == rank
+
+
+def test_multiplier_draws_are_one_stream_in_grid_space():
+    ds = hand_dataset(v=0.5)
+    grid = mt.EvaluationGrid.explicit([0.15, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
+    est, _ = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
+    draws = multiplier_draws(est, 5, seed=99)
+    assert draws.shape == (5, 2)  # (B, usable points), never (B, n)
+    np.testing.assert_array_equal(
+        draws, np.random.default_rng(99).standard_normal((5, 2))
     )
+    with pytest.raises(InferenceError, match="resamples"):
+        multiplier_draws(est, 0, seed=1)
+
+
+@pytest.mark.parametrize("kind", ["global", "constancy"])
+def test_grid_space_resampler_matches_subject_space_oracle(kind):
+    # the package draws the multiplier sums from N(0, xi^T xi); the oracle
+    # multiplies a (B, n) normal matrix into xi; the resampled statistics
+    # must agree in distribution
+    ds = mt.generate_dataset(NULL_SCENARIO, np.random.default_rng(45))
+    est, theta = _estimate_with_terms(ds, DENSE_GRID, alpha=0.05, bandwidth=None, varpi=1.0)
+    reps = 4000
+    config = mt.TestConfig(grid=DENSE_GRID, resamples=reps, seed=46)
+    draws = multiplier_draws(est, reps, config.seed)
+    resampled = _test_from_estimate(kind, ds, est, theta, draws, config).resampled
+    assert np.all(np.isfinite(resampled))
+
+    usable = _usable_points(est)
+    normals = np.random.default_rng(47).standard_normal((reps, ds.n))
+    sums = subject_space_sums(theta, ds.arm, ds.pi_hat, normals)[:, usable]
+    if kind == "global":
+        oracle = global_resample(est, sums)
+    else:
+        grams = arm_grams(theta, ds.arm, usable)
+        pairs = _constancy_pairs(est, pair_variance_table(grams, est))
+        oracle = constancy_resample(est, sums, pairs)
+    assert stats.ks_2samp(resampled, oracle).pvalue > 0.01
 
 
 def test_resampled_values_scale_quadratically():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.48, 0.5], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
-    draws = multiplier_draws(ds.n, 50, seed=4)
-    base = global_resample(est, theta, ds.arm, draws, ds.pi_hat)
-    tripled = global_resample(est, theta, ds.arm, 3.0 * draws, ds.pi_hat)
+    _, grams, cov = _grid_covariance(ds, est, theta, ds.pi_hat)
+    sums = multiplier_draws(est, 50, seed=4) @ covariance_factor(cov)[0].T
+    base = global_resample(est, sums)
+    tripled = global_resample(est, 3.0 * sums)
     np.testing.assert_allclose(tripled, 9.0 * base, rtol=1e-12)
-    zeta = pair_variance_table(theta, ds.arm, ds.n, est.bandwidth)
-    base_c = constancy_resample(est, theta, ds.arm, draws, ds.pi_hat, zeta)
-    tripled_c = constancy_resample(est, theta, ds.arm, 3.0 * draws, ds.pi_hat, zeta)
+    pairs = _constancy_pairs(est, pair_variance_table(grams, est))
+    base_c = constancy_resample(est, sums, pairs)
+    tripled_c = constancy_resample(est, 3.0 * sums, pairs)
     np.testing.assert_allclose(tripled_c, 9.0 * base_c, rtol=1e-12)
 
 
 def test_pair_variance_table_against_direct_sum():
     ds = hand_dataset()
-    points = np.array([0.42, 0.5, 0.58])
-    theta = ipcw_kernel_matrix(ds, points, 0.1)
-    table = pair_variance_table(theta, ds.arm, ds.n, 0.1)
-    g = points.size
+    grid = mt.EvaluationGrid.explicit([0.42, 0.5, 0.58], mt.MarkInterval(0.1, 0.9))
+    est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
+    _, grams, _ = _grid_covariance(ds, est, theta, ds.pi_hat)
+    table = pair_variance_table(grams, est)
+    g = grid.points.size
     direct = np.zeros((g, g))
     for j in range(g):
         for k in range(g):
@@ -222,18 +292,6 @@ def test_statistic_invariant_under_record_order():
         )
 
 
-def test_multiplier_rows_come_from_spawned_streams():
-    draws = multiplier_draws(7, 5, seed=99)
-    assert draws.shape == (5, 7)
-    children = np.random.SeedSequence(99).spawn(5)
-    for b in range(5):
-        np.testing.assert_array_equal(
-            draws[b], np.random.default_rng(children[b]).standard_normal(7)
-        )
-    with pytest.raises(InferenceError):
-        multiplier_draws(0, 5, seed=1)
-
-
 def test_resample_distribution_matches_sampling_distribution():
     # the multiplier reference should track the true null distribution of the
     # statistic; compare upper-tail quantiles from 2000 of each
@@ -255,8 +313,9 @@ def test_resample_distribution_matches_sampling_distribution():
     est, theta = _estimate_with_terms(
         ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
     )
-    draws = multiplier_draws(ds.n, reps, seed=779)
-    resampled = global_resample(est, theta, ds.arm, draws, ds.pi_hat)
+    config = mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=reps, seed=779)
+    draws = multiplier_draws(est, reps, config.seed)
+    resampled = _test_from_estimate("global", ds, est, theta, draws, config).resampled
 
     q_obs = float(np.quantile(observed, 0.95))
     q_res = float(np.quantile(resampled, 0.95))
@@ -295,6 +354,10 @@ def test_constancy_zero_variance_pairs():
     config = mt.TestConfig(grid=wider, resamples=10, seed=0, bandwidth=0.25)
     result = mt.run_test("constancy", ds, config)
     assert result.skipped_pairs == 1
+    # the mirrored columns make the resampling covariance singular; the
+    # factorization still succeeds and every resampled value is finite
+    assert result.covariance_rank == 1
+    assert np.all(np.isfinite(result.resampled))
 
 
 def test_pi_design_changes_resampling_only():
@@ -325,5 +388,7 @@ def test_result_excluded_points_reported():
     config = mt.TestConfig(grid=grid, resamples=20, seed=3, bandwidth=0.1)
     result = mt.run_test("global", ds, config)
     assert result.excluded_points == (0.15,)
+    # both failure marks sit at 0.5, so the two usable columns are proportional
+    assert result.covariance_rank == 1
     assert result.resamples == 20
     assert result.reject == (result.statistic > result.critical_value)
