@@ -12,7 +12,6 @@ from .data_model import (
     MarkInterval,
     ScalingRecord,
     Sidecar,
-    SubjectRecord,
     ValidationReport,
     Violation,
     apply_mark_scaling,
@@ -27,16 +26,10 @@ from .estimator import (
     EstimateGrid,
     EstimationError,
     EvaluationGrid,
-    confidence_interval,
     estimate_on_grid,
-    ipcw_kernel_matrix,
-    ipcw_kernel_term,
     ipcw_mean_difference,
     ipcw_weights,
     normal_quantile,
-    sigma2_hat,
-    tau_hat,
-    tau_hat_group,
 )
 from .inference import (
     InferenceError,
@@ -51,13 +44,10 @@ from .inference import (
     p_value,
     pair_variance_table,
     run_test,
-    xi_matrix,
 )
 from .kernels import (
-    EPANECHNIKOV,
     Bandwidth,
     KernelError,
-    KernelSpec,
     epanechnikov,
     rule_of_thumb_bandwidth,
     scaled_kernel,

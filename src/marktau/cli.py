@@ -42,7 +42,7 @@ from .simulation import (
     size_power_curve,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _ERRORS = (DataError, KernelError, EstimationError, InferenceError, SimulationError)
 
@@ -182,12 +182,6 @@ def _load_dataset(args) -> tuple["Dataset", dict]:
     return dataset, info
 
 
-def _bandwidth_args(args) -> dict:
-    if args.bandwidth is not None and args.bandwidth <= 0:
-        raise KernelError(f"bandwidth must be positive, got {args.bandwidth!r}")
-    return {"bandwidth": args.bandwidth, "varpi": args.bandwidth_scale}
-
-
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="CSV with header y,delta,mark,a")
     parser.add_argument("--meta", help="JSON sidecar with follow_up / mark_scaling")
@@ -215,7 +209,8 @@ def _add_bandwidth_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_estimate(args) -> int:
     dataset, info = _load_dataset(args)
     grid = _build_grid(args)
-    est = estimate_on_grid(dataset, grid, alpha=args.alpha, **_bandwidth_args(args))
+    est = estimate_on_grid(dataset, grid, alpha=args.alpha, bandwidth=args.bandwidth,
+                           varpi=args.bandwidth_scale)
 
     config = {
         "command": "estimate",
@@ -265,10 +260,9 @@ def cmd_estimate(args) -> int:
 def cmd_test(args) -> int:
     dataset, info = _load_dataset(args)
     grid = _build_grid(args)
-    bw = _bandwidth_args(args)
     config_obj = TestConfig(
         grid=grid, resamples=args.resamples, alpha=args.alpha, seed=args.seed,
-        bandwidth=bw["bandwidth"], varpi=bw["varpi"], pi_design=args.pi_design,
+        bandwidth=args.bandwidth, varpi=args.bandwidth_scale, pi_design=args.pi_design,
         add_one_correction=args.add_one_correction,
     )
     result = run_test(args.kind, dataset, config_obj)

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "DataError",
-    "SubjectRecord",
     "MarkInterval",
     "ScalingRecord",
     "Violation",
@@ -39,16 +38,6 @@ CSV_HEADER = ("y", "delta", "mark", "a")
 
 class DataError(ValueError):
     """Malformed input data or an invariant-violating construction."""
-
-
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One observation: follow-up time, failure indicator, mark (failures only), arm."""
-
-    y: float
-    delta: int
-    mark: float | None
-    arm: int
 
 
 @dataclass(frozen=True)
@@ -127,7 +116,7 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable column store of subject records plus derived group counts.
+    """Immutable column store of one row per subject plus derived group counts.
 
     ``mark`` is NaN wherever ``delta == 0``. Arrays are read-only and share
     one index order, which is the record order used everywhere downstream.
@@ -165,27 +154,6 @@ class Dataset:
             follow_up=float(follow_up), n=n, n0=n0, n1=n1, pi_hat=n1 / n,
         )
 
-    @classmethod
-    def from_records(cls, records, follow_up: float | None = None) -> "Dataset":
-        records = list(records)
-        y = [r.y for r in records]
-        delta = [r.delta for r in records]
-        mark = [math.nan if r.mark is None else r.mark for r in records]
-        arm = [r.arm for r in records]
-        return cls.from_arrays(y, delta, mark, arm, follow_up=follow_up)
-
-    @property
-    def records(self) -> tuple[SubjectRecord, ...]:
-        return tuple(
-            SubjectRecord(
-                y=float(self.y[i]),
-                delta=int(self.delta[i]),
-                mark=None if math.isnan(self.mark[i]) else float(self.mark[i]),
-                arm=int(self.arm[i]),
-            )
-            for i in range(self.n)
-        )
-
     def arm_indices(self, a: int) -> np.ndarray:
         return np.flatnonzero(self.arm == a)
 
@@ -203,6 +171,14 @@ class Dataset:
             and np.array_equal(self.mark, other.mark, equal_nan=True)
             and np.array_equal(self.arm, other.arm)
         )
+
+
+def _reads_as_one(field: str) -> bool:
+    """True when ``field`` reads as the number 1, as :func:`_parse_binary` reads it."""
+    try:
+        return float(field) == 1.0
+    except ValueError:
+        return False
 
 
 def _parse_binary(field: str, name: str, line_no: int) -> int:
@@ -289,8 +265,11 @@ def serialize_dataset(dataset: Dataset) -> str:
 def drop_incomplete_rows(text: str) -> tuple[str, int]:
     """Remove uncensored data rows whose mark field is empty.
 
-    Returns the filtered CSV text and the number of rows dropped. Used by the
-    CLI's complete-case switch before strict parsing.
+    A row is uncensored when its delta field reads as the number 1 (``1``,
+    ``1.0``, ``1e0``, with surrounding spaces allowed), as strict parsing
+    reads it. Malformed rows stay in place for :func:`parse_dataset` to
+    report. Returns the filtered CSV text and the number of rows dropped.
+    Used by the CLI's complete-case switch before strict parsing.
     """
     text = text.lstrip("﻿")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -300,7 +279,7 @@ def drop_incomplete_rows(text: str) -> tuple[str, int]:
     kept = [rows[0]]
     dropped = 0
     for row in rows[1:]:
-        if len(row) == 4 and row[1].strip() == "1" and row[2].strip() == "":
+        if len(row) == 4 and row[2].strip() == "" and _reads_as_one(row[1]):
             dropped += 1
             continue
         kept.append(row)

@@ -6,31 +6,28 @@ For arm a, the mean failure time localized at mark v is estimated by
                delta_i * (y_i / S_a(y_i)) * K_h(mark_i - v)
 
 where S_a is the arm's censoring survival curve evaluated left-continuously
-and K_h is a scaled kernel. The double integral against each subject's
-marked counting process reduces to this single term because the process
-carries one unit point mass at (y_i, mark_i) when delta_i = 1 and none
-otherwise; the integral form survives only in the test oracles. The contrast
-tau(v) = tau_1(v) - tau_0(v), its variance estimate and pointwise confidence
-intervals follow the large-sample normal approximation for sqrt(n h).
+and K_h is the scaled Epanechnikov kernel. The double integral against each
+subject's marked counting process reduces to this single term because the
+process carries one unit point mass at (y_i, mark_i) when delta_i = 1 and
+none otherwise; the integral form survives only in the test oracles.
+
+Censored subjects therefore contribute exactly zero, and the kernel terms
+are kept for observed failures only: per arm, a grid-points by events array
+whose rows are summed. The contrast tau(v) = tau_1(v) - tau_0(v), its
+variance estimate (n h) * sum over arms of n_a^(-2) * sum_i theta_i(v)^2
+and pointwise confidence intervals follow the large-sample normal
+approximation for sqrt(n h).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .data_model import Dataset, DataError, MarkInterval, SubjectRecord
-from .kernels import (
-    EPANECHNIKOV,
-    Bandwidth,
-    KernelSpec,
-    bandwidth_value,
-    rule_of_thumb_bandwidth,
-    scaled_kernel,
-)
+from .data_model import Dataset, MarkInterval
+from .kernels import Bandwidth, rule_of_thumb_bandwidth, scaled_kernel
 from .km import StepSurvival, fit_censoring_km
 
 __all__ = [
@@ -39,12 +36,6 @@ __all__ = [
     "EstimateGrid",
     "normal_quantile",
     "ipcw_weights",
-    "ipcw_kernel_term",
-    "ipcw_kernel_matrix",
-    "tau_hat_group",
-    "tau_hat",
-    "sigma2_hat",
-    "confidence_interval",
     "estimate_on_grid",
     "ipcw_mean_difference",
 ]
@@ -162,98 +153,6 @@ def ipcw_weights(dataset: Dataset) -> tuple[np.ndarray, dict[int, StepSurvival]]
     return weights, curves
 
 
-def ipcw_kernel_term(record: SubjectRecord, surv: StepSurvival, v: float, h,
-                     kernel: KernelSpec = EPANECHNIKOV) -> float:
-    """One subject's contribution delta * (y / S(y)) * K_h(mark - v).
-
-    Censored records contribute exactly zero. ``surv`` must be the censoring
-    curve of the record's own arm.
-    """
-    if record.delta == 0:
-        return 0.0
-    s = surv.evaluate(record.y)
-    if s <= 0.0:
-        raise EstimationError("censoring survival vanishes at an observed failure")
-    return (record.y / s) * scaled_kernel(record.mark, v, h, kernel)
-
-
-def ipcw_kernel_matrix(dataset: Dataset, points, h,
-                       kernel: KernelSpec = EPANECHNIKOV) -> np.ndarray:
-    """Matrix of per-subject contributions, subjects by grid points."""
-    weights, _ = ipcw_weights(dataset)
-    return _kernel_terms(dataset, weights, np.asarray(points, dtype=float), h, kernel)
-
-
-def _kernel_terms(dataset: Dataset, weights: np.ndarray, points: np.ndarray, h,
-                  kernel: KernelSpec) -> np.ndarray:
-    # NaN marks on censored rows are masked by their zero weight; substitute
-    # a harmless center so the kernel never sees NaN.
-    marks = np.where(dataset.delta == 1, dataset.mark, points[0] if points.size else 0.0)
-    kern = scaled_kernel(marks[:, None], points[None, :], h, kernel)
-    return weights[:, None] * kern
-
-
-def tau_hat_group(dataset: Dataset, a: int, v: float, h,
-                  surv: StepSurvival | None = None,
-                  kernel: KernelSpec = EPANECHNIKOV) -> float:
-    """Arm-a localized mean failure time at mark v.
-
-    Summation runs over the arm's subjects in record order (np.sum), which
-    the no-censoring reduction test relies on.
-    """
-    idx = dataset.arm_indices(a)
-    if idx.size == 0:
-        raise EstimationError(f"treatment group {a} is empty")
-    if surv is None:
-        surv = fit_censoring_km(dataset.y[idx], dataset.delta[idx], group=a)
-    weights = np.zeros(idx.size)
-    events = dataset.delta[idx] == 1
-    if np.any(events):
-        surv_at_event = np.atleast_1d(surv.evaluate(dataset.y[idx][events]))
-        if np.any(surv_at_event <= 0.0):
-            raise EstimationError(
-                f"censoring survival vanishes at an observed failure in group {a}"
-            )
-        weights[events] = dataset.y[idx][events] / surv_at_event
-    marks = np.where(events, dataset.mark[idx], float(v))
-    terms = weights * scaled_kernel(marks, v, h, kernel)
-    return float(np.sum(terms) / idx.size)
-
-
-def tau_hat(dataset: Dataset, v: float, h, kernel: KernelSpec = EPANECHNIKOV) -> float:
-    """Treatment contrast tau_1(v) - tau_0(v); fits both censoring curves."""
-    return tau_hat_group(dataset, 1, v, h, kernel=kernel) - tau_hat_group(
-        dataset, 0, v, h, kernel=kernel
-    )
-
-
-def sigma2_hat(dataset: Dataset, v: float, h, kernel: KernelSpec = EPANECHNIKOV) -> float:
-    """Variance estimate for sqrt(n h) * (tau_hat(v) - tau(v)).
-
-    sigma2 = (n h) * sum over arms of n_a^(-2) * sum of squared subject
-    contributions at v. Zero exactly when no subject contributes at v.
-    """
-    theta = ipcw_kernel_matrix(dataset, [v], h, kernel)[:, 0]
-    hval = bandwidth_value(h)
-    total = 0.0
-    for a in (0, 1):
-        idx = dataset.arm_indices(a)
-        total += float(np.sum(theta[idx] ** 2)) / idx.size**2
-    return dataset.n * hval * total
-
-
-def confidence_interval(tau: float, sigma2: float, n: int, h, alpha: float = 0.05,
-                        ) -> tuple[float, float]:
-    """Pointwise (1 - alpha) interval: tau +- z_{alpha/2} * sqrt(sigma2 / (n h))."""
-    if not 0.0 < alpha < 1.0:
-        raise EstimationError(f"alpha must be in (0,1), got {alpha!r}")
-    if sigma2 < 0.0:
-        raise EstimationError(f"variance estimate must be non-negative, got {sigma2!r}")
-    z = normal_quantile(1.0 - alpha / 2.0)
-    half = z * math.sqrt(sigma2 / (n * bandwidth_value(h)))
-    return tau - half, tau + half
-
-
 def ipcw_mean_difference(dataset: Dataset) -> float:
     """Difference of IPCW-weighted group mean failure times, ignoring marks.
 
@@ -267,22 +166,24 @@ def ipcw_mean_difference(dataset: Dataset) -> float:
     return float(np.sum(weights[idx1]) / idx1.size - np.sum(weights[idx0]) / idx0.size)
 
 
-def _resolve_bandwidth(dataset: Dataset, bandwidth, varpi: float) -> Bandwidth:
+def _resolve_bandwidth(dataset: Dataset, bandwidth: float | None, varpi: float,
+                       ) -> Bandwidth:
     if bandwidth is None:
         return rule_of_thumb_bandwidth(dataset.observed_marks(), varpi=varpi)
-    if isinstance(bandwidth, Bandwidth):
-        return bandwidth
-    return Bandwidth(h=bandwidth_value(bandwidth))
+    return Bandwidth(h=float(bandwidth))
 
 
 def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
-                         alpha: float = 0.05, bandwidth=None, varpi: float = 1.0,
-                         kernel: KernelSpec = EPANECHNIKOV,
-                         ) -> tuple[EstimateGrid, np.ndarray]:
-    """Estimates on the grid plus the subject-by-point contribution matrix.
+                         alpha: float = 0.05, bandwidth: float | None = None,
+                         varpi: float = 1.0,
+                         ) -> tuple[EstimateGrid, tuple[np.ndarray, np.ndarray]]:
+    """Estimates on the grid plus the kernel terms they are sums of.
 
-    The matrix is what the multiplier resampling reuses, so it is computed
-    once here and shared.
+    The terms are a (control, treated) pair of arrays of shape (g, m_a):
+    entry (j, k) is (y / S_a(y)) * K_h(mark - v_j) for the k-th observed
+    failure of arm a in record order. Censored subjects contribute zero and
+    have no column, and every per-arm sum runs along a contiguous row. The
+    multiplier resampling reuses the terms, so they are computed once here.
     """
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0,1), got {alpha!r}")
@@ -291,24 +192,23 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
                               f"(n0={dataset.n0}, n1={dataset.n1})")
     bw = _resolve_bandwidth(dataset, bandwidth, varpi)
     weights, _ = ipcw_weights(dataset)
-    theta = _kernel_terms(dataset, weights, grid.points, bw, kernel)
+    points = grid.points[:, None]
+    theta, events = [], []
+    for a in (0, 1):
+        observed = (dataset.arm == a) & (dataset.delta == 1)
+        marks = dataset.mark[observed]
+        theta.append(weights[observed] * scaled_kernel(marks, points, bw.h))
+        events.append(np.count_nonzero(np.abs(marks - points) < bw.h, axis=1))
+    (theta0, theta1), (events0, events1) = theta, events
 
-    idx1 = dataset.arm_indices(1)
-    idx0 = dataset.arm_indices(0)
-    tau1 = theta[idx1].sum(axis=0) / dataset.n1
-    tau0 = theta[idx0].sum(axis=0) / dataset.n0
+    tau1 = theta1.sum(axis=1) / dataset.n1
+    tau0 = theta0.sum(axis=1) / dataset.n0
     tau = tau1 - tau0
     nh = dataset.n * bw.h
     sigma2 = nh * (
-        (theta[idx1] ** 2).sum(axis=0) / dataset.n1**2
-        + (theta[idx0] ** 2).sum(axis=0) / dataset.n0**2
+        (theta1**2).sum(axis=1) / dataset.n1**2
+        + (theta0**2).sum(axis=1) / dataset.n0**2
     )
-
-    in_window = np.abs(
-        np.where(dataset.delta == 1, dataset.mark, np.inf)[:, None] - grid.points[None, :]
-    ) < bw.h
-    events1 = (in_window[idx1]).sum(axis=0).astype(np.int64)
-    events0 = (in_window[idx0]).sum(axis=0).astype(np.int64)
     flagged = (events1 + events0) == 0
 
     z = normal_quantile(1.0 - alpha / 2.0)
@@ -319,12 +219,12 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
         events1=events1, events0=events0, flagged=flagged,
         bandwidth=bw, alpha=alpha, n=dataset.n, n0=dataset.n0, n1=dataset.n1,
     )
-    return est, theta
+    return est, (theta0, theta1)
 
 
 def estimate_on_grid(dataset: Dataset, grid: EvaluationGrid, *, alpha: float = 0.05,
-                     bandwidth=None, varpi: float = 1.0,
-                     kernel: KernelSpec = EPANECHNIKOV) -> EstimateGrid:
+                     bandwidth: float | None = None, varpi: float = 1.0,
+                     ) -> EstimateGrid:
     """Estimate tau_1, tau_0, tau, sigma2 and pointwise intervals on a grid.
 
     Parameters
@@ -335,14 +235,14 @@ def estimate_on_grid(dataset: Dataset, grid: EvaluationGrid, *, alpha: float = 0
         Mark values to evaluate at; output rows follow grid order.
     alpha : float
         Pointwise miscoverage level for the confidence intervals.
-    bandwidth : Bandwidth, float, or None
-        Explicit bandwidth; None selects the rule of thumb with scale
-        ``varpi`` from the observed marks of both arms pooled.
+    bandwidth : float or None
+        Explicit positive bandwidth; None selects the rule of thumb with
+        scale ``varpi`` from the observed marks of both arms pooled.
 
     Grid points whose window (v - h, v + h) contains no observed event in
     either arm are flagged, not errors; they carry tau = 0, sigma2 = 0.
     """
     est, _ = _estimate_with_terms(
-        dataset, grid, alpha=alpha, bandwidth=bandwidth, varpi=varpi, kernel=kernel
+        dataset, grid, alpha=alpha, bandwidth=bandwidth, varpi=varpi
     )
     return est

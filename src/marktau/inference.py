@@ -10,10 +10,12 @@ come from Gaussian multiplier resampling holding the data fixed. Given the
 data, the multiplier sums G = draws @ xi of the n x g subject contributions
 xi are exactly N(0, xi^T xi), and both statistics read only G at the usable
 grid points, so the resampler draws G directly from that grid-sized
-covariance and no draw touches the n subjects. Grid points flagged by the
-estimator (or with a zero variance estimate) are excluded from the maxima;
-constancy pairs with a zero pair-variance are skipped with a diagnostic
-count rather than failing the test.
+covariance and no draw touches the n subjects. The covariance is built from
+the estimator's per-arm kernel terms, which censored subjects (zero
+contributions) do not enter. Grid points flagged by the estimator (or with a
+zero variance estimate) are excluded from the maxima; constancy pairs with a
+zero pair-variance are skipped with a diagnostic count rather than failing
+the test.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .estimator import (
     EvaluationGrid,
     _estimate_with_terms,
 )
-from .kernels import EPANECHNIKOV, Bandwidth, KernelSpec
 
 __all__ = [
     "InferenceError",
@@ -38,7 +39,6 @@ __all__ = [
     "TestConfig",
     "TestResult",
     "multiplier_draws",
-    "xi_matrix",
     "arm_grams",
     "resampling_covariance",
     "covariance_factor",
@@ -71,11 +71,10 @@ class TestConfig:
     resamples: int = 500
     alpha: float = 0.05
     seed: int = 0
-    bandwidth: Bandwidth | float | None = None
+    bandwidth: float | None = None
     varpi: float = 1.0
     pi_design: float | None = None
     add_one_correction: bool = False
-    kernel: KernelSpec = EPANECHNIKOV
 
     def __post_init__(self) -> None:
         if self.resamples < 1:
@@ -131,31 +130,29 @@ def _arm_scales(pi: float) -> tuple[float, float]:
     return -1.0 / (1.0 - pi), 1.0 / pi
 
 
-def xi_matrix(theta: np.ndarray, arm: np.ndarray, pi_hat: float) -> np.ndarray:
-    """Signed, inverse-assignment-weighted subject contributions.
-
-    Row i is theta_i / pi_hat for treated subjects and -theta_i / (1 - pi_hat)
-    for controls, so that sum_i xi_i / n reproduces the treatment contrast of
-    group means. The resampler needs only xi^T xi (see
-    :func:`resampling_covariance`).
-    """
-    s0, s1 = _arm_scales(pi_hat)
-    return np.where(arm == 1, s1, s0)[:, None] * theta
-
-
 def _usable_points(est: EstimateGrid) -> np.ndarray:
     return ~est.flagged & (est.sigma2 > 0.0)
 
 
-def arm_grams(theta: np.ndarray, arm: np.ndarray, usable: np.ndarray,
+def arm_grams(theta: tuple[np.ndarray, np.ndarray], usable: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm Gram matrices theta_a^T theta_a over the usable points, control first."""
-    control, treated = (theta[np.ix_(arm == a, usable)] for a in (0, 1))
-    return control.T @ control, treated.T @ treated
+    """Per-arm Gram matrices over the usable points, control first.
+
+    ``theta`` is the estimator's (control, treated) pair of (points, events)
+    kernel-term arrays; entry (j, k) of arm a's Gram is the sum over the
+    arm's subjects of theta_i(v_j) * theta_i(v_k).
+    """
+    selected = (terms[usable] for terms in theta)
+    return tuple(terms @ terms.T for terms in selected)
 
 
 def resampling_covariance(grams: tuple[np.ndarray, np.ndarray], pi: float) -> np.ndarray:
-    """xi^T xi over the usable points: the sum over arms of s_a^2 Gram_a."""
+    """xi^T xi over the usable points: the sum over arms of s_a^2 Gram_a.
+
+    Row i of xi is theta_i / pi for a treated subject and -theta_i / (1 - pi)
+    for a control, so that sum_i xi_i / n reproduces the treatment contrast
+    of group means.
+    """
     s0, s1 = _arm_scales(pi)
     return s0**2 * grams[0] + s1**2 * grams[1]
 
@@ -284,8 +281,8 @@ def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = 
 
 
 def _test_from_estimate(kind: str, dataset: Dataset, est: EstimateGrid,
-                        theta: np.ndarray, draws: np.ndarray, config: TestConfig,
-                        ) -> TestResult:
+                        theta: tuple[np.ndarray, np.ndarray], draws: np.ndarray,
+                        config: TestConfig) -> TestResult:
     """Test from an estimate, its contributions and standard normal ``draws``.
 
     ``draws`` come from :func:`multiplier_draws`; the multiplier sums are
@@ -293,7 +290,7 @@ def _test_from_estimate(kind: str, dataset: Dataset, est: EstimateGrid,
     """
     pi = config.pi_design if config.pi_design is not None else dataset.pi_hat
     usable = _usable_points(est)
-    grams = arm_grams(theta, dataset.arm, usable)
+    grams = arm_grams(theta, usable)
     factor, rank = covariance_factor(resampling_covariance(grams, pi))
     sums = draws @ factor.T
     skipped_pairs = 0
@@ -331,7 +328,7 @@ def run_test(kind: str, dataset: Dataset, config: TestConfig) -> TestResult:
         raise InferenceError(f"unknown test kind {kind!r}; expected one of {TEST_KINDS}")
     est, theta = _estimate_with_terms(
         dataset, config.grid, alpha=config.alpha,
-        bandwidth=config.bandwidth, varpi=config.varpi, kernel=config.kernel,
+        bandwidth=config.bandwidth, varpi=config.varpi,
     )
     draws = multiplier_draws(est, config.resamples, config.seed)
     return _test_from_estimate(kind, dataset, est, theta, draws, config)

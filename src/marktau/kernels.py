@@ -1,23 +1,18 @@
-"""Smoothing kernels, their scaled forms, and the rule-of-thumb bandwidth."""
+"""The Epanechnikov kernel, its scaled form, and the rule-of-thumb bandwidth."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "KernelError",
-    "KernelSpec",
     "Bandwidth",
     "epanechnikov",
-    "EPANECHNIKOV",
-    "KERNELS",
     "scaled_kernel",
     "rule_of_thumb_bandwidth",
-    "bandwidth_value",
 ]
 
 
@@ -32,28 +27,14 @@ def epanechnikov(x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A symmetric density on [-1, 1] together with its squared integral.
-
-    ``nu0`` is the integral of the squared density, which scales the variance
-    of kernel-weighted means. Values are analytic and pinned by quadrature in
-    the test suite.
-    """
-
-    name: str
-    pdf: Callable
-    nu0: float
-
-
-EPANECHNIKOV = KernelSpec(name="epanechnikov", pdf=epanechnikov, nu0=0.6)
-
-KERNELS = {EPANECHNIKOV.name: EPANECHNIKOV}
+def _check_bandwidth(h: float) -> None:
+    if not (math.isfinite(h) and h > 0.0):
+        raise KernelError(f"bandwidth must be positive, got {h!r}")
 
 
 @dataclass(frozen=True)
 class Bandwidth:
-    """A bandwidth plus, when rule-of-thumb derived, the pieces it came from."""
+    """A resolved bandwidth plus, when rule-of-thumb derived, the pieces it came from."""
 
     h: float
     varpi: float | None = None
@@ -61,29 +42,18 @@ class Bandwidth:
     m: int | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise KernelError(f"bandwidth must be positive, got {self.h!r}")
+        _check_bandwidth(self.h)
 
 
-def bandwidth_value(h) -> float:
-    """Accept a Bandwidth or a plain positive float; return the float."""
-    if isinstance(h, Bandwidth):
-        return h.h
-    h = float(h)
-    if not (math.isfinite(h) and h > 0.0):
-        raise KernelError(f"bandwidth must be positive, got {h!r}")
-    return h
-
-
-def scaled_kernel(u, v, h, kernel: KernelSpec = EPANECHNIKOV):
+def scaled_kernel(u, v, h: float):
     """K((u - v) / h) / h: the bandwidth-h kernel weight of u at center v.
 
     Integrates to one in u for any center and any positive bandwidth.
     """
-    hval = bandwidth_value(h)
+    _check_bandwidth(h)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    out = kernel.pdf((u - v) / hval) / hval
+    out = epanechnikov((u - v) / h) / h
     return float(out) if np.ndim(out) == 0 else out
 
 

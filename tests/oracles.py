@@ -6,6 +6,8 @@ helpers with the package, and independent formulas wherever possible.
 
 import math
 
+import numpy as np
+
 
 def product_limit_censoring(y, delta, t):
     """P(C >= t) by explicit risk-set iteration, left-continuous in t.
@@ -83,14 +85,42 @@ def normal_quantile_bisect(p, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
+def subject_major(theta, dataset):
+    """Scatter the per-arm kernel terms back into an n x g subject-by-point matrix.
+
+    ``theta`` is the package's (control, treated) pair of (g, m_a) arrays
+    whose columns are the arm's observed failures in record order. Rows of
+    censored subjects stay zero.
+    """
+    out = np.zeros((dataset.n, theta[0].shape[0]))
+    seen = [0, 0]
+    for i in range(dataset.n):
+        if int(dataset.delta[i]) == 1:
+            a = int(dataset.arm[i])
+            out[i] = theta[a][:, seen[a]]
+            seen[a] += 1
+    assert seen == [theta[0].shape[1], theta[1].shape[1]]
+    return out
+
+
+def xi_matrix(theta, arm, pi):
+    """Signed, inverse-assignment-weighted subject contributions, one row at a time.
+
+    ``theta`` is subject-major (see :func:`subject_major`). Row i is
+    theta_i / pi for a treated subject and -theta_i / (1 - pi) for a
+    control, so that sum_i xi_i / n reproduces the treatment contrast of
+    group means.
+    """
+    xi = np.array(theta, dtype=float)
+    for i in range(xi.shape[0]):
+        xi[i] = theta[i] / pi if int(arm[i]) == 1 else -theta[i] / (1.0 - pi)
+    return xi
+
+
 def subject_space_sums(theta, arm, pi, normals):
     """Multiplier sums the slow way: a (B, n) normal matrix times the contributions.
 
-    Row i of the contribution matrix is theta_i / pi for a treated subject
-    and -theta_i / (1 - pi) for a control, built one subject at a time.
-    The package draws these sums directly from their covariance instead.
+    ``theta`` is subject-major. The package draws these sums directly from
+    their covariance instead.
     """
-    xi = theta.copy()
-    for i in range(theta.shape[0]):
-        xi[i] = theta[i] / pi if int(arm[i]) == 1 else -theta[i] / (1.0 - pi)
-    return normals @ xi
+    return normals @ xi_matrix(theta, arm, pi)

@@ -13,7 +13,7 @@ def _run(capsys, *argv):
 def _read_artifact(path):
     """Split a CSV artifact into (config dict, header, data rows)."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    prefix = "# marktau format=2 config="
+    prefix = "# marktau format=3 config="
     assert lines[0].startswith(prefix)
     config = json.loads(lines[0][len(prefix):])
     header = lines[1].split(",")
@@ -43,7 +43,7 @@ def test_estimate_artifacts(tmp_path, capsys, trial_files):
         assert int(row[7]) >= 0 and int(row[8]) >= 0
 
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
-    assert summary["format_version"] == 2
+    assert summary["format_version"] == 3
     assert summary["config"] == config
     assert summary["n"] == summary["n0"] + summary["n1"]
     assert summary["h"] > 0
@@ -55,14 +55,15 @@ def test_estimate_artifacts(tmp_path, capsys, trial_files):
 
 def test_estimate_rejects_nonpositive_bandwidth(tmp_path, capsys, trial_files):
     csv_path, meta_path = trial_files
-    code, _, err = _run(
-        capsys,
-        "estimate", "--input", str(csv_path), "--meta", str(meta_path),
-        "--interval", "0.2,0.45", "--bandwidth", "0",
-        "--out", str(tmp_path / "x.csv"),
-    )
-    assert code == 1
-    assert "bandwidth must be positive" in err
+    for value in ("0", "-0.1", "nan", "inf"):
+        code, _, err = _run(
+            capsys,
+            "estimate", "--input", str(csv_path), "--meta", str(meta_path),
+            "--interval", "0.2,0.45", "--bandwidth", value,
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1, value
+        assert "bandwidth must be positive" in err, value
 
 
 def test_estimate_requires_scaled_marks(tmp_path, capsys, trial_files):

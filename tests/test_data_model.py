@@ -17,10 +17,9 @@ def test_parse_example_csv():
     assert ds.n == 3
     assert ds.n1 == 1 and ds.n0 == 2
     assert ds.pi_hat == 1 / 3
-    records = ds.records
-    assert records[0] == mt.SubjectRecord(y=1.0, delta=1, mark=0.3, arm=1)
-    assert records[1] == mt.SubjectRecord(y=2.0, delta=0, mark=None, arm=0)
-    assert records[2] == mt.SubjectRecord(y=1.5, delta=1, mark=0.6, arm=0)
+    assert ds == mt.Dataset.from_arrays(
+        y=[1.0, 2.0, 1.5], delta=[1, 0, 1], mark=[0.3, math.nan, 0.6], arm=[1, 0, 0]
+    )
     assert ds.follow_up == 2.0  # defaults to max(y)
 
 
@@ -60,21 +59,18 @@ def test_serialize_round_trip_hand():
     assert again == ds
 
 
-def _record_strategy(arm: int):
+def _arm_rows(arm: int):
     finite = st.floats(0.0, 100.0, allow_nan=False)
-    return st.tuples(finite, st.booleans(), st.floats(0.0, 1.0, allow_nan=False)).map(
-        lambda t: mt.SubjectRecord(
-            y=t[0], delta=int(t[1]), mark=t[2] if t[1] else None, arm=arm
-        )
-    )
+    row = st.tuples(finite, st.booleans(), st.floats(0.0, 1.0, allow_nan=False))
+    return st.lists(row.map(lambda t: (t[0], int(t[1]), t[2] if t[1] else math.nan, arm)),
+                    min_size=1, max_size=6)
 
 
 @st.composite
 def datasets(draw):
-    # at least one record per arm, so parsing round-trips cleanly
-    treated = draw(st.lists(_record_strategy(1), min_size=1, max_size=6))
-    control = draw(st.lists(_record_strategy(0), min_size=1, max_size=6))
-    return mt.Dataset.from_records(treated + control)
+    # at least one row per arm, so parsing round-trips cleanly
+    rows = draw(_arm_rows(1)) + draw(_arm_rows(0))
+    return mt.Dataset.from_arrays(*zip(*rows))
 
 
 @settings(deadline=None, max_examples=60)
@@ -179,6 +175,24 @@ def test_drop_incomplete_rows():
     assert dropped == 1
     ds = mt.parse_dataset(filtered)
     assert ds.n == 3
+
+
+@pytest.mark.parametrize("one", ["1", "1.0", " 1 ", "1e0"])
+def test_drop_incomplete_rows_reads_delta_as_a_number(one):
+    text = f"y,delta,mark,a\n1.0,{one},,1\n2.0,0,,0\n1.5,{one},0.6,0\n3.0,1,0.2,1\n"
+    filtered, dropped = mt.drop_incomplete_rows(text)
+    assert dropped == 1
+    ds = mt.parse_dataset(filtered)
+    assert ds.n == 3 and ds.n1 == 1
+
+
+def test_drop_incomplete_rows_leaves_malformed_rows():
+    # an unreadable delta is not a missing mark; strict parsing reports it
+    text = "y,delta,mark,a\n1.0,yes,,1\n2.0,0,,0\n"
+    filtered, dropped = mt.drop_incomplete_rows(text)
+    assert dropped == 0
+    with pytest.raises(DataError, match="line 2: delta is not numeric"):
+        mt.parse_dataset(filtered)
 
 
 def test_sidecar_parsing():

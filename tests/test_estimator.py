@@ -10,53 +10,72 @@ import marktau as mt
 from marktau.estimator import (
     EstimationError,
     _estimate_with_terms,
-    ipcw_kernel_matrix,
-    ipcw_kernel_term,
     ipcw_mean_difference,
     normal_quantile,
 )
-from marktau.km import StepSurvival, fit_censoring_km
+from marktau.km import fit_censoring_km
 
 from conftest import hand_dataset
-from oracles import normal_quantile_bisect, stieltjes_group_mean
+from oracles import normal_quantile_bisect, stieltjes_group_mean, subject_major
 
-FLAT_SURVIVAL = StepSurvival(np.array([]), np.array([]), group=1)
+UNIT = mt.MarkInterval(0.0, 1.0)
+
+
+def _at(ds, points, h, **kwargs):
+    """Estimates at explicit points inside [0, 1] with bandwidth h."""
+    grid = mt.EvaluationGrid.explicit(points, UNIT)
+    return mt.estimate_on_grid(ds, grid, bandwidth=h, **kwargs)
+
+
+def _terms(ds, points, h):
+    """Estimates and the per-arm kernel terms at explicit points inside [0, 1]."""
+    return _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT), bandwidth=h)
 
 
 def test_censored_record_contributes_zero():
-    record = mt.SubjectRecord(y=3.0, delta=0, mark=None, arm=1)
-    assert ipcw_kernel_term(record, FLAT_SURVIVAL, 0.5, 0.1) == 0.0
+    # a censoring after every treated failure changes no weight: it adds one
+    # subject to the treated denominator and no kernel term
+    ds = hand_dataset()
+    more = mt.Dataset.from_arrays(
+        np.append(ds.y, 12.0), np.append(ds.delta, 0),
+        np.append(ds.mark, math.nan), np.append(ds.arm, 1),
+    )
+    est, theta = _terms(ds, [0.45, 0.5], 0.1)
+    est_more, theta_more = _terms(more, [0.45, 0.5], 0.1)
+    assert [t.shape for t in theta_more] == [t.shape for t in theta] == [(2, 1), (2, 1)]
+    np.testing.assert_array_equal(theta_more[1], theta[1])
+    np.testing.assert_array_equal(est_more.tau1, theta[1].sum(axis=1) / 5)
+    np.testing.assert_array_equal(est_more.tau0, est.tau0)
+    assert est_more.tau1[1] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_kernel_term_hand_value():
-    record = mt.SubjectRecord(y=2.0, delta=1, mark=0.5, arm=1)
-    assert ipcw_kernel_term(record, FLAT_SURVIVAL, 0.5, 0.1) == pytest.approx(
-        15.0, rel=1e-12
-    )
+    _, (control, treated) = _terms(hand_dataset(), [0.5], 0.1)
+    assert treated[0, 0] == pytest.approx(15.0, rel=1e-12)
+    assert control[0, 0] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_hand_dataset_point_estimates():
-    ds = hand_dataset()
-    assert mt.tau_hat_group(ds, 1, 0.5, 0.1) == pytest.approx(3.75, rel=1e-12)
-    assert mt.tau_hat_group(ds, 0, 0.5, 0.1) == pytest.approx(2.5, rel=1e-12)
-    assert mt.tau_hat(ds, 0.5, 0.1) == pytest.approx(1.25, rel=1e-12)
-    assert mt.sigma2_hat(ds, 0.5, 0.1) == pytest.approx(16.25, rel=1e-12)
+    est = _at(hand_dataset(), [0.5], 0.1)
+    assert est.tau1[0] == pytest.approx(3.75, rel=1e-12)
+    assert est.tau0[0] == pytest.approx(2.5, rel=1e-12)
+    assert est.tau[0] == pytest.approx(1.25, rel=1e-12)
+    assert est.sigma2[0] == pytest.approx(16.25, rel=1e-12)
 
 
 def test_confidence_interval_hand_value():
-    # nh = 100, so the half-width is 1.959964 * sqrt(16.25 / 100)
-    lo, hi = mt.confidence_interval(2.0, 16.25, n=1000, h=0.1, alpha=0.05)
-    assert lo == pytest.approx(1.2099, abs=1e-4)
-    assert hi == pytest.approx(2.7901, abs=1e-4)
-    mid_lo, mid_hi = mt.confidence_interval(2.0, 16.25, n=1000, h=0.1, alpha=0.5)
-    assert mid_lo > lo and mid_hi < hi
+    # nh = 0.8, so the half-width is 1.959964 * sqrt(16.25 / 0.8) around 1.25
+    est = _at(hand_dataset(), [0.5], 0.1)
+    assert est.ci_lower[0] == pytest.approx(-7.5834, abs=1e-4)
+    assert est.ci_upper[0] == pytest.approx(10.0834, abs=1e-4)
+    narrow = _at(hand_dataset(), [0.5], 0.1, alpha=0.5)
+    assert narrow.ci_lower[0] > est.ci_lower[0] and narrow.ci_upper[0] < est.ci_upper[0]
 
 
 def test_confidence_interval_validation():
-    with pytest.raises(EstimationError, match="alpha"):
-        mt.confidence_interval(0.0, 1.0, 10, 0.1, alpha=1.5)
-    with pytest.raises(EstimationError, match="non-negative"):
-        mt.confidence_interval(0.0, -1.0, 10, 0.1)
+    for alpha in (1.5, 0.0):
+        with pytest.raises(EstimationError, match="alpha"):
+            _at(hand_dataset(), [0.5], 0.1, alpha=alpha)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.975, 0.95, 0.9, 0.995, 0.025, 0.1])
@@ -65,23 +84,26 @@ def test_normal_quantile_against_bisection(p):
 
 
 def test_group_mean_matches_double_integral_oracle():
-    # every censoring pattern of six subjects in one group, several v
+    # every censoring pattern of six treated subjects, several v; one fixed
+    # control failure keeps both arms non-empty
     y = np.array([1.0, 2.0, 2.0, 3.0, 4.5, 5.0])
     base_marks = np.array([0.15, 0.4, 0.55, 0.6, 0.8, 0.35])
     h = 0.3
+    points = [0.3, 0.5, 0.75]
     for pattern in itertools.product([0, 1], repeat=6):
         delta = np.array(pattern)
         if delta.sum() == 0:
             continue
         mark = np.where(delta == 1, base_marks, np.nan)
-        ds = mt.Dataset.from_arrays(y, delta, mark, np.ones(6, dtype=int))
+        ds = mt.Dataset.from_arrays(np.append(y, 1.5), np.append(delta, 1),
+                                    np.append(mark, 0.5), [1] * 6 + [0])
+        est = _at(ds, points, h)
         surv = fit_censoring_km(y, delta, group=1)
-        for v in (0.3, 0.5, 0.75):
-            got = mt.tau_hat_group(ds, 1, v, h, surv=surv)
+        for j, v in enumerate(points):
             want = stieltjes_group_mean(
                 y, delta, mark, surv.evaluate, v, h, ds.follow_up
             )
-            assert abs(got - want) <= 1e-12, (pattern, v)
+            assert abs(est.tau1[j] - want) <= 1e-12, (pattern, v)
 
 
 def test_no_censoring_reduces_to_plain_kernel_mean():
@@ -92,23 +114,15 @@ def test_no_censoring_reduces_to_plain_kernel_mean():
     arm = np.array([1] * 25 + [0] * 15)
     ds = mt.Dataset.from_arrays(y, np.ones(n, dtype=int), mark, arm)
     h = 0.2
-    for a in (0, 1):
+    points = [0.25, 0.5, 0.9]
+    est = _at(ds, points, h)
+    for a, curve in ((0, est.tau0), (1, est.tau1)):
         idx = ds.arm_indices(a)
-        for v in (0.25, 0.5, 0.9):
+        for j, v in enumerate(points):
             plain = float(
                 np.sum(y[idx] * mt.scaled_kernel(mark[idx], v, h)) / idx.size
             )
-            assert mt.tau_hat_group(ds, a, v, h) == plain  # bitwise
-
-    grid = mt.EvaluationGrid.explicit([0.25, 0.5, 0.9], mt.MarkInterval(0.1, 0.95))
-    est = mt.estimate_on_grid(ds, grid, bandwidth=h)
-    theta_plain = y[:, None] * mt.scaled_kernel(mark[:, None], grid.points[None, :], h)
-    for a in (0, 1):
-        idx = ds.arm_indices(a)
-        np.testing.assert_array_equal(
-            est.tau1 if a == 1 else est.tau0,
-            np.sum(theta_plain[idx], axis=0) / idx.size,
-        )
+            assert curve[j] == plain  # bitwise
 
 
 def test_groups_do_not_interact():
@@ -117,12 +131,10 @@ def test_groups_do_not_interact():
     y = ds.y.copy()
     y[4] = 8.0 / 3.0
     modified = mt.Dataset.from_arrays(y, ds.delta, ds.mark, ds.arm)
-    assert mt.tau_hat_group(modified, 1, 0.5, 0.1) == mt.tau_hat_group(
-        ds, 1, 0.5, 0.1
-    )
-    assert mt.tau_hat_group(modified, 0, 0.5, 0.1) == 2.0 * mt.tau_hat_group(
-        ds, 0, 0.5, 0.1
-    )
+    est = _at(ds, [0.45, 0.5], 0.1)
+    est_modified = _at(modified, [0.45, 0.5], 0.1)
+    np.testing.assert_array_equal(est_modified.tau1, est.tau1)
+    np.testing.assert_array_equal(est_modified.tau0, 2.0 * est.tau0)
 
 
 def test_mark_rescaling_equivariance():
@@ -138,11 +150,10 @@ def test_mark_rescaling_equivariance():
     arm[:2] = [0, 1]
     ds = mt.Dataset.from_arrays(y, delta, mark, arm)
     half = mt.Dataset.from_arrays(y, delta, mark / 2.0, arm)
-    for a in (0, 1):
-        for v in (0.3, 0.6):
-            assert mt.tau_hat_group(half, a, v / 2.0, 0.1) == 2.0 * mt.tau_hat_group(
-                ds, a, v, 0.2
-            )
+    est = _at(ds, [0.3, 0.6], 0.2)
+    est_half = _at(half, [0.15, 0.3], 0.1)
+    np.testing.assert_array_equal(est_half.tau1, 2.0 * est.tau1)
+    np.testing.assert_array_equal(est_half.tau0, 2.0 * est.tau0)
 
 
 def test_zero_event_window_is_flagged():
@@ -157,27 +168,34 @@ def test_zero_event_window_is_flagged():
 
 
 def test_estimate_grid_matches_pointwise_functions():
+    # a grid point's estimates do not depend on the other points of the grid
     ds = hand_dataset()
-    grid = mt.EvaluationGrid.explicit([0.45, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
-    est = mt.estimate_on_grid(ds, grid, bandwidth=0.1)
-    for j, v in enumerate(grid.points):
-        assert est.tau1[j] == pytest.approx(mt.tau_hat_group(ds, 1, v, 0.1), rel=1e-12)
-        assert est.tau0[j] == pytest.approx(mt.tau_hat_group(ds, 0, v, 0.1), rel=1e-12)
-        assert est.sigma2[j] == pytest.approx(mt.sigma2_hat(ds, v, 0.1), rel=1e-12)
-        lo, hi = mt.confidence_interval(est.tau[j], est.sigma2[j], ds.n, 0.1)
-        assert est.ci_lower[j] == pytest.approx(lo, rel=1e-12)
-        assert est.ci_upper[j] == pytest.approx(hi, rel=1e-12)
+    points = [0.45, 0.5, 0.55]
+    est = _at(ds, points, 0.1)
+    fields = ("tau1", "tau0", "tau", "sigma2", "ci_lower", "ci_upper",
+              "events1", "events0", "flagged")
+    for j, v in enumerate(points):
+        alone = _at(ds, [v], 0.1)
+        for field in fields:
+            assert getattr(est, field)[j] == getattr(alone, field)[0], (field, v)
+    # K_h(0.05) = 5.625 with h = 0.1, against 7.5 at the centre
+    np.testing.assert_allclose(est.tau1, [2.8125, 3.75, 2.8125], rtol=1e-12)
+    np.testing.assert_allclose(est.tau0, [1.875, 2.5, 1.875], rtol=1e-12)
     assert est.n == 8 and est.n1 == 4 and est.n0 == 4
     assert est.nh == pytest.approx(0.8)
 
 
 def test_kernel_matrix_shape_and_censored_rows():
     ds = hand_dataset()
-    theta = ipcw_kernel_matrix(ds, [0.45, 0.5], 0.1)
-    assert theta.shape == (8, 2)
-    np.testing.assert_array_equal(theta[ds.delta == 0], 0.0)
-    assert theta[0, 1] == pytest.approx(15.0, rel=1e-12)
-    assert theta[4, 1] == pytest.approx(10.0, rel=1e-12)
+    _, theta = _terms(ds, [0.45, 0.5], 0.1)
+    # points by observed failures, one contiguous block per arm
+    assert [t.shape for t in theta] == [(2, 1), (2, 1)]
+    assert all(t.flags.c_contiguous for t in theta)
+    full = subject_major(theta, ds)
+    assert full.shape == (8, 2)
+    np.testing.assert_array_equal(full[ds.delta == 0], 0.0)
+    assert full[0, 1] == pytest.approx(15.0, rel=1e-12)
+    assert full[4, 1] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_single_point_grid_needs_explicit_interval():
@@ -203,9 +221,7 @@ def test_bandwidth_override_beats_rule_of_thumb():
     grid = mt.EvaluationGrid.explicit([0.5], mt.MarkInterval(0.2, 0.8))
     est = mt.estimate_on_grid(ds, grid, bandwidth=0.25)
     assert est.h == 0.25
-    est_scaled, _ = _estimate_with_terms(
-        ds, grid, alpha=0.05, bandwidth=mt.Bandwidth(h=0.4), varpi=1.0
-    )
+    est_scaled, _ = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.4, varpi=1.0)
     assert est_scaled.h == 0.4
 
 
@@ -239,10 +255,60 @@ def test_ipcw_mean_difference_no_censoring():
 @given(st.floats(0.15, 0.85, allow_nan=False), st.floats(0.05, 0.3, allow_nan=False))
 def test_group_estimates_are_nonnegative(v, h):
     # nonnegative outcomes and weights keep every localized mean nonnegative
-    ds = hand_dataset(v=0.5)
-    assert mt.tau_hat_group(ds, 1, v, h) >= 0.0
-    assert mt.tau_hat_group(ds, 0, v, h) >= 0.0
-    assert mt.sigma2_hat(ds, v, h) >= 0.0
+    est = _at(hand_dataset(v=0.5), [v], h)
+    assert est.tau1[0] >= 0.0
+    assert est.tau0[0] >= 0.0
+    assert est.sigma2[0] >= 0.0
+
+
+# Marks, grid points and bandwidths on a dyadic lattice make 1 - v and the
+# kernel arguments exact, so observed marks land exactly on window edges.
+_LATTICE = st.integers(0, 64).map(lambda k: k / 64.0)
+
+
+@st.composite
+def _marked_data(draw):
+    """A dataset with both arms non-empty, grid points and a bandwidth."""
+    n = draw(st.integers(2, 14))
+
+    def column(elements):
+        return st.lists(elements, min_size=n, max_size=n)
+
+    y = np.array(draw(column(st.floats(0.05, 10.0, allow_nan=False))))
+    delta = np.array(draw(column(st.integers(0, 1))))
+    marks = np.array(draw(column(_LATTICE)))
+    arm = np.array(draw(column(st.integers(0, 1)).filter(lambda a: 0 < sum(a) < len(a))))
+    points = sorted(set(draw(st.lists(_LATTICE, min_size=1, max_size=6))))
+    h = draw(st.integers(2, 32)) / 64.0
+    ds = mt.Dataset.from_arrays(y, delta, np.where(delta == 1, marks, np.nan), arm)
+    return ds, np.array(points), h
+
+
+@settings(deadline=None, max_examples=100)
+@given(_marked_data())
+def test_arm_swap_negates_the_contrast(data):
+    ds, points, h = data
+    swapped = mt.Dataset.from_arrays(ds.y, ds.delta, ds.mark, 1 - ds.arm)
+    est = _at(ds, points, h)
+    est_swapped = _at(swapped, points, h)
+    np.testing.assert_array_equal(est_swapped.tau1, est.tau0)
+    np.testing.assert_array_equal(est_swapped.tau0, est.tau1)
+    np.testing.assert_array_equal(est_swapped.tau, -est.tau)
+    np.testing.assert_array_equal(est_swapped.sigma2, est.sigma2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_marked_data())
+def test_mark_reflection_mirrors_the_curve(data):
+    ds, points, h = data
+    reflected = mt.Dataset.from_arrays(ds.y, ds.delta, 1.0 - ds.mark, ds.arm)
+    est = _at(ds, points, h)
+    mirror = _at(reflected, (1.0 - points)[::-1], h)
+    for field in ("tau1", "tau0", "tau", "sigma2"):
+        np.testing.assert_allclose(getattr(mirror, field)[::-1], getattr(est, field),
+                                   rtol=1e-12, atol=0.0, err_msg=field)
+    np.testing.assert_array_equal(mirror.events1[::-1], est.events1)
+    np.testing.assert_array_equal(mirror.events0[::-1], est.events0)
 
 
 def test_monte_carlo_bias_is_small():

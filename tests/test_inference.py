@@ -22,11 +22,10 @@ from marktau.inference import (
     p_value,
     pair_variance_table,
     resampling_covariance,
-    xi_matrix,
 )
 
 from conftest import hand_dataset
-from oracles import subject_space_sums
+from oracles import subject_major, subject_space_sums, xi_matrix
 
 NULL_SCENARIO = mt.Scenario(
     c1=3.0, c2=0.0, c3=-2.0, n=500, reps=1, seed=0,
@@ -91,20 +90,25 @@ def test_constancy_statistic_hand_value():
 
 
 def test_xi_matrix_decomposition():
+    # per-arm (points, events) blocks: subjects 0 and 2 are treated, 1 and 3
+    # controls, all uncensored
     theta = np.arange(8.0).reshape(4, 2) + 1.0
     arm = np.array([1, 0, 1, 0])
-    xi = xi_matrix(theta, arm, pi_hat=0.25)
+    xi = xi_matrix(theta, arm, pi=0.25)
     np.testing.assert_allclose(xi[0], theta[0] / 0.25)
     np.testing.assert_allclose(xi[2], theta[2] / 0.25)
     np.testing.assert_allclose(xi[1], -theta[1] / 0.75)
     np.testing.assert_allclose(xi[3], -theta[3] / 0.75)
+    blocks = (theta[arm == 0].T.copy(), theta[arm == 1].T.copy())
+    grams = arm_grams(blocks, np.ones(2, dtype=bool))
+    np.testing.assert_allclose(resampling_covariance(grams, 0.25), xi.T @ xi, rtol=1e-12)
     with pytest.raises(InferenceError, match="treated fraction"):
-        xi_matrix(theta, arm, pi_hat=1.0)
+        resampling_covariance(grams, 1.0)
 
 
-def _grid_covariance(ds, est, theta, pi):
+def _grid_covariance(est, theta, pi):
     usable = _usable_points(est)
-    grams = arm_grams(theta, ds.arm, usable)
+    grams = arm_grams(theta, usable)
     return usable, grams, resampling_covariance(grams, pi)
 
 
@@ -115,7 +119,7 @@ def test_conditional_variance_identity():
     grid = mt.EvaluationGrid.explicit([0.45, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
     h = 0.1
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
-    usable, _, cov = _grid_covariance(ds, est, theta, ds.pi_hat)
+    usable, _, cov = _grid_covariance(est, theta, ds.pi_hat)
     assert np.all(usable)
     np.testing.assert_allclose((h / ds.n) * np.diag(cov), est.sigma2, rtol=1e-12)
 
@@ -138,8 +142,8 @@ def test_covariance_factor_reproduces_xi_gram(fixture, rank):
     ds, grid, h = fixture()
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
     for pi in (ds.pi_hat, 0.25):
-        usable, _, cov = _grid_covariance(ds, est, theta, pi)
-        xi = xi_matrix(theta, ds.arm, pi)[:, usable]
+        usable, _, cov = _grid_covariance(est, theta, pi)
+        xi = xi_matrix(subject_major(theta, ds), ds.arm, pi)[:, usable]
         scale = np.abs(cov).max()
         np.testing.assert_allclose(cov, xi.T @ xi, rtol=0, atol=1e-12 * scale)
         factor, found = covariance_factor(cov)
@@ -176,11 +180,12 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
 
     usable = _usable_points(est)
     normals = np.random.default_rng(47).standard_normal((reps, ds.n))
-    sums = subject_space_sums(theta, ds.arm, ds.pi_hat, normals)[:, usable]
+    sums = subject_space_sums(subject_major(theta, ds), ds.arm, ds.pi_hat, normals)
+    sums = sums[:, usable]
     if kind == "global":
         oracle = global_resample(est, sums)
     else:
-        grams = arm_grams(theta, ds.arm, usable)
+        grams = arm_grams(theta, usable)
         pairs = _constancy_pairs(est, pair_variance_table(grams, est))
         oracle = constancy_resample(est, sums, pairs)
     assert stats.ks_2samp(resampled, oracle).pvalue > 0.01
@@ -190,7 +195,7 @@ def test_resampled_values_scale_quadratically():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.48, 0.5], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
-    _, grams, cov = _grid_covariance(ds, est, theta, ds.pi_hat)
+    _, grams, cov = _grid_covariance(est, theta, ds.pi_hat)
     sums = multiplier_draws(est, 50, seed=4) @ covariance_factor(cov)[0].T
     base = global_resample(est, sums)
     tripled = global_resample(est, 3.0 * sums)
@@ -205,15 +210,16 @@ def test_pair_variance_table_against_direct_sum():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.42, 0.5, 0.58], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
-    _, grams, _ = _grid_covariance(ds, est, theta, ds.pi_hat)
+    _, grams, _ = _grid_covariance(est, theta, ds.pi_hat)
     table = pair_variance_table(grams, est)
+    full = subject_major(theta, ds)
     g = grid.points.size
     direct = np.zeros((g, g))
     for j in range(g):
         for k in range(g):
             total = 0.0
             for a in (0, 1):
-                rows = theta[ds.arm == a]
+                rows = full[ds.arm == a]
                 total += np.sum((rows[:, j] - rows[:, k]) ** 2) / rows.shape[0] ** 2
             direct[j, k] = ds.n * 0.1 * total
     np.testing.assert_allclose(table, direct, rtol=1e-12, atol=1e-15)

@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from marktau.kernels import (
-    EPANECHNIKOV,
     Bandwidth,
     KernelError,
-    KernelSpec,
-    bandwidth_value,
     epanechnikov,
     rule_of_thumb_bandwidth,
     scaled_kernel,
@@ -45,23 +42,6 @@ def test_scaled_kernel_integrates_to_one():
         assert abs(total - 1.0) <= 1e-8
 
 
-def test_squared_kernel_integral():
-    # the variance constant for this kernel is 3/5
-    nu0, _ = quad(lambda x: epanechnikov(x) ** 2, -1.0, 1.0)
-    assert abs(nu0 - EPANECHNIKOV.nu0) <= 1e-9
-    assert EPANECHNIKOV.nu0 == 0.6
-
-
-def test_uniform_kernel_spec_constant():
-    uniform = KernelSpec(
-        name="uniform",
-        pdf=lambda x: np.where(np.abs(x) < 1.0, 0.5, 0.0),
-        nu0=0.5,
-    )
-    nu0, _ = quad(lambda x: float(uniform.pdf(x)) ** 2, -1.0, 1.0)
-    assert abs(nu0 - uniform.nu0) <= 1e-9
-
-
 def test_scaled_kernel_peak_and_symmetry():
     assert scaled_kernel(0.5, 0.5, 0.1) == pytest.approx(7.5, rel=1e-12)
     assert scaled_kernel(0.42, 0.5, 0.1) == scaled_kernel(0.5, 0.42, 0.1)
@@ -77,8 +57,6 @@ def test_rule_of_thumb_hand_value():
     assert bw.m == 16
     assert bw.varpi == 1.0
     assert bw.h == pytest.approx(0.125, rel=1e-12)
-    assert bandwidth_value(bw) == bw.h
-    assert bandwidth_value(0.2) == 0.2
 
 
 @settings(deadline=None, max_examples=60)
