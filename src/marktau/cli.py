@@ -199,11 +199,12 @@ def _add_grid_flags(parser: argparse.ArgumentParser, default_interval: str | Non
     group.add_argument("--grid", help="explicit comma-separated grid points")
 
 
-def _add_bandwidth_flags(parser: argparse.ArgumentParser) -> None:
+def _add_bandwidth_flags(parser: argparse.ArgumentParser, explicit: bool) -> None:
     parser.add_argument("--bandwidth-scale", type=float, default=1.0, metavar="VARPI",
                         help="scale constant of the rule-of-thumb bandwidth (default 1)")
-    parser.add_argument("--bandwidth", type=float,
-                        help="explicit bandwidth; overrides the rule of thumb")
+    if explicit:  # simulation scenarios always use the rule of thumb
+        parser.add_argument("--bandwidth", type=float,
+                            help="explicit bandwidth; overrides the rule of thumb")
 
 
 def cmd_estimate(args) -> int:
@@ -378,20 +379,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_est = sub.add_parser("estimate", help="estimate effects on a mark grid")
+    # Options are spelled out in full: with abbreviations, --bandwidth on a
+    # command that has only --bandwidth-scale would set the scale instead.
+    p_est = sub.add_parser("estimate", help="estimate effects on a mark grid",
+                           allow_abbrev=False)
     _add_data_flags(p_est)
     _add_grid_flags(p_est)
-    _add_bandwidth_flags(p_est)
+    _add_bandwidth_flags(p_est, explicit=True)
     p_est.add_argument("--alpha", type=float, default=0.05)
     p_est.add_argument("--out", required=True, help="output CSV; JSON summary beside it")
     p_est.add_argument("--dump-censoring", metavar="PREFIX",
                        help="also dump each arm's censoring survival curve as CSV")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_test = sub.add_parser("test", help="multiplier-resampling hypothesis test")
+    p_test = sub.add_parser("test", help="multiplier-resampling hypothesis test",
+                            allow_abbrev=False)
     _add_data_flags(p_test)
     _add_grid_flags(p_test)
-    _add_bandwidth_flags(p_test)
+    _add_bandwidth_flags(p_test, explicit=True)
     p_test.add_argument("--kind", choices=["global", "constancy"], required=True)
     p_test.add_argument("--resamples", type=int, default=500, metavar="B")
     p_test.add_argument("--alpha", type=float, default=0.05)
@@ -403,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--out", help="write the JSON report here")
     p_test.set_defaults(func=cmd_test)
 
-    p_sim = sub.add_parser("simulate", help="replicate estimation, report quality metrics")
+    p_sim = sub.add_parser("simulate", help="replicate estimation, report quality metrics",
+                           allow_abbrev=False)
     p_sim.add_argument("--c1", type=float, default=3.0)
     p_sim.add_argument("--c2", type=float, default=0.0)
     p_sim.add_argument("--c3", type=float, required=True)
@@ -413,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--censor-mean1", type=float)
     p_sim.add_argument("--censor-target", type=float, default=0.4)
     _add_grid_flags(p_sim, default_interval="0.1,0.9")
-    _add_bandwidth_flags(p_sim)
+    _add_bandwidth_flags(p_sim, explicit=False)
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--reps", type=int, default=500)
     p_sim.add_argument("--seed", type=int, default=0)
@@ -422,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_pow = sub.add_parser("power", help="rejection-rate sweep across c3")
+    p_pow = sub.add_parser("power", help="rejection-rate sweep across c3",
+                           allow_abbrev=False)
     p_pow.add_argument("--kind", choices=["global", "constancy"], required=True)
     p_pow.add_argument("--c3-range", required=True, metavar="LO:HI:STEP")
     p_pow.add_argument("--c1", type=float, default=3.0)
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--censor-mean1", type=float)
     p_pow.add_argument("--censor-target", type=float, default=0.4)
     _add_grid_flags(p_pow, default_interval="0.1,0.9")
-    _add_bandwidth_flags(p_pow)
+    _add_bandwidth_flags(p_pow, explicit=False)
     p_pow.add_argument("--alpha", type=float, default=0.05)
     p_pow.add_argument("--reps", type=int, default=500)
     p_pow.add_argument("--resamples", type=int, default=500, metavar="B")

@@ -8,12 +8,12 @@ Parsing is strict about structure; substantive range checks live in
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -173,6 +173,69 @@ class Dataset:
         )
 
 
+# A field wrapped in double quotes, as CSV writers quote it: the opening quote
+# starts the field and only whitespace may follow the closing one. Quoted text
+# holding a comma, a quote or a line break is left as it is; it is never a
+# number, so it fails as a field count or as a non-numeric field.
+_QUOTED_FIELD = re.compile(r'(?:^|(?<=,))"([^",]*)"\s*(?=,|$)')
+
+
+def _lines(text: str) -> list[str]:
+    """Lines of a CSV text, with a leading byte-order mark dropped and CRLF read as LF."""
+    return text.lstrip("\ufeff").replace("\r\n", "\n").split("\n")
+
+
+def _fields(rows: list[str]) -> list[str]:
+    """The comma-separated fields of ``rows``, row after row, quoted ones unwrapped.
+
+    Fields keep their surrounding whitespace, which ``float`` ignores.
+    """
+    joined = ",".join(rows)
+    if '"' in joined:
+        joined = _QUOTED_FIELD.sub(r"\1", joined)
+    return joined.split(",")
+
+
+def _field_counts(rows: list[str]) -> np.ndarray:
+    return np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
+
+
+def _filled(fields: list[str]) -> np.ndarray:
+    """True where a field holds more than whitespace."""
+    return np.fromiter(map(bool, map(str.strip, fields)), bool, len(fields))
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
+
+
+def _floats(fields: list[str]) -> np.ndarray:
+    """The leading fields that read as numbers, as floats: all of them on valid input.
+
+    The result stops before the first field ``float`` rejects, so its length
+    is that field's index.
+    """
+    try:
+        return np.array(fields, dtype=float)
+    except ValueError:
+        pass
+    good = 0
+    for field in fields:  # only on invalid input: find the field that failed
+        try:
+            float(field)
+        except ValueError:
+            break
+        good += 1
+    return np.array(fields[:good], dtype=float)
+
+
+def _line_number(lines: list[str], k: int) -> int:
+    """1-based line of the file that holds its ``k``-th non-blank line (the header is 0)."""
+    nonblank = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines)))
+    return int(nonblank[k]) + 1
+
+
 def _reads_as_one(field: str) -> bool:
     """True when ``field`` reads as the number 1, as :func:`_parse_binary` reads it."""
     try:
@@ -191,55 +254,82 @@ def _parse_binary(field: str, name: str, line_no: int) -> int:
     return int(value)
 
 
+def _check_row(row: str, line_no: int) -> None:
+    """Raise the first structural error of one data row.
+
+    The order is field count, ``y``, ``delta``, ``a``, then the mark.
+    """
+    fields = [field.strip() for field in _fields([row])]
+    if len(fields) != 4:
+        raise DataError(f"line {line_no}: expected 4 fields, got {len(fields)}")
+    y_f, d_f, m_f, a_f = fields
+    try:
+        float(y_f)
+    except ValueError:
+        raise DataError(f"line {line_no}: y is not numeric: {y_f!r}") from None
+    d_i = _parse_binary(d_f, "delta", line_no)
+    _parse_binary(a_f, "a", line_no)
+    if d_i == 1:
+        if m_f == "":
+            raise DataError(f"line {line_no}: mark absent on an uncensored row (delta=1)")
+        try:
+            float(m_f)
+        except ValueError:
+            raise DataError(f"line {line_no}: mark is not numeric: {m_f!r}") from None
+    elif m_f != "":
+        raise DataError(f"line {line_no}: mark present on a censored row (delta=0)")
+
+
 def parse_dataset(text: str, *, follow_up: float | None = None) -> Dataset:
     """Parse CSV with header ``y,delta,mark,a`` into a :class:`Dataset`.
 
     The mark field must be empty exactly on censored rows (``delta == 0``).
-    Structural problems (wrong header, non-numeric fields, delta or a outside
-    {0, 1}, mark presence inconsistent with delta, an empty treatment group)
-    raise :class:`DataError`; range checks such as ``y >= 0`` are deferred to
-    :func:`validate`. Decimal separator is ``.``; both LF and CRLF line ends
-    are accepted.
+    Structural problems (wrong header, wrong field count, non-numeric
+    fields, delta or a outside {0, 1}, mark presence inconsistent with
+    delta, an empty treatment group) raise :class:`DataError`, naming the
+    first bad line by its number in the file (the first line is 1, and blank
+    lines count); range checks such as ``y >= 0`` are deferred to
+    :func:`validate`.
+    Decimal separator is ``.``. A leading byte-order mark, LF or CRLF line
+    ends, blank lines, whitespace around fields and double quotes around a
+    whole field are accepted.
+
+    Each column is converted in one piece and checked with array masks; only
+    a file that fails goes back to its first bad row to name the error.
     """
-    text = text.lstrip("﻿")
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = [row for row in reader if row]  # skip blank lines
+    lines = _lines(text)
+    rows = list(filter(None, lines))
     if not rows:
         raise DataError("empty input: missing header row")
-    header = tuple(c.strip() for c in rows[0])
+    header = tuple(field.strip() for field in _fields(rows[:1]))
     if header != CSV_HEADER:
         raise DataError(f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
-    if len(rows) == 1:
+    rows = rows[1:]
+    n = len(rows)
+    if n == 0:
         raise DataError("no data rows")
 
-    y, delta, mark, arm = [], [], [], []
-    for k, row in enumerate(rows[1:]):
-        line_no = k + 2  # header is line 1
-        if len(row) != 4:
-            raise DataError(f"line {line_no}: expected 4 fields, got {len(row)}")
-        y_f, d_f, m_f, a_f = (c.strip() for c in row)
-        try:
-            y_i = float(y_f)
-        except ValueError:
-            raise DataError(f"line {line_no}: y is not numeric: {y_f!r}") from None
-        d_i = _parse_binary(d_f, "delta", line_no)
-        a_i = _parse_binary(a_f, "a", line_no)
-        if d_i == 1:
-            if m_f == "":
-                raise DataError(f"line {line_no}: mark absent on an uncensored row (delta=1)")
-            try:
-                m_i = float(m_f)
-            except ValueError:
-                raise DataError(f"line {line_no}: mark is not numeric: {m_f!r}") from None
-        else:
-            if m_f != "":
-                raise DataError(f"line {line_no}: mark present on a censored row (delta=0)")
-            m_i = math.nan
-        y.append(y_i)
-        delta.append(d_i)
-        mark.append(m_i)
-        arm.append(a_i)
+    # Rows before the first wrong field count split into aligned columns.
+    limit = _first(_field_counts(rows) != 4, n)
+    fields = _fields(rows[:limit])
+    y = _floats(fields[0::4])
+    delta = _floats(fields[1::4])
+    arm = _floats(fields[3::4])
+    mark_fields = fields[2::4]
+    present = _filled(mark_fields)
+    marks = _floats(list(compress(mark_fields, present)))
+    marked = np.flatnonzero(present)
+    # The masks cover the rows before the first field that is not a number.
+    limit = min(limit, y.size, delta.size, arm.size,
+                marked[marks.size] if marks.size < marked.size else limit)
+    d, a, p = delta[:limit], arm[:limit], present[:limit]
+    bad = ((d != 0) & (d != 1)) | ((a != 0) & (a != 1)) | (p != (d == 1))
+    first = _first(bad, limit)
+    if first < n:
+        _check_row(rows[first], _line_number(lines, first + 1))
 
+    mark = np.full(n, math.nan)
+    mark[present] = marks
     ds = Dataset.from_arrays(y, delta, mark, arm, follow_up=follow_up)
     if ds.n1 == 0 or ds.n0 == 0:
         raise DataError(f"empty treatment group (n1={ds.n1}, n0={ds.n0})")
@@ -268,25 +358,29 @@ def drop_incomplete_rows(text: str) -> tuple[str, int]:
     A row is uncensored when its delta field reads as the number 1 (``1``,
     ``1.0``, ``1e0``, with surrounding spaces allowed), as strict parsing
     reads it. Malformed rows stay in place for :func:`parse_dataset` to
-    report. Returns the filtered CSV text and the number of rows dropped.
-    Used by the CLI's complete-case switch before strict parsing.
+    report. A dropped row leaves a blank line behind, so the line numbers of
+    later parse errors still point into the input. Returns the filtered CSV
+    text and the number of rows dropped. Used by the CLI's complete-case
+    switch before strict parsing.
     """
-    text = text.lstrip("﻿")
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = [row for row in reader if row]
-    if not rows:
+    lines = _lines(text)
+    nonblank = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines)))
+    if nonblank.size == 0:
         raise DataError("empty input: missing header row")
-    kept = [rows[0]]
-    dropped = 0
-    for row in rows[1:]:
-        if len(row) == 4 and row[2].strip() == "" and _reads_as_one(row[1]):
-            dropped += 1
-            continue
-        kept.append(row)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(kept)
-    return out.getvalue(), dropped
+    start = int(nonblank[0]) + 1  # the first line after the header
+    body = lines[start:]
+    whole = _field_counts(body) == 4
+    fields = _fields(list(compress(body, whole)))
+    unmarked = ~_filled(fields[2::4])
+    delta = list(compress(fields[1::4], unmarked))
+    try:
+        uncensored = np.array(delta, dtype=float) == 1.0
+    except ValueError:  # a malformed delta; strict parsing reports it
+        uncensored = np.fromiter(map(_reads_as_one, delta), bool, len(delta))
+    drop = start + np.flatnonzero(whole)[np.flatnonzero(unmarked)[uncensored]]
+    for i in drop.tolist():
+        lines[i] = ""
+    return "\n".join(lines), int(drop.size)
 
 
 def scale_marks(raw_marks) -> tuple[np.ndarray, ScalingRecord]:
@@ -326,27 +420,30 @@ def apply_mark_scaling(dataset: Dataset, scaling: ScalingRecord) -> Dataset:
 def validate(dataset: Dataset) -> ValidationReport:
     """Check every dataset invariant and report violations; never raises.
 
-    Rules use 0-based record indices. Dataset-level entries carry ``row=None``.
+    Rules use 0-based record indices. Row entries come in row order, and in
+    the order of the rules below within a row; dataset-level entries carry
+    ``row=None`` and come last.
     """
+    y, delta, mark, arm = dataset.y, dataset.delta, dataset.mark, dataset.arm
+    present = ~np.isnan(mark)
+    rules = (  # (rule, failing rows, the column the detail shows, detail)
+        ("y >= 0", ~(np.isfinite(y) & (y >= 0.0)), y, "y={!r} must be finite and non-negative"),
+        ("delta in {0,1}", (delta != 0) & (delta != 1), delta, "delta={!r}"),
+        ("a in {0,1}", (arm != 0) & (arm != 1), arm, "a={!r}"),
+        ("mark present iff delta = 1", (delta == 1) & ~present, None,
+         "uncensored row without a mark"),
+        ("mark present iff delta = 1", (delta == 0) & present, None,
+         "censored row carries a mark"),
+        ("mark in [0,1]", present & ~(np.isfinite(mark) & (mark >= 0.0) & (mark <= 1.0)), mark,
+         "mark={!r} (is the data scaled?)"),
+    )
+    rows, which = np.nonzero(np.column_stack([failing for _, failing, _, _ in rules]))
     out: list[Violation] = []
-    for i in range(dataset.n):
-        y = dataset.y[i]
-        d = dataset.delta[i]
-        m = dataset.mark[i]
-        a = dataset.arm[i]
-        if not (math.isfinite(y) and y >= 0.0):
-            out.append(Violation(i, "y >= 0", f"y={y!r} must be finite and non-negative"))
-        if d not in (0, 1):
-            out.append(Violation(i, "delta in {0,1}", f"delta={d!r}"))
-        if a not in (0, 1):
-            out.append(Violation(i, "a in {0,1}", f"a={a!r}"))
-        mark_present = not math.isnan(m)
-        if d == 1 and not mark_present:
-            out.append(Violation(i, "mark present iff delta = 1", "uncensored row without a mark"))
-        if d == 0 and mark_present:
-            out.append(Violation(i, "mark present iff delta = 1", "censored row carries a mark"))
-        if mark_present and not (math.isfinite(m) and 0.0 <= m <= 1.0):
-            out.append(Violation(i, "mark in [0,1]", f"mark={m!r} (is the data scaled?)"))
+    for i, k in zip(rows.tolist(), which.tolist()):
+        rule, _, column, detail = rules[k]
+        if column is not None:
+            detail = detail.format(column[i].item())
+        out.append(Violation(i, rule, detail))
     if dataset.n0 < 1 or dataset.n1 < 1:
         out.append(Violation(None, "group sizes >= 1", f"n0={dataset.n0}, n1={dataset.n1}"))
     else:

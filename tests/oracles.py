@@ -4,9 +4,13 @@ Everything here trades speed for obviousness: explicit loops, no shared
 helpers with the package, and independent formulas wherever possible.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
+
+from marktau.data_model import Dataset, DataError, ValidationReport, Violation
 
 
 def product_limit_censoring(y, delta, t):
@@ -124,3 +128,97 @@ def subject_space_sums(theta, arm, pi, normals):
     their covariance instead.
     """
     return normals @ xi_matrix(theta, arm, pi)
+
+
+def _parse_binary(field, name, line_no):
+    try:
+        value = float(field)
+    except ValueError:
+        raise DataError(f"line {line_no}: {name} is not numeric: {field!r}") from None
+    if value not in (0.0, 1.0):
+        raise DataError(f"line {line_no}: {name} must be 0 or 1, got {field!r}")
+    return int(value)
+
+
+def parse_dataset_rows(text, follow_up=None):
+    """CSV ingest one row at a time through the ``csv`` module.
+
+    Line numbers are lines of the file (``csv.reader.line_num``), so blank
+    lines count.
+    """
+    text = text.lstrip("\ufeff")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = [(reader.line_num, row) for row in reader if row]  # skip blank lines
+    if not rows:
+        raise DataError("empty input: missing header row")
+    header = tuple(c.strip() for c in rows[0][1])
+    if header != ("y", "delta", "mark", "a"):
+        raise DataError(f"expected header 'y,delta,mark,a', got {','.join(header)!r}")
+    if len(rows) == 1:
+        raise DataError("no data rows")
+
+    y, delta, mark, arm = [], [], [], []
+    for line_no, row in rows[1:]:
+        if len(row) != 4:
+            raise DataError(f"line {line_no}: expected 4 fields, got {len(row)}")
+        y_f, d_f, m_f, a_f = (c.strip() for c in row)
+        try:
+            y_i = float(y_f)
+        except ValueError:
+            raise DataError(f"line {line_no}: y is not numeric: {y_f!r}") from None
+        d_i = _parse_binary(d_f, "delta", line_no)
+        a_i = _parse_binary(a_f, "a", line_no)
+        if d_i == 1:
+            if m_f == "":
+                raise DataError(f"line {line_no}: mark absent on an uncensored row (delta=1)")
+            try:
+                m_i = float(m_f)
+            except ValueError:
+                raise DataError(f"line {line_no}: mark is not numeric: {m_f!r}") from None
+        else:
+            if m_f != "":
+                raise DataError(f"line {line_no}: mark present on a censored row (delta=0)")
+            m_i = math.nan
+        y.append(y_i)
+        delta.append(d_i)
+        mark.append(m_i)
+        arm.append(a_i)
+
+    ds = Dataset.from_arrays(y, delta, mark, arm, follow_up=follow_up)
+    if ds.n1 == 0 or ds.n0 == 0:
+        raise DataError(f"empty treatment group (n1={ds.n1}, n0={ds.n0})")
+    return ds
+
+
+def validate_rows(dataset):
+    """Every dataset invariant checked one record at a time, in rule order."""
+    out = []
+    for i in range(dataset.n):
+        y = float(dataset.y[i])
+        d = int(dataset.delta[i])
+        m = float(dataset.mark[i])
+        a = int(dataset.arm[i])
+        if not (math.isfinite(y) and y >= 0.0):
+            out.append(Violation(i, "y >= 0", f"y={y!r} must be finite and non-negative"))
+        if d not in (0, 1):
+            out.append(Violation(i, "delta in {0,1}", f"delta={d!r}"))
+        if a not in (0, 1):
+            out.append(Violation(i, "a in {0,1}", f"a={a!r}"))
+        mark_present = not math.isnan(m)
+        if d == 1 and not mark_present:
+            out.append(Violation(i, "mark present iff delta = 1", "uncensored row without a mark"))
+        if d == 0 and mark_present:
+            out.append(Violation(i, "mark present iff delta = 1", "censored row carries a mark"))
+        if mark_present and not (math.isfinite(m) and 0.0 <= m <= 1.0):
+            out.append(Violation(i, "mark in [0,1]", f"mark={m!r} (is the data scaled?)"))
+    if dataset.n0 < 1 or dataset.n1 < 1:
+        out.append(Violation(None, "group sizes >= 1", f"n0={dataset.n0}, n1={dataset.n1}"))
+    elif not 0.0 < dataset.pi_hat < 1.0:
+        out.append(Violation(None, "pi_hat in (0,1)", f"pi_hat={dataset.pi_hat!r}"))
+    max_y = float(np.max(dataset.y))
+    if not (math.isfinite(dataset.follow_up) and dataset.follow_up >= max_y):
+        out.append(Violation(
+            None, "follow_up >= max(y)",
+            f"follow_up={dataset.follow_up!r} < max(y)={max_y!r}",
+        ))
+    return ValidationReport(tuple(out))

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from marktau.cli import main
 
 
@@ -194,6 +196,19 @@ def test_power_artifact(tmp_path, capsys):
     assert config["kind"] == "global" and config["B"] == 20
     for row in rows:
         assert 0.0 <= float(row[1]) <= 1.0
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--c3", "-1"),
+    ("power", "--kind", "global", "--c3-range=-2:0:2"),
+])
+def test_simulation_commands_take_no_explicit_bandwidth(tmp_path, capsys, command):
+    # scenarios always use the rule of thumb; only --bandwidth-scale acts on them
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--n", "150", "--reps", "2", "--interval", "0.1,0.9",
+              "--bandwidth", "0.01", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bandwidth 0.01" in capsys.readouterr().err
 
 
 def test_drop_missing_marks_flag(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import marktau as mt
 from marktau.data_model import DataError
+from oracles import parse_dataset_rows, validate_rows
 
 EXAMPLE_CSV = "y,delta,mark,a\n1.0,1,0.3,1\n2.0,0,,0\n1.5,1,0.6,0\n"
 
@@ -53,6 +54,41 @@ def test_parse_errors(text, message):
         mt.parse_dataset(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("y,delta,mark,a\n\n\n1.0,2,,1\n", "line 4: delta must be 0 or 1"),
+        ("y,delta,mark,a\n1.0,1,0.3,1\n\n2.0,1,,0\n", "line 4: mark absent on an uncensored row"),
+        ("\ny,delta,mark,a\n1.0,1,0.3,1\n2.0,0,x,0\n", "line 4: mark present on a censored row"),
+        ("y,delta,mark,a\r\n\r\n1.0,1,0.3,1\r\n\r\n\r\n2.0,0,,0,\r\n",
+         "line 6: expected 4 fields, got 5"),
+    ],
+)
+def test_parse_errors_name_lines_of_the_file(text, message):
+    # blank lines before and between rows count; the first line of the file is line 1
+    with pytest.raises(DataError, match=message):
+        mt.parse_dataset(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('y,delta,mark,a\n1.0,1,0.3,1\n"2,5",0,,0\n', "line 3: expected 4 fields, got 5"),
+        ('y,delta,mark,a\n1.0,1,0.3,1\n2.0,0,"\n",0\n', "line 3: expected 4 fields, got 3"),
+    ],
+)
+def test_quoted_comma_or_line_break_is_a_field_count_error(text, message):
+    # a quoted field holding a comma or a line break is never a number; the
+    # row's comma-separated fields are counted on the line where it starts
+    with pytest.raises(DataError, match=message):
+        mt.parse_dataset(text)
+
+
+def test_parse_accepts_quoted_and_padded_fields():
+    text = '"y","delta","mark","a"\n 1.0 ,"1","0.3" ,1\n"2.0"\t,0,"",\t0\n'
+    assert mt.parse_dataset(text) == mt.parse_dataset("y,delta,mark,a\n1.0,1,0.3,1\n2.0,0,,0\n")
+
+
 def test_serialize_round_trip_hand():
     ds = mt.parse_dataset(EXAMPLE_CSV)
     again = mt.parse_dataset(mt.serialize_dataset(ds))
@@ -83,6 +119,99 @@ def test_parse_serialize_round_trip(ds):
 @given(datasets())
 def test_pi_hat_is_exact_group_fraction(ds):
     assert ds.pi_hat == ds.n1 / (ds.n0 + ds.n1)
+
+
+# Generated CSV texts for the oracle comparison. Fields never hold a comma,
+# a quote or a line break, so the package's tokeniser and the csv module read
+# them alike; a quoted comma or line break has its own test above.
+_NUMBERS = ("1", "1.0", "-0.0", "+1", "0.25", "3.5e-1", "1E2", "nan", "-nan", "inf", "-inf",
+            "1_0")
+_ZEROS_AND_ONES = ("0", "1", "0", "1", "1.0", "1e0", "0.0", "-0.0")
+_JUNK = ("", "x", "1.2.3", "0x1", "1 0", "--1")
+
+
+@st.composite
+def _field(draw, token, broken=False):
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    inner = draw(pad) + token + draw(pad)
+    if broken:  # a quote after whitespace is text, never a number
+        return " " + '"' + token + '"'
+    if draw(st.integers(0, 4)) == 0:
+        return '"' + inner + '"' + draw(pad)
+    return inner
+
+
+@st.composite
+def _data_row(draw):
+    """A well-formed row, or with probability 1/6 one broken in one way."""
+    y = draw(st.one_of(st.floats(0.0, 50.0).map(repr), st.sampled_from(_NUMBERS)))
+    delta = draw(st.sampled_from(_ZEROS_AND_ONES))
+    arm = draw(st.sampled_from(_ZEROS_AND_ONES))
+    uncensored = float(delta) == 1.0
+    mark = draw(st.floats(0.0, 1.0).map(repr)) if uncensored else ""
+    tokens = [y, delta, mark, arm]
+    late_quote = -1
+    if draw(st.integers(0, 5)) == 0:
+        where = draw(st.integers(0, 3))
+        fault = draw(st.sampled_from(["junk", "not binary", "count", "late quote", "mark"]))
+        if fault == "junk":
+            tokens[where] = draw(st.sampled_from(_JUNK))
+        elif fault == "not binary":
+            tokens[draw(st.sampled_from([1, 3]))] = draw(st.sampled_from(["2", "-1", "nan", "0.5"]))
+        elif fault == "count":
+            tokens = (tokens + ["0"])[:draw(st.sampled_from([1, 3, 5]))]
+        elif fault == "late quote":
+            late_quote = where
+        else:
+            tokens[2] = draw(st.sampled_from(["", "x", "1.2.3"] if uncensored else ["0.5", "x"]))
+    return ",".join([draw(_field(t, i == late_quote)) for i, t in enumerate(tokens)])
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(st.sampled_from(["y,delta,mark,a"] * 8 + ['"y","delta","mark","a"',
+                                   " y , delta,mark ,a", "y,delta,mark", "t,delta,mark,a"]))
+    rows = draw(st.lists(_data_row(), min_size=0, max_size=8))
+    lines = []
+    for line in [header, *rows]:
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))  # blank lines
+        lines.append(line)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def _outcome(parse, text):
+    try:
+        ds = parse(text)
+    except DataError as exc:
+        return "error", str(exc)
+    columns = (ds.y, ds.delta, ds.mark, ds.arm, np.array(ds.follow_up))
+    return "dataset", [(c.dtype.str, c.tobytes()) for c in columns]
+
+
+@settings(deadline=None, max_examples=400)
+@given(csv_texts())
+def test_parse_matches_row_loop_oracle(text):
+    assert _outcome(mt.parse_dataset, text) == _outcome(parse_dataset_rows, text)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([0.0, -0.0, 1.5, 2.0, -1.0, math.nan, math.inf]),
+             min_size=n, max_size=n),
+    st.lists(st.sampled_from([0, 1, 1, 0, 2, -1]), min_size=n, max_size=n),
+    st.lists(st.sampled_from([math.nan, 0.0, 0.5, 1.0, 1.5, -0.25, math.inf]),
+             min_size=n, max_size=n),
+    st.lists(st.sampled_from([0, 1, 1, 0, 2]), min_size=n, max_size=n),
+    st.sampled_from([None, 1.0, 10.0, math.nan]),
+)))
+def test_validate_matches_row_loop_oracle(columns):
+    *arrays, follow_up = columns
+    ds = mt.Dataset.from_arrays(*arrays, follow_up=follow_up)
+    assert mt.validate(ds) == validate_rows(ds)
 
 
 def test_scale_marks_anchor_values():
@@ -141,10 +270,10 @@ def test_apply_mark_scaling_only_touches_observed():
 
 def test_validate_reports_every_violation():
     ds = mt.Dataset.from_arrays(
-        y=[-1.0, 2.0, 3.0, 1.0],
-        delta=[1, 0, 1, 1],
-        mark=[0.5, 0.25, 1.5, math.nan],
-        arm=[1, 0, 0, 1],
+        y=[-1.0, 2.0, 3.0, 1.0, 0.5],
+        delta=[1, 0, 1, 1, 2],
+        mark=[0.5, 0.25, 1.5, math.nan, math.nan],
+        arm=[1, 0, 0, 1, 2],
     )
     report = mt.validate(ds)
     assert not report.ok
@@ -153,6 +282,15 @@ def test_validate_reports_every_violation():
     assert (1, "mark present iff delta = 1") in rules
     assert (2, "mark in [0,1]") in rules
     assert (3, "mark present iff delta = 1") in rules
+    # plain Python values in the details, in row order and rule order within a row
+    assert [(v.row, v.detail) for v in report.violations] == [
+        (0, "y=-1.0 must be finite and non-negative"),
+        (1, "censored row carries a mark"),
+        (2, "mark=1.5 (is the data scaled?)"),
+        (3, "uncensored row without a mark"),
+        (4, "delta=2"),
+        (4, "a=2"),
+    ]
 
 
 def test_validate_dataset_level_rules():
@@ -192,6 +330,15 @@ def test_drop_incomplete_rows_leaves_malformed_rows():
     filtered, dropped = mt.drop_incomplete_rows(text)
     assert dropped == 0
     with pytest.raises(DataError, match="line 2: delta is not numeric"):
+        mt.parse_dataset(filtered)
+
+
+def test_drop_incomplete_rows_keeps_line_numbers():
+    # a dropped row leaves a blank line, so later errors name lines of the input
+    text = "y,delta,mark,a\n1.0,1,,1\n2.0,0,,0\n1.5,1,0.6,7\n"
+    filtered, dropped = mt.drop_incomplete_rows(text)
+    assert dropped == 1
+    with pytest.raises(DataError, match="line 4: a must be 0 or 1"):
         mt.parse_dataset(filtered)
 
 
