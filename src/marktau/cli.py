@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -42,13 +43,9 @@ from .simulation import (
     size_power_curve,
 )
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _ERRORS = (DataError, KernelError, EstimationError, InferenceError, SimulationError)
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _json_safe(value):
@@ -143,9 +140,11 @@ def _grid_config(grid: EvaluationGrid) -> dict:
 
 def _load_dataset(args) -> tuple["Dataset", dict]:
     """Read, optionally filter, parse, scale, and validate the input CSV."""
-    path = Path(args.input)
-    text = path.read_text(encoding="utf-8")
-    info: dict = {"input_sha256": _sha256(path)}
+    data = Path(args.input).read_bytes()
+    info: dict = {"input_sha256": hashlib.sha256(data).hexdigest()}
+    # text mode, as a file opened for reading: \r\n and lone \r become \n
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    del data  # released before parsing: held, it slowed the parse of large files
     dropped = 0
     if args.drop_missing_marks:
         text, dropped = drop_incomplete_rows(text)
@@ -205,6 +204,25 @@ def _add_bandwidth_flags(parser: argparse.ArgumentParser, explicit: bool) -> Non
     if explicit:  # simulation scenarios always use the rule of thumb
         parser.add_argument("--bandwidth", type=float,
                             help="explicit bandwidth; overrides the rule of thumb")
+
+
+def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+    """The scenario, grid and run flags that ``simulate`` and ``power`` share."""
+    parser.add_argument("--c1", type=float, default=3.0)
+    parser.add_argument("--c2", type=float, default=0.0)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--p-treat", type=float, default=2.0 / 3.0)
+    parser.add_argument("--censor-mean0", type=float)
+    parser.add_argument("--censor-mean1", type=float)
+    parser.add_argument("--censor-target", type=float, default=0.4)
+    _add_grid_flags(parser, default_interval="0.1,0.9")
+    _add_bandwidth_flags(parser, explicit=False)
+    parser.add_argument("--alpha", type=float, default=0.05)
+    parser.add_argument("--reps", type=int, default=500)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--threads", type=int,
+                        help="worker processes (default: MARKTAU_THREADS or 1)")
+    parser.add_argument("--out", required=True, help="output CSV path")
 
 
 def cmd_estimate(args) -> int:
@@ -312,19 +330,11 @@ def cmd_test(args) -> int:
 
 
 def _scenario_from_args(args, c3: float | None = None) -> Scenario:
-    grid = None
-    if args.grid:
-        interval = _parse_interval(args.interval) if args.interval else None
-        grid = EvaluationGrid.explicit(_parse_points(args.grid), interval)
-        interval = grid.interval
-    else:
-        interval = _parse_interval(args.interval)
     return Scenario(
         c1=args.c1, c2=args.c2, c3=args.c3 if c3 is None else c3, n=args.n,
         p_treat=args.p_treat, censor_mean0=args.censor_mean0,
         censor_mean1=args.censor_mean1, censor_target=args.censor_target,
-        interval=interval, grid_points=args.grid_points, grid=grid,
-        reps=args.reps, seed=args.seed, alpha=args.alpha,
+        grid=_build_grid(args), reps=args.reps, seed=args.seed, alpha=args.alpha,
         varpi=args.bandwidth_scale,
     )
 
@@ -337,7 +347,7 @@ def _scenario_config(scenario: Scenario, command: str) -> dict:
         "censor_mean0": scenario.censor_mean0,
         "censor_mean1": scenario.censor_mean1,
         "censor_target": scenario.censor_target,
-        "grid": _grid_config(scenario.resolve_grid()),
+        "grid": _grid_config(scenario.grid),
         "reps": scenario.reps, "seed": scenario.seed, "alpha": scenario.alpha,
         "bandwidth_scale": scenario.varpi,
     }
@@ -410,44 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="replicate estimation, report quality metrics",
                            allow_abbrev=False)
-    p_sim.add_argument("--c1", type=float, default=3.0)
-    p_sim.add_argument("--c2", type=float, default=0.0)
     p_sim.add_argument("--c3", type=float, required=True)
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--p-treat", type=float, default=2.0 / 3.0)
-    p_sim.add_argument("--censor-mean0", type=float)
-    p_sim.add_argument("--censor-mean1", type=float)
-    p_sim.add_argument("--censor-target", type=float, default=0.4)
-    _add_grid_flags(p_sim, default_interval="0.1,0.9")
-    _add_bandwidth_flags(p_sim, explicit=False)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--reps", type=int, default=500)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=int,
-                       help="worker processes (default: MARKTAU_THREADS or 1)")
-    p_sim.add_argument("--out", required=True, help="output CSV path")
+    _add_scenario_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_pow = sub.add_parser("power", help="rejection-rate sweep across c3",
                            allow_abbrev=False)
     p_pow.add_argument("--kind", choices=["global", "constancy"], required=True)
     p_pow.add_argument("--c3-range", required=True, metavar="LO:HI:STEP")
-    p_pow.add_argument("--c1", type=float, default=3.0)
-    p_pow.add_argument("--c2", type=float, default=0.0)
-    p_pow.add_argument("--n", type=int, required=True)
-    p_pow.add_argument("--p-treat", type=float, default=2.0 / 3.0)
-    p_pow.add_argument("--censor-mean0", type=float)
-    p_pow.add_argument("--censor-mean1", type=float)
-    p_pow.add_argument("--censor-target", type=float, default=0.4)
-    _add_grid_flags(p_pow, default_interval="0.1,0.9")
-    _add_bandwidth_flags(p_pow, explicit=False)
-    p_pow.add_argument("--alpha", type=float, default=0.05)
-    p_pow.add_argument("--reps", type=int, default=500)
     p_pow.add_argument("--resamples", type=int, default=500, metavar="B")
-    p_pow.add_argument("--seed", type=int, default=0)
-    p_pow.add_argument("--threads", type=int,
-                       help="worker processes (default: MARKTAU_THREADS or 1)")
-    p_pow.add_argument("--out", required=True, help="output CSV path")
+    _add_scenario_flags(p_pow)
     p_pow.set_defaults(func=cmd_power)
     return parser
 

@@ -164,12 +164,10 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.follow_up == other.follow_up
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.delta, other.delta)
-            and np.array_equal(self.mark, other.mark, equal_nan=True)
-            and np.array_equal(self.arm, other.arm)
+        # NaN equals NaN: parsing accepts a NaN y, which only validate() flags
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in ("follow_up", "y", "delta", "mark", "arm")
         )
 
 

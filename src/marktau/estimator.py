@@ -28,7 +28,7 @@ from scipy import stats
 
 from .data_model import Dataset, MarkInterval
 from .kernels import Bandwidth, rule_of_thumb_bandwidth, scaled_kernel
-from .km import StepSurvival, fit_censoring_km
+from .km import fit_censoring_km
 
 __all__ = [
     "EstimationError",
@@ -127,21 +127,19 @@ def normal_quantile(p: float) -> float:
     return float(stats.norm.ppf(p))
 
 
-def ipcw_weights(dataset: Dataset) -> tuple[np.ndarray, dict[int, StepSurvival]]:
-    """Per-subject factor delta_i * y_i / S_a(y_i), with the fitted curves.
+def ipcw_weights(dataset: Dataset) -> np.ndarray:
+    """Per-subject factor delta_i * y_i / S_a(y_i).
 
     Weights are zero on censored rows. Each arm's censoring curve is fitted
     on that arm alone and evaluated left-continuously, so the weight at an
     observed failure is positive and at most the arm size.
     """
     weights = np.zeros(dataset.n)
-    curves: dict[int, StepSurvival] = {}
     for a in (0, 1):
         idx = dataset.arm_indices(a)
         if idx.size == 0:
             raise EstimationError(f"treatment group {a} is empty")
         curve = fit_censoring_km(dataset.y[idx], dataset.delta[idx], group=a)
-        curves[a] = curve
         events = idx[dataset.delta[idx] == 1]
         if events.size:
             surv_at_event = curve.evaluate(dataset.y[events])
@@ -150,7 +148,7 @@ def ipcw_weights(dataset: Dataset) -> tuple[np.ndarray, dict[int, StepSurvival]]
                     f"censoring survival vanishes at an observed failure in group {a}"
                 )
             weights[events] = dataset.y[events] / surv_at_event
-    return weights, curves
+    return weights
 
 
 def ipcw_mean_difference(dataset: Dataset) -> float:
@@ -160,7 +158,7 @@ def ipcw_mean_difference(dataset: Dataset) -> float:
     entirely; effects that flip sign across marks can average to zero here
     while the mark-specific contrast is far from zero everywhere.
     """
-    weights, _ = ipcw_weights(dataset)
+    weights = ipcw_weights(dataset)
     idx1 = dataset.arm_indices(1)
     idx0 = dataset.arm_indices(0)
     return float(np.sum(weights[idx1]) / idx1.size - np.sum(weights[idx0]) / idx0.size)
@@ -191,7 +189,7 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
         raise EstimationError(f"both treatment groups must be non-empty "
                               f"(n0={dataset.n0}, n1={dataset.n1})")
     bw = _resolve_bandwidth(dataset, bandwidth, varpi)
-    weights, _ = ipcw_weights(dataset)
+    weights = ipcw_weights(dataset)
     points = grid.points[:, None]
     theta, events = [], []
     for a in (0, 1):

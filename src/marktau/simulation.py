@@ -3,8 +3,8 @@
 The generating model draws treatment A ~ Bernoulli(p_treat), a latent mark
 V ~ Uniform[0,1], a residual from a standard normal truncated to [-1, 1],
 and sets the failure time to the arm's mean curve at V plus the residual.
-Censoring is exponential with an arm-specific mean, calibrated by bisection
-so that roughly a target fraction of subjects is censored. The mark is
+Censoring is exponential with an arm-specific mean, calibrated in closed
+form so that roughly a target fraction of subjects is censored. The mark is
 observed only on uncensored subjects.
 
 Mean curves:
@@ -48,6 +48,10 @@ __all__ = [
 # Seed-space tags: calibration uses (0, arm), replication r uses (1, r).
 _CALIBRATION_SPACE = 0
 _REPLICATION_SPACE = 1
+# Monte Carlo draws per arm in the censoring calibration, and how far its
+# achieved rate may fall from the target.
+_CALIBRATION_DRAWS = 200_000
+_CALIBRATION_TOL = 0.005
 
 
 class SimulationError(ValueError):
@@ -60,6 +64,7 @@ class Scenario:
 
     ``censor_mean0``/``censor_mean1`` of None mean "calibrate to
     ``censor_target``"; :func:`resolve_censoring` fills them in.
+    ``grid`` defaults to 20 evenly spaced points on [0.1, 0.9].
     """
 
     c1: float
@@ -70,9 +75,7 @@ class Scenario:
     censor_mean0: float | None = None
     censor_mean1: float | None = None
     censor_target: float = 0.4
-    interval: MarkInterval = MarkInterval(0.1, 0.9)
-    grid_points: int = 20
-    grid: EvaluationGrid | None = None
+    grid: EvaluationGrid = EvaluationGrid.evenly_spaced(MarkInterval(0.1, 0.9), 20)
     reps: int = 500
     seed: int = 0
     alpha: float = 0.05
@@ -96,11 +99,6 @@ class Scenario:
                 f"got {self.censor_target!r} and 0 is unreachable under "
                 "exponential censoring"
             )
-
-    def resolve_grid(self) -> EvaluationGrid:
-        if self.grid is not None:
-            return self.grid
-        return EvaluationGrid.evenly_spaced(self.interval, self.grid_points)
 
 
 def control_curve(v):
@@ -171,63 +169,44 @@ def generate_dataset(scenario: Scenario, rng: np.random.Generator) -> Dataset:
     return Dataset.from_arrays(y, delta, mark, arm)
 
 
-def calibrate_censoring(scenario: Scenario, target: float | None = None, *,
-                        mc_draws: int = 200_000, tol: float = 0.005,
-                        ) -> tuple[float, float]:
-    """Per-arm exponential censoring means hitting the target censoring rate.
+def calibrate_censoring(scenario: Scenario) -> tuple[float, float]:
+    """Per-arm exponential censoring means hitting ``scenario.censor_target``.
 
     For each arm, one Monte Carlo set of (V, residual, unit-exponential)
-    draws is held fixed while the mean is bisected; the estimated censoring
-    rate is then monotone in the mean, so bisection is exact up to the MC
-    grid. Deterministic given ``scenario.seed``. Fails when the final rate
-    misses the target by more than ``tol`` (0.5 percentage points).
+    draws is held fixed, so the estimated censoring rate count(mu E < T) / N
+    is a step function of the mean that falls at each ratio T / E. The mean
+    is the smallest one whose rate is at most the target: the (k + 1)-th
+    largest ratio, with k the largest count for which k / N <= target.
+    Deterministic given ``scenario.seed``. Fails when that ratio is not
+    positive, or when the rate it achieves misses the target by more than
+    0.5 percentage points.
     """
-    if target is None:
-        target = scenario.censor_target
-    if not 0.0 < target < 1.0:
-        raise SimulationError(
-            f"target censoring rate must be in (0,1), got {target!r} (0 is unreachable "
-            "under exponential censoring)"
-        )
-    if mc_draws < 100_000:
-        raise SimulationError(f"calibration needs >= 100000 draws, got {mc_draws}")
+    target, draws = scenario.censor_target, _CALIBRATION_DRAWS
+    # k is chosen with the comparison the achieved rate below makes; the
+    # (k + 1)-th largest ratio sits at ascending position N - 1 - k
+    k = np.count_nonzero(np.arange(1, draws + 1) / draws <= target)
+    rank = draws - 1 - k
     means = []
     for arm in (0, 1):
         ss = np.random.SeedSequence(entropy=scenario.seed,
                                     spawn_key=(_CALIBRATION_SPACE, arm))
         rng = np.random.default_rng(ss)
-        v = rng.random(mc_draws)
-        eps = truncated_std_normal(rng, mc_draws)
+        v = rng.random(draws)
+        eps = truncated_std_normal(rng, draws)
         t = (treated_curve(scenario, v) if arm == 1 else control_curve(v)) + eps
-        unit_exp = rng.exponential(1.0, mc_draws)
-
-        def rate(mu: float) -> float:
-            # censored exactly when C = mu * E falls strictly below T
-            return np.count_nonzero(mu * unit_exp < t) / mc_draws
-
-        lo, hi = 1e-3, 8.0
-        while rate(hi) > target:
-            hi *= 4.0
-            if hi > 1e9:
-                raise SimulationError("calibration bracket blew up; target too small?")
-        while rate(lo) < target:
-            lo /= 4.0
-            if lo < 1e-12:
-                raise SimulationError("calibration bracket collapsed; target too large?")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if rate(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-10 * max(1.0, hi):
-                break
-        mu = 0.5 * (lo + hi)
-        achieved = rate(mu)
-        if abs(achieved - target) > tol:
+        unit_exp = rng.exponential(1.0, draws)
+        mu = float(np.partition(t / unit_exp, rank)[rank])
+        if not mu > 0.0:
             raise SimulationError(
-                f"calibration for arm {arm} converged to rate {achieved:.4f}, "
-                f"more than {tol:.3f} from target {target:.3f}"
+                f"calibration for arm {arm} needs a censoring mean of {mu!r}; "
+                f"target {target:.3f} is too large for this scenario"
+            )
+        # censored exactly when C = mu * E falls strictly below T
+        achieved = np.count_nonzero(mu * unit_exp < t) / draws
+        if abs(achieved - target) > _CALIBRATION_TOL:
+            raise SimulationError(
+                f"calibration for arm {arm} reached rate {achieved:.4f}, "
+                f"more than {_CALIBRATION_TOL:.3f} from target {target:.3f}"
             )
         means.append(mu)
     return means[0], means[1]
@@ -274,7 +253,7 @@ class MetricsTable:
 
 def _metrics_rep(args: tuple[Scenario, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scenario, rep = args
-    grid = scenario.resolve_grid()
+    grid = scenario.grid
     rng = np.random.default_rng(_replication_seed(scenario.seed, rep).spawn(2)[0])
     dataset = generate_dataset(scenario, rng)
     est, _ = _estimate_with_terms(dataset, grid, alpha=scenario.alpha,
@@ -301,7 +280,7 @@ def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
     aggregation runs in replication order.
     """
     scenario = resolve_censoring(scenario)
-    grid = scenario.resolve_grid()
+    grid = scenario.grid
     rows = _map_replications(
         _metrics_rep, [(scenario, r) for r in range(scenario.reps)],
         workers, scenario.reps,
@@ -357,7 +336,7 @@ class PowerTable:
 
 def _test_rep(args: tuple[Scenario, int, str, int]) -> bool:
     scenario, rep, kind, resamples = args
-    grid = scenario.resolve_grid()
+    grid = scenario.grid
     data_ss, mult_ss = _replication_seed(scenario.seed, rep).spawn(2)
     dataset = generate_dataset(scenario, np.random.default_rng(data_ss))
     est, theta = _estimate_with_terms(dataset, grid, alpha=scenario.alpha,

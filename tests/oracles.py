@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from marktau.data_model import Dataset, DataError, ValidationReport, Violation
+from marktau.simulation import control_curve, treated_curve, truncated_std_normal
 
 
 def product_limit_censoring(y, delta, t):
@@ -222,3 +223,40 @@ def validate_rows(dataset):
             f"follow_up={dataset.follow_up!r} < max(y)={max_y!r}",
         ))
     return ValidationReport(tuple(out))
+
+
+def calibrate_censoring_bisect(scenario, mc_draws=200_000):
+    """Per-arm censoring means by bracketing and bisecting the Monte Carlo rate.
+
+    Draws the calibration's own seeded (V, residual, unit-exponential) sets,
+    then widens a bracket until it holds the target rate and halves it to
+    1e-10 relative. The package reads the same mean off one order statistic.
+    """
+    target = scenario.censor_target
+    means = []
+    for arm in (0, 1):
+        ss = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(0, arm))
+        rng = np.random.default_rng(ss)
+        v = rng.random(mc_draws)
+        eps = truncated_std_normal(rng, mc_draws)
+        t = (treated_curve(scenario, v) if arm == 1 else control_curve(v)) + eps
+        unit_exp = rng.exponential(1.0, mc_draws)
+
+        def rate(mu):
+            return np.count_nonzero(mu * unit_exp < t) / mc_draws
+
+        lo, hi = 1e-3, 8.0
+        while rate(hi) > target:
+            hi *= 4.0
+        while rate(lo) < target:
+            lo /= 4.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if rate(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-10 * max(1.0, hi):
+                break
+        means.append(0.5 * (lo + hi))
+    return means[0], means[1]

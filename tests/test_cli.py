@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -15,7 +16,7 @@ def _run(capsys, *argv):
 def _read_artifact(path):
     """Split a CSV artifact into (config dict, header, data rows)."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    prefix = "# marktau format=3 config="
+    prefix = "# marktau format=4 config="
     assert lines[0].startswith(prefix)
     config = json.loads(lines[0][len(prefix):])
     header = lines[1].split(",")
@@ -45,7 +46,7 @@ def test_estimate_artifacts(tmp_path, capsys, trial_files):
         assert int(row[7]) >= 0 and int(row[8]) >= 0
 
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
-    assert summary["format_version"] == 3
+    assert summary["format_version"] == 4
     assert summary["config"] == config
     assert summary["n"] == summary["n0"] + summary["n1"]
     assert summary["h"] > 0
@@ -244,6 +245,23 @@ def test_small_event_count_warns(tmp_path, capsys):
     )
     assert code == 0
     assert "only 8 observed events" in err
+
+
+def test_lone_cr_line_ends_estimate_and_hash_the_bytes(tmp_path, capsys):
+    rows = [f"{1.0 + i / 10.0},1,{0.1 + 0.03 * i},{i % 2}" for i in range(24)]
+    data = "\r".join(["y,delta,mark,a", *rows]).encode("utf-8")
+    path = tmp_path / "mac.csv"
+    path.write_bytes(data)
+    out = tmp_path / "est.csv"
+    code, _, err = _run(
+        capsys,
+        "estimate", "--input", str(path), "--grid", "0.3,0.5",
+        "--interval", "0.1,0.9", "--out", str(out),
+    )
+    assert code == 0, err
+    summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    assert summary["n"] == 24
+    assert summary["config"]["input_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_malformed_csv_reports_line(tmp_path, capsys):

@@ -95,6 +95,13 @@ def test_serialize_round_trip_hand():
     assert again == ds
 
 
+def test_dataset_with_nan_y_equals_itself():
+    ds = mt.parse_dataset("y,delta,mark,a\nnan,0,,1\n1.0,0,,0\n")
+    assert ds == ds
+    assert ds == mt.parse_dataset("y,delta,mark,a\nnan,0,,1\n1.0,0,,0\n")
+    assert ds != mt.parse_dataset("y,delta,mark,a\n2.0,0,,1\n1.0,0,,0\n")
+
+
 def _arm_rows(arm: int):
     finite = st.floats(0.0, 100.0, allow_nan=False)
     row = st.tuples(finite, st.booleans(), st.floats(0.0, 1.0, allow_nan=False))

@@ -9,6 +9,7 @@ from scipy import stats
 
 import marktau as mt
 from marktau.simulation import SimulationError, _replication_seed
+from oracles import calibrate_censoring_bisect
 
 
 def _scenario(**kw):
@@ -139,9 +140,26 @@ def test_censoring_rate_decreases_in_mean():
 
 @pytest.mark.parametrize("target", [0.0, 1.0, -0.2])
 def test_calibration_target_must_be_interior(target):
-    scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=200, reps=1, seed=0)
     with pytest.raises(SimulationError, match="0 is unreachable"):
-        mt.calibrate_censoring(scenario, target)
+        mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=200, reps=1, seed=0,
+                    censor_target=target)
+
+
+@pytest.mark.parametrize("target", [0.1, 0.4, 0.7])
+@pytest.mark.parametrize("c3", [-2.0, 0.0, 2.0])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_calibration_matches_bisection_oracle(seed, c3, target):
+    scenario = mt.Scenario(c1=3.0, c2=0.0, c3=c3, n=200, reps=1, seed=seed,
+                           censor_target=target)
+    np.testing.assert_allclose(mt.calibrate_censoring(scenario),
+                               calibrate_censoring_bisect(scenario), rtol=1e-9)
+
+
+def test_calibration_fails_without_a_positive_mean():
+    # every failure time is negative, so no positive mean censors anyone
+    scenario = mt.Scenario(c1=-10.0, c2=0.0, c3=0.0, n=200, reps=1, seed=0)
+    with pytest.raises(SimulationError, match="too large for this scenario"):
+        mt.calibrate_censoring(scenario)
 
 
 def test_resolve_censoring_fills_only_missing():
