@@ -97,18 +97,27 @@ def _resolve_workers(value: int | None) -> int:
     return value
 
 
+def _numbers(parts: list[str], count: int | None, error: type[Exception], message: str,
+             ) -> list[float]:
+    """``parts`` read as floats, ``count`` of them when given; ``error(message)`` otherwise."""
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise error(message) from None
+    if count is not None and len(values) != count:
+        raise error(message)
+    return values
+
+
 def _parse_interval(text: str) -> MarkInterval:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DataError(f"interval must be 'lower,upper', got {text!r}")
-    return MarkInterval(float(parts[0]), float(parts[1]))
+    message = f"interval must be 'lower,upper', got {text!r}"
+    return MarkInterval(*_numbers(text.split(","), 2, DataError, message))
 
 
 def _parse_points(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        raise DataError(f"grid must be comma-separated numbers, got {text!r}") from None
+    parts = [p for p in text.split(",") if p.strip() != ""]
+    return _numbers(parts, None, DataError,
+                    f"grid must be comma-separated numbers, got {text!r}")
 
 
 def _build_grid(args) -> EvaluationGrid:
@@ -121,12 +130,11 @@ def _build_grid(args) -> EvaluationGrid:
 
 
 def _parse_c3_range(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise SimulationError(f"--c3-range must be 'lo:hi:step', got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise SimulationError(f"--c3-range needs step > 0 and hi >= lo, got {text!r}")
+    lo, hi, step = _numbers(text.split(":"), 3, SimulationError,
+                            f"--c3-range must be 'lo:hi:step', got {text!r}")
+    if not (step > 0 and lo <= hi and math.isfinite(hi - lo)):
+        raise SimulationError(
+            f"--c3-range needs step > 0 and finite lo <= hi, got {text!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [round(lo + k * step, 12) for k in range(count)]
 
@@ -153,7 +161,7 @@ def _load_dataset(args) -> tuple["Dataset", dict]:
     sidecar = Sidecar()
     if args.meta:
         sidecar = parse_sidecar(Path(args.meta).read_text(encoding="utf-8"))
-    dataset = parse_dataset(text, follow_up=sidecar.follow_up)
+    dataset = parse_dataset(text)
 
     scaling = None
     if sidecar.mark_scaling == "auto":
@@ -183,7 +191,7 @@ def _load_dataset(args) -> tuple["Dataset", dict]:
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="CSV with header y,delta,mark,a")
-    parser.add_argument("--meta", help="JSON sidecar with follow_up / mark_scaling")
+    parser.add_argument("--meta", help="JSON sidecar with the mark scaling")
     parser.add_argument("--drop-missing-marks", action="store_true",
                         help="drop uncensored rows whose mark is missing before parsing")
 
@@ -269,7 +277,7 @@ def cmd_estimate(args) -> int:
 
         for a in (0, 1):
             idx = dataset.arm_indices(a)
-            curve = fit_censoring_km(dataset.y[idx], dataset.delta[idx], group=a)
+            curve = fit_censoring_km(dataset.y[idx], dataset.delta[idx])
             rows = [(0.0, 1.0)] + list(zip(curve.jump_times, curve.values))
             _write_csv(Path(f"{args.dump_censoring}_arm{a}.csv"),
                        ("t", "survival"), rows, config)

@@ -26,10 +26,10 @@ __all__ = [
     "Dataset",
     "Sidecar",
     "parse_dataset",
-    "serialize_dataset",
     "drop_incomplete_rows",
     "scale_marks",
     "apply_mark_scaling",
+    "validate",
     "parse_sidecar",
 ]
 
@@ -58,16 +58,12 @@ class MarkInterval:
                 f"got [{self.lower}, {self.upper}]"
             )
 
-    def contains(self, v: float) -> bool:
-        return self.lower <= v <= self.upper
-
 
 @dataclass(frozen=True)
 class ScalingRecord:
-    """Affine map used to bring raw marks onto [0, 1]; keeps enough to invert it.
+    """Affine map used to bring raw marks onto [0, 1].
 
-    ``degenerate`` marks the all-equal case, where every mark is sent to 0.5
-    and the map is not invertible.
+    ``degenerate`` marks the all-equal case, where every mark is sent to 0.5.
     """
 
     vmin: float
@@ -80,18 +76,12 @@ class ScalingRecord:
             return np.full_like(raw, 0.5)
         return (raw - self.vmin) / (self.vmax - self.vmin)
 
-    def invert(self, scaled):
-        if self.degenerate:
-            raise DataError("degenerate scaling (all marks equal) is not invertible")
-        scaled = np.asarray(scaled, dtype=float)
-        return self.vmin + scaled * (self.vmax - self.vmin)
-
 
 @dataclass(frozen=True)
 class Violation:
-    """A single failed invariant; ``row`` is the 0-based record index, None for dataset-level."""
+    """A single failed invariant of the record with 0-based index ``row``."""
 
-    row: int | None
+    row: int
     rule: str
     detail: str
 
@@ -107,11 +97,7 @@ class ValidationReport:
     def __str__(self) -> str:
         if self.ok:
             return "ok"
-        lines = []
-        for v in self.violations:
-            where = "dataset" if v.row is None else f"row {v.row}"
-            lines.append(f"{where}: {v.rule} ({v.detail})")
-        return "\n".join(lines)
+        return "\n".join(f"row {v.row}: {v.rule} ({v.detail})" for v in self.violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,20 +106,20 @@ class Dataset:
 
     ``mark`` is NaN wherever ``delta == 0``. Arrays are read-only and share
     one index order, which is the record order used everywhere downstream.
+    Both treatment arms hold at least one row.
     """
 
     y: np.ndarray
     delta: np.ndarray
     mark: np.ndarray
     arm: np.ndarray
-    follow_up: float
     n: int
     n0: int
     n1: int
     pi_hat: float
 
     @classmethod
-    def from_arrays(cls, y, delta, mark, arm, follow_up: float | None = None) -> "Dataset":
+    def from_arrays(cls, y, delta, mark, arm) -> "Dataset":
         y = np.asarray(y, dtype=float)
         delta = np.asarray(delta, dtype=np.int64)
         mark = np.asarray(mark, dtype=float)
@@ -142,17 +128,14 @@ class Dataset:
             raise DataError("y, delta, mark, a must be 1-d arrays of equal length")
         if y.size == 0:
             raise DataError("dataset has no records")
-        for a in (y, delta, mark, arm):
-            a.setflags(write=False)
         n = int(y.size)
         n1 = int(np.count_nonzero(arm == 1))
         n0 = n - n1
-        if follow_up is None:
-            follow_up = float(np.max(y))
-        return cls(
-            y=y, delta=delta, mark=mark, arm=arm,
-            follow_up=float(follow_up), n=n, n0=n0, n1=n1, pi_hat=n1 / n,
-        )
+        if n1 == 0 or n0 == 0:
+            raise DataError(f"empty treatment group (n1={n1}, n0={n0})")
+        for a in (y, delta, mark, arm):
+            a.setflags(write=False)
+        return cls(y=y, delta=delta, mark=mark, arm=arm, n=n, n0=n0, n1=n1, pi_hat=n1 / n)
 
     def arm_indices(self, a: int) -> np.ndarray:
         return np.flatnonzero(self.arm == a)
@@ -167,7 +150,7 @@ class Dataset:
         # NaN equals NaN: parsing accepts a NaN y, which only validate() flags
         return all(
             np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
-            for name in ("follow_up", "y", "delta", "mark", "arm")
+            for name in ("y", "delta", "mark", "arm")
         )
 
 
@@ -180,7 +163,10 @@ _QUOTED_FIELD = re.compile(r'(?:^|(?<=,))"([^",]*)"\s*(?=,|$)')
 
 def _lines(text: str) -> list[str]:
     """Lines of a CSV text, with a leading byte-order mark dropped and CRLF read as LF."""
-    return text.lstrip("\ufeff").replace("\r\n", "\n").split("\n")
+    text = text.lstrip("\ufeff")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    return text.split("\n")
 
 
 def _fields(rows: list[str]) -> list[str]:
@@ -278,7 +264,7 @@ def _check_row(row: str, line_no: int) -> None:
         raise DataError(f"line {line_no}: mark present on a censored row (delta=0)")
 
 
-def parse_dataset(text: str, *, follow_up: float | None = None) -> Dataset:
+def parse_dataset(text: str) -> Dataset:
     """Parse CSV with header ``y,delta,mark,a`` into a :class:`Dataset`.
 
     The mark field must be empty exactly on censored rows (``delta == 0``).
@@ -328,26 +314,7 @@ def parse_dataset(text: str, *, follow_up: float | None = None) -> Dataset:
 
     mark = np.full(n, math.nan)
     mark[present] = marks
-    ds = Dataset.from_arrays(y, delta, mark, arm, follow_up=follow_up)
-    if ds.n1 == 0 or ds.n0 == 0:
-        raise DataError(f"empty treatment group (n1={ds.n1}, n0={ds.n0})")
-    return ds
-
-
-def serialize_dataset(dataset: Dataset) -> str:
-    """Inverse of :func:`parse_dataset` up to the default follow-up time.
-
-    Floats are written with round-trip ``repr``, so
-    ``parse(serialize(parse(text)))`` reproduces the dataset exactly.
-    """
-    lines = [",".join(CSV_HEADER)]
-    for i in range(dataset.n):
-        m = dataset.mark[i]
-        mark_field = "" if math.isnan(m) else repr(float(m))
-        lines.append(
-            f"{float(dataset.y[i])!r},{int(dataset.delta[i])},{mark_field},{int(dataset.arm[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    return Dataset.from_arrays(y, delta, mark, arm)
 
 
 def drop_incomplete_rows(text: str) -> tuple[str, int]:
@@ -411,16 +378,15 @@ def apply_mark_scaling(dataset: Dataset, scaling: ScalingRecord) -> Dataset:
     mark = dataset.mark.copy()
     observed = dataset.delta == 1
     mark[observed] = scaling.apply(mark[observed])
-    return Dataset.from_arrays(dataset.y, dataset.delta, mark, dataset.arm,
-                               follow_up=dataset.follow_up)
+    return Dataset.from_arrays(dataset.y, dataset.delta, mark, dataset.arm)
 
 
 def validate(dataset: Dataset) -> ValidationReport:
-    """Check every dataset invariant and report violations; never raises.
+    """Check every record invariant and report violations; never raises.
 
-    Rules use 0-based record indices. Row entries come in row order, and in
-    the order of the rules below within a row; dataset-level entries carry
-    ``row=None`` and come last.
+    Rules use 0-based record indices. Entries come in row order, and in the
+    order of the rules below within a row. That both arms hold a row is
+    checked when the :class:`Dataset` is built.
     """
     y, delta, mark, arm = dataset.y, dataset.delta, dataset.mark, dataset.arm
     present = ~np.isnan(mark)
@@ -442,34 +408,38 @@ def validate(dataset: Dataset) -> ValidationReport:
         if column is not None:
             detail = detail.format(column[i].item())
         out.append(Violation(i, rule, detail))
-    if dataset.n0 < 1 or dataset.n1 < 1:
-        out.append(Violation(None, "group sizes >= 1", f"n0={dataset.n0}, n1={dataset.n1}"))
-    else:
-        if not 0.0 < dataset.pi_hat < 1.0:
-            out.append(Violation(None, "pi_hat in (0,1)", f"pi_hat={dataset.pi_hat!r}"))
-    max_y = float(np.max(dataset.y)) if dataset.n else 0.0
-    if not (math.isfinite(dataset.follow_up) and dataset.follow_up >= max_y):
-        out.append(Violation(
-            None, "follow_up >= max(y)",
-            f"follow_up={dataset.follow_up!r} < max(y)={max_y!r}",
-        ))
     return ValidationReport(tuple(out))
 
 
 @dataclass(frozen=True)
 class Sidecar:
-    """Optional JSON metadata accompanying a CSV: follow-up horizon and mark scaling.
+    """Optional JSON metadata accompanying a CSV: the mark scaling.
 
     ``mark_scaling`` is either None (marks already on [0, 1]), the string
     ``"auto"`` (fit min-max on the observed marks), or a :class:`ScalingRecord`
     with explicit bounds.
     """
 
-    follow_up: float | None = None
     mark_scaling: ScalingRecord | str | None = None
 
 
+def _json_number(value, name: str) -> float:
+    """``value`` as a float when it is a JSON number; a :class:`DataError` otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DataError(f"sidecar {name} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise DataError(f"sidecar {name} must be a finite number") from None
+
+
 def parse_sidecar(text: str) -> Sidecar:
+    """Parse the JSON sidecar.
+
+    A ``follow_up`` key is accepted for compatibility and must hold a
+    number, but no result depends on it: every estimate sums over all
+    observed failures.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -479,21 +449,19 @@ def parse_sidecar(text: str) -> Sidecar:
     unknown = set(obj) - {"follow_up", "mark_scaling"}
     if unknown:
         raise DataError(f"unknown sidecar keys: {sorted(unknown)}")
-    follow_up = obj.get("follow_up")
-    if follow_up is not None:
-        if not isinstance(follow_up, (int, float)) or isinstance(follow_up, bool):
-            raise DataError("sidecar follow_up must be a number")
-        follow_up = float(follow_up)
+    if obj.get("follow_up") is not None:
+        _json_number(obj["follow_up"], "follow_up")
     scaling = obj.get("mark_scaling")
     if scaling is None:
         parsed = None
     elif scaling == "auto":
         parsed = "auto"
     elif isinstance(scaling, dict) and set(scaling) == {"min", "max"}:
-        vmin, vmax = float(scaling["min"]), float(scaling["max"])
+        vmin = _json_number(scaling["min"], "mark_scaling min")
+        vmax = _json_number(scaling["max"], "mark_scaling max")
         if not (math.isfinite(vmin) and math.isfinite(vmax) and vmin < vmax):
             raise DataError("sidecar mark_scaling needs finite min < max")
         parsed = ScalingRecord(vmin=vmin, vmax=vmax)
     else:
         raise DataError('sidecar mark_scaling must be "auto" or {"min": ..., "max": ...}')
-    return Sidecar(follow_up=follow_up, mark_scaling=parsed)
+    return Sidecar(mark_scaling=parsed)

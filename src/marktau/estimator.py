@@ -37,12 +37,11 @@ __all__ = [
     "normal_quantile",
     "ipcw_weights",
     "estimate_on_grid",
-    "ipcw_mean_difference",
 ]
 
 
 class EstimationError(ValueError):
-    """Invalid estimation request (empty arm, vanishing weights, bad grid)."""
+    """Invalid estimation request (vanishing weights, bad grid or level)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +55,9 @@ class EvaluationGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise EstimationError("grid needs at least one point")
-        if np.any(np.diff(pts) <= 0):
+        if not np.all(np.diff(pts) > 0):  # also false on a NaN
             raise EstimationError("grid points must be strictly increasing")
-        if pts[0] < self.interval.lower or pts[-1] > self.interval.upper:
+        if not self.interval.lower <= pts[0] <= pts[-1] <= self.interval.upper:
             raise EstimationError(
                 f"grid points must lie in [{self.interval.lower}, {self.interval.upper}]"
             )
@@ -137,9 +136,7 @@ def ipcw_weights(dataset: Dataset) -> np.ndarray:
     weights = np.zeros(dataset.n)
     for a in (0, 1):
         idx = dataset.arm_indices(a)
-        if idx.size == 0:
-            raise EstimationError(f"treatment group {a} is empty")
-        curve = fit_censoring_km(dataset.y[idx], dataset.delta[idx], group=a)
+        curve = fit_censoring_km(dataset.y[idx], dataset.delta[idx])
         events = idx[dataset.delta[idx] == 1]
         if events.size:
             surv_at_event = curve.evaluate(dataset.y[events])
@@ -149,19 +146,6 @@ def ipcw_weights(dataset: Dataset) -> np.ndarray:
                 )
             weights[events] = dataset.y[events] / surv_at_event
     return weights
-
-
-def ipcw_mean_difference(dataset: Dataset) -> float:
-    """Difference of IPCW-weighted group mean failure times, ignoring marks.
-
-    This is the estimate an analysis gets by dropping the mark dimension
-    entirely; effects that flip sign across marks can average to zero here
-    while the mark-specific contrast is far from zero everywhere.
-    """
-    weights = ipcw_weights(dataset)
-    idx1 = dataset.arm_indices(1)
-    idx0 = dataset.arm_indices(0)
-    return float(np.sum(weights[idx1]) / idx1.size - np.sum(weights[idx0]) / idx0.size)
 
 
 def _resolve_bandwidth(dataset: Dataset, bandwidth: float | None, varpi: float,
@@ -185,9 +169,6 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
     """
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0,1), got {alpha!r}")
-    if dataset.n0 == 0 or dataset.n1 == 0:
-        raise EstimationError(f"both treatment groups must be non-empty "
-                              f"(n0={dataset.n0}, n1={dataset.n1})")
     bw = _resolve_bandwidth(dataset, bandwidth, varpi)
     weights = ipcw_weights(dataset)
     points = grid.points[:, None]
@@ -228,7 +209,7 @@ def estimate_on_grid(dataset: Dataset, grid: EvaluationGrid, *, alpha: float = 0
     Parameters
     ----------
     dataset : Dataset
-        Validated marked survival data with both arms non-empty.
+        Validated marked survival data.
     grid : EvaluationGrid
         Mark values to evaluate at; output rows follow grid order.
     alpha : float

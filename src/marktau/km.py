@@ -28,7 +28,6 @@ class StepSurvival:
 
     jump_times: np.ndarray
     values: np.ndarray
-    group: int
 
     def __post_init__(self) -> None:
         jt = np.asarray(self.jump_times, dtype=float)
@@ -52,7 +51,7 @@ class StepSurvival:
         return float(out) if np.isscalar(t) else out
 
 
-def fit_censoring_km(y, delta, group: int = 0) -> StepSurvival:
+def fit_censoring_km(y, delta) -> StepSurvival:
     """Kaplan-Meier curve for the censoring distribution of one treatment arm.
 
     Parameters
@@ -60,8 +59,6 @@ def fit_censoring_km(y, delta, group: int = 0) -> StepSurvival:
     y, delta : array-like
         Follow-up times and failure indicators of the arm's subjects.
         ``delta == 0`` rows (censorings) are the events of this curve.
-    group : int
-        Arm label carried on the result for bookkeeping.
 
     Notes
     -----
@@ -80,8 +77,8 @@ def fit_censoring_km(y, delta, group: int = 0) -> StepSurvival:
 
     censor_times, censor_counts = np.unique(y[delta == 0], return_counts=True)
     if censor_times.size == 0:
-        return StepSurvival(np.empty(0), np.empty(0), group)
+        return StepSurvival(np.empty(0), np.empty(0))
     y_sorted = np.sort(y)
     at_risk = y.size - np.searchsorted(y_sorted, censor_times, side="left")
     factors = (at_risk - censor_counts) / at_risk
-    return StepSurvival(censor_times, np.cumprod(factors), group)
+    return StepSurvival(censor_times, np.cumprod(factors))

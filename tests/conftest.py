@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import marktau as mt
+from marktau.simulation import generate_dataset, resolve_censoring
+from oracles import serialize_dataset
 
 
 def hand_dataset(v: float = 0.5):
@@ -28,15 +30,15 @@ def trial_files(tmp_path_factory):
     outside [0, 1], min-max scaling requested through the metadata sidecar,
     and effects evaluated on a narrow mark interval.
     """
-    scenario = mt.resolve_censoring(
+    scenario = resolve_censoring(
         mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=600, reps=1, seed=914)
     )
-    ds = mt.generate_dataset(scenario, np.random.default_rng(914))
+    ds = generate_dataset(scenario, np.random.default_rng(914))
     raw_marks = np.where(ds.delta == 1, 0.074 + ds.mark * (77.56 - 0.074), np.nan)
     raw = mt.Dataset.from_arrays(ds.y, ds.delta, raw_marks, ds.arm)
     folder = tmp_path_factory.mktemp("trial")
     csv_path = folder / "trial.csv"
-    csv_path.write_text(mt.serialize_dataset(raw), encoding="utf-8")
+    csv_path.write_text(serialize_dataset(raw), encoding="utf-8")
     meta_path = folder / "trial.json"
     meta_path.write_text(
         json.dumps({"follow_up": float(np.max(ds.y)) + 0.5, "mark_scaling": "auto"}),

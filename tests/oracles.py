@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from marktau.data_model import Dataset, DataError, ValidationReport, Violation
+from marktau.estimator import ipcw_weights
 from marktau.simulation import control_curve, treated_curve, truncated_std_normal
 
 
@@ -37,15 +38,15 @@ def _epanechnikov(x):
     return 0.0 if ax >= 1.0 else 0.75 * (1.0 - ax * ax)
 
 
-def stieltjes_group_mean(y, delta, mark, surv_evaluate, v, h, follow_up):
+def stieltjes_group_mean(y, delta, mark, surv_evaluate, v, h):
     """Group-level effect at v by double Stieltjes integration, one subject at a time.
 
     Iterates over the candidate jump set (all observed times crossed with all
     observed marks), measures each point's mass of the subject's counting
     process N_i(t, u) = delta_i * 1{y_i <= t, mark_i <= u} by
-    inclusion-exclusion, and sums integrand * mass over the rectangle
-    [0, follow_up] x [0, 1]. The closed form in the package must agree to
-    near machine precision.
+    inclusion-exclusion, and sums integrand * mass over the whole set, which
+    covers [0, max(y)] x [0, 1]. The closed form in the package must agree
+    to near machine precision.
     """
     n = len(y)
     times = sorted({float(t) for t in y})
@@ -59,8 +60,6 @@ def stieltjes_group_mean(y, delta, mark, surv_evaluate, v, h, follow_up):
             return 1.0 if (y[i] <= t and mark[i] <= u) else 0.0
 
         for j, t in enumerate(times):
-            if t > follow_up:
-                continue
             t_prev = times[j - 1] if j > 0 else times[0] - 1.0
             for k, u in enumerate(marks):
                 u_prev = marks[k - 1] if k > 0 else marks[0] - 1.0
@@ -73,6 +72,19 @@ def stieltjes_group_mean(y, delta, mark, surv_evaluate, v, h, follow_up):
                 if mass != 0.0:
                     total += mass * (t / surv_evaluate(t)) * _epanechnikov((u - v) / h) / h
     return total / n
+
+
+def ipcw_mean_difference(dataset):
+    """Difference of IPCW-weighted group mean failure times, ignoring marks.
+
+    This is the estimate an analysis gets by dropping the mark dimension
+    entirely; effects that flip sign across marks can average to zero here
+    while the mark-specific contrast is far from zero everywhere.
+    """
+    weights = ipcw_weights(dataset)
+    idx1 = dataset.arm_indices(1)
+    idx0 = dataset.arm_indices(0)
+    return float(np.sum(weights[idx1]) / idx1.size - np.sum(weights[idx0]) / idx0.size)
 
 
 def normal_quantile_bisect(p, tol=1e-13):
@@ -141,7 +153,7 @@ def _parse_binary(field, name, line_no):
     return int(value)
 
 
-def parse_dataset_rows(text, follow_up=None):
+def parse_dataset_rows(text):
     """CSV ingest one row at a time through the ``csv`` module.
 
     Line numbers are lines of the file (``csv.reader.line_num``), so blank
@@ -185,14 +197,30 @@ def parse_dataset_rows(text, follow_up=None):
         mark.append(m_i)
         arm.append(a_i)
 
-    ds = Dataset.from_arrays(y, delta, mark, arm, follow_up=follow_up)
-    if ds.n1 == 0 or ds.n0 == 0:
-        raise DataError(f"empty treatment group (n1={ds.n1}, n0={ds.n0})")
-    return ds
+    n1 = arm.count(1)
+    if n1 == 0 or n1 == len(arm):
+        raise DataError(f"empty treatment group (n1={n1}, n0={len(arm) - n1})")
+    return Dataset.from_arrays(y, delta, mark, arm)
+
+
+def serialize_dataset(dataset):
+    """Inverse of ``parse_dataset``: one row per record, in record order.
+
+    Floats are written with round-trip ``repr``, so
+    ``parse(serialize(parse(text)))`` reproduces the dataset exactly.
+    """
+    lines = ["y,delta,mark,a"]
+    for i in range(dataset.n):
+        m = dataset.mark[i]
+        mark_field = "" if math.isnan(m) else repr(float(m))
+        lines.append(
+            f"{float(dataset.y[i])!r},{int(dataset.delta[i])},{mark_field},{int(dataset.arm[i])}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def validate_rows(dataset):
-    """Every dataset invariant checked one record at a time, in rule order."""
+    """Every record invariant checked one record at a time, in rule order."""
     out = []
     for i in range(dataset.n):
         y = float(dataset.y[i])
@@ -212,16 +240,6 @@ def validate_rows(dataset):
             out.append(Violation(i, "mark present iff delta = 1", "censored row carries a mark"))
         if mark_present and not (math.isfinite(m) and 0.0 <= m <= 1.0):
             out.append(Violation(i, "mark in [0,1]", f"mark={m!r} (is the data scaled?)"))
-    if dataset.n0 < 1 or dataset.n1 < 1:
-        out.append(Violation(None, "group sizes >= 1", f"n0={dataset.n0}, n1={dataset.n1}"))
-    elif not 0.0 < dataset.pi_hat < 1.0:
-        out.append(Violation(None, "pi_hat in (0,1)", f"pi_hat={dataset.pi_hat!r}"))
-    max_y = float(np.max(dataset.y))
-    if not (math.isfinite(dataset.follow_up) and dataset.follow_up >= max_y):
-        out.append(Violation(
-            None, "follow_up >= max(y)",
-            f"follow_up={dataset.follow_up!r} < max(y)={max_y!r}",
-        ))
     return ValidationReport(tuple(out))
 
 

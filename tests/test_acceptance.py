@@ -16,12 +16,16 @@ from scipy.integrate import quad
 
 import marktau as mt
 from marktau.cli import main
-from marktau.estimator import ipcw_mean_difference
 from marktau.kernels import epanechnikov, scaled_kernel
 from marktau.km import fit_censoring_km
-from marktau.simulation import _replication_seed
+from marktau.simulation import (
+    _replication_seed,
+    generate_dataset,
+    rejection_rate,
+    resolve_censoring,
+)
 
-from oracles import product_limit_censoring, stieltjes_group_mean
+from oracles import ipcw_mean_difference, product_limit_censoring, stieltjes_group_mean
 
 SEED = 20260822
 METRIC_GRID = mt.EvaluationGrid.explicit(
@@ -58,11 +62,11 @@ def test_criterion_1_estimation_metrics():
 
 
 def test_criterion_2_test_size():
-    scenario = mt.resolve_censoring(
+    scenario = resolve_censoring(
         mt.Scenario(c1=3.0, c2=0.0, c3=-2.0, n=1000, reps=500, seed=SEED)
     )
     sizes = {
-        kind: mt.rejection_rate(scenario, kind, resamples=500)[0]
+        kind: rejection_rate(scenario, kind, resamples=500)[0]
         for kind in ("global", "constancy")
     }
     ok = all(0.02 <= rate <= 0.09 for rate in sizes.values())
@@ -125,11 +129,10 @@ def test_criterion_4_oracle_equivalence():
             est = mt.estimate_on_grid(ds, grid, bandwidth=0.3)
             for a, curve in ((0, est.tau0), (1, est.tau1)):
                 idx = ds.arm_indices(a)
-                surv = fit_censoring_km(y[idx], delta[idx], group=a)
+                surv = fit_censoring_km(y[idx], delta[idx])
                 for got, v in zip(curve, grid.points):
                     want = stieltjes_group_mean(
-                        y[idx], delta[idx], mark[idx], surv.evaluate,
-                        v, 0.3, ds.follow_up,
+                        y[idx], delta[idx], mark[idx], surv.evaluate, v, 0.3
                     )
                     est_worst = max(est_worst, abs(got - want))
     ok_est = est_worst <= 1e-12
@@ -183,18 +186,18 @@ def test_criterion_7_unmarked_analysis_misses_the_effect():
     # tau1 = 3 + 2 sin(2 pi v) against tau0 = 3 - 2 sin(2 pi v): the
     # mark-averaged effect is zero, so a difference of IPCW means sees
     # nothing while the mark-specific global test has power
-    scenario = mt.resolve_censoring(
+    scenario = resolve_censoring(
         mt.Scenario(c1=3.0, c2=0.0, c3=2.0, n=1500, reps=500, seed=SEED)
     )
     diffs = np.empty(scenario.reps)
     for r in range(scenario.reps):
         rng = np.random.default_rng(_replication_seed(SEED, r).spawn(2)[0])
-        diffs[r] = ipcw_mean_difference(mt.generate_dataset(scenario, rng))
+        diffs[r] = ipcw_mean_difference(generate_dataset(scenario, rng))
     mean_diff = float(np.mean(diffs))
 
     import dataclasses
 
-    power, _ = mt.rejection_rate(
+    power, _ = rejection_rate(
         dataclasses.replace(scenario, reps=200), "global", resamples=500
     )
     ok = abs(mean_diff) <= 0.1 and power > 0.9

@@ -275,3 +275,74 @@ def test_malformed_csv_reports_line(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("flags, sidecar, message", [
+    (("--interval", "a,0.9"), None, "interval must be 'lower,upper'"),
+    (("--interval", "0.2,0.45", "--grid", "0.3,nan"), None, "strictly increasing"),
+    (("--interval", "0.2,0.45"), '{"mark_scaling": {"min": "a", "max": 10}}',
+     "min must be a number"),
+    (("--interval", "0.2,0.45"), '{"mark_scaling": {"min": null, "max": 10}}',
+     "min must be a number"),
+    (("--interval", "0.2,0.45"), '{"mark_scaling": {"min": [1], "max": 10}}',
+     "min must be a number"),
+])
+def test_non_numeric_estimate_input_is_an_error_line(tmp_path, capsys, trial_files,
+                                                     flags, sidecar, message):
+    csv_path, meta_path = trial_files
+    if sidecar is not None:
+        meta_path = tmp_path / "meta.json"
+        meta_path.write_text(sidecar, encoding="utf-8")
+    code, _, err = _run(
+        capsys,
+        "estimate", "--input", str(csv_path), "--meta", str(meta_path), *flags,
+        "--out", str(tmp_path / "est.csv"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c3_range, message", [
+    ("a:1:1", "must be 'lo:hi:step'"),
+    ("-2:0", "must be 'lo:hi:step'"),
+    ("nan:1:1", "finite lo <= hi"),
+    ("0:inf:1", "finite lo <= hi"),
+])
+def test_non_numeric_c3_range_is_an_error_line(tmp_path, capsys, c3_range, message):
+    code, _, err = _run(
+        capsys,
+        "power", "--kind", "global", f"--c3-range={c3_range}", "--n", "150",
+        "--reps", "2", "--out", str(tmp_path / "power.csv"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_sidecar_follow_up_changes_no_artifact(tmp_path, capsys, trial_files):
+    # follow_up is read for compatibility only: absent, above max(y) or below
+    # it, every artifact of estimate and test comes out byte for byte the same
+    csv_path, _ = trial_files
+    max_y = float(max(float(line.split(",")[0])
+                      for line in csv_path.read_text(encoding="utf-8").splitlines()[1:]))
+    artifacts = []
+    for name, extra in (("none", {}), ("above", {"follow_up": max_y + 0.5}),
+                        ("below", {"follow_up": max_y - 1.0})):
+        folder = tmp_path / name
+        folder.mkdir()
+        meta_path = folder / "meta.json"
+        meta_path.write_text(json.dumps({"mark_scaling": "auto", **extra}), encoding="utf-8")
+        common = ("--input", str(csv_path), "--meta", str(meta_path),
+                  "--interval", "0.2,0.45", "--grid-points", "5")
+        code, _, err = _run(capsys, "estimate", *common, "--out", str(folder / "est.csv"),
+                            "--dump-censoring", str(folder / "cens"))
+        assert code == 0, err
+        for kind in ("global", "constancy"):
+            code, _, err = _run(capsys, "test", *common, "--kind", kind, "--resamples", "40",
+                                "--seed", "3", "--out", str(folder / f"{kind}.json"))
+            assert code == 0, err
+        artifacts.append({p.name: p.read_bytes() for p in folder.iterdir()
+                          if p.name != "meta.json"})
+    assert len(artifacts[0]) == 6
+    assert artifacts[0] == artifacts[1] == artifacts[2]

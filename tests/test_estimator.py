@@ -10,13 +10,18 @@ import marktau as mt
 from marktau.estimator import (
     EstimationError,
     _estimate_with_terms,
-    ipcw_mean_difference,
     normal_quantile,
 )
+from marktau.kernels import rule_of_thumb_bandwidth, scaled_kernel
 from marktau.km import fit_censoring_km
 
 from conftest import hand_dataset
-from oracles import normal_quantile_bisect, stieltjes_group_mean, subject_major
+from oracles import (
+    ipcw_mean_difference,
+    normal_quantile_bisect,
+    stieltjes_group_mean,
+    subject_major,
+)
 
 UNIT = mt.MarkInterval(0.0, 1.0)
 
@@ -98,11 +103,9 @@ def test_group_mean_matches_double_integral_oracle():
         ds = mt.Dataset.from_arrays(np.append(y, 1.5), np.append(delta, 1),
                                     np.append(mark, 0.5), [1] * 6 + [0])
         est = _at(ds, points, h)
-        surv = fit_censoring_km(y, delta, group=1)
+        surv = fit_censoring_km(y, delta)
         for j, v in enumerate(points):
-            want = stieltjes_group_mean(
-                y, delta, mark, surv.evaluate, v, h, ds.follow_up
-            )
+            want = stieltjes_group_mean(y, delta, mark, surv.evaluate, v, h)
             assert abs(est.tau1[j] - want) <= 1e-12, (pattern, v)
 
 
@@ -120,7 +123,7 @@ def test_no_censoring_reduces_to_plain_kernel_mean():
         idx = ds.arm_indices(a)
         for j, v in enumerate(points):
             plain = float(
-                np.sum(y[idx] * mt.scaled_kernel(mark[idx], v, h)) / idx.size
+                np.sum(y[idx] * scaled_kernel(mark[idx], v, h)) / idx.size
             )
             assert curve[j] == plain  # bitwise
 
@@ -234,7 +237,7 @@ def test_rule_of_thumb_used_when_no_override():
     ds = mt.Dataset.from_arrays(y, np.ones(n, dtype=int), mark, arm)
     grid = mt.EvaluationGrid.explicit([0.5], mt.MarkInterval(0.2, 0.8))
     est = mt.estimate_on_grid(ds, grid, varpi=2.0)
-    expected = mt.rule_of_thumb_bandwidth(ds.observed_marks(), varpi=2.0)
+    expected = rule_of_thumb_bandwidth(ds.observed_marks(), varpi=2.0)
     assert est.h == expected.h
     assert est.bandwidth.varpi == 2.0
     assert est.bandwidth.m == n

@@ -23,6 +23,8 @@ from marktau.inference import (
     pair_variance_table,
     resampling_covariance,
 )
+from marktau.kernels import Bandwidth
+from marktau.simulation import generate_dataset
 
 from conftest import hand_dataset
 from oracles import subject_major, subject_space_sums, xi_matrix
@@ -50,7 +52,7 @@ def _manual_grid(points, tau, sigma2, *, n=1000, h=0.1, flagged=None):
         events1=np.ones(points.size, dtype=np.int64),
         events0=np.ones(points.size, dtype=np.int64),
         flagged=np.asarray(flagged, dtype=bool),
-        bandwidth=mt.Bandwidth(h=h), alpha=0.05, n=n, n0=n // 2, n1=n - n // 2,
+        bandwidth=Bandwidth(h=h), alpha=0.05, n=n, n0=n // 2, n1=n - n // 2,
     )
 
 
@@ -133,7 +135,7 @@ def _mirrored_fixture():
 
 
 def _null_fixture():
-    ds = mt.generate_dataset(NULL_SCENARIO, np.random.default_rng(44))
+    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(44))
     return ds, DENSE_GRID, None
 
 
@@ -170,7 +172,7 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
     # the package draws the multiplier sums from N(0, xi^T xi); the oracle
     # multiplies a (B, n) normal matrix into xi; the resampled statistics
     # must agree in distribution
-    ds = mt.generate_dataset(NULL_SCENARIO, np.random.default_rng(45))
+    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(45))
     est, theta = _estimate_with_terms(ds, DENSE_GRID, alpha=0.05, bandwidth=None, varpi=1.0)
     reps = 4000
     config = mt.TestConfig(grid=DENSE_GRID, resamples=reps, seed=46)
@@ -262,7 +264,7 @@ def test_p_value_conventions():
 
 
 def test_run_test_is_deterministic():
-    ds = mt.generate_dataset(NULL_SCENARIO, np.random.default_rng(41))
+    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(41))
     config = mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=80, seed=123)
     first = mt.run_test("global", ds, config)
     second = mt.run_test("global", ds, config)
@@ -279,12 +281,9 @@ def test_run_test_is_deterministic():
 
 
 def test_statistic_invariant_under_record_order():
-    ds = mt.generate_dataset(NULL_SCENARIO, np.random.default_rng(42))
+    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(42))
     perm = np.random.default_rng(1).permutation(ds.n)
-    shuffled = mt.Dataset.from_arrays(
-        ds.y[perm], ds.delta[perm], ds.mark[perm], ds.arm[perm],
-        follow_up=ds.follow_up,
-    )
+    shuffled = mt.Dataset.from_arrays(ds.y[perm], ds.delta[perm], ds.mark[perm], ds.arm[perm])
     config = mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=10, seed=9)
     for kind in ("global", "constancy"):
         a = mt.run_test(kind, ds, config)
@@ -307,13 +306,13 @@ def test_resample_distribution_matches_sampling_distribution():
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=777, spawn_key=(1, r))
         )
-        ds = mt.generate_dataset(NULL_SCENARIO, rng)
+        ds = generate_dataset(NULL_SCENARIO, rng)
         est, _ = _estimate_with_terms(
             ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
         )
         observed[r] = global_statistic(est)
 
-    ds = mt.generate_dataset(
+    ds = generate_dataset(
         NULL_SCENARIO, np.random.default_rng(np.random.SeedSequence(778))
     )
     est, theta = _estimate_with_terms(
@@ -367,7 +366,7 @@ def test_constancy_zero_variance_pairs():
 
 
 def test_pi_design_changes_resampling_only():
-    ds = mt.generate_dataset(NULL_SCENARIO, np.random.default_rng(43))
+    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(43))
     base = mt.run_test(
         "global", ds, mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=40, seed=7)
     )

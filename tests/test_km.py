@@ -91,14 +91,14 @@ def test_empty_group_errors():
 
 def test_step_survival_validation():
     with pytest.raises(DataError, match="increasing"):
-        StepSurvival(np.array([2.0, 1.0]), np.array([0.5, 0.25]), group=0)
+        StepSurvival(np.array([2.0, 1.0]), np.array([0.5, 0.25]))
     with pytest.raises(DataError, match="non-increasing"):
-        StepSurvival(np.array([1.0, 2.0]), np.array([0.5, 0.75]), group=0)
+        StepSurvival(np.array([1.0, 2.0]), np.array([0.5, 0.75]))
     with pytest.raises(DataError, match="within"):
-        StepSurvival(np.array([1.0]), np.array([1.5]), group=0)
+        StepSurvival(np.array([1.0]), np.array([1.5]))
 
 
 def test_step_survival_vector_evaluation():
-    surv = StepSurvival(np.array([1.0, 3.0]), np.array([0.5, 0.25]), group=1)
+    surv = StepSurvival(np.array([1.0, 3.0]), np.array([0.5, 0.25]))
     out = surv.evaluate(np.array([0.5, 1.0, 2.0, 3.0, 10.0]))
     np.testing.assert_array_equal(out, [1.0, 1.0, 0.5, 0.5, 0.25])

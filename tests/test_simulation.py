@@ -8,7 +8,19 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import marktau as mt
-from marktau.simulation import SimulationError, _replication_seed
+from marktau.data_model import validate
+from marktau.simulation import (
+    SimulationError,
+    _replication_seed,
+    calibrate_censoring,
+    control_curve,
+    generate_dataset,
+    rejection_rate,
+    resolve_censoring,
+    treated_curve,
+    true_tau,
+    truncated_std_normal,
+)
 from oracles import calibrate_censoring_bisect
 
 
@@ -22,15 +34,15 @@ def _scenario(**kw):
 def test_true_tau_vanishes_on_the_null():
     scenario = _scenario(c3=-2.0)
     v = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_allclose(mt.true_tau(scenario, v), 0.0, atol=1e-12)
+    np.testing.assert_allclose(true_tau(scenario, v), 0.0, atol=1e-12)
 
 
 def test_true_tau_hand_values():
     scenario = _scenario(c3=-1.0)
-    assert mt.true_tau(scenario, 0.25) == pytest.approx(1.0, rel=1e-12)
-    assert mt.true_tau(scenario, 0.75) == pytest.approx(-1.0, rel=1e-12)
-    assert mt.control_curve(0.25) == pytest.approx(1.0, rel=1e-12)
-    assert mt.treated_curve(scenario, 0.25) == pytest.approx(2.0, rel=1e-12)
+    assert true_tau(scenario, 0.25) == pytest.approx(1.0, rel=1e-12)
+    assert true_tau(scenario, 0.75) == pytest.approx(-1.0, rel=1e-12)
+    assert control_curve(0.25) == pytest.approx(1.0, rel=1e-12)
+    assert treated_curve(scenario, 0.25) == pytest.approx(2.0, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -40,13 +52,13 @@ def test_true_tau_hand_values():
 )
 def test_true_tau_is_curve_difference(c1, c2, c3, v):
     scenario = _scenario(c1=c1, c2=c2, c3=c3)
-    diff = mt.treated_curve(scenario, v) - mt.control_curve(v)
-    assert mt.true_tau(scenario, v) == pytest.approx(diff, abs=1e-12)
+    diff = treated_curve(scenario, v) - control_curve(v)
+    assert true_tau(scenario, v) == pytest.approx(diff, abs=1e-12)
 
 
 def test_truncated_normal_draws():
     rng = np.random.default_rng(12)
-    draws = mt.truncated_std_normal(rng, 1_000_000)
+    draws = truncated_std_normal(rng, 1_000_000)
     assert draws.shape == (1_000_000,)
     assert np.all(np.abs(draws) <= 1.0)
     assert abs(float(np.mean(draws))) <= 0.005
@@ -62,7 +74,7 @@ def test_truncated_normal_draws():
 
 def test_generate_dataset_moments():
     scenario = _scenario(n=100_000)
-    ds = mt.generate_dataset(scenario, np.random.default_rng(77))
+    ds = generate_dataset(scenario, np.random.default_rng(77))
     assert ds.n == scenario.n
     se = math.sqrt(2.0 / 9.0 / scenario.n)
     assert abs(ds.n1 / ds.n - 2.0 / 3.0) <= 3.0 * se
@@ -71,19 +83,19 @@ def test_generate_dataset_moments():
     # marks recorded exactly on observed failures
     assert np.all(np.isnan(ds.mark[ds.delta == 0]))
     assert np.all(~np.isnan(ds.mark[ds.delta == 1]))
-    assert mt.validate(ds).ok
+    assert validate(ds).ok
 
 
 def test_generate_dataset_requires_resolved_means():
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=50, reps=1, seed=0)
     with pytest.raises(SimulationError, match="unresolved"):
-        mt.generate_dataset(scenario, np.random.default_rng(0))
+        generate_dataset(scenario, np.random.default_rng(0))
 
 
 def test_generate_dataset_rejects_negative_failure_times():
     scenario = _scenario(c1=-10.0, c3=0.0, n=500)
     with pytest.raises(SimulationError, match="negative failure time"):
-        mt.generate_dataset(scenario, np.random.default_rng(0))
+        generate_dataset(scenario, np.random.default_rng(0))
 
 
 def test_calibration_against_quadrature():
@@ -103,7 +115,7 @@ def test_calibration_against_quadrature():
     assert mu_star == pytest.approx(5.82395440196643, rel=1e-9)
 
     scenario = _scenario(c3=0.0, censor_mean0=None, censor_mean1=None)
-    _, mu1 = mt.calibrate_censoring(scenario)
+    _, mu1 = calibrate_censoring(scenario)
     assert abs(mu1 - mu_star) <= 0.15
 
     # sanity anchor: a constant failure time T = 3 would need -3 / ln(0.6)
@@ -112,17 +124,17 @@ def test_calibration_against_quadrature():
 
 def test_calibration_hits_target_rate():
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=200, reps=1, seed=0)
-    mu0, mu1 = mt.calibrate_censoring(scenario)
+    mu0, mu1 = calibrate_censoring(scenario)
     resolved = dataclasses.replace(scenario, censor_mean0=mu0, censor_mean1=mu1,
                                    n=200_000)
-    ds = mt.generate_dataset(resolved, np.random.default_rng(123))
+    ds = generate_dataset(resolved, np.random.default_rng(123))
     rate = 1.0 - float(np.mean(ds.delta))
     assert abs(rate - 0.4) <= 0.01
 
 
 def test_calibration_is_deterministic():
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=200, reps=1, seed=0)
-    assert mt.calibrate_censoring(scenario) == mt.calibrate_censoring(scenario)
+    assert calibrate_censoring(scenario) == calibrate_censoring(scenario)
 
 
 def test_censoring_rate_decreases_in_mean():
@@ -131,9 +143,9 @@ def test_censoring_rate_decreases_in_mean():
         base, censor_mean0=2.0 * base.censor_mean0,
         censor_mean1=2.0 * base.censor_mean1,
     )
-    r1 = 1.0 - float(np.mean(mt.generate_dataset(base, np.random.default_rng(5)).delta))
+    r1 = 1.0 - float(np.mean(generate_dataset(base, np.random.default_rng(5)).delta))
     r2 = 1.0 - float(
-        np.mean(mt.generate_dataset(doubled, np.random.default_rng(5)).delta)
+        np.mean(generate_dataset(doubled, np.random.default_rng(5)).delta)
     )
     assert r2 < r1
 
@@ -151,7 +163,7 @@ def test_calibration_target_must_be_interior(target):
 def test_calibration_matches_bisection_oracle(seed, c3, target):
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=c3, n=200, reps=1, seed=seed,
                            censor_target=target)
-    np.testing.assert_allclose(mt.calibrate_censoring(scenario),
+    np.testing.assert_allclose(calibrate_censoring(scenario),
                                calibrate_censoring_bisect(scenario), rtol=1e-9)
 
 
@@ -159,13 +171,13 @@ def test_calibration_fails_without_a_positive_mean():
     # every failure time is negative, so no positive mean censors anyone
     scenario = mt.Scenario(c1=-10.0, c2=0.0, c3=0.0, n=200, reps=1, seed=0)
     with pytest.raises(SimulationError, match="too large for this scenario"):
-        mt.calibrate_censoring(scenario)
+        calibrate_censoring(scenario)
 
 
 def test_resolve_censoring_fills_only_missing():
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=200, reps=1, seed=0,
                            censor_mean0=6.0, censor_mean1=6.5)
-    assert mt.resolve_censoring(scenario) is scenario
+    assert resolve_censoring(scenario) is scenario
 
 
 def test_replication_seeds_are_disjoint_streams():
@@ -207,7 +219,7 @@ def test_metrics_table_shapes_and_truth():
     table = mt.run_replications(scenario)
     assert table.points.shape == (3,)
     np.testing.assert_allclose(
-        table.true_tau, mt.true_tau(scenario, grid.points), rtol=1e-12
+        table.true_tau, true_tau(scenario, grid.points), rtol=1e-12
     )
     assert table.n == 300 and table.reps == 6
     for field in (table.bias, table.bias_se, table.ratio, table.ratio_se,
@@ -242,10 +254,10 @@ def test_rejection_rate_smoke():
             [0.25, 0.5, 0.75], mt.MarkInterval(0.1, 0.9)
         ),
     )
-    rate, rejections = mt.rejection_rate(scenario, "global", resamples=40)
+    rate, rejections = rejection_rate(scenario, "global", resamples=40)
     assert 0.0 <= rate <= 1.0
     assert rejections == round(rate * scenario.reps)
-    again, _ = mt.rejection_rate(scenario, "global", resamples=40)
+    again, _ = rejection_rate(scenario, "global", resamples=40)
     assert rate == again
 
 
