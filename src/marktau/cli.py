@@ -24,7 +24,6 @@ import numpy as np
 from .data_model import (
     DataError,
     MarkInterval,
-    Sidecar,
     apply_mark_scaling,
     drop_incomplete_rows,
     parse_dataset,
@@ -45,7 +44,8 @@ from .simulation import (
 
 FORMAT_VERSION = 4
 
-_ERRORS = (DataError, KernelError, EstimationError, InferenceError, SimulationError)
+_ERRORS = (DataError, KernelError, EstimationError, InferenceError, SimulationError,
+           OSError)
 
 
 def _json_safe(value):
@@ -158,16 +158,13 @@ def _load_dataset(args) -> tuple["Dataset", dict]:
         text, dropped = drop_incomplete_rows(text)
     info["dropped_rows"] = dropped
 
-    sidecar = Sidecar()
+    scaling = None
     if args.meta:
-        sidecar = parse_sidecar(Path(args.meta).read_text(encoding="utf-8"))
+        scaling = parse_sidecar(Path(args.meta).read_text(encoding="utf-8"))
     dataset = parse_dataset(text)
 
-    scaling = None
-    if sidecar.mark_scaling == "auto":
-        _, scaling = scale_marks(dataset.observed_marks())
-    elif sidecar.mark_scaling is not None:
-        scaling = sidecar.mark_scaling
+    if scaling == "auto":
+        scaling = scale_marks(dataset.observed_marks())
     if scaling is not None:
         dataset = apply_mark_scaling(dataset, scaling)
         info["mark_scaling"] = {
@@ -263,7 +260,7 @@ def cmd_estimate(args) -> int:
         "bandwidth_scale": est.bandwidth.varpi,
         "sigma_v": est.bandwidth.sigma_v,
         "observed_events": est.bandwidth.m,
-        "alpha": est.alpha,
+        "alpha": args.alpha,
         "n": est.n,
         "n0": est.n0,
         "n1": est.n1,
@@ -312,14 +309,14 @@ def cmd_test(args) -> int:
     report = {
         "format_version": FORMAT_VERSION,
         "config": config,
-        "kind": result.kind,
+        "kind": args.kind,
         "statistic": result.statistic,
         "critical_value": result.critical_value,
         "p_value": result.p_value,
         "reject": bool(result.reject),
-        "alpha": result.alpha,
-        "B": result.resamples,
-        "seed": result.seed,
+        "alpha": args.alpha,
+        "B": args.resamples,
+        "seed": args.seed,
         "grid": [float(v) for v in grid.points],
         "excluded_points": list(result.excluded_points),
         "skipped_pairs": result.skipped_pairs,
@@ -330,7 +327,7 @@ def cmd_test(args) -> int:
     if args.out:
         _write_json(Path(args.out), report)
     print(
-        f"{result.kind} test: statistic={result.statistic:.6g} "
+        f"{args.kind} test: statistic={result.statistic:.6g} "
         f"critical_value={result.critical_value:.6g} p_value={result.p_value:.6g} "
         f"reject={result.reject}"
     )
@@ -369,7 +366,7 @@ def cmd_simulate(args) -> int:
               "coverage", "coverage_se", "reps", "n")
     rows = zip(table.points, table.true_tau, table.bias, table.bias_se,
                table.ratio, table.ratio_se, table.coverage, table.coverage_se,
-               [table.reps] * len(table.points), [table.n] * len(table.points))
+               [scenario.reps] * len(table.points), [scenario.n] * len(table.points))
     _write_csv(Path(args.out), header, rows, config)
     return 0
 
@@ -385,7 +382,7 @@ def cmd_power(args) -> int:
     config["B"] = args.resamples
     header = ("c3", "rate", "se", "rejections", "reps", "n")
     rows = zip(table.c3, table.rate, table.se, table.rejections,
-               [table.reps] * len(c3_values), [table.n] * len(c3_values))
+               [base.reps] * len(c3_values), [base.n] * len(c3_values))
     _write_csv(Path(args.out), header, rows, config)
     return 0
 
@@ -448,9 +445,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

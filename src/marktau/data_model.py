@@ -24,7 +24,6 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "Dataset",
-    "Sidecar",
     "parse_dataset",
     "drop_incomplete_rows",
     "scale_marks",
@@ -100,13 +99,26 @@ class ValidationReport:
         return "\n".join(f"row {v.row}: {v.rule} ({v.detail})" for v in self.violations)
 
 
+def _binary_column(column: np.ndarray, name: str) -> np.ndarray:
+    """A float ``column`` of 0s and 1s as int64; any other value is a :class:`DataError`.
+
+    The check comes before the cast, which would truncate 0.5 to 0 and 1.7 to 1.
+    """
+    bad = np.flatnonzero((column != 0.0) & (column != 1.0))
+    if bad.size:
+        row = int(bad[0])
+        raise DataError(f"row {row}: {name} must be 0 or 1, got {column[row].item()!r}")
+    return column.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable column store of one row per subject plus derived group counts.
 
     ``mark`` is NaN wherever ``delta == 0``. Arrays are read-only and share
     one index order, which is the record order used everywhere downstream.
-    Both treatment arms hold at least one row.
+    ``delta`` and ``arm`` hold only 0 and 1, and both treatment arms hold at
+    least one row.
     """
 
     y: np.ndarray
@@ -121,13 +133,14 @@ class Dataset:
     @classmethod
     def from_arrays(cls, y, delta, mark, arm) -> "Dataset":
         y = np.asarray(y, dtype=float)
-        delta = np.asarray(delta, dtype=np.int64)
+        delta = np.asarray(delta, dtype=float)
         mark = np.asarray(mark, dtype=float)
-        arm = np.asarray(arm, dtype=np.int64)
+        arm = np.asarray(arm, dtype=float)
         if not (y.shape == delta.shape == mark.shape == arm.shape) or y.ndim != 1:
             raise DataError("y, delta, mark, a must be 1-d arrays of equal length")
         if y.size == 0:
             raise DataError("dataset has no records")
+        delta, arm = _binary_column(delta, "delta"), _binary_column(arm, "a")
         n = int(y.size)
         n1 = int(np.count_nonzero(arm == 1))
         n0 = n - n1
@@ -348,12 +361,13 @@ def drop_incomplete_rows(text: str) -> tuple[str, int]:
     return "\n".join(lines), int(drop.size)
 
 
-def scale_marks(raw_marks) -> tuple[np.ndarray, ScalingRecord]:
-    """Min-max scale raw marks onto [0, 1], keeping the map for later inversion.
+def scale_marks(raw_marks) -> ScalingRecord:
+    """The min-max map that scales raw marks onto [0, 1], kept for later inversion.
 
     The observed minimum goes to 0 and the maximum to 1. If all marks are
     equal the map is degenerate: every mark goes to 0.5 and a warning is
-    emitted, since no scale information exists.
+    emitted, since no scale information exists. ``record.apply(raw)`` gives
+    the scaled marks.
     """
     raw = np.asarray(raw_marks, dtype=float)
     if raw.size == 0:
@@ -367,10 +381,7 @@ def scale_marks(raw_marks) -> tuple[np.ndarray, ScalingRecord]:
             "all observed marks are equal; mapping them to 0.5 (degenerate scaling)",
             stacklevel=2,
         )
-        record = ScalingRecord(vmin=vmin, vmax=vmax, degenerate=True)
-        return record.apply(raw), record
-    record = ScalingRecord(vmin=vmin, vmax=vmax)
-    return record.apply(raw), record
+    return ScalingRecord(vmin=vmin, vmax=vmax, degenerate=vmin == vmax)
 
 
 def apply_mark_scaling(dataset: Dataset, scaling: ScalingRecord) -> Dataset:
@@ -385,15 +396,14 @@ def validate(dataset: Dataset) -> ValidationReport:
     """Check every record invariant and report violations; never raises.
 
     Rules use 0-based record indices. Entries come in row order, and in the
-    order of the rules below within a row. That both arms hold a row is
-    checked when the :class:`Dataset` is built.
+    order of the rules below within a row. That ``delta`` and ``a`` hold only
+    0 and 1, and that both arms hold a row, is checked when the
+    :class:`Dataset` is built.
     """
-    y, delta, mark, arm = dataset.y, dataset.delta, dataset.mark, dataset.arm
+    y, delta, mark = dataset.y, dataset.delta, dataset.mark
     present = ~np.isnan(mark)
     rules = (  # (rule, failing rows, the column the detail shows, detail)
         ("y >= 0", ~(np.isfinite(y) & (y >= 0.0)), y, "y={!r} must be finite and non-negative"),
-        ("delta in {0,1}", (delta != 0) & (delta != 1), delta, "delta={!r}"),
-        ("a in {0,1}", (arm != 0) & (arm != 1), arm, "a={!r}"),
         ("mark present iff delta = 1", (delta == 1) & ~present, None,
          "uncensored row without a mark"),
         ("mark present iff delta = 1", (delta == 0) & present, None,
@@ -411,18 +421,6 @@ def validate(dataset: Dataset) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-@dataclass(frozen=True)
-class Sidecar:
-    """Optional JSON metadata accompanying a CSV: the mark scaling.
-
-    ``mark_scaling`` is either None (marks already on [0, 1]), the string
-    ``"auto"`` (fit min-max on the observed marks), or a :class:`ScalingRecord`
-    with explicit bounds.
-    """
-
-    mark_scaling: ScalingRecord | str | None = None
-
-
 def _json_number(value, name: str) -> float:
     """``value`` as a float when it is a JSON number; a :class:`DataError` otherwise."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -433,12 +431,14 @@ def _json_number(value, name: str) -> float:
         raise DataError(f"sidecar {name} must be a finite number") from None
 
 
-def parse_sidecar(text: str) -> Sidecar:
-    """Parse the JSON sidecar.
+def parse_sidecar(text: str) -> ScalingRecord | str | None:
+    """The mark scaling a JSON sidecar asks for.
 
-    A ``follow_up`` key is accepted for compatibility and must hold a
-    number, but no result depends on it: every estimate sums over all
-    observed failures.
+    That is None (marks already on [0, 1]), the string ``"auto"`` (fit
+    min-max on the observed marks), or a :class:`ScalingRecord` with
+    explicit bounds. A ``follow_up`` key is accepted for compatibility and
+    must hold a number, but no result depends on it: every estimate sums
+    over all observed failures.
     """
     try:
         obj = json.loads(text)
@@ -452,16 +452,12 @@ def parse_sidecar(text: str) -> Sidecar:
     if obj.get("follow_up") is not None:
         _json_number(obj["follow_up"], "follow_up")
     scaling = obj.get("mark_scaling")
-    if scaling is None:
-        parsed = None
-    elif scaling == "auto":
-        parsed = "auto"
-    elif isinstance(scaling, dict) and set(scaling) == {"min", "max"}:
-        vmin = _json_number(scaling["min"], "mark_scaling min")
-        vmax = _json_number(scaling["max"], "mark_scaling max")
-        if not (math.isfinite(vmin) and math.isfinite(vmax) and vmin < vmax):
-            raise DataError("sidecar mark_scaling needs finite min < max")
-        parsed = ScalingRecord(vmin=vmin, vmax=vmax)
-    else:
+    if scaling is None or scaling == "auto":
+        return scaling
+    if not (isinstance(scaling, dict) and set(scaling) == {"min", "max"}):
         raise DataError('sidecar mark_scaling must be "auto" or {"min": ..., "max": ...}')
-    return Sidecar(mark_scaling=parsed)
+    vmin = _json_number(scaling["min"], "mark_scaling min")
+    vmax = _json_number(scaling["max"], "mark_scaling max")
+    if not (math.isfinite(vmin) and math.isfinite(vmax) and vmin < vmax):
+        raise DataError("sidecar mark_scaling needs finite min < max")
+    return ScalingRecord(vmin=vmin, vmax=vmax)

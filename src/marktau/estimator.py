@@ -64,9 +64,6 @@ class EvaluationGrid:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    def __len__(self) -> int:
-        return int(self.points.size)
-
     @classmethod
     def evenly_spaced(cls, interval: MarkInterval, count: int) -> "EvaluationGrid":
         """``count`` points from interval.lower to interval.upper inclusive."""
@@ -87,7 +84,7 @@ class EvaluationGrid:
 
 @dataclass(frozen=True, eq=False)
 class EstimateGrid:
-    """Per-point estimates plus the shared configuration they were computed under.
+    """Per-point estimates plus the bandwidth and group sizes behind them.
 
     ``flagged`` marks grid points whose kernel window contains no observed
     event in either arm; these carry tau = 0 and sigma2 = 0 by convention and
@@ -105,7 +102,6 @@ class EstimateGrid:
     events0: np.ndarray
     flagged: np.ndarray
     bandwidth: Bandwidth
-    alpha: float
     n: int
     n0: int
     n1: int
@@ -196,7 +192,7 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
         points=grid.points, tau1=tau1, tau0=tau0, tau=tau, sigma2=sigma2,
         ci_lower=tau - half, ci_upper=tau + half,
         events1=events1, events0=events0, flagged=flagged,
-        bandwidth=bw, alpha=alpha, n=dataset.n, n0=dataset.n0, n1=dataset.n1,
+        bandwidth=bw, n=dataset.n, n0=dataset.n0, n1=dataset.n1,
     )
     return est, (theta0, theta1)
 

@@ -96,15 +96,11 @@ class TestResult:
     rank of the resampling covariance over the usable points.
     """
 
-    kind: str
     statistic: float
     critical_value: float
     p_value: float
     reject: bool
     resampled: np.ndarray
-    alpha: float
-    resamples: int
-    seed: int
     excluded_points: tuple[float, ...]
     skipped_pairs: int
     covariance_rank: int
@@ -280,7 +276,7 @@ def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = 
     return count / resampled.size
 
 
-def _test_from_estimate(kind: str, dataset: Dataset, est: EstimateGrid,
+def _test_from_estimate(kind: str, est: EstimateGrid,
                         theta: tuple[np.ndarray, np.ndarray], draws: np.ndarray,
                         config: TestConfig) -> TestResult:
     """Test from an estimate, its contributions and standard normal ``draws``.
@@ -288,7 +284,7 @@ def _test_from_estimate(kind: str, dataset: Dataset, est: EstimateGrid,
     ``draws`` come from :func:`multiplier_draws`; the multiplier sums are
     draws @ L^T with L L^T the resampling covariance.
     """
-    pi = config.pi_design if config.pi_design is not None else dataset.pi_hat
+    pi = config.pi_design if config.pi_design is not None else est.n1 / est.n
     usable = _usable_points(est)
     grams = arm_grams(theta, usable)
     factor, rank = covariance_factor(resampling_covariance(grams, pi))
@@ -309,9 +305,8 @@ def _test_from_estimate(kind: str, dataset: Dataset, est: EstimateGrid,
     pval = p_value(resampled, stat, config.add_one_correction)
     excluded = tuple(float(v) for v in est.points[~usable])
     return TestResult(
-        kind=kind, statistic=stat, critical_value=crit, p_value=pval,
-        reject=stat > crit, resampled=resampled, alpha=config.alpha,
-        resamples=int(draws.shape[0]), seed=config.seed,
+        statistic=stat, critical_value=crit, p_value=pval,
+        reject=stat > crit, resampled=resampled,
         excluded_points=excluded, skipped_pairs=skipped_pairs, covariance_rank=rank,
         estimate=est,
     )
@@ -331,4 +326,4 @@ def run_test(kind: str, dataset: Dataset, config: TestConfig) -> TestResult:
         bandwidth=config.bandwidth, varpi=config.varpi,
     )
     draws = multiplier_draws(est, config.resamples, config.seed)
-    return _test_from_estimate(kind, dataset, est, theta, draws, config)
+    return _test_from_estimate(kind, est, theta, draws, config)

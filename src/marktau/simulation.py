@@ -169,15 +169,16 @@ def generate_dataset(scenario: Scenario, rng: np.random.Generator) -> Dataset:
     return Dataset.from_arrays(y, delta, mark, arm)
 
 
-def calibrate_censoring(scenario: Scenario) -> tuple[float, float]:
-    """Per-arm exponential censoring means hitting ``scenario.censor_target``.
+def calibrate_censoring(scenario: Scenario, arm: int) -> float:
+    """Exponential censoring mean of one arm hitting ``scenario.censor_target``.
 
-    For each arm, one Monte Carlo set of (V, residual, unit-exponential)
-    draws is held fixed, so the estimated censoring rate count(mu E < T) / N
-    is a step function of the mean that falls at each ratio T / E. The mean
-    is the smallest one whose rate is at most the target: the (k + 1)-th
-    largest ratio, with k the largest count for which k / N <= target.
-    Deterministic given ``scenario.seed``. Fails when that ratio is not
+    One Monte Carlo set of (V, residual, unit-exponential) draws is held
+    fixed, so the estimated censoring rate count(mu E < T) / N is a step
+    function of the mean that falls at each ratio T / E. The mean is the
+    smallest one whose rate is at most the target: the (k + 1)-th largest
+    ratio, with k the largest count for which k / N <= target.
+    Deterministic given ``scenario.seed`` and ``arm``; the control arm's
+    mean does not depend on the coefficients. Fails when that ratio is not
     positive, or when the rate it achieves misses the target by more than
     0.5 percentage points.
     """
@@ -186,41 +187,38 @@ def calibrate_censoring(scenario: Scenario) -> tuple[float, float]:
     # (k + 1)-th largest ratio sits at ascending position N - 1 - k
     k = np.count_nonzero(np.arange(1, draws + 1) / draws <= target)
     rank = draws - 1 - k
-    means = []
-    for arm in (0, 1):
-        ss = np.random.SeedSequence(entropy=scenario.seed,
-                                    spawn_key=(_CALIBRATION_SPACE, arm))
-        rng = np.random.default_rng(ss)
-        v = rng.random(draws)
-        eps = truncated_std_normal(rng, draws)
-        t = (treated_curve(scenario, v) if arm == 1 else control_curve(v)) + eps
-        unit_exp = rng.exponential(1.0, draws)
-        mu = float(np.partition(t / unit_exp, rank)[rank])
-        if not mu > 0.0:
-            raise SimulationError(
-                f"calibration for arm {arm} needs a censoring mean of {mu!r}; "
-                f"target {target:.3f} is too large for this scenario"
-            )
-        # censored exactly when C = mu * E falls strictly below T
-        achieved = np.count_nonzero(mu * unit_exp < t) / draws
-        if abs(achieved - target) > _CALIBRATION_TOL:
-            raise SimulationError(
-                f"calibration for arm {arm} reached rate {achieved:.4f}, "
-                f"more than {_CALIBRATION_TOL:.3f} from target {target:.3f}"
-            )
-        means.append(mu)
-    return means[0], means[1]
+    ss = np.random.SeedSequence(entropy=scenario.seed,
+                                spawn_key=(_CALIBRATION_SPACE, arm))
+    rng = np.random.default_rng(ss)
+    v = rng.random(draws)
+    eps = truncated_std_normal(rng, draws)
+    t = (treated_curve(scenario, v) if arm == 1 else control_curve(v)) + eps
+    unit_exp = rng.exponential(1.0, draws)
+    mu = float(np.partition(t / unit_exp, rank)[rank])
+    if not mu > 0.0:
+        raise SimulationError(
+            f"calibration for arm {arm} needs a censoring mean of {mu!r}; "
+            f"target {target:.3f} is too large for this scenario"
+        )
+    # censored exactly when C = mu * E falls strictly below T
+    achieved = np.count_nonzero(mu * unit_exp < t) / draws
+    if abs(achieved - target) > _CALIBRATION_TOL:
+        raise SimulationError(
+            f"calibration for arm {arm} reached rate {achieved:.4f}, "
+            f"more than {_CALIBRATION_TOL:.3f} from target {target:.3f}"
+        )
+    return mu
 
 
 def resolve_censoring(scenario: Scenario) -> Scenario:
-    """Fill in any unresolved censoring means by calibration."""
-    if scenario.censor_mean0 is not None and scenario.censor_mean1 is not None:
+    """Fill in each unresolved censoring mean by calibrating that arm."""
+    mu0, mu1 = scenario.censor_mean0, scenario.censor_mean1
+    if mu0 is not None and mu1 is not None:
         return scenario
-    mu0, mu1 = calibrate_censoring(scenario)
     return replace(
         scenario,
-        censor_mean0=scenario.censor_mean0 if scenario.censor_mean0 is not None else mu0,
-        censor_mean1=scenario.censor_mean1 if scenario.censor_mean1 is not None else mu1,
+        censor_mean0=calibrate_censoring(scenario, 0) if mu0 is None else mu0,
+        censor_mean1=calibrate_censoring(scenario, 1) if mu1 is None else mu1,
     )
 
 
@@ -247,8 +245,6 @@ class MetricsTable:
     ratio_se: np.ndarray
     coverage: np.ndarray
     coverage_se: np.ndarray
-    reps: int
-    n: int
 
 
 def _metrics_rep(args: tuple[Scenario, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,10 +260,10 @@ def _metrics_rep(args: tuple[Scenario, int]) -> tuple[np.ndarray, np.ndarray, np
     return est.tau, sd_hat, covered
 
 
-def _map_replications(worker, items, workers: int, reps: int):
+def _map_replications(worker, items, workers: int):
     if workers <= 1:
         return [worker(item) for item in items]
-    chunk = max(1, reps // (workers * 8))
+    chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items, chunksize=chunk))
 
@@ -282,8 +278,7 @@ def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
     scenario = resolve_censoring(scenario)
     grid = scenario.grid
     rows = _map_replications(
-        _metrics_rep, [(scenario, r) for r in range(scenario.reps)],
-        workers, scenario.reps,
+        _metrics_rep, [(scenario, r) for r in range(scenario.reps)], workers
     )
     taus = np.stack([row[0] for row in rows])
     sds = np.stack([row[1] for row in rows])
@@ -296,26 +291,21 @@ def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
     coverage_se = np.sqrt(coverage * (1.0 - coverage) / reps)
     if reps < 2:
         warnings.warn("ratio requires at least 2 replications; reporting NaN")
-        nan = np.full(grid.points.size, np.nan)
-        return MetricsTable(
-            points=grid.points, true_tau=truth, bias=bias, bias_se=nan.copy(),
-            ratio=nan.copy(), ratio_se=nan.copy(), coverage=coverage,
-            coverage_se=coverage_se, reps=reps, n=scenario.n,
-        )
-    emp_sd = taus.std(axis=0, ddof=1)
-    bias_se = emp_sd / math.sqrt(reps)
-    mean_sd = sds.mean(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = mean_sd / emp_sd
-        # delta method, treating the replications as iid and the estimated
-        # sd as roughly chi-distributed
-        ratio_se = ratio * np.sqrt(
-            sds.var(axis=0, ddof=1) / reps / mean_sd**2 + 1.0 / (2.0 * (reps - 1))
-        )
+        bias_se, ratio, ratio_se = (np.full(grid.points.size, np.nan) for _ in range(3))
+    else:
+        emp_sd = taus.std(axis=0, ddof=1)
+        bias_se = emp_sd / math.sqrt(reps)
+        mean_sd = sds.mean(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = mean_sd / emp_sd
+            # delta method, treating the replications as iid and the estimated
+            # sd as roughly chi-distributed
+            ratio_se = ratio * np.sqrt(
+                sds.var(axis=0, ddof=1) / reps / mean_sd**2 + 1.0 / (2.0 * (reps - 1))
+            )
     return MetricsTable(
         points=grid.points, true_tau=truth, bias=bias, bias_se=bias_se,
-        ratio=ratio, ratio_se=ratio_se, coverage=coverage,
-        coverage_se=coverage_se, reps=reps, n=scenario.n,
+        ratio=ratio, ratio_se=ratio_se, coverage=coverage, coverage_se=coverage_se,
     )
 
 
@@ -323,15 +313,10 @@ def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
 class PowerTable:
     """Rejection rates of one test kind across a sweep of c3 values."""
 
-    kind: str
     c3: np.ndarray
     rate: np.ndarray
     se: np.ndarray
     rejections: np.ndarray
-    reps: int
-    n: int
-    resamples: int
-    alpha: float
 
 
 def _test_rep(args: tuple[Scenario, int, str, int]) -> bool:
@@ -342,9 +327,8 @@ def _test_rep(args: tuple[Scenario, int, str, int]) -> bool:
     est, theta = _estimate_with_terms(dataset, grid, alpha=scenario.alpha,
                                       varpi=scenario.varpi)
     draws = multiplier_draws(est, resamples, mult_ss)
-    config = TestConfig(grid=grid, resamples=resamples, alpha=scenario.alpha,
-                        seed=scenario.seed)
-    return bool(_test_from_estimate(kind, dataset, est, theta, draws, config).reject)
+    config = TestConfig(grid=grid, resamples=resamples, alpha=scenario.alpha)
+    return bool(_test_from_estimate(kind, est, theta, draws, config).reject)
 
 
 def rejection_rate(scenario: Scenario, kind: str, *, resamples: int = 500,
@@ -352,8 +336,7 @@ def rejection_rate(scenario: Scenario, kind: str, *, resamples: int = 500,
     """Fraction of replications on which the test rejects, with the raw count."""
     scenario = resolve_censoring(scenario)
     flags = _map_replications(
-        _test_rep, [(scenario, r, kind, resamples) for r in range(scenario.reps)],
-        workers, scenario.reps,
+        _test_rep, [(scenario, r, kind, resamples) for r in range(scenario.reps)], workers
     )
     count = int(np.count_nonzero(flags))
     return count / scenario.reps, count
@@ -361,14 +344,18 @@ def rejection_rate(scenario: Scenario, kind: str, *, resamples: int = 500,
 
 def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
                      resamples: int = 500, workers: int = 1) -> PowerTable:
-    """Rejection rate of one test across c3 values, recalibrating per point.
+    """Rejection rate of one test across c3 values.
 
-    Any censoring mean left unresolved on the base scenario is recalibrated
-    for every c3, since the failure-time scale moves with the coefficients.
+    A censoring mean left unresolved on the base scenario is calibrated once
+    for the control arm, whose failure times do not depend on the
+    coefficients, and at every c3 for the treated arm, whose failure-time
+    scale moves with c3.
     """
     c3_values = np.asarray(c3_values, dtype=float)
     if c3_values.size == 0:
         raise SimulationError("need at least one c3 value")
+    if scenario.censor_mean0 is None:
+        scenario = replace(scenario, censor_mean0=calibrate_censoring(scenario, 0))
     rates = np.empty(c3_values.size)
     rejections = np.empty(c3_values.size, dtype=np.int64)
     for k, c3 in enumerate(c3_values):
@@ -377,7 +364,4 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
             resamples=resamples, workers=workers,
         )
     se = np.sqrt(rates * (1.0 - rates) / scenario.reps)
-    return PowerTable(
-        kind=kind, c3=c3_values, rate=rates, se=se, rejections=rejections,
-        reps=scenario.reps, n=scenario.n, resamples=resamples, alpha=scenario.alpha,
-    )
+    return PowerTable(c3=c3_values, rate=rates, se=se, rejections=rejections)

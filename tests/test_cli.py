@@ -132,7 +132,7 @@ def test_test_report_and_determinism(tmp_path, capsys, trial_files):
                 "grid", "excluded_points", "skipped_pairs", "covariance_rank", "h", "n"):
         assert key in report, key
     assert report["kind"] == "global"
-    assert report["B"] == 60 and report["seed"] == 11
+    assert report["B"] == 60 and report["seed"] == 11 and report["alpha"] == 0.05
     assert 1 <= report["covariance_rank"] <= 5
     first = out.read_bytes()
 
@@ -197,6 +197,7 @@ def test_power_artifact(tmp_path, capsys):
     assert config["kind"] == "global" and config["B"] == 20
     for row in rows:
         assert 0.0 <= float(row[1]) <= 1.0
+        assert int(row[4]) == 3 and int(row[5]) == 150
 
 
 @pytest.mark.parametrize("command", [

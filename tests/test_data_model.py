@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import marktau as mt
 from marktau.data_model import (
     DataError,
     ScalingRecord,
-    Sidecar,
     apply_mark_scaling,
     drop_incomplete_rows,
     parse_sidecar,
@@ -217,15 +217,40 @@ def _both_arms(columns):
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
     st.lists(st.sampled_from([0.0, -0.0, 1.5, 2.0, -1.0, math.nan, math.inf]),
              min_size=n, max_size=n),
-    st.lists(st.sampled_from([0, 1, 1, 0, 2, -1]), min_size=n, max_size=n),
+    st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n),
     st.lists(st.sampled_from([math.nan, 0.0, 0.5, 1.0, 1.5, -0.25, math.inf]),
              min_size=n, max_size=n),
-    st.lists(st.sampled_from([0, 1, 1, 0, 2]), min_size=n, max_size=n),
+    st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n),
 )).filter(_both_arms))
 def test_validate_matches_row_loop_oracle(columns):
     # an arm with no rows fails when the dataset is built; see the test below
     ds = mt.Dataset.from_arrays(*columns)
     assert validate(ds) == validate_rows(ds)
+
+
+@pytest.mark.parametrize("column", ["delta", "a"])
+@pytest.mark.parametrize("value", [2, 0.5, -1, math.nan])
+def test_from_arrays_rejects_a_value_other_than_0_or_1(column, value):
+    # the int64 cast would truncate 0.5 to 0, and n0 = n - n1 would count the arm
+    # a = (1, 0, 2) as two controls: tau0 came out 1.875, not 3.75
+    columns = {"delta": [1, 0, 1], "a": [1, 0, 0]}
+    columns[column][2] = value
+    message = f"row 2: {column} must be 0 or 1, got {float(value)!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        mt.Dataset.from_arrays([1.0, 2.0, 1.5], columns["delta"], [0.5, math.nan, 0.5],
+                               columns["a"])
+
+
+@pytest.mark.parametrize("delta, arm, message", [
+    # once truncated to (0, 1) and (1, 0), and validate() reported ok
+    pytest.param([0.5, 1.7], [1, 0], "row 0: delta must be 0 or 1, got 0.5",
+                 id="fractional-delta"),
+    pytest.param([1, 0], [1.7, 0.2], "row 0: a must be 0 or 1, got 1.7", id="fractional-a"),
+])
+def test_from_arrays_rejects_values_it_would_read_wrongly(delta, arm, message):
+    n = len(arm)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        mt.Dataset.from_arrays([1.0] * n, delta, [0.5] * n, arm)
 
 
 @pytest.mark.parametrize("arm, counts", [([1, 1], "n1=2, n0=0"), ([0, 0], "n1=0, n0=2")])
@@ -235,7 +260,8 @@ def test_from_arrays_rejects_an_empty_arm(arm, counts):
 
 
 def test_scale_marks_anchor_values():
-    scaled, record = scale_marks([0.074, 38.8, 77.56])
+    record = scale_marks([0.074, 38.8, 77.56])
+    scaled = record.apply([0.074, 38.8, 77.56])
     assert scaled[0] == 0.0
     assert scaled[2] == 1.0
     assert scaled[1] == pytest.approx((38.8 - 0.074) / (77.56 - 0.074), rel=1e-12)
@@ -251,7 +277,7 @@ def test_scale_marks_anchor_values():
     )
 )
 def test_scale_marks_monotone_unit_range(raw):
-    scaled, _ = scale_marks(raw)
+    scaled = scale_marks(raw).apply(raw)
     assert np.all(scaled >= 0.0) and np.all(scaled <= 1.0)
     order = np.argsort(raw, kind="stable")
     assert np.all(np.diff(scaled[order]) >= 0.0)
@@ -261,8 +287,8 @@ def test_scale_marks_monotone_unit_range(raw):
 
 def test_scale_marks_degenerate_warns():
     with pytest.warns(UserWarning, match="degenerate"):
-        scaled, record = scale_marks([4.2, 4.2, 4.2])
-    assert np.all(scaled == 0.5)
+        record = scale_marks([4.2, 4.2, 4.2])
+    assert np.all(record.apply([4.2, 4.2, 4.2]) == 0.5)
     assert record.degenerate
 
 
@@ -273,8 +299,7 @@ def test_scale_marks_empty_errors():
 
 def test_apply_mark_scaling_only_touches_observed():
     ds = mt.parse_dataset("y,delta,mark,a\n1.0,1,10.0,1\n2.0,0,,0\n1.5,1,30.0,0\n")
-    _, record = scale_marks(ds.observed_marks())
-    scaled = apply_mark_scaling(ds, record)
+    scaled = apply_mark_scaling(ds, scale_marks(ds.observed_marks()))
     assert scaled.mark[0] == 0.0
     assert math.isnan(scaled.mark[1])
     assert scaled.mark[2] == 1.0
@@ -282,10 +307,10 @@ def test_apply_mark_scaling_only_touches_observed():
 
 def test_validate_reports_every_violation():
     ds = mt.Dataset.from_arrays(
-        y=[-1.0, 2.0, 3.0, 1.0, 0.5],
-        delta=[1, 0, 1, 1, 2],
+        y=[-1.0, 2.0, 3.0, 1.0, math.inf],
+        delta=[1, 0, 1, 1, 0],
         mark=[0.5, 0.25, 1.5, math.nan, math.nan],
-        arm=[1, 0, 0, 1, 2],
+        arm=[1, 0, 0, 1, 0],
     )
     report = validate(ds)
     assert not report.ok
@@ -300,8 +325,7 @@ def test_validate_reports_every_violation():
         (1, "censored row carries a mark"),
         (2, "mark=1.5 (is the data scaled?)"),
         (3, "uncensored row without a mark"),
-        (4, "delta=2"),
-        (4, "a=2"),
+        (4, "y=inf must be finite and non-negative"),
     ]
 
 
@@ -348,11 +372,11 @@ def test_drop_incomplete_rows_keeps_line_numbers():
 
 def test_sidecar_parsing():
     # follow_up is accepted for compatibility and changes nothing
-    assert parse_sidecar('{"follow_up": 4.5, "mark_scaling": "auto"}') == Sidecar("auto")
-    assert parse_sidecar('{"follow_up": null}') == Sidecar()
-    side = parse_sidecar('{"mark_scaling": {"min": 0.0, "max": 80.0}}')
-    assert side.mark_scaling == ScalingRecord(vmin=0.0, vmax=80.0)
-    assert parse_sidecar("{}") == Sidecar()
+    assert parse_sidecar('{"follow_up": 4.5, "mark_scaling": "auto"}') == "auto"
+    assert parse_sidecar('{"follow_up": null}') is None
+    scaling = parse_sidecar('{"mark_scaling": {"min": 0.0, "max": 80.0}}')
+    assert scaling == ScalingRecord(vmin=0.0, vmax=80.0)
+    assert parse_sidecar("{}") is None
 
 
 @pytest.mark.parametrize(

@@ -203,7 +203,7 @@ def test_kernel_matrix_shape_and_censored_rows():
 
 def test_single_point_grid_needs_explicit_interval():
     grid = mt.EvaluationGrid.explicit([0.5], mt.MarkInterval(0.2, 0.8))
-    assert len(grid) == 1
+    assert grid.points.size == 1
     with pytest.raises(EstimationError, match="interval"):
         mt.EvaluationGrid.explicit([0.5])
 

@@ -52,7 +52,7 @@ def _manual_grid(points, tau, sigma2, *, n=1000, h=0.1, flagged=None):
         events1=np.ones(points.size, dtype=np.int64),
         events0=np.ones(points.size, dtype=np.int64),
         flagged=np.asarray(flagged, dtype=bool),
-        bandwidth=Bandwidth(h=h), alpha=0.05, n=n, n0=n // 2, n1=n - n // 2,
+        bandwidth=Bandwidth(h=h), n=n, n0=n // 2, n1=n - n // 2,
     )
 
 
@@ -177,7 +177,7 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
     reps = 4000
     config = mt.TestConfig(grid=DENSE_GRID, resamples=reps, seed=46)
     draws = multiplier_draws(est, reps, config.seed)
-    resampled = _test_from_estimate(kind, ds, est, theta, draws, config).resampled
+    resampled = _test_from_estimate(kind, est, theta, draws, config).resampled
     assert np.all(np.isfinite(resampled))
 
     usable = _usable_points(est)
@@ -320,7 +320,7 @@ def test_resample_distribution_matches_sampling_distribution():
     )
     config = mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=reps, seed=779)
     draws = multiplier_draws(est, reps, config.seed)
-    resampled = _test_from_estimate("global", ds, est, theta, draws, config).resampled
+    resampled = _test_from_estimate("global", est, theta, draws, config).resampled
 
     q_obs = float(np.quantile(observed, 0.95))
     q_res = float(np.quantile(resampled, 0.95))
@@ -339,8 +339,22 @@ def test_global_all_flagged_errors():
     ds = hand_dataset(v=0.9)
     grid = mt.EvaluationGrid.explicit([0.2, 0.3], mt.MarkInterval(0.1, 0.9))
     config = mt.TestConfig(grid=grid, resamples=10, seed=0, bandwidth=0.1)
-    with pytest.raises(InferenceError, match="no usable grid points"):
+    with pytest.raises(InferenceError,
+                       match="^no usable grid points: every point is flagged$"):
         mt.run_test("global", ds, config)
+
+
+def test_one_usable_point_of_several():
+    # no failure mark lies within h of 0.2 or 0.8, so only 0.5 is usable
+    ds = hand_dataset(v=0.5)
+    grid = mt.EvaluationGrid.explicit([0.2, 0.5, 0.8], mt.MarkInterval(0.1, 0.9))
+    config = mt.TestConfig(grid=grid, resamples=20, seed=0, bandwidth=0.1)
+    result = mt.run_test("global", ds, config)
+    assert result.excluded_points == (0.2, 0.8)
+    assert result.covariance_rank == 1
+    assert np.isfinite(result.statistic) and np.all(np.isfinite(result.resampled))
+    with pytest.raises(InferenceError, match="at least 2 usable grid points, got 1$"):
+        mt.run_test("constancy", ds, config)
 
 
 def test_constancy_zero_variance_pairs():
@@ -395,5 +409,5 @@ def test_result_excluded_points_reported():
     assert result.excluded_points == (0.15,)
     # both failure marks sit at 0.5, so the two usable columns are proportional
     assert result.covariance_rank == 1
-    assert result.resamples == 20
+    assert result.resampled.shape == (20,)
     assert result.reject == (result.statistic > result.critical_value)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import marktau as mt
+from marktau import simulation
 from marktau.data_model import validate
 from marktau.simulation import (
     SimulationError,
@@ -115,7 +116,7 @@ def test_calibration_against_quadrature():
     assert mu_star == pytest.approx(5.82395440196643, rel=1e-9)
 
     scenario = _scenario(c3=0.0, censor_mean0=None, censor_mean1=None)
-    _, mu1 = calibrate_censoring(scenario)
+    mu1 = calibrate_censoring(scenario, 1)
     assert abs(mu1 - mu_star) <= 0.15
 
     # sanity anchor: a constant failure time T = 3 would need -3 / ln(0.6)
@@ -124,9 +125,7 @@ def test_calibration_against_quadrature():
 
 def test_calibration_hits_target_rate():
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=200, reps=1, seed=0)
-    mu0, mu1 = calibrate_censoring(scenario)
-    resolved = dataclasses.replace(scenario, censor_mean0=mu0, censor_mean1=mu1,
-                                   n=200_000)
+    resolved = dataclasses.replace(resolve_censoring(scenario), n=200_000)
     ds = generate_dataset(resolved, np.random.default_rng(123))
     rate = 1.0 - float(np.mean(ds.delta))
     assert abs(rate - 0.4) <= 0.01
@@ -134,7 +133,8 @@ def test_calibration_hits_target_rate():
 
 def test_calibration_is_deterministic():
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=200, reps=1, seed=0)
-    assert calibrate_censoring(scenario) == calibrate_censoring(scenario)
+    for arm in (0, 1):
+        assert calibrate_censoring(scenario, arm) == calibrate_censoring(scenario, arm)
 
 
 def test_censoring_rate_decreases_in_mean():
@@ -163,21 +163,52 @@ def test_calibration_target_must_be_interior(target):
 def test_calibration_matches_bisection_oracle(seed, c3, target):
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=c3, n=200, reps=1, seed=seed,
                            censor_target=target)
-    np.testing.assert_allclose(calibrate_censoring(scenario),
+    np.testing.assert_allclose([calibrate_censoring(scenario, arm) for arm in (0, 1)],
                                calibrate_censoring_bisect(scenario), rtol=1e-9)
 
 
 def test_calibration_fails_without_a_positive_mean():
     # every failure time is negative, so no positive mean censors anyone
     scenario = mt.Scenario(c1=-10.0, c2=0.0, c3=0.0, n=200, reps=1, seed=0)
-    with pytest.raises(SimulationError, match="too large for this scenario"):
-        calibrate_censoring(scenario)
+    with pytest.raises(SimulationError, match="arm 1 .* too large for this scenario"):
+        calibrate_censoring(scenario, 1)
 
 
-def test_resolve_censoring_fills_only_missing():
+def _count_calibrations(monkeypatch):
+    """Record the arm of every censoring calibration the engine runs."""
+    arms = []
+
+    def counted(scenario, arm):
+        arms.append(arm)
+        return calibrate_censoring(scenario, arm)
+
+    monkeypatch.setattr(simulation, "calibrate_censoring", counted)
+    return arms
+
+
+def test_resolve_censoring_fills_only_missing(monkeypatch):
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=200, reps=1, seed=0,
                            censor_mean0=6.0, censor_mean1=6.5)
     assert resolve_censoring(scenario) is scenario
+    arms = _count_calibrations(monkeypatch)
+    resolved = resolve_censoring(dataclasses.replace(scenario, censor_mean1=None))
+    assert arms == [1]
+    assert resolved.censor_mean0 == 6.0
+    assert resolved.censor_mean1 == calibrate_censoring(scenario, 1)
+
+
+def test_sweep_calibrates_the_control_arm_once(monkeypatch):
+    # the control curve takes no coefficient, so its mean is the same at every c3
+    scenario = mt.Scenario(
+        c1=3.0, c2=0.0, c3=-2.0, n=100, reps=2, seed=0,
+        grid=mt.EvaluationGrid.explicit([0.25, 0.5, 0.75], mt.MarkInterval(0.1, 0.9)),
+    )
+    mu0 = calibrate_censoring(scenario, 0)
+    for c3 in (0.0, 2.0):
+        assert calibrate_censoring(dataclasses.replace(scenario, c3=c3), 0) == mu0
+    arms = _count_calibrations(monkeypatch)
+    mt.size_power_curve(scenario, [-2.0, 0.0, 2.0], "global", resamples=10)
+    assert sorted(arms) == [0, 1, 1, 1]
 
 
 def test_replication_seeds_are_disjoint_streams():
@@ -209,8 +240,8 @@ def test_single_replication_has_no_ratio():
     with pytest.warns(UserWarning, match="at least 2 replications"):
         table = mt.run_replications(scenario)
     assert np.all(np.isnan(table.ratio))
+    assert np.all(np.isnan(table.bias_se)) and np.all(np.isnan(table.ratio_se))
     assert np.all(np.isfinite(table.bias))
-    assert table.reps == 1
 
 
 def test_metrics_table_shapes_and_truth():
@@ -221,7 +252,6 @@ def test_metrics_table_shapes_and_truth():
     np.testing.assert_allclose(
         table.true_tau, true_tau(scenario, grid.points), rtol=1e-12
     )
-    assert table.n == 300 and table.reps == 6
     for field in (table.bias, table.bias_se, table.ratio, table.ratio_se,
                   table.coverage, table.coverage_se):
         assert field.shape == (3,)
@@ -269,11 +299,9 @@ def test_size_power_curve_recalibrates_per_point():
         ),
     )
     curve = mt.size_power_curve(scenario, [-2.0, 0.0], "global", resamples=30)
-    assert curve.kind == "global"
     np.testing.assert_array_equal(curve.c3, [-2.0, 0.0])
     assert np.all((curve.rate >= 0.0) & (curve.rate <= 1.0))
-    assert curve.reps == 6 and curve.n == 250 and curve.resamples == 30
     np.testing.assert_allclose(
-        curve.se, np.sqrt(curve.rate * (1.0 - curve.rate) / curve.reps), rtol=1e-12
+        curve.se, np.sqrt(curve.rate * (1.0 - curve.rate) / scenario.reps), rtol=1e-12
     )
-    np.testing.assert_array_equal(curve.rejections, curve.rate * curve.reps)
+    np.testing.assert_array_equal(curve.rejections, curve.rate * scenario.reps)
