@@ -9,7 +9,7 @@ lives in its submodule.
 
 from .data_model import DataError, Dataset, MarkInterval, parse_dataset
 from .estimator import EstimationError, EvaluationGrid, estimate_on_grid
-from .inference import InferenceError, TestConfig, run_test
+from .inference import InferenceError, run_test
 from .kernels import KernelError
 from .simulation import Scenario, SimulationError, run_replications, size_power_curve
 
@@ -19,7 +19,6 @@ __all__ = [
     "MarkInterval",
     "EvaluationGrid",
     "estimate_on_grid",
-    "TestConfig",
     "run_test",
     "Scenario",
     "run_replications",

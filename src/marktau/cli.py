@@ -32,7 +32,7 @@ from .data_model import (
     validate,
 )
 from .estimator import EstimationError, EvaluationGrid, estimate_on_grid
-from .inference import InferenceError, TestConfig, run_test
+from .inference import TEST_KINDS, InferenceError, run_test
 from .kernels import KernelError
 from .simulation import (
     Scenario,
@@ -91,7 +91,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _resolve_workers(value: int | None) -> int:
     if value is None:
-        value = int(os.environ.get("MARKTAU_THREADS", "1"))
+        text = os.environ.get("MARKTAU_THREADS", "1")
+        try:
+            value = int(text)
+        except ValueError:
+            raise SimulationError(f"MARKTAU_THREADS must be an integer, got {text!r}") from None
     if value < 1:
         raise SimulationError(f"thread count must be >= 1, got {value}")
     return value
@@ -143,6 +147,19 @@ def _grid_config(grid: EvaluationGrid) -> dict:
     return {
         "points": [float(v) for v in grid.points],
         "interval": [grid.interval.lower, grid.interval.upper],
+    }
+
+
+def _data_config(args, info: dict, grid: EvaluationGrid) -> dict:
+    """The config keys that ``estimate`` and ``test`` share."""
+    return {
+        "input_sha256": info["input_sha256"],
+        "drop_missing_marks": bool(args.drop_missing_marks),
+        "mark_scaling": info["mark_scaling"],
+        "grid": _grid_config(grid),
+        "alpha": args.alpha,
+        "bandwidth": args.bandwidth,
+        "bandwidth_scale": args.bandwidth_scale,
     }
 
 
@@ -236,16 +253,7 @@ def cmd_estimate(args) -> int:
     est = estimate_on_grid(dataset, grid, alpha=args.alpha, bandwidth=args.bandwidth,
                            varpi=args.bandwidth_scale)
 
-    config = {
-        "command": "estimate",
-        "input_sha256": info["input_sha256"],
-        "drop_missing_marks": bool(args.drop_missing_marks),
-        "mark_scaling": info["mark_scaling"],
-        "grid": _grid_config(grid),
-        "alpha": args.alpha,
-        "bandwidth": args.bandwidth,
-        "bandwidth_scale": args.bandwidth_scale,
-    }
+    config = {"command": "estimate", **_data_config(args, info, grid)}
     out_csv = Path(args.out)
     header = ("v", "tau1", "tau0", "tau", "sigma2", "ci_lower", "ci_upper",
               "events1", "events0")
@@ -284,25 +292,18 @@ def cmd_estimate(args) -> int:
 def cmd_test(args) -> int:
     dataset, info = _load_dataset(args)
     grid = _build_grid(args)
-    config_obj = TestConfig(
-        grid=grid, resamples=args.resamples, alpha=args.alpha, seed=args.seed,
-        bandwidth=args.bandwidth, varpi=args.bandwidth_scale, pi_design=args.pi_design,
-        add_one_correction=args.add_one_correction,
+    result = run_test(
+        args.kind, dataset, grid, resamples=args.resamples, alpha=args.alpha,
+        seed=args.seed, bandwidth=args.bandwidth, varpi=args.bandwidth_scale,
+        pi_design=args.pi_design, add_one_correction=args.add_one_correction,
     )
-    result = run_test(args.kind, dataset, config_obj)
 
     config = {
         "command": "test",
         "kind": args.kind,
-        "input_sha256": info["input_sha256"],
-        "drop_missing_marks": bool(args.drop_missing_marks),
-        "mark_scaling": info["mark_scaling"],
-        "grid": _grid_config(grid),
-        "alpha": args.alpha,
+        **_data_config(args, info, grid),
         "B": args.resamples,
         "seed": args.seed,
-        "bandwidth": args.bandwidth,
-        "bandwidth_scale": args.bandwidth_scale,
         "pi_design": args.pi_design,
         "add_one_correction": bool(args.add_one_correction),
     }
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_test)
     _add_grid_flags(p_test)
     _add_bandwidth_flags(p_test, explicit=True)
-    p_test.add_argument("--kind", choices=["global", "constancy"], required=True)
+    p_test.add_argument("--kind", choices=TEST_KINDS, required=True)
     p_test.add_argument("--resamples", type=int, default=500, metavar="B")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--seed", type=int, default=0)
@@ -431,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pow = sub.add_parser("power", help="rejection-rate sweep across c3",
                            allow_abbrev=False)
-    p_pow.add_argument("--kind", choices=["global", "constancy"], required=True)
+    p_pow.add_argument("--kind", choices=TEST_KINDS, required=True)
     p_pow.add_argument("--c3-range", required=True, metavar="LO:HI:STEP")
     p_pow.add_argument("--resamples", type=int, default=500, metavar="B")
     _add_scenario_flags(p_pow)

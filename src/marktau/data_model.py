@@ -128,7 +128,6 @@ class Dataset:
     n: int
     n0: int
     n1: int
-    pi_hat: float
 
     @classmethod
     def from_arrays(cls, y, delta, mark, arm) -> "Dataset":
@@ -148,7 +147,7 @@ class Dataset:
             raise DataError(f"empty treatment group (n1={n1}, n0={n0})")
         for a in (y, delta, mark, arm):
             a.setflags(write=False)
-        return cls(y=y, delta=delta, mark=mark, arm=arm, n=n, n0=n0, n1=n1, pi_hat=n1 / n)
+        return cls(y=y, delta=delta, mark=mark, arm=arm, n=n, n0=n0, n1=n1)
 
     def arm_indices(self, a: int) -> np.ndarray:
         return np.flatnonzero(self.arm == a)

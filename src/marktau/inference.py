@@ -26,17 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset
-from .estimator import (
-    EstimateGrid,
-    EstimationError,
-    EvaluationGrid,
-    _estimate_with_terms,
-)
+from .estimator import EstimateGrid, EvaluationGrid, _estimate_with_terms
 
 __all__ = [
     "InferenceError",
     "TEST_KINDS",
-    "TestConfig",
     "TestResult",
     "multiplier_draws",
     "arm_grams",
@@ -57,32 +51,6 @@ TEST_KINDS = ("global", "constancy")
 
 class InferenceError(ValueError):
     """Invalid test configuration or a grid unusable for the requested test."""
-
-
-@dataclass(frozen=True)
-class TestConfig:
-    """Configuration for one test run.
-
-    ``pi_design`` optionally replaces the empirical treated fraction in the
-    resampling weights with the design randomization probability.
-    """
-
-    grid: EvaluationGrid
-    resamples: int = 500
-    alpha: float = 0.05
-    seed: int = 0
-    bandwidth: float | None = None
-    varpi: float = 1.0
-    pi_design: float | None = None
-    add_one_correction: bool = False
-
-    def __post_init__(self) -> None:
-        if self.resamples < 1:
-            raise InferenceError(f"resamples must be >= 1, got {self.resamples}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InferenceError(f"alpha must be in (0,1), got {self.alpha!r}")
-        if self.pi_design is not None and not 0.0 < self.pi_design < 1.0:
-            raise InferenceError(f"pi_design must be in (0,1), got {self.pi_design!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,14 +245,15 @@ def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = 
 
 
 def _test_from_estimate(kind: str, est: EstimateGrid,
-                        theta: tuple[np.ndarray, np.ndarray], draws: np.ndarray,
-                        config: TestConfig) -> TestResult:
+                        theta: tuple[np.ndarray, np.ndarray], draws: np.ndarray, *,
+                        alpha: float, pi_design: float | None = None,
+                        add_one_correction: bool = False) -> TestResult:
     """Test from an estimate, its contributions and standard normal ``draws``.
 
     ``draws`` come from :func:`multiplier_draws`; the multiplier sums are
     draws @ L^T with L L^T the resampling covariance.
     """
-    pi = config.pi_design if config.pi_design is not None else est.n1 / est.n
+    pi = pi_design if pi_design is not None else est.n1 / est.n
     usable = _usable_points(est)
     grams = arm_grams(theta, usable)
     factor, rank = covariance_factor(resampling_covariance(grams, pi))
@@ -301,8 +270,8 @@ def _test_from_estimate(kind: str, est: EstimateGrid,
     else:
         raise InferenceError(f"unknown test kind {kind!r}; expected one of {TEST_KINDS}")
     resampled = np.sort(resampled)
-    crit = critical_value(resampled, config.alpha)
-    pval = p_value(resampled, stat, config.add_one_correction)
+    crit = critical_value(resampled, alpha)
+    pval = p_value(resampled, stat, add_one_correction)
     excluded = tuple(float(v) for v in est.points[~usable])
     return TestResult(
         statistic=stat, critical_value=crit, p_value=pval,
@@ -312,18 +281,26 @@ def _test_from_estimate(kind: str, est: EstimateGrid,
     )
 
 
-def run_test(kind: str, dataset: Dataset, config: TestConfig) -> TestResult:
+def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: int = 500,
+             alpha: float = 0.05, seed: int = 0, bandwidth: float | None = None,
+             varpi: float = 1.0, pi_design: float | None = None,
+             add_one_correction: bool = False) -> TestResult:
     """Run one test end to end: estimate, resample, compare, report.
 
-    Deterministic given (dataset, config): the multiplier draws derive from
-    ``config.seed`` alone. The null is rejected when the observed statistic
-    exceeds the (1 - alpha) resampling critical value.
+    ``bandwidth`` and ``varpi`` select the estimate's bandwidth as in
+    :func:`~marktau.estimator.estimate_on_grid`. ``pi_design`` optionally
+    replaces the empirical treated fraction in the resampling weights with
+    the design randomization probability. Deterministic given the data and
+    settings: the multiplier draws derive from ``seed`` alone. The null is
+    rejected when the observed statistic exceeds the (1 - alpha) resampling
+    critical value.
     """
     if kind not in TEST_KINDS:
         raise InferenceError(f"unknown test kind {kind!r}; expected one of {TEST_KINDS}")
-    est, theta = _estimate_with_terms(
-        dataset, config.grid, alpha=config.alpha,
-        bandwidth=config.bandwidth, varpi=config.varpi,
-    )
-    draws = multiplier_draws(est, config.resamples, config.seed)
-    return _test_from_estimate(kind, est, theta, draws, config)
+    if pi_design is not None and not 0.0 < pi_design < 1.0:
+        raise InferenceError(f"pi_design must be in (0,1), got {pi_design!r}")
+    est, theta = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
+                                      varpi=varpi)
+    draws = multiplier_draws(est, resamples, seed)
+    return _test_from_estimate(kind, est, theta, draws, alpha=alpha, pi_design=pi_design,
+                               add_one_correction=add_one_correction)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data_model import Dataset, MarkInterval
 from .estimator import EvaluationGrid, _estimate_with_terms
-from .inference import TestConfig, _test_from_estimate, multiplier_draws
+from .inference import _test_from_estimate, multiplier_draws
 
 __all__ = [
     "SimulationError",
@@ -82,6 +82,9 @@ class Scenario:
     varpi: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3)):
+            if not math.isfinite(value):
+                raise SimulationError(f"{name} must be finite, got {value!r}")
         if self.n < 2:
             raise SimulationError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.p_treat < 1.0:
@@ -321,14 +324,12 @@ class PowerTable:
 
 def _test_rep(args: tuple[Scenario, int, str, int]) -> bool:
     scenario, rep, kind, resamples = args
-    grid = scenario.grid
     data_ss, mult_ss = _replication_seed(scenario.seed, rep).spawn(2)
     dataset = generate_dataset(scenario, np.random.default_rng(data_ss))
-    est, theta = _estimate_with_terms(dataset, grid, alpha=scenario.alpha,
+    est, theta = _estimate_with_terms(dataset, scenario.grid, alpha=scenario.alpha,
                                       varpi=scenario.varpi)
     draws = multiplier_draws(est, resamples, mult_ss)
-    config = TestConfig(grid=grid, resamples=resamples, alpha=scenario.alpha)
-    return bool(_test_from_estimate(kind, est, theta, draws, config).reject)
+    return bool(_test_from_estimate(kind, est, theta, draws, alpha=scenario.alpha).reject)
 
 
 def rejection_rate(scenario: Scenario, kind: str, *, resamples: int = 500,

@@ -161,6 +161,26 @@ def test_constancy_needs_a_real_grid(tmp_path, capsys, trial_files):
     assert "at least 2 usable" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "1.5", "alpha must be in (0,1), got 1.5"),
+    ("--resamples", "0", "resamples must be >= 1, got 0"),
+    ("--pi-design", "1.5", "pi_design must be in (0,1), got 1.5"),
+])
+def test_test_setting_out_of_range_is_an_error_line(tmp_path, capsys, trial_files,
+                                                    flag, value, message):
+    csv_path, meta_path = trial_files
+    out = tmp_path / "report.json"
+    code, stdout, err = _run(
+        capsys,
+        "test", "--input", str(csv_path), "--meta", str(meta_path),
+        "--interval", "0.2,0.45", "--grid-points", "5", "--kind", "global",
+        flag, value, "--out", str(out),
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_simulate_artifact(tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     code, _, err = _run(
@@ -198,6 +218,34 @@ def test_power_artifact(tmp_path, capsys):
     for row in rows:
         assert 0.0 <= float(row[1]) <= 1.0
         assert int(row[4]) == 3 and int(row[5]) == 150
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--c3", "-1", "--c1", "nan"),
+    ("simulate", "--c3", "-1", "--c1", "inf"),
+    ("power", "--kind", "global", "--c3-range=-1:-1:1", "--c2=-inf"),
+])
+def test_non_finite_coefficient_is_an_error_line(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    code, _, err = _run(
+        capsys, *command, "--censor-mean0", "5", "--censor-mean1", "5",
+        "--n", "200", "--reps", "3", "--out", str(out),
+    )
+    assert code == 1
+    assert err.startswith("error: c") and "must be finite" in err
+    assert not out.exists()
+
+
+def test_non_integer_thread_variable_is_an_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MARKTAU_THREADS", "abc")
+    out = tmp_path / "x.csv"
+    code, _, err = _run(
+        capsys, "simulate", "--c3", "-1", "--n", "150", "--reps", "2",
+        "--censor-mean0", "5.44", "--censor-mean1", "5.76", "--out", str(out),
+    )
+    assert code == 1
+    assert err == "error: MARKTAU_THREADS must be an integer, got 'abc'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -121,7 +121,7 @@ def test_conditional_variance_identity():
     grid = mt.EvaluationGrid.explicit([0.45, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
     h = 0.1
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
-    usable, _, cov = _grid_covariance(est, theta, ds.pi_hat)
+    usable, _, cov = _grid_covariance(est, theta, ds.n1 / ds.n)
     assert np.all(usable)
     np.testing.assert_allclose((h / ds.n) * np.diag(cov), est.sigma2, rtol=1e-12)
 
@@ -143,7 +143,7 @@ def _null_fixture():
 def test_covariance_factor_reproduces_xi_gram(fixture, rank):
     ds, grid, h = fixture()
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
-    for pi in (ds.pi_hat, 0.25):
+    for pi in (ds.n1 / ds.n, 0.25):
         usable, _, cov = _grid_covariance(est, theta, pi)
         xi = xi_matrix(subject_major(theta, ds), ds.arm, pi)[:, usable]
         scale = np.abs(cov).max()
@@ -175,14 +175,13 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
     ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(45))
     est, theta = _estimate_with_terms(ds, DENSE_GRID, alpha=0.05, bandwidth=None, varpi=1.0)
     reps = 4000
-    config = mt.TestConfig(grid=DENSE_GRID, resamples=reps, seed=46)
-    draws = multiplier_draws(est, reps, config.seed)
-    resampled = _test_from_estimate(kind, est, theta, draws, config).resampled
+    draws = multiplier_draws(est, reps, 46)
+    resampled = _test_from_estimate(kind, est, theta, draws, alpha=0.05).resampled
     assert np.all(np.isfinite(resampled))
 
     usable = _usable_points(est)
     normals = np.random.default_rng(47).standard_normal((reps, ds.n))
-    sums = subject_space_sums(subject_major(theta, ds), ds.arm, ds.pi_hat, normals)
+    sums = subject_space_sums(subject_major(theta, ds), ds.arm, ds.n1 / ds.n, normals)
     sums = sums[:, usable]
     if kind == "global":
         oracle = global_resample(est, sums)
@@ -197,7 +196,7 @@ def test_resampled_values_scale_quadratically():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.48, 0.5], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
-    _, grams, cov = _grid_covariance(est, theta, ds.pi_hat)
+    _, grams, cov = _grid_covariance(est, theta, ds.n1 / ds.n)
     sums = multiplier_draws(est, 50, seed=4) @ covariance_factor(cov)[0].T
     base = global_resample(est, sums)
     tripled = global_resample(est, 3.0 * sums)
@@ -212,7 +211,7 @@ def test_pair_variance_table_against_direct_sum():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.42, 0.5, 0.58], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
-    _, grams, _ = _grid_covariance(est, theta, ds.pi_hat)
+    _, grams, _ = _grid_covariance(est, theta, ds.n1 / ds.n)
     table = pair_variance_table(grams, est)
     full = subject_major(theta, ds)
     g = grid.points.size
@@ -265,17 +264,14 @@ def test_p_value_conventions():
 
 def test_run_test_is_deterministic():
     ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(41))
-    config = mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=80, seed=123)
-    first = mt.run_test("global", ds, config)
-    second = mt.run_test("global", ds, config)
+    first = mt.run_test("global", ds, NULL_SCENARIO.grid, resamples=80, seed=123)
+    second = mt.run_test("global", ds, NULL_SCENARIO.grid, resamples=80, seed=123)
     assert first.statistic == second.statistic
     assert first.critical_value == second.critical_value
     assert first.p_value == second.p_value
     np.testing.assert_array_equal(first.resampled, second.resampled)
 
-    reseeded = mt.run_test(
-        "global", ds, mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=80, seed=124)
-    )
+    reseeded = mt.run_test("global", ds, NULL_SCENARIO.grid, resamples=80, seed=124)
     assert reseeded.statistic == first.statistic
     assert not np.array_equal(reseeded.resampled, first.resampled)
 
@@ -284,10 +280,9 @@ def test_statistic_invariant_under_record_order():
     ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(42))
     perm = np.random.default_rng(1).permutation(ds.n)
     shuffled = mt.Dataset.from_arrays(ds.y[perm], ds.delta[perm], ds.mark[perm], ds.arm[perm])
-    config = mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=10, seed=9)
     for kind in ("global", "constancy"):
-        a = mt.run_test(kind, ds, config)
-        b = mt.run_test(kind, shuffled, config)
+        a = mt.run_test(kind, ds, NULL_SCENARIO.grid, resamples=10, seed=9)
+        b = mt.run_test(kind, shuffled, NULL_SCENARIO.grid, resamples=10, seed=9)
         assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
         np.testing.assert_allclose(
             a.estimate.tau, b.estimate.tau, rtol=1e-12, atol=1e-15
@@ -318,9 +313,8 @@ def test_resample_distribution_matches_sampling_distribution():
     est, theta = _estimate_with_terms(
         ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
     )
-    config = mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=reps, seed=779)
-    draws = multiplier_draws(est, reps, config.seed)
-    resampled = _test_from_estimate("global", est, theta, draws, config).resampled
+    draws = multiplier_draws(est, reps, 779)
+    resampled = _test_from_estimate("global", est, theta, draws, alpha=0.05).resampled
 
     q_obs = float(np.quantile(observed, 0.95))
     q_res = float(np.quantile(resampled, 0.95))
@@ -330,31 +324,29 @@ def test_resample_distribution_matches_sampling_distribution():
 def test_constancy_needs_two_usable_points():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.5], mt.MarkInterval(0.1, 0.9))
-    config = mt.TestConfig(grid=grid, resamples=10, seed=0, bandwidth=0.1)
     with pytest.raises(InferenceError, match="at least 2 usable"):
-        mt.run_test("constancy", ds, config)
+        mt.run_test("constancy", ds, grid, resamples=10, seed=0, bandwidth=0.1)
 
 
 def test_global_all_flagged_errors():
     ds = hand_dataset(v=0.9)
     grid = mt.EvaluationGrid.explicit([0.2, 0.3], mt.MarkInterval(0.1, 0.9))
-    config = mt.TestConfig(grid=grid, resamples=10, seed=0, bandwidth=0.1)
     with pytest.raises(InferenceError,
                        match="^no usable grid points: every point is flagged$"):
-        mt.run_test("global", ds, config)
+        mt.run_test("global", ds, grid, resamples=10, seed=0, bandwidth=0.1)
 
 
 def test_one_usable_point_of_several():
     # no failure mark lies within h of 0.2 or 0.8, so only 0.5 is usable
     ds = hand_dataset(v=0.5)
     grid = mt.EvaluationGrid.explicit([0.2, 0.5, 0.8], mt.MarkInterval(0.1, 0.9))
-    config = mt.TestConfig(grid=grid, resamples=20, seed=0, bandwidth=0.1)
-    result = mt.run_test("global", ds, config)
+    settings = dict(resamples=20, seed=0, bandwidth=0.1)
+    result = mt.run_test("global", ds, grid, **settings)
     assert result.excluded_points == (0.2, 0.8)
     assert result.covariance_rank == 1
     assert np.isfinite(result.statistic) and np.all(np.isfinite(result.resampled))
     with pytest.raises(InferenceError, match="at least 2 usable grid points, got 1$"):
-        mt.run_test("constancy", ds, config)
+        mt.run_test("constancy", ds, grid, **settings)
 
 
 def test_constancy_zero_variance_pairs():
@@ -363,15 +355,13 @@ def test_constancy_zero_variance_pairs():
     # and hence a zero pair-variance
     ds = hand_dataset(v=0.5)
     mirrored = mt.EvaluationGrid.explicit([0.375, 0.625], mt.MarkInterval(0.1, 0.9))
-    config = mt.TestConfig(grid=mirrored, resamples=10, seed=0, bandwidth=0.25)
     with pytest.raises(InferenceError, match="zero pair-variance"):
-        mt.run_test("constancy", ds, config)
+        mt.run_test("constancy", ds, mirrored, resamples=10, seed=0, bandwidth=0.25)
 
     wider = mt.EvaluationGrid.explicit(
         [0.375, 0.5, 0.625], mt.MarkInterval(0.1, 0.9)
     )
-    config = mt.TestConfig(grid=wider, resamples=10, seed=0, bandwidth=0.25)
-    result = mt.run_test("constancy", ds, config)
+    result = mt.run_test("constancy", ds, wider, resamples=10, seed=0, bandwidth=0.25)
     assert result.skipped_pairs == 1
     # the mirrored columns make the resampling covariance singular; the
     # factorization still succeeds and every resampled value is finite
@@ -381,31 +371,27 @@ def test_constancy_zero_variance_pairs():
 
 def test_pi_design_changes_resampling_only():
     ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(43))
-    base = mt.run_test(
-        "global", ds, mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=40, seed=7)
-    )
+    base = mt.run_test("global", ds, NULL_SCENARIO.grid, resamples=40, seed=7)
     designed = mt.run_test(
-        "global", ds,
-        mt.TestConfig(grid=NULL_SCENARIO.grid, resamples=40, seed=7, pi_design=0.25),
+        "global", ds, NULL_SCENARIO.grid, resamples=40, seed=7, pi_design=0.25
     )
     assert designed.statistic == base.statistic
     assert not np.array_equal(designed.resampled, base.resampled)
     with pytest.raises(InferenceError, match="pi_design"):
-        mt.TestConfig(grid=NULL_SCENARIO.grid, pi_design=1.5)
+        mt.run_test("global", ds, NULL_SCENARIO.grid, pi_design=1.5)
 
 
 def test_unknown_kind_rejected():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.5], mt.MarkInterval(0.1, 0.9))
     with pytest.raises(InferenceError, match="unknown test kind"):
-        mt.run_test("trend", ds, mt.TestConfig(grid=grid, resamples=5))
+        mt.run_test("trend", ds, grid, resamples=5)
 
 
 def test_result_excluded_points_reported():
     ds = hand_dataset(v=0.5)
     grid = mt.EvaluationGrid.explicit([0.15, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
-    config = mt.TestConfig(grid=grid, resamples=20, seed=3, bandwidth=0.1)
-    result = mt.run_test("global", ds, config)
+    result = mt.run_test("global", ds, grid, resamples=20, seed=3, bandwidth=0.1)
     assert result.excluded_points == (0.15,)
     # both failure marks sit at 0.5, so the two usable columns are proportional
     assert result.covariance_rank == 1

@@ -268,6 +268,11 @@ def test_metrics_table_shapes_and_truth():
         dict(alpha=1.0),
         dict(censor_mean0=-1.0),
         dict(censor_target=1.5),
+        # nan < 0 is False, so a NaN coefficient would pass the negative
+        # failure-time check in generate_dataset
+        dict(c1=math.nan),
+        dict(c2=math.inf),
+        dict(c3=-math.inf),
     ],
 )
 def test_scenario_validation(kw):
