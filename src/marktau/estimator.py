@@ -22,9 +22,9 @@ approximation for sqrt(n h).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .data_model import Dataset, MarkInterval
 from .kernels import Bandwidth, rule_of_thumb_bandwidth, scaled_kernel
@@ -116,10 +116,10 @@ class EstimateGrid:
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile (inverse CDF)."""
+    """Standard normal quantile (inverse CDF), by the standard library."""
     if not 0.0 < p < 1.0:
         raise EstimationError(f"quantile level must be in (0,1), got {p!r}")
-    return float(stats.norm.ppf(p))
+    return NormalDist().inv_cdf(p)
 
 
 def ipcw_weights(dataset: Dataset) -> np.ndarray:

@@ -170,7 +170,7 @@ def pair_variance_table(grams: tuple[np.ndarray, np.ndarray], est: EstimateGrid,
 
 def _constancy_pairs(est: EstimateGrid, zeta: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Index pairs (j < k) of usable points with positive pair-variance.
+    """Index pairs (j < k) of usable points with positive pair-variance, by j then k.
 
     Indices count usable points only, as the rows of ``zeta`` and the
     columns of the resampling draws do. Returns the kept pairs, their
@@ -205,12 +205,21 @@ def constancy_resample(est: EstimateGrid, draws: np.ndarray, pairs: tuple) -> np
     """Resampled analogue of the constancy statistic, one value per draw.
 
     ``draws`` are the multiplier sums as in :func:`global_resample`; pair
-    differences are differences of their columns.
+    differences are differences of their columns. The pairs are scored one
+    anchor point j at a time, (j, k > j) against every draw, into a running
+    maximum, so memory grows with draws x points rather than draws x pairs.
     """
     j_idx, k_idx, zeta_pairs, _ = pairs
-    diffs = draws[:, j_idx] - draws[:, k_idx]
-    scaled = (est.h / est.n) * diffs**2 / zeta_pairs
-    return scaled.max(axis=1)
+    columns = draws.T.copy()
+    result = np.full(draws.shape[0], -np.inf)
+    bounds = np.searchsorted(j_idx, np.arange(columns.shape[0] + 1))
+    for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo == hi:
+            continue
+        diffs = columns[j] - columns[k_idx[lo:hi]]
+        scaled = (est.h / est.n) * diffs**2 / zeta_pairs[lo:hi, None]
+        np.maximum(result, scaled.max(axis=0), out=result)
+    return result
 
 
 def critical_value(resampled: np.ndarray, alpha: float) -> float:

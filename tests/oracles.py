@@ -143,6 +143,18 @@ def subject_space_sums(theta, arm, pi, normals):
     return normals @ xi_matrix(theta, arm, pi)
 
 
+def constancy_resample_dense(est, draws, pairs):
+    """Resampled constancy statistics with every pair scored at once.
+
+    Builds the draws x pairs array of ``(h / n) * diff**2 / zeta`` that the
+    package avoids by scanning anchor points; same elementwise formula.
+    """
+    j_idx, k_idx, zeta_pairs, _ = pairs
+    diffs = draws[:, j_idx] - draws[:, k_idx]
+    scaled = (est.h / est.n) * diffs**2 / zeta_pairs
+    return scaled.max(axis=1)
+
+
 def _parse_binary(field, name, line_no):
     try:
         value = float(field)

@@ -1,10 +1,26 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from marktau.cli import main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded by the oracles
+    code = ("import marktau.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _run(capsys, *argv):
@@ -16,7 +32,7 @@ def _run(capsys, *argv):
 def _read_artifact(path):
     """Split a CSV artifact into (config dict, header, data rows)."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    prefix = "# marktau format=4 config="
+    prefix = "# marktau format=5 config="
     assert lines[0].startswith(prefix)
     config = json.loads(lines[0][len(prefix):])
     header = lines[1].split(",")
@@ -46,7 +62,7 @@ def test_estimate_artifacts(tmp_path, capsys, trial_files):
         assert int(row[7]) >= 0 and int(row[8]) >= 0
 
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
-    assert summary["format_version"] == 4
+    assert summary["format_version"] == 5
     assert summary["config"] == config
     assert summary["n"] == summary["n0"] + summary["n1"]
     assert summary["h"] > 0

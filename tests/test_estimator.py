@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import marktau as mt
 from marktau.estimator import (
@@ -86,6 +87,23 @@ def test_confidence_interval_validation():
 @pytest.mark.parametrize("p", [0.5, 0.975, 0.95, 0.9, 0.995, 0.025, 0.1])
 def test_normal_quantile_against_bisection(p):
     assert abs(normal_quantile(p) - normal_quantile_bisect(p)) <= 1e-9
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(1e-10, 1.0 - 1e-10))
+def test_normal_quantile_against_scipy(p):
+    expected = float(stats.norm.ppf(p))
+    assert abs(normal_quantile(p) - expected) <= 2e-15 * abs(expected)
+
+
+def test_normal_quantile_pinned_value():
+    assert normal_quantile(0.975) == 1.9599639845400536
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, math.nan])
+def test_normal_quantile_rejects_levels_outside_the_open_unit_interval(p):
+    with pytest.raises(EstimationError, match="quantile level"):
+        normal_quantile(p)
 
 
 def test_group_mean_matches_double_integral_oracle():

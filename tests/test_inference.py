@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -27,7 +27,7 @@ from marktau.kernels import Bandwidth
 from marktau.simulation import generate_dataset
 
 from conftest import hand_dataset
-from oracles import subject_major, subject_space_sums, xi_matrix
+from oracles import constancy_resample_dense, subject_major, subject_space_sums, xi_matrix
 
 NULL_SCENARIO = mt.Scenario(
     c1=3.0, c2=0.0, c3=-2.0, n=500, reps=1, seed=0,
@@ -89,6 +89,32 @@ def test_constancy_statistic_hand_value():
     zeta = np.array([[0.0, 25.0], [25.0, 0.0]])
     pairs = _constancy_pairs(est, zeta)
     assert constancy_statistic(est, pairs) == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(2, 30),
+    st.integers(1, 40),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+def test_constancy_resample_matches_dense_oracle_bitwise(g, resamples, skip_frac, seed):
+    # random grids with some flagged points and some zero pair-variances
+    rng = np.random.default_rng(seed)
+    flagged = rng.uniform(size=g) < 0.2
+    assume(np.count_nonzero(~flagged) >= 2)
+    est = _manual_grid(np.linspace(0.1, 0.9, g), rng.normal(size=g), np.ones(g),
+                       n=int(rng.integers(10, 10_000)), h=rng.uniform(0.01, 0.5),
+                       flagged=flagged)
+    usable = int(np.count_nonzero(~flagged))
+    zeta = rng.uniform(0.1, 5.0, (usable, usable))
+    zeta[rng.uniform(size=zeta.shape) < skip_frac] = 0.0
+    assume(np.any(zeta[np.triu_indices(usable, k=1)] > 0.0))
+    pairs = _constancy_pairs(est, zeta)
+    draws = rng.normal(scale=rng.uniform(0.1, 10.0), size=(resamples, usable))
+    looped = constancy_resample(est, draws, pairs)
+    dense = constancy_resample_dense(est, draws, pairs)
+    assert looped.tobytes() == dense.tobytes()
 
 
 def test_xi_matrix_decomposition():
