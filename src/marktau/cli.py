@@ -46,6 +46,8 @@ FORMAT_VERSION = 5
 
 _ERRORS = (DataError, KernelError, EstimationError, InferenceError, SimulationError,
            OSError)
+# Violations a failed validation lists; the rest are counted.
+_SHOWN_VIOLATIONS = 20
 
 
 def _json_safe(value):
@@ -192,7 +194,10 @@ def _load_dataset(args) -> tuple["Dataset", dict]:
 
     report = validate(dataset)
     if not report.ok:
-        raise DataError(f"input fails validation:\n{report}")
+        shown = [str(v) for v in report.violations[:_SHOWN_VIOLATIONS]]
+        if len(report.violations) > len(shown):
+            shown.append(f"... and {len(report.violations) - len(shown)} more")
+        raise DataError("input fails validation:\n" + "\n".join(shown))
     m = int(np.count_nonzero(dataset.delta == 1))
     if m < 20:
         print(
@@ -388,60 +393,80 @@ def cmd_power(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_estimate_flags(parser: argparse.ArgumentParser) -> None:
+    _add_data_flags(parser)
+    _add_grid_flags(parser)
+    _add_bandwidth_flags(parser, explicit=True)
+    parser.add_argument("--alpha", type=float, default=0.05)
+    parser.add_argument("--out", required=True, help="output CSV; JSON summary beside it")
+    parser.add_argument("--dump-censoring", metavar="PREFIX",
+                        help="also dump each arm's censoring survival curve as CSV")
+
+
+def _add_test_flags(parser: argparse.ArgumentParser) -> None:
+    _add_data_flags(parser)
+    _add_grid_flags(parser)
+    _add_bandwidth_flags(parser, explicit=True)
+    parser.add_argument("--kind", choices=TEST_KINDS, required=True)
+    parser.add_argument("--resamples", type=int, default=500, metavar="B")
+    parser.add_argument("--alpha", type=float, default=0.05)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pi-design", type=float,
+                        help="design treated fraction; default is the empirical one")
+    parser.add_argument("--add-one-correction", action="store_true",
+                        help="use the (count+1)/(B+1) p-value variant")
+    parser.add_argument("--out", help="write the JSON report here")
+
+
+def _add_simulate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--c3", type=float, required=True)
+    _add_scenario_flags(parser)
+
+
+def _add_power_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kind", choices=TEST_KINDS, required=True)
+    parser.add_argument("--c3-range", required=True, metavar="LO:HI:STEP")
+    parser.add_argument("--resamples", type=int, default=500, metavar="B")
+    _add_scenario_flags(parser)
+
+
+# command -> (help text, the function that adds its options, its handler)
+_COMMANDS = {
+    "estimate": ("estimate effects on a mark grid", _add_estimate_flags, cmd_estimate),
+    "test": ("multiplier-resampling hypothesis test", _add_test_flags, cmd_test),
+    "simulate": ("replicate estimation, report quality metrics", _add_simulate_flags,
+                 cmd_simulate),
+    "power": ("rejection-rate sweep across c3", _add_power_flags, cmd_power),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The ``marktau`` parser, with options added to ``command`` only.
+
+    Every command is registered with its help text whichever is named, so
+    ``marktau -h`` and the error for a missing or unknown command do not
+    depend on it.
+    """
     parser = argparse.ArgumentParser(
         prog="marktau",
         description="Mark-specific treatment effects on right-censored failure times",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # Options are spelled out in full: with abbreviations, --bandwidth on a
-    # command that has only --bandwidth-scale would set the scale instead.
-    p_est = sub.add_parser("estimate", help="estimate effects on a mark grid",
-                           allow_abbrev=False)
-    _add_data_flags(p_est)
-    _add_grid_flags(p_est)
-    _add_bandwidth_flags(p_est, explicit=True)
-    p_est.add_argument("--alpha", type=float, default=0.05)
-    p_est.add_argument("--out", required=True, help="output CSV; JSON summary beside it")
-    p_est.add_argument("--dump-censoring", metavar="PREFIX",
-                       help="also dump each arm's censoring survival curve as CSV")
-    p_est.set_defaults(func=cmd_estimate)
-
-    p_test = sub.add_parser("test", help="multiplier-resampling hypothesis test",
-                            allow_abbrev=False)
-    _add_data_flags(p_test)
-    _add_grid_flags(p_test)
-    _add_bandwidth_flags(p_test, explicit=True)
-    p_test.add_argument("--kind", choices=TEST_KINDS, required=True)
-    p_test.add_argument("--resamples", type=int, default=500, metavar="B")
-    p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--pi-design", type=float,
-                        help="design treated fraction; default is the empirical one")
-    p_test.add_argument("--add-one-correction", action="store_true",
-                        help="use the (count+1)/(B+1) p-value variant")
-    p_test.add_argument("--out", help="write the JSON report here")
-    p_test.set_defaults(func=cmd_test)
-
-    p_sim = sub.add_parser("simulate", help="replicate estimation, report quality metrics",
-                           allow_abbrev=False)
-    p_sim.add_argument("--c3", type=float, required=True)
-    _add_scenario_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_pow = sub.add_parser("power", help="rejection-rate sweep across c3",
-                           allow_abbrev=False)
-    p_pow.add_argument("--kind", choices=TEST_KINDS, required=True)
-    p_pow.add_argument("--c3-range", required=True, metavar="LO:HI:STEP")
-    p_pow.add_argument("--resamples", type=int, default=500, metavar="B")
-    _add_scenario_flags(p_pow)
-    p_pow.set_defaults(func=cmd_power)
+    for name, (text, add_flags, func) in _COMMANDS.items():
+        # Options are spelled out in full: with abbreviations, --bandwidth on a
+        # command that has only --bandwidth-scale would set the scale instead.
+        subparser = sub.add_parser(name, help=text, allow_abbrev=False)
+        if command == name:
+            add_flags(subparser)
+            subparser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command is the first argument that names one: the top-level parser
+    # takes no option with a value, so nothing before it can be one
+    parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
     args = parser.parse_args(argv)
     try:
         return args.func(args)

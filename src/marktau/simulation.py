@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,18 +184,27 @@ def calibrate_censoring(scenario: Scenario, arm: int) -> float:
     positive, or when the rate it achieves misses the target by more than
     0.5 percentage points.
     """
+    return _solve_censoring(scenario, arm, _calibration_draws(scenario.seed, arm))
+
+
+def _calibration_draws(seed: int, arm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (V, residual, unit-exponential) draws that calibrate ``arm``; no coefficient enters."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_CALIBRATION_SPACE, arm))
+    rng = np.random.default_rng(ss)
+    v = rng.random(_CALIBRATION_DRAWS)
+    eps = truncated_std_normal(rng, _CALIBRATION_DRAWS)
+    return v, eps, rng.exponential(1.0, _CALIBRATION_DRAWS)
+
+
+def _solve_censoring(scenario: Scenario, arm: int, sample) -> float:
+    """:func:`calibrate_censoring` on a ``sample`` from :func:`_calibration_draws`."""
     target, draws = scenario.censor_target, _CALIBRATION_DRAWS
     # k is chosen with the comparison the achieved rate below makes; the
     # (k + 1)-th largest ratio sits at ascending position N - 1 - k
     k = np.count_nonzero(np.arange(1, draws + 1) / draws <= target)
     rank = draws - 1 - k
-    ss = np.random.SeedSequence(entropy=scenario.seed,
-                                spawn_key=(_CALIBRATION_SPACE, arm))
-    rng = np.random.default_rng(ss)
-    v = rng.random(draws)
-    eps = truncated_std_normal(rng, draws)
+    v, eps, unit_exp = sample
     t = (treated_curve(scenario, v) if arm == 1 else control_curve(v)) + eps
-    unit_exp = rng.exponential(1.0, draws)
     mu = float(np.partition(t / unit_exp, rank)[rank])
     if not mu > 0.0:
         raise SimulationError(
@@ -225,8 +233,14 @@ def resolve_censoring(scenario: Scenario) -> Scenario:
     )
 
 
-def _replication_seed(seed: int, rep: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(_REPLICATION_SPACE, rep))
+def _replication_seed(seed: int, rep: int, stream: int) -> np.random.SeedSequence:
+    """Stream 0 (the data) or 1 (the multipliers) of replication ``rep``.
+
+    Built directly, it is the ``stream``-th child that ``.spawn(2)`` gives of
+    the replication's own sequence.
+    """
+    return np.random.SeedSequence(entropy=seed,
+                                  spawn_key=(_REPLICATION_SPACE, rep, stream))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +267,7 @@ class MetricsTable:
 def _metrics_rep(args: tuple[Scenario, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scenario, rep = args
     grid = scenario.grid
-    rng = np.random.default_rng(_replication_seed(scenario.seed, rep).spawn(2)[0])
+    rng = np.random.default_rng(_replication_seed(scenario.seed, rep, 0))
     dataset = generate_dataset(scenario, rng)
     est, _ = _estimate_with_terms(dataset, grid, alpha=scenario.alpha,
                                   varpi=scenario.varpi)
@@ -266,6 +280,9 @@ def _metrics_rep(args: tuple[Scenario, int]) -> tuple[np.ndarray, np.ndarray, np
 def _map_replications(worker, items, workers: int):
     if workers <= 1:
         return [worker(item) for item in items]
+    # imported here: it loads multiprocessing, which a one-worker run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items, chunksize=chunk))
@@ -324,7 +341,7 @@ class PowerTable:
 
 def _test_rep(args: tuple[Scenario, int, str, int]) -> bool:
     scenario, rep, kind, resamples = args
-    data_ss, mult_ss = _replication_seed(scenario.seed, rep).spawn(2)
+    data_ss, mult_ss = (_replication_seed(scenario.seed, rep, i) for i in (0, 1))
     dataset = generate_dataset(scenario, np.random.default_rng(data_ss))
     est, theta = _estimate_with_terms(dataset, scenario.grid, alpha=scenario.alpha,
                                       varpi=scenario.varpi)
@@ -350,19 +367,25 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     A censoring mean left unresolved on the base scenario is calibrated once
     for the control arm, whose failure times do not depend on the
     coefficients, and at every c3 for the treated arm, whose failure-time
-    scale moves with c3.
+    scale moves with c3. The treated arm's draws take no coefficient, so they
+    are drawn once and each c3 solves its mean from them.
     """
     c3_values = np.asarray(c3_values, dtype=float)
     if c3_values.size == 0:
         raise SimulationError("need at least one c3 value")
     if scenario.censor_mean0 is None:
         scenario = replace(scenario, censor_mean0=calibrate_censoring(scenario, 0))
+    treated_draws = None
+    if scenario.censor_mean1 is None:
+        treated_draws = _calibration_draws(scenario.seed, 1)
     rates = np.empty(c3_values.size)
     rejections = np.empty(c3_values.size, dtype=np.int64)
     for k, c3 in enumerate(c3_values):
+        point = replace(scenario, c3=float(c3))
+        if treated_draws is not None:
+            point = replace(point, censor_mean1=_solve_censoring(point, 1, treated_draws))
         rates[k], rejections[k] = rejection_rate(
-            replace(scenario, c3=float(c3)), kind,
-            resamples=resamples, workers=workers,
+            point, kind, resamples=resamples, workers=workers,
         )
     se = np.sqrt(rates * (1.0 - rates) / scenario.reps)
     return PowerTable(c3=c3_values, rate=rates, se=se, rejections=rejections)

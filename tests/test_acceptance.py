@@ -191,7 +191,7 @@ def test_criterion_7_unmarked_analysis_misses_the_effect():
     )
     diffs = np.empty(scenario.reps)
     for r in range(scenario.reps):
-        rng = np.random.default_rng(_replication_seed(SEED, r).spawn(2)[0])
+        rng = np.random.default_rng(_replication_seed(SEED, r, 0))
         diffs[r] = ipcw_mean_difference(generate_dataset(scenario, rng))
     mean_diff = float(np.mean(diffs))
 

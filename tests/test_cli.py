@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +16,58 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_cli_import_loads_no_scipy():
-    # a fresh interpreter: this test process has scipy loaded by the oracles
+    # a fresh interpreter: this test process has scipy loaded by the oracles. The
+    # process pool, and multiprocessing with it, loads only for --threads > 1.
     code = ("import marktau.cli, sys; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.') "
+            "or m in ('multiprocessing', 'concurrent.futures.process')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+_DATA_OPTIONS = {"--input", "--meta", "--drop-missing-marks"}
+_GRID_OPTIONS = {"--interval", "--grid-points", "--grid", "--bandwidth-scale"}
+_SCENARIO_OPTIONS = {"--c1", "--c2", "--n", "--p-treat", "--censor-mean0", "--censor-mean1",
+                     "--censor-target", "--alpha", "--reps", "--seed", "--threads", "--out"}
+OPTIONS = {
+    "estimate": _DATA_OPTIONS | _GRID_OPTIONS | {"--bandwidth", "--alpha", "--out",
+                                                 "--dump-censoring"},
+    "test": _DATA_OPTIONS | _GRID_OPTIONS | {"--bandwidth", "--kind", "--resamples", "--alpha",
+                                             "--seed", "--pi-design", "--add-one-correction",
+                                             "--out"},
+    "simulate": _GRID_OPTIONS | _SCENARIO_OPTIONS | {"--c3"},
+    "power": _GRID_OPTIONS | _SCENARIO_OPTIONS | {"--kind", "--c3-range", "--resamples"},
+}
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) if argv else None)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command_and_only_the_named_commands_options(capsys, monkeypatch):
+    # the parser adds options only to the command it runs
+    top = _help(capsys, "-h")
+    for command in OPTIONS:
+        assert re.search(rf"^    {command} +\S", top, re.MULTILINE), command
+    for command, options in OPTIONS.items():
+        text = _help(capsys, command, "-h")
+        assert set(re.findall(r"(?<![\w-])--[a-z0-9-]+", text)) == options | {"--help"}
+    # with no arguments, main reads the command line
+    monkeypatch.setattr(sys, "argv", ["marktau", "power", "-h"])
+    assert _help(capsys) == _help(capsys, "power", "-h")
+
+
+def test_unknown_option_before_the_command_fails_as_the_command_does(capsys):
+    # the command's options are added even when the command is not the first argument
+    with pytest.raises(SystemExit) as exc:
+        main(["--x", "estimate"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "marktau estimate: error: the following arguments are required: --input, --out\n")
 
 
 def _run(capsys, *argv):
@@ -327,6 +374,24 @@ def test_lone_cr_line_ends_estimate_and_hash_the_bytes(tmp_path, capsys):
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
     assert summary["n"] == 24
     assert summary["config"]["input_sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_validation_failure_lists_the_first_20_violations(tmp_path, capsys):
+    # one line per violation flooded stderr: 120 027 lines on a 2e5-row raw-mark file
+    rows = [f"{1.0 + i / 10.0},1,{2.0 + i},{i % 2}" for i in range(25)]
+    path = tmp_path / "raw.csv"
+    path.write_text("\n".join(["y,delta,mark,a", *rows]) + "\n", encoding="utf-8")
+    code, _, err = _run(
+        capsys,
+        "estimate", "--input", str(path), "--grid", "0.3,0.5",
+        "--interval", "0.1,0.9", "--out", str(tmp_path / "est.csv"),
+    )
+    assert code == 1
+    lines = err.splitlines()
+    assert lines[0] == "error: input fails validation:"
+    assert lines[1:21] == [f"row {i}: mark in [0,1] (mark={2.0 + i!r} (is the data scaled?))"
+                           for i in range(20)]
+    assert lines[21:] == ["... and 5 more"]
 
 
 def test_malformed_csv_reports_line(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marktau as mt
+from marktau import data_model
 from marktau.data_model import (
     DataError,
     ScalingRecord,
@@ -199,6 +201,82 @@ def _outcome(parse, text):
 @settings(deadline=None, max_examples=400)
 @given(csv_texts())
 def test_parse_matches_row_loop_oracle(text):
+    assert _outcome(mt.parse_dataset, text) == _outcome(parse_dataset_rows, text)
+
+
+@functools.cache
+def _scale_text() -> str:
+    """A random 5000-row dataset, serialized; the one-split reader's piece checks
+    span every row of it, while the generated texts above hold at most 8."""
+    rng = np.random.default_rng(5000)
+    n = 5000
+    delta = (rng.random(n) < 0.6).astype(int)
+    mark = np.where(delta == 1, rng.random(n), math.nan)
+    return serialize_dataset(mt.Dataset.from_arrays(rng.exponential(3.0, n), delta, mark,
+                                                    rng.integers(0, 2, n)))
+
+
+def _every_row(text, edit):
+    """``text`` with ``edit(k, fields)`` applied to the fields of every data row k."""
+    header, *rows = text.rstrip("\n").split("\n")
+    rows = [",".join(edit(k, row.split(","))) for k, row in enumerate(rows)]
+    return "\n".join([header, *rows])
+
+
+SCALE_VARIANTS = {
+    "plain": lambda text: text,
+    "quoted": lambda text: _every_row(text, lambda k, fields: [
+        f'"{field}"' if (k + i) % 3 == 0 else field for i, field in enumerate(fields)]),
+    "padded": lambda text: _every_row(text, lambda k, fields: [
+        [" ", "\t", "", "  "][(k + i) % 4] + field + [" ", "", "\t"][(k * i) % 3]
+        for i, field in enumerate(fields)]),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "bom": lambda text: "\ufeff" + text,
+    "blank lines": lambda text: "\n" + text.replace("\n", "\n\n", 40).replace(",1\n", ",1\n\n"),
+}
+
+
+@pytest.mark.parametrize("variant", SCALE_VARIANTS)
+def test_parse_at_scale_matches_row_loop_oracle(variant):
+    text = SCALE_VARIANTS[variant](_scale_text())
+    assert data_model._columns(text) is not None  # read with one split, not row by row
+    assert _outcome(mt.parse_dataset, text) == _outcome(parse_dataset_rows, text)
+    assert mt.parse_dataset(text) == mt.parse_dataset(_scale_text())
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a row of five fields and one of three split into the right number of pieces
+    (["1.0,1,0.3,1,7", "0,,1"], "expected 4 fields, got 5"),
+    (["1.0,1,0.3", "0.5,0,,1,1"], "expected 4 fields, got 3"),
+    # a row of one field beside one of seven: every column still reads as valid
+    # numbers, and only the line-break positions show the misplaced fields
+    (["1.5", "0,1,0.3,2.5,1,0.4,1"], "expected 4 fields, got 1"),
+    (["2.5,1,0.3,1,0,,3.5", "0"], "expected 4 fields, got 7"),
+    (["1.0,1,0.3,1,7", "2.0,0,,0", "0,,1"], "expected 4 fields, got 5"),
+])
+@pytest.mark.parametrize("where", [0, 2500, 4999])
+def test_balanced_miscounts_name_their_line(rows, message, where):
+    lines = _scale_text().split("\n")
+    lines[1 + where:1 + where + len(rows)] = rows  # data row k is line k + 2
+    text = "\n".join(lines)
+    assert _outcome(parse_dataset_rows, text)[1].startswith(f"line {where + 2}: ")
+    with pytest.raises(DataError, match=f"^line {where + 2}: {message}$"):
+        mt.parse_dataset(text)
+
+
+@pytest.mark.parametrize("last, message", [
+    ("1.0,1,0.3", "expected 4 fields, got 3"),
+    ("1.0,1,0.3,1,0", "expected 4 fields, got 5"),
+    ("1.0,2,,1", "delta must be 0 or 1, got '2'"),
+    ("1.0,1,0.3,x", "a is not numeric: 'x'"),
+    ("1.0,0,0.3,1", "mark present on a censored row (delta=0)"),
+])
+@pytest.mark.parametrize("end", ["", "\n", "\r\n\n"])
+def test_malformed_last_row_names_its_line(last, message, end):
+    lines = _scale_text().rstrip("\n").split("\n")
+    text = "\n".join(lines[:-1] + [last]) + end
+    with pytest.raises(DataError, match=f"^line {len(lines)}: {re.escape(message)}$"):
+        mt.parse_dataset(text)
     assert _outcome(mt.parse_dataset, text) == _outcome(parse_dataset_rows, text)
 
 

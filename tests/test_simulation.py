@@ -207,16 +207,68 @@ def test_sweep_calibrates_the_control_arm_once(monkeypatch):
     for c3 in (0.0, 2.0):
         assert calibrate_censoring(dataclasses.replace(scenario, c3=c3), 0) == mu0
     arms = _count_calibrations(monkeypatch)
+    drawn = _count_draws(monkeypatch)
     mt.size_power_curve(scenario, [-2.0, 0.0, 2.0], "global", resamples=10)
-    assert sorted(arms) == [0, 1, 1, 1]
+    # the treated arm's means are solved from its draws without calibrate_censoring
+    assert arms == [0]
+    assert sorted(drawn) == [0, 1]
+
+
+def _count_draws(monkeypatch):
+    """Record the arm of every set of calibration draws the engine makes."""
+    arms = []
+    draws = simulation._calibration_draws
+
+    def counted(seed, arm):
+        arms.append(arm)
+        return draws(seed, arm)
+
+    monkeypatch.setattr(simulation, "_calibration_draws", counted)
+    return arms
+
+
+def test_sweep_solves_every_c3_from_one_set_of_treated_draws(monkeypatch):
+    scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-2.0, n=100, reps=2, seed=4)
+    c3_values = [-2.0, -0.5, 1.0, 2.5]
+    expected = [calibrate_censoring(dataclasses.replace(scenario, c3=c3), 1)
+                for c3 in c3_values]
+    drawn = _count_draws(monkeypatch)
+    means = []
+
+    def record(point, kind, *, resamples, workers):
+        means.append(point.censor_mean1)
+        return 0.0, 0
+
+    monkeypatch.setattr(simulation, "rejection_rate", record)
+    mt.size_power_curve(scenario, c3_values, "global", resamples=10)
+    assert means == expected  # exactly, not approximately
+    assert sorted(drawn) == [0, 1]
+
+
+def test_sweep_checks_the_treated_calibration_at_every_c3():
+    # every treated failure time is negative, so no positive mean censors anyone
+    scenario = mt.Scenario(c1=-10.0, c2=0.0, c3=0.0, n=200, reps=1, seed=0)
+    with pytest.raises(SimulationError, match="arm 1 .* too large for this scenario"):
+        mt.size_power_curve(scenario, [0.0], "global", resamples=10)
 
 
 def test_replication_seeds_are_disjoint_streams():
-    a = np.random.default_rng(_replication_seed(3, 0)).random(4)
-    b = np.random.default_rng(_replication_seed(3, 1)).random(4)
-    assert not np.array_equal(a, b)
-    again = np.random.default_rng(_replication_seed(3, 0)).random(4)
+    a = np.random.default_rng(_replication_seed(3, 0, 0)).random(4)
+    b = np.random.default_rng(_replication_seed(3, 1, 0)).random(4)
+    c = np.random.default_rng(_replication_seed(3, 0, 1)).random(4)
+    assert not np.array_equal(a, b) and not np.array_equal(a, c)
+    again = np.random.default_rng(_replication_seed(3, 0, 0)).random(4)
     np.testing.assert_array_equal(a, again)
+
+
+@pytest.mark.parametrize("seed, rep", [(0, 0), (3, 7), (2**40 + 5, 499)])
+def test_replication_seeds_equal_the_spawned_children(seed, rep):
+    # the streams once came from spawning two children of (seed, (1, rep))
+    children = np.random.SeedSequence(entropy=seed, spawn_key=(1, rep)).spawn(2)
+    for stream, child in enumerate(children):
+        direct = _replication_seed(seed, rep, stream)
+        assert direct.state == child.state
+        np.testing.assert_array_equal(direct.generate_state(8), child.generate_state(8))
 
 
 def test_metrics_identical_across_worker_counts():
