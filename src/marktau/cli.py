@@ -42,7 +42,7 @@ from .simulation import (
     size_power_curve,
 )
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _ERRORS = (DataError, KernelError, EstimationError, InferenceError, SimulationError,
            OSError)

@@ -1,22 +1,29 @@
 """IPCW kernel estimation of mark-specific treatment effects on a mark grid.
 
-For arm a, the mean failure time localized at mark v is estimated by
+For arm a the estimator is
 
     tau_a(v) = (1/n_a) * sum over arm-a subjects of
                delta_i * (y_i / S_a(y_i)) * K_h(mark_i - v)
 
 where S_a is the arm's censoring survival curve evaluated left-continuously
-and K_h is the scaled Epanechnikov kernel. The double integral against each
-subject's marked counting process reduces to this single term because the
-process carries one unit point mass at (y_i, mark_i) when delta_i = 1 and
-none otherwise; the integral form survives only in the test oracles.
+and K_h is the scaled Epanechnikov kernel. It estimates the kernel-smoothed
+E[T(a) K_h(V(a) - v)] of the arm's failure time T(a) and mark V(a). As h
+shrinks this tends to f_a(v) * mu_a(v), the arm's mark density at v times
+its mean failure time given the mark v; it is not the mean failure time at
+v alone unless the mark density is one there. The double integral against
+each subject's marked counting process reduces to this single term because
+the process carries one unit point mass at (y_i, mark_i) when delta_i = 1
+and none otherwise; the integral form survives only in the test oracles.
 
 Censored subjects therefore contribute exactly zero, and the kernel terms
-are kept for observed failures only: per arm, a grid-points by events array
-whose rows are summed. The contrast tau(v) = tau_1(v) - tau_0(v), its
-variance estimate (n h) * sum over arms of n_a^(-2) * sum_i theta_i(v)^2
-and pointwise confidence intervals follow the large-sample normal
-approximation for sqrt(n h).
+are kept for observed failures only. A failure's term is nonzero only at
+the grid points within h of its mark, so each failure keeps one window of
+consecutive grid points, found by binary search on the grid, and the
+kernel is evaluated there alone. Every per-point sum adds the arm's terms
+left to right in record order. The contrast tau(v) = tau_1(v) - tau_0(v),
+its variance estimate (n h) * sum over arms of n_a^(-2) * sum_i
+theta_i(v)^2 and pointwise confidence intervals follow the large-sample
+normal approximation for sqrt(n h).
 """
 
 from __future__ import annotations
@@ -126,8 +133,11 @@ def ipcw_weights(dataset: Dataset) -> np.ndarray:
     """Per-subject factor delta_i * y_i / S_a(y_i).
 
     Weights are zero on censored rows. Each arm's censoring curve is fitted
-    on that arm alone and evaluated left-continuously, so the weight at an
-    observed failure is positive and at most the arm size.
+    on that arm alone and evaluated left-continuously, so at an observed
+    failure S_a(y_i) is positive and 1 / S_a(y_i) is at most the arm size.
+    The curve is looked up at the arm's failure times in ascending order,
+    so that successive binary searches stay in nearby, cached jump times;
+    the values are the table entries an unsorted lookup returns.
     """
     weights = np.zeros(dataset.n)
     for a in (0, 1):
@@ -135,12 +145,15 @@ def ipcw_weights(dataset: Dataset) -> np.ndarray:
         curve = fit_censoring_km(dataset.y[idx], dataset.delta[idx])
         events = idx[dataset.delta[idx] == 1]
         if events.size:
-            surv_at_event = curve.evaluate(dataset.y[events])
+            times = dataset.y[events]
+            order = np.argsort(times)
+            surv_at_event = np.empty(times.size)
+            surv_at_event[order] = curve.evaluate(times[order])
             if np.any(surv_at_event <= 0.0):
                 raise EstimationError(
                     f"censoring survival vanishes at an observed failure in group {a}"
                 )
-            weights[events] = dataset.y[events] / surv_at_event
+            weights[events] = times / surv_at_event
     return weights
 
 
@@ -154,36 +167,53 @@ def _resolve_bandwidth(dataset: Dataset, bandwidth: float | None, varpi: float,
 def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
                          alpha: float = 0.05, bandwidth: float | None = None,
                          varpi: float = 1.0,
-                         ) -> tuple[EstimateGrid, tuple[np.ndarray, np.ndarray]]:
-    """Estimates on the grid plus the kernel terms they are sums of.
+                         ) -> tuple[EstimateGrid, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Estimates on the grid plus the windowed kernel terms they are sums of.
 
-    The terms are a (control, treated) pair of arrays of shape (g, m_a):
-    entry (j, k) is (y / S_a(y)) * K_h(mark - v_j) for the k-th observed
-    failure of arm a in record order. Censored subjects contribute zero and
-    have no column, and every per-arm sum runs along a contiguous row. The
-    multiplier resampling reuses the terms, so they are computed once here.
+    The terms are a (control, treated) pair of ``(start, values)``, one row
+    per observed failure of the arm in record order: ``values[k, i]`` is
+    (y / S_a(y)) * K_h(mark - v_j) at grid point j = start[k] + i. Every
+    failure gets the same number w of columns, the widest window's, and a
+    window that would run past the last grid point starts early instead.
+    Censored subjects contribute zero and have no row; grid points beyond a
+    failure's window get zero from it and are left out. Each per-point sum
+    adds the arm's terms left to right in record order. The multiplier
+    resampling reuses the terms, so they are computed once here.
     """
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0,1), got {alpha!r}")
     bw = _resolve_bandwidth(dataset, bandwidth, varpi)
     weights = ipcw_weights(dataset)
-    points = grid.points[:, None]
-    theta, events = [], []
+    points, h = grid.points, bw.h
+    g = points.size
+    # Rounding is monotone, so mark -/+ h already brackets every point within
+    # h; the few ulps more are slack. The kernel's |(u - v) / h| < 1 and the
+    # count's |u - v| < h decide each point of the window.
+    reach = h * (1.0 + 4.0 * np.finfo(float).eps)
+    terms, totals, squares, events = [], [], [], []
     for a in (0, 1):
         observed = (dataset.arm == a) & (dataset.delta == 1)
         marks = dataset.mark[observed]
-        theta.append(weights[observed] * scaled_kernel(marks, points, bw.h))
-        events.append(np.count_nonzero(np.abs(marks - points) < bw.h, axis=1))
-    (theta0, theta1), (events0, events1) = theta, events
+        first = np.searchsorted(points, marks - reach)
+        widths = np.searchsorted(points, marks + reach, side="right") - first
+        w = int(widths.max(initial=0))
+        start = np.minimum(first, g - w)
+        cols = start[:, None] + np.arange(w)
+        at = points[cols]
+        values = weights[observed][:, None] * scaled_kernel(marks[:, None], at, h)
+        terms.append((start, values))
+        flat = cols.ravel()
+        totals.append(np.bincount(flat, weights=values.ravel(), minlength=g))
+        squares.append(np.bincount(flat, weights=(values**2).ravel(), minlength=g))
+        inside = (np.abs(marks[:, None] - at) < h).ravel()
+        events.append(np.bincount(flat[inside], minlength=g))
+    events0, events1 = events
 
-    tau1 = theta1.sum(axis=1) / dataset.n1
-    tau0 = theta0.sum(axis=1) / dataset.n0
+    tau1 = totals[1] / dataset.n1
+    tau0 = totals[0] / dataset.n0
     tau = tau1 - tau0
-    nh = dataset.n * bw.h
-    sigma2 = nh * (
-        (theta1**2).sum(axis=1) / dataset.n1**2
-        + (theta0**2).sum(axis=1) / dataset.n0**2
-    )
+    nh = dataset.n * h
+    sigma2 = nh * (squares[1] / dataset.n1**2 + squares[0] / dataset.n0**2)
     flagged = (events1 + events0) == 0
 
     z = normal_quantile(1.0 - alpha / 2.0)
@@ -194,7 +224,7 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
         events1=events1, events0=events0, flagged=flagged,
         bandwidth=bw, n=dataset.n, n0=dataset.n0, n1=dataset.n1,
     )
-    return est, (theta0, theta1)
+    return est, tuple(terms)
 
 
 def estimate_on_grid(dataset: Dataset, grid: EvaluationGrid, *, alpha: float = 0.05,

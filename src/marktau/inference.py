@@ -98,16 +98,35 @@ def _usable_points(est: EstimateGrid) -> np.ndarray:
     return ~est.flagged & (est.sigma2 > 0.0)
 
 
-def arm_grams(theta: tuple[np.ndarray, np.ndarray], usable: np.ndarray,
+def arm_grams(terms: tuple[tuple[np.ndarray, np.ndarray], ...], usable: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
     """Per-arm Gram matrices over the usable points, control first.
 
-    ``theta`` is the estimator's (control, treated) pair of (points, events)
-    kernel-term arrays; entry (j, k) of arm a's Gram is the sum over the
-    arm's subjects of theta_i(v_j) * theta_i(v_k).
+    ``terms`` is the estimator's (control, treated) pair of windowed kernel
+    terms ``(start, values)``; entry (j, k) of arm a's Gram is the sum over
+    the arm's subjects of theta_i(v_j) * theta_i(v_k). Points more than a
+    window apart share no failure, so the Gram is banded: diagonal d holds,
+    for every failure and window offset i < w - d, the product of its terms
+    at offsets i and i + d, summed onto point start + i by one
+    ``np.bincount``. No array is larger than the terms themselves.
     """
-    selected = (terms[usable] for terms in theta)
-    return tuple(terms @ terms.T for terms in selected)
+    g = usable.size
+    grams = []
+    for start, values in terms:
+        w = values.shape[1]
+        # offset-major, so that both factors of every diagonal are contiguous
+        columns = values.T.copy()
+        points = start + np.arange(w)[:, None]
+        gram = np.zeros((g, g))
+        flat = gram.reshape(-1)
+        for d in range(w):
+            band = np.bincount(points[:w - d].ravel(),
+                               weights=(columns[:w - d] * columns[d:]).ravel(),
+                               minlength=g)[:g - d]
+            flat[d::g + 1][:g - d] = band  # entries (p, p + d)
+            flat[d * g::g + 1] = band  # entries (p + d, p)
+        grams.append(gram[np.ix_(usable, usable)])
+    return tuple(grams)
 
 
 def resampling_covariance(grams: tuple[np.ndarray, np.ndarray], pi: float) -> np.ndarray:
@@ -253,18 +272,17 @@ def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = 
     return count / resampled.size
 
 
-def _test_from_estimate(kind: str, est: EstimateGrid,
-                        theta: tuple[np.ndarray, np.ndarray], draws: np.ndarray, *,
+def _test_from_estimate(kind: str, est: EstimateGrid, terms: tuple, draws: np.ndarray, *,
                         alpha: float, pi_design: float | None = None,
                         add_one_correction: bool = False) -> TestResult:
-    """Test from an estimate, its contributions and standard normal ``draws``.
+    """Test from an estimate, its kernel terms and standard normal ``draws``.
 
     ``draws`` come from :func:`multiplier_draws`; the multiplier sums are
     draws @ L^T with L L^T the resampling covariance.
     """
     pi = pi_design if pi_design is not None else est.n1 / est.n
     usable = _usable_points(est)
-    grams = arm_grams(theta, usable)
+    grams = arm_grams(terms, usable)
     factor, rank = covariance_factor(resampling_covariance(grams, pi))
     sums = draws @ factor.T
     skipped_pairs = 0
@@ -308,8 +326,8 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
         raise InferenceError(f"unknown test kind {kind!r}; expected one of {TEST_KINDS}")
     if pi_design is not None and not 0.0 < pi_design < 1.0:
         raise InferenceError(f"pi_design must be in (0,1), got {pi_design!r}")
-    est, theta = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
+    est, terms = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
                                       varpi=varpi)
     draws = multiplier_draws(est, resamples, seed)
-    return _test_from_estimate(kind, est, theta, draws, alpha=alpha, pi_design=pi_design,
+    return _test_from_estimate(kind, est, terms, draws, alpha=alpha, pi_design=pi_design,
                                add_one_correction=add_one_correction)

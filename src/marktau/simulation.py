@@ -343,10 +343,10 @@ def _test_rep(args: tuple[Scenario, int, str, int]) -> bool:
     scenario, rep, kind, resamples = args
     data_ss, mult_ss = (_replication_seed(scenario.seed, rep, i) for i in (0, 1))
     dataset = generate_dataset(scenario, np.random.default_rng(data_ss))
-    est, theta = _estimate_with_terms(dataset, scenario.grid, alpha=scenario.alpha,
+    est, terms = _estimate_with_terms(dataset, scenario.grid, alpha=scenario.alpha,
                                       varpi=scenario.varpi)
     draws = multiplier_draws(est, resamples, mult_ss)
-    return bool(_test_from_estimate(kind, est, theta, draws, alpha=scenario.alpha).reject)
+    return bool(_test_from_estimate(kind, est, terms, draws, alpha=scenario.alpha).reject)
 
 
 def rejection_rate(scenario: Scenario, kind: str, *, resamples: int = 500,

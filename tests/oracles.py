@@ -12,6 +12,7 @@ import numpy as np
 
 from marktau.data_model import Dataset, DataError, ValidationReport, Violation
 from marktau.estimator import ipcw_weights
+from marktau.kernels import scaled_kernel
 from marktau.simulation import control_curve, treated_curve, truncated_std_normal
 
 
@@ -102,12 +103,44 @@ def normal_quantile_bisect(p, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
+def dense_kernel_terms(dataset, points, h):
+    """Kernel terms at every (grid point, observed failure) pair, per arm.
+
+    Returns the (control, treated) pair of (g, m_a) arrays whose entry
+    (j, k) is (y / S_a(y)) * K_h(mark - v_j) for the k-th observed failure
+    of arm a in record order, zero outside the kernel window.
+    """
+    weights = ipcw_weights(dataset)
+    points = np.asarray(points, dtype=float)[:, None]
+    out = []
+    for a in (0, 1):
+        observed = (dataset.arm == a) & (dataset.delta == 1)
+        out.append(weights[observed] * scaled_kernel(dataset.mark[observed], points, h))
+    return tuple(out)
+
+
+def scatter_terms(terms, g):
+    """The package's windowed (start, values) terms as dense (g, m_a) arrays.
+
+    Entry (start[k] + i, k) takes values[k, i], one entry at a time; every
+    other entry stays zero.
+    """
+    out = []
+    for start, values in terms:
+        dense = np.zeros((g, values.shape[0]))
+        for k in range(values.shape[0]):
+            for i in range(values.shape[1]):
+                dense[start[k] + i, k] = values[k, i]
+        out.append(dense)
+    return tuple(out)
+
+
 def subject_major(theta, dataset):
     """Scatter the per-arm kernel terms back into an n x g subject-by-point matrix.
 
-    ``theta`` is the package's (control, treated) pair of (g, m_a) arrays
-    whose columns are the arm's observed failures in record order. Rows of
-    censored subjects stay zero.
+    ``theta`` is a (control, treated) pair of dense (g, m_a) arrays whose
+    columns are the arm's observed failures in record order (see
+    :func:`scatter_terms`). Rows of censored subjects stay zero.
     """
     out = np.zeros((dataset.n, theta[0].shape[0]))
     seen = [0, 0]

@@ -79,7 +79,7 @@ def _run(capsys, *argv):
 def _read_artifact(path):
     """Split a CSV artifact into (config dict, header, data rows)."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    prefix = "# marktau format=5 config="
+    prefix = "# marktau format=6 config="
     assert lines[0].startswith(prefix)
     config = json.loads(lines[0][len(prefix):])
     header = lines[1].split(",")
@@ -109,7 +109,7 @@ def test_estimate_artifacts(tmp_path, capsys, trial_files):
         assert int(row[7]) >= 0 and int(row[8]) >= 0
 
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
-    assert summary["format_version"] == 5
+    assert summary["format_version"] == 6
     assert summary["config"] == config
     assert summary["n"] == summary["n0"] + summary["n1"]
     assert summary["h"] > 0

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -13,13 +15,17 @@ from marktau.estimator import (
     _estimate_with_terms,
     normal_quantile,
 )
+from marktau.inference import arm_grams
 from marktau.kernels import rule_of_thumb_bandwidth, scaled_kernel
 from marktau.km import fit_censoring_km
+from marktau.simulation import generate_dataset, resolve_censoring
 
 from conftest import hand_dataset
 from oracles import (
+    dense_kernel_terms,
     ipcw_mean_difference,
     normal_quantile_bisect,
+    scatter_terms,
     stieltjes_group_mean,
     subject_major,
 )
@@ -34,8 +40,11 @@ def _at(ds, points, h, **kwargs):
 
 
 def _terms(ds, points, h):
-    """Estimates and the per-arm kernel terms at explicit points inside [0, 1]."""
-    return _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT), bandwidth=h)
+    """Estimates and the per-arm kernel terms, scattered into dense (points,
+    failures) arrays, at explicit points inside [0, 1]."""
+    est, terms = _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT),
+                                      bandwidth=h)
+    return est, scatter_terms(terms, len(points))
 
 
 def test_censored_record_contributes_zero():
@@ -140,9 +149,9 @@ def test_no_censoring_reduces_to_plain_kernel_mean():
     for a, curve in ((0, est.tau0), (1, est.tau1)):
         idx = ds.arm_indices(a)
         for j, v in enumerate(points):
-            plain = float(
-                np.sum(y[idx] * scaled_kernel(mark[idx], v, h)) / idx.size
-            )
+            # the estimator adds an arm's terms left to right in record order
+            terms = y[idx] * scaled_kernel(mark[idx], v, h)
+            plain = functools.reduce(operator.add, terms) / idx.size
             assert curve[j] == plain  # bitwise
 
 
@@ -208,10 +217,13 @@ def test_estimate_grid_matches_pointwise_functions():
 
 def test_kernel_matrix_shape_and_censored_rows():
     ds = hand_dataset()
-    _, theta = _terms(ds, [0.45, 0.5], 0.1)
-    # points by observed failures, one contiguous block per arm
+    grid = mt.EvaluationGrid.explicit([0.45, 0.5], UNIT)
+    _, terms = _estimate_with_terms(ds, grid, bandwidth=0.1)
+    # observed failures by window points, one contiguous block per arm
+    assert all(values.flags.c_contiguous for _, values in terms)
+    theta = scatter_terms(terms, 2)
+    # points by observed failures
     assert [t.shape for t in theta] == [(2, 1), (2, 1)]
-    assert all(t.flags.c_contiguous for t in theta)
     full = subject_major(theta, ds)
     assert full.shape == (8, 2)
     np.testing.assert_array_equal(full[ds.delta == 0], 0.0)
@@ -330,6 +342,102 @@ def test_mark_reflection_mirrors_the_curve(data):
                                    rtol=1e-12, atol=0.0, err_msg=field)
     np.testing.assert_array_equal(mirror.events1[::-1], est.events1)
     np.testing.assert_array_equal(mirror.events0[::-1], est.events0)
+
+
+def _assert_windows_match_dense(ds, points, h):
+    # every (point, failure) term bitwise as the dense evaluation has it, the
+    # event counts bitwise as the dense window predicate counts them, and the
+    # Gram as the dense terms give it
+    points = np.asarray(points, dtype=float)
+    est, terms = _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT),
+                                      bandwidth=h)
+    dense = dense_kernel_terms(ds, points, h)
+    for got, want in zip(scatter_terms(terms, points.size), dense):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    for a, events in ((0, est.events0), (1, est.events1)):
+        marks = ds.mark[(ds.arm == a) & (ds.delta == 1)]
+        counts = np.count_nonzero(np.abs(marks - points[:, None]) < h, axis=1)
+        assert events.dtype == counts.dtype
+        assert events.tobytes() == counts.tobytes()
+    # the banded Gram sums the dense products in another order: within the
+    # worst-case rounding of m-term sums
+    eps = np.finfo(float).eps
+    everywhere = np.ones(points.size, dtype=bool)
+    for gram, arm_dense in zip(arm_grams(terms, everywhere), dense):
+        bound = 2 * arm_dense.shape[1] * eps * (np.abs(arm_dense) @ np.abs(arm_dense).T)
+        assert np.all(np.abs(gram - arm_dense @ arm_dense.T) <= bound)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_marked_data())
+def test_window_terms_match_dense_oracle_on_window_edges(data):
+    # lattice marks sit exactly at v - h and v + h for many grid points v
+    _assert_windows_match_dense(*data)
+
+
+@pytest.mark.parametrize("points, h", [
+    ([0.5], 0.1),
+    ([0.4, 0.45, 0.5, 0.55, 0.6], 0.1),
+    ([0.1, 0.3, 0.5, 0.7, 0.9], 0.2),
+    ([0.05, 0.5, 0.95], 0.45),
+    ([0.0, 0.25, 0.5, 0.75, 1.0], 3.0),
+    ([0.2, 0.8], 0.1),
+])
+def test_window_terms_match_dense_oracle_on_hand_dataset(points, h):
+    _assert_windows_match_dense(hand_dataset(), points, h)
+    _assert_windows_match_dense(hand_dataset(v=0.4), points, h)
+
+
+def _assert_record_order_invariant(ds, points, h, perm):
+    # the event counts are integers and must not move at all; each float sum
+    # of m terms may move by rounding, at most 2 * m * eps * sum |term| (the
+    # worst-case error of two summation orders, plus the final division)
+    shuffled = mt.Dataset.from_arrays(ds.y[perm], ds.delta[perm], ds.mark[perm],
+                                      ds.arm[perm])
+    grid = mt.EvaluationGrid.explicit(points, UNIT)
+    est, terms = _estimate_with_terms(ds, grid, bandwidth=h)
+    est_s, terms_s = _estimate_with_terms(shuffled, grid, bandwidth=h)
+    assert est_s.events0.tobytes() == est.events0.tobytes()
+    assert est_s.events1.tobytes() == est.events1.tobytes()
+
+    eps = np.finfo(float).eps
+    dense = scatter_terms(terms, len(points))
+    tau_bound, sigma2_bound = 0.0, 0.0
+    for a, n_a, curve, curve_s in ((0, ds.n0, est.tau0, est_s.tau0),
+                                   (1, ds.n1, est.tau1, est_s.tau1)):
+        m = dense[a].shape[1]
+        bound = 2 * m * eps * np.abs(dense[a]).sum(axis=1) / n_a
+        assert np.all(np.abs(curve_s - curve) <= bound)
+        tau_bound = tau_bound + bound
+        sigma2_bound = sigma2_bound + 2 * m * eps * (dense[a] ** 2).sum(axis=1) / n_a**2
+    assert np.all(np.abs(est_s.tau - est.tau) <= tau_bound)
+    assert np.all(np.abs(est_s.sigma2 - est.sigma2) <= est.nh * sigma2_bound)
+
+    everywhere = np.ones(len(points), dtype=bool)
+    for gram, gram_s, arm_dense in zip(arm_grams(terms, everywhere),
+                                       arm_grams(terms_s, everywhere), dense):
+        m = arm_dense.shape[1]
+        bound = 2 * m * eps * (np.abs(arm_dense) @ np.abs(arm_dense).T)
+        assert np.all(np.abs(gram_s - gram) <= bound)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_marked_data(), st.randoms(use_true_random=False))
+def test_record_order_moves_sums_by_rounding_only(data, random):
+    ds, points, h = data
+    perm = np.array(random.sample(range(ds.n), ds.n))
+    _assert_record_order_invariant(ds, points, h, perm)
+
+
+def test_record_order_moves_sums_by_rounding_only_at_scale():
+    scenario = resolve_censoring(mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=3000, reps=1,
+                                             seed=31))
+    ds = generate_dataset(scenario, np.random.default_rng(31))
+    perm = np.random.default_rng(32).permutation(ds.n)
+    points = np.linspace(0.1, 0.9, 20)
+    for h in (0.03, 0.12, 0.6):
+        _assert_record_order_invariant(ds, points, h, perm)
 
 
 def test_monte_carlo_bias_is_small():

@@ -27,7 +27,13 @@ from marktau.kernels import Bandwidth
 from marktau.simulation import generate_dataset
 
 from conftest import hand_dataset
-from oracles import constancy_resample_dense, subject_major, subject_space_sums, xi_matrix
+from oracles import (
+    constancy_resample_dense,
+    scatter_terms,
+    subject_major,
+    subject_space_sums,
+    xi_matrix,
+)
 
 NULL_SCENARIO = mt.Scenario(
     c1=3.0, c2=0.0, c3=-2.0, n=500, reps=1, seed=0,
@@ -127,7 +133,8 @@ def test_xi_matrix_decomposition():
     np.testing.assert_allclose(xi[2], theta[2] / 0.25)
     np.testing.assert_allclose(xi[1], -theta[1] / 0.75)
     np.testing.assert_allclose(xi[3], -theta[3] / 0.75)
-    blocks = (theta[arm == 0].T.copy(), theta[arm == 1].T.copy())
+    # every window starts at the first point and spans both: the dense form
+    blocks = tuple((np.zeros(2, dtype=np.intp), theta[arm == a]) for a in (0, 1))
     grams = arm_grams(blocks, np.ones(2, dtype=bool))
     np.testing.assert_allclose(resampling_covariance(grams, 0.25), xi.T @ xi, rtol=1e-12)
     with pytest.raises(InferenceError, match="treated fraction"):
@@ -171,7 +178,8 @@ def test_covariance_factor_reproduces_xi_gram(fixture, rank):
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
     for pi in (ds.n1 / ds.n, 0.25):
         usable, _, cov = _grid_covariance(est, theta, pi)
-        xi = xi_matrix(subject_major(theta, ds), ds.arm, pi)[:, usable]
+        full = subject_major(scatter_terms(theta, grid.points.size), ds)
+        xi = xi_matrix(full, ds.arm, pi)[:, usable]
         scale = np.abs(cov).max()
         np.testing.assert_allclose(cov, xi.T @ xi, rtol=0, atol=1e-12 * scale)
         factor, found = covariance_factor(cov)
@@ -207,7 +215,8 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
 
     usable = _usable_points(est)
     normals = np.random.default_rng(47).standard_normal((reps, ds.n))
-    sums = subject_space_sums(subject_major(theta, ds), ds.arm, ds.n1 / ds.n, normals)
+    full = subject_major(scatter_terms(theta, DENSE_GRID.points.size), ds)
+    sums = subject_space_sums(full, ds.arm, ds.n1 / ds.n, normals)
     sums = sums[:, usable]
     if kind == "global":
         oracle = global_resample(est, sums)
@@ -239,7 +248,7 @@ def test_pair_variance_table_against_direct_sum():
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     _, grams, _ = _grid_covariance(est, theta, ds.n1 / ds.n)
     table = pair_variance_table(grams, est)
-    full = subject_major(theta, ds)
+    full = subject_major(scatter_terms(theta, grid.points.size), ds)
     g = grid.points.size
     direct = np.zeros((g, g))
     for j in range(g):

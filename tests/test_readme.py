@@ -1,9 +1,10 @@
-"""The README's Library section names exactly the public API."""
+"""The README names exactly the public API and the current artifact format."""
 
 import re
 from pathlib import Path
 
 import marktau as mt
+from marktau.cli import FORMAT_VERSION
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +23,9 @@ def test_readme_library_block_uses_exported_names():
     block = re.search(r"```python\n(.*?)```", _library_section(), re.S).group(1)
     used = set(re.findall(r"\bmt\.(\w+)", block))
     assert used and used <= set(mt.__all__)
+
+
+def test_readme_format_example_is_current():
+    text = README.read_text(encoding="utf-8")
+    shown = re.findall(r"^# marktau format=(\d+) ", text, re.M)
+    assert shown == [str(FORMAT_VERSION)]
