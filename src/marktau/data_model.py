@@ -104,15 +104,28 @@ class ValidationReport:
 
 
 def _binary_column(column: np.ndarray, name: str) -> np.ndarray:
-    """A float ``column`` of 0s and 1s as int64; any other value is a :class:`DataError`.
+    """A ``column`` of 0s and 1s as int64; any other value is a :class:`DataError`.
 
     The check comes before the cast, which would truncate 0.5 to 0 and 1.7 to 1.
+    A 2-d ``column`` holds one dataset per row, and the error names the row
+    of the first dataset that fails.
     """
     bad = np.flatnonzero((column != 0.0) & (column != 1.0))
     if bad.size:
-        row = int(bad[0])
-        raise DataError(f"row {row}: {name} must be 0 or 1, got {column[row].item()!r}")
+        row = int(bad[0]) % column.shape[-1]
+        raise DataError(f"row {row}: {name} must be 0 or 1, got {column.flat[bad[0]].item()!r}")
     return column.astype(np.int64)
+
+
+def _arm_sizes(arm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n1, n0) of a 0/1 ``arm`` column, or of each row of a 2-d one; an empty arm fails."""
+    n1 = arm.sum(axis=-1)
+    n0 = arm.shape[-1] - n1
+    empty = (n1 == 0) | (n0 == 0)
+    if empty.any():
+        k = int(np.argmax(empty))
+        raise DataError(f"empty treatment group (n1={n1.flat[k]}, n0={n0.flat[k]})")
+    return n1, n0
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,14 +157,11 @@ class Dataset:
         if y.size == 0:
             raise DataError("dataset has no records")
         delta, arm = _binary_column(delta, "delta"), _binary_column(arm, "a")
-        n = int(y.size)
-        n1 = int(np.count_nonzero(arm == 1))
-        n0 = n - n1
-        if n1 == 0 or n0 == 0:
-            raise DataError(f"empty treatment group (n1={n1}, n0={n0})")
+        n1, n0 = _arm_sizes(arm)
         for a in (y, delta, mark, arm):
             a.setflags(write=False)
-        return cls(y=y, delta=delta, mark=mark, arm=arm, n=n, n0=n0, n1=n1)
+        return cls(y=y, delta=delta, mark=mark, arm=arm, n=int(y.size), n0=int(n0),
+                   n1=int(n1))
 
     def arm_indices(self, a: int) -> np.ndarray:
         return np.flatnonzero(self.arm == a)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .data_model import Dataset, MarkInterval
 from .kernels import Bandwidth, rule_of_thumb_bandwidth, scaled_kernel
-from .km import fit_censoring_km
+from .km import _product_limit, fit_censoring_km  # noqa: F401 - rebound by perfbench/spans.py
 
 __all__ = [
     "EstimationError",
@@ -135,33 +135,31 @@ def ipcw_weights(dataset: Dataset) -> np.ndarray:
     Weights are zero on censored rows. Each arm's censoring curve is fitted
     on that arm alone and evaluated left-continuously, so at an observed
     failure S_a(y_i) is positive and 1 / S_a(y_i) is at most the arm size.
-    The curve is looked up at the arm's failure times in ascending order,
-    so that successive binary searches stay in nearby, cached jump times;
-    the values are the table entries an unsorted lookup returns.
+    This is :func:`_block_weights` on a block of one dataset.
     """
+    failed, at_failed = _block_weights(dataset.y[None], dataset.delta[None],
+                                       dataset.arm[None])
     weights = np.zeros(dataset.n)
-    for a in (0, 1):
-        idx = dataset.arm_indices(a)
-        curve = fit_censoring_km(dataset.y[idx], dataset.delta[idx])
-        events = idx[dataset.delta[idx] == 1]
-        if events.size:
-            times = dataset.y[events]
-            order = np.argsort(times)
-            surv_at_event = np.empty(times.size)
-            surv_at_event[order] = curve.evaluate(times[order])
-            if np.any(surv_at_event <= 0.0):
-                raise EstimationError(
-                    f"censoring survival vanishes at an observed failure in group {a}"
-                )
-            weights[events] = times / surv_at_event
+    weights[failed] = at_failed
     return weights
 
 
-def _resolve_bandwidth(dataset: Dataset, bandwidth: float | None, varpi: float,
-                       ) -> Bandwidth:
-    if bandwidth is None:
-        return rule_of_thumb_bandwidth(dataset.observed_marks(), varpi=varpi)
-    return Bandwidth(h=float(bandwidth))
+def _block_weights(y, delta, arm) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ipcw_weights` of every row of (R, n) arrays, each row one dataset.
+
+    Returns the flat indices of the observed failures, in row and record
+    order, and their weights; every other weight is zero.
+    """
+    *_, surv = _product_limit(y, delta, arm)
+    failed = np.flatnonzero(delta == 1)
+    at_failure = surv.reshape(-1)[failed]
+    vanished = at_failure <= 0.0
+    if vanished.any():
+        group = int(arm.reshape(-1)[failed[vanished]].min())
+        raise EstimationError(
+            f"censoring survival vanishes at an observed failure in group {group}"
+        )
+    return failed, y.reshape(-1)[failed] / at_failure
 
 
 def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
@@ -178,53 +176,98 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
     Censored subjects contribute zero and have no row; grid points beyond a
     failure's window get zero from it and are left out. Each per-point sum
     adds the arm's terms left to right in record order. The multiplier
-    resampling reuses the terms, so they are computed once here.
+    resampling reuses the terms, so they are computed once here. This is
+    :func:`_estimate_block` on a block of one dataset.
     """
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0,1), got {alpha!r}")
-    bw = _resolve_bandwidth(dataset, bandwidth, varpi)
-    weights = ipcw_weights(dataset)
-    points, h = grid.points, bw.h
+    bandwidths, columns, (curve, start, values, widths) = _estimate_block(
+        dataset.y[None], dataset.delta[None], dataset.mark[None], dataset.arm[None],
+        grid.points, alpha=alpha, bandwidth=bandwidth, varpi=varpi,
+    )
+    est = EstimateGrid(
+        points=grid.points, **{name: column[0] for name, column in columns.items()},
+        bandwidth=bandwidths[0], n=dataset.n, n0=dataset.n0, n1=dataset.n1,
+    )
+    rows = [np.flatnonzero(curve == a) for a in (0, 1)]
+    terms = tuple((start[k], values[k, :widths[a]]) for a, k in enumerate(rows))
+    return est, terms
+
+
+def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
+                    bandwidth: float | None, varpi: float):
+    """Estimates of every row of (R, n) arrays, each row one dataset.
+
+    Each row gets its own bandwidth: ``bandwidth`` when given, else the rule
+    of thumb on its observed marks. Returns the bandwidths, the columns of
+    each row's :class:`EstimateGrid` as (R, g) arrays, and the windowed
+    kernel terms of all rows' observed failures in row and record order:
+    their curve (row * 2 + arm), window start and values, plus each
+    curve's window width w. A failure's window starts early enough for its
+    curve's width, and columns past the last grid point read points at
+    infinity, where the kernel is zero. Every sum is an ``np.bincount``
+    with one bin per (row, arm, grid point), so each bin adds its terms in
+    record order, as a single dataset's estimate does.
+    """
+    rows, n = y.shape
+    if bandwidth is None:
+        bandwidths = [rule_of_thumb_bandwidth(m[d == 1], varpi=varpi)
+                      for m, d in zip(mark, delta)]
+    else:
+        bandwidths = [Bandwidth(h=float(bandwidth))] * rows
+    observed, weights = _block_weights(y, delta, arm)
+    h = np.array([bw.h for bw in bandwidths])
     g = points.size
+    row = observed // n
+    curve = 2 * row + arm.reshape(-1)[observed]
+    marks = mark.reshape(-1)[observed][:, None]
+    h_at = h[row][:, None]
     # Rounding is monotone, so mark -/+ h already brackets every point within
     # h; the few ulps more are slack. The kernel's |(u - v) / h| < 1 and the
     # count's |u - v| < h decide each point of the window.
-    reach = h * (1.0 + 4.0 * np.finfo(float).eps)
-    terms, totals, squares, events = [], [], [], []
-    for a in (0, 1):
-        observed = (dataset.arm == a) & (dataset.delta == 1)
-        marks = dataset.mark[observed]
-        first = np.searchsorted(points, marks - reach)
-        widths = np.searchsorted(points, marks + reach, side="right") - first
-        w = int(widths.max(initial=0))
-        start = np.minimum(first, g - w)
-        cols = start[:, None] + np.arange(w)
-        at = points[cols]
-        values = weights[observed][:, None] * scaled_kernel(marks[:, None], at, h)
-        terms.append((start, values))
-        flat = cols.ravel()
-        totals.append(np.bincount(flat, weights=values.ravel(), minlength=g))
-        squares.append(np.bincount(flat, weights=(values**2).ravel(), minlength=g))
-        inside = (np.abs(marks[:, None] - at) < h).ravel()
-        events.append(np.bincount(flat[inside], minlength=g))
-    events0, events1 = events
+    reach = h_at * (1.0 + 4.0 * np.finfo(float).eps)
+    start = np.searchsorted(points, (marks - reach).ravel())
+    widths = np.zeros(2 * rows, np.intp)
+    np.maximum.at(widths, curve,
+                  np.searchsorted(points, (marks + reach).ravel(), side="right") - start)
+    del observed, row, reach  # block-sized arrays go once used, as in km._product_limit
+    w = int(widths.max())
+    np.minimum(start, g - widths[curve], out=start)
+    bins = start[:, None] + np.arange(w)
+    at = np.concatenate((points, np.full(w, np.inf)))[bins]
+    inside = (np.abs(marks - at) < h_at).ravel()
+    values = scaled_kernel(marks, at, h_at)
+    del at
+    values *= weights[:, None]
+    # g + w bins per (row, arm) pair: its grid points, then the points at infinity
+    bins += (g + w) * curve[:, None]
+    bins = bins.ravel()
+    size = 2 * rows * (g + w)
 
-    tau1 = totals[1] / dataset.n1
-    tau0 = totals[0] / dataset.n0
+    def per_point(sums):
+        sums = sums.reshape(rows, 2, g + w)[:, :, :g]
+        return sums[:, 0], sums[:, 1]
+
+    totals0, totals1 = per_point(np.bincount(bins, weights=values.ravel(), minlength=size))
+    squares0, squares1 = per_point(np.bincount(bins, weights=(values**2).ravel(),
+                                               minlength=size))
+    events0, events1 = per_point(np.bincount(bins[inside], minlength=size))
+
+    n1 = arm.sum(axis=1, keepdims=True)
+    n0 = n - n1
+    tau1 = totals1 / n1
+    tau0 = totals0 / n0
     tau = tau1 - tau0
-    nh = dataset.n * h
-    sigma2 = nh * (squares[1] / dataset.n1**2 + squares[0] / dataset.n0**2)
+    nh = n * h[:, None]
+    sigma2 = nh * (squares1 / n1**2 + squares0 / n0**2)
     flagged = (events1 + events0) == 0
 
     z = normal_quantile(1.0 - alpha / 2.0)
     half = z * np.sqrt(sigma2 / nh)
-    est = EstimateGrid(
-        points=grid.points, tau1=tau1, tau0=tau0, tau=tau, sigma2=sigma2,
-        ci_lower=tau - half, ci_upper=tau + half,
-        events1=events1, events0=events0, flagged=flagged,
-        bandwidth=bw, n=dataset.n, n0=dataset.n0, n1=dataset.n1,
-    )
-    return est, tuple(terms)
+    columns = dict(tau1=tau1, tau0=tau0, tau=tau, sigma2=sigma2,
+                   ci_lower=tau - half, ci_upper=tau + half,
+                   events1=events1, events0=events0, flagged=flagged)
+    return bandwidths, columns, (curve, start, values, widths)
 
 
 def estimate_on_grid(dataset: Dataset, grid: EvaluationGrid, *, alpha: float = 0.05,

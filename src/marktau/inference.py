@@ -1,9 +1,20 @@
 """Hypothesis tests for mark-specific effects via Gaussian multiplier resampling.
 
-Two null hypotheses about tau(v) on the evaluation grid:
+Two null hypotheses about the estimand of tau(v) on the evaluation grid,
+the density-weighted contrast f1(v) mu1(v) - f0(v) mu0(v) smoothed at h,
+with f_a the arm's mark density and mu_a(v) its mean failure time given
+the mark v:
 
-* global: tau(v) = 0 at every grid point (no effect at any mark);
-* constancy: tau(v) does not vary with v (a flat, possibly nonzero, effect).
+* global: it is 0 at every grid point;
+* constancy: it does not vary with v (a flat, possibly nonzero, contrast).
+
+Only where f1 = f0 does tau = 0 mean no effect on the mean failure time at
+that mark; when treatment shifts the mark distribution, the global null can
+hold or fail whatever the means do, and with a common density that is not
+flat, a constant mean effect f (mu1 - mu0) is not a constant tau. Marks are
+on [0, 1] after min-max scaling, which keeps each f_a integrating to one
+there, so tau scales with the mark density on the scaled axis: a raw range
+of width L multiplies the raw density by L.
 
 Both statistics are maxima of studentized squares, and both critical values
 come from Gaussian multiplier resampling holding the data fixed. Given the

@@ -23,11 +23,18 @@ class KernelError(ValueError):
 def epanechnikov(x):
     """Epanechnikov density 0.75 * (1 - x^2) on (-1, 1), zero outside."""
     x = np.asarray(x, dtype=float)
-    out = np.where(np.abs(x) < 1.0, 0.75 * (1.0 - x * x), 0.0)
+    # 1 - x^2 <= 0 exactly where |x| >= 1, and fmax sends a NaN to zero too
+    out = 0.75 * np.fmax(1.0 - x * x, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
-def _check_bandwidth(h: float) -> None:
+def _check_bandwidth(h) -> None:
+    """Every bandwidth in ``h``, one float or an array of them, must be finite and positive."""
+    if isinstance(h, np.ndarray):
+        ok = (h > 0.0) & (h < math.inf)
+        if ok.all():
+            return
+        h = h[~ok][0].item()
     if not (math.isfinite(h) and h > 0.0):
         raise KernelError(f"bandwidth must be positive, got {h!r}")
 
@@ -45,10 +52,11 @@ class Bandwidth:
         _check_bandwidth(self.h)
 
 
-def scaled_kernel(u, v, h: float):
+def scaled_kernel(u, v, h):
     """K((u - v) / h) / h: the bandwidth-h kernel weight of u at center v.
 
-    Integrates to one in u for any center and any positive bandwidth.
+    Integrates to one in u for any center and any positive bandwidth. ``h``
+    broadcasts like ``u`` and ``v``, so each pair may have its own bandwidth.
     """
     _check_bandwidth(h)
     u = np.asarray(u, dtype=float)

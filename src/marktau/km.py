@@ -34,10 +34,7 @@ class StepSurvival:
         vals = np.asarray(self.values, dtype=float)
         if jt.ndim != 1 or vals.shape != jt.shape:
             raise DataError("jump_times and values must be matching 1-d arrays")
-        if jt.size and np.any(np.diff(jt) <= 0):
-            raise DataError("jump times must be strictly increasing")
-        if np.any(vals < 0.0) or np.any(vals > 1.0) or (vals.size and np.any(np.diff(vals) > 0)):
-            raise DataError("values must be non-increasing within [0, 1]")
+        _check_steps(jt, vals, True)
         jt.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "jump_times", jt)
@@ -49,6 +46,98 @@ class StepSurvival:
         idx = np.searchsorted(self.jump_times, t, side="left")
         out = padded[idx]
         return float(out) if np.isscalar(t) else out
+
+
+def _check_steps(jump_times, values, same_curve) -> None:
+    """:class:`StepSurvival`'s invariants on step curves laid end to end.
+
+    ``same_curve[k]`` (or one bool for all k) says whether jumps k and k + 1
+    belong to one curve; only those pairs are compared.
+    """
+    if (same_curve & (jump_times[1:] <= jump_times[:-1])).any():
+        raise DataError("jump times must be strictly increasing")
+    if ((values < 0.0).any() or (values > 1.0).any()
+            or (same_curve & (values[1:] > values[:-1])).any()):
+        raise DataError("values must be non-increasing within [0, 1]")
+
+
+def _product_limit(y, delta, arm):
+    """Censoring curves of each arm of each row of (R, n) arrays, from one sort.
+
+    Every row is one dataset. One row-wise sort on a bit key orders each row
+    by arm, then by time, so each (row, arm) pair is a segment of runs of
+    tied times. A run's censorings are the events of its step, everyone from
+    the run's first position to the segment's end is at risk, and the factor
+    (at risk - events) / at risk sits at the run's last position. Each
+    segment gets its own stretch of cells, a leading 1.0 and then one cell
+    per position holding the factor of the run that ends there, 1.0
+    elsewhere. One cumulative product per stretch then multiplies the
+    curve's factors in time order, exactly as a fit of that arm alone does,
+    since a product with 1.0 is exact.
+
+    Returns the jumps of all curves end to end, ordered by row, arm and time
+    (their times, their values and their curve, row * 2 + arm), and each
+    record's own-arm curve at its own time, left-continuously, in record
+    order. Every curve passes :class:`StepSurvival`'s checks.
+    """
+    if not np.all(y >= 0.0):
+        raise DataError("censoring curves need non-negative follow-up times")
+    rows, n = y.shape
+    # + 0.0 turns a -0.0 into 0.0, whose sign bit would read as arm 1
+    key = (y + 0.0).view(np.uint64)
+    key |= arm.astype(np.uint64) << np.uint64(63)
+    take = np.argsort(key, axis=1)
+    # block-sized arrays go as soon as they are used: the heap a block
+    # grows to stays resident
+    del key
+    take += n * np.arange(rows)[:, None]
+    take = take.reshape(-1)
+    times = y.reshape(-1)[take].reshape(rows, n)
+    censored = (delta == 0).reshape(-1)[take].reshape(rows, n)
+    n0 = n - arm.sum(axis=1)[:, None]
+    position = np.arange(n)
+    in_arm1 = position >= n0
+    run_starts = position == n0
+    run_starts[:, 0] = True
+    run_starts[:, 1:] |= times[:, 1:] != times[:, :-1]
+    jump = np.empty_like(run_starts)
+    jump[:, :-1] = run_starts[:, 1:]
+    jump[:, -1] = True
+    # flat sorted position of the start of each position's run
+    run_start = np.where(run_starts, position, 0)
+    np.maximum.accumulate(run_start, axis=1, out=run_start)
+    run_start += n * np.arange(rows)[:, None]
+    run_start = run_start.reshape(-1)
+    # censorings of its run up to each position: the whole run's at its end
+    events = np.cumsum(censored, axis=1).reshape(-1)
+    events -= (events - censored.reshape(-1))[run_start]
+    jump = np.flatnonzero(jump.reshape(-1) & (events > 0))
+    row = jump // n
+    side = in_arm1.reshape(-1)[jump]
+    curve = 2 * row + side
+    at_risk = np.where(side, n, n0.ravel()[row]) - (run_start[jump] - n * row)
+    # row r's stretches fill cells r * (n + 2) to (r + 1) * (n + 2): arm 0's
+    # leading cell, its n0 positions, then arm 1's
+    cell = jump + curve + 1
+    steps = np.ones(rows * (n + 2))
+    steps[cell] = (at_risk - events[jump]) / at_risk
+    del events
+    bounds = ((n + 2) * np.arange(rows)[:, None] + [0, 1] * (n0 + 1)).ravel().tolist()
+    for lo, hi in zip(bounds, bounds[1:] + [steps.size]):
+        np.multiply.accumulate(steps[lo:hi], out=steps[lo:hi])
+    values = steps[cell]
+    # a run's time as its censorings record it, which tells -0.0 from 0.0
+    last_censored = np.where(censored, position, 0)
+    np.maximum.accumulate(last_censored, axis=1, out=last_censored)
+    jump_times = times.reshape(-1)[last_censored.reshape(-1)[jump] + n * row]
+    del times, last_censored
+    _check_steps(jump_times, values, curve[1:] == curve[:-1])
+    # a record's curve at its own time multiplies the factors before its run,
+    # which end in the cell before its run's first one
+    run_start += (2 * np.arange(rows)[:, None] + in_arm1).reshape(-1)
+    surv = np.empty(rows * n)
+    surv[take] = steps[run_start]
+    return jump_times, values, curve, surv.reshape(rows, n)
 
 
 def fit_censoring_km(y, delta) -> StepSurvival:
@@ -66,7 +155,8 @@ def fit_censoring_km(y, delta) -> StepSurvival:
     failure tied with a censoring is still at risk there, so failures are
     ordered before censorings at tied times. The returned curve is strictly
     positive at any time with a subject still at risk beyond it, which
-    bounds the inverse weights by the arm size.
+    bounds the inverse weights by the arm size. The fit is
+    :func:`_product_limit` on a block of one dataset with a single arm.
     """
     y = np.asarray(y, dtype=float)
     delta = np.asarray(delta, dtype=np.int64)
@@ -74,11 +164,6 @@ def fit_censoring_km(y, delta) -> StepSurvival:
         raise DataError("y and delta must be matching 1-d arrays")
     if y.size == 0:
         raise DataError("cannot fit a survival curve on an empty group")
-
-    censor_times, censor_counts = np.unique(y[delta == 0], return_counts=True)
-    if censor_times.size == 0:
-        return StepSurvival(np.empty(0), np.empty(0))
-    y_sorted = np.sort(y)
-    at_risk = y.size - np.searchsorted(y_sorted, censor_times, side="left")
-    factors = (at_risk - censor_counts) / at_risk
-    return StepSurvival(censor_times, np.cumprod(factors))
+    jump_times, values, _, _ = _product_limit(y[None], delta[None],
+                                              np.zeros((1, y.size), np.int64))
+    return StepSurvival(jump_times, values)

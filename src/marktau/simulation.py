@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_model import Dataset, MarkInterval
-from .estimator import EvaluationGrid, _estimate_with_terms
+from .data_model import Dataset, MarkInterval, _arm_sizes, _binary_column
+from .estimator import EvaluationGrid, _estimate_block, _estimate_with_terms
 from .inference import _test_from_estimate, multiplier_draws
 
 __all__ = [
@@ -51,6 +51,8 @@ _REPLICATION_SPACE = 1
 # achieved rate may fall from the target.
 _CALIBRATION_DRAWS = 200_000
 _CALIBRATION_TOL = 0.005
+# Rows of the (replications, n) arrays that simulate's replications run in at once.
+_BLOCK_ROWS = 10_000
 
 
 class SimulationError(ValueError):
@@ -92,6 +94,8 @@ class Scenario:
             raise SimulationError(f"reps must be >= 1, got {self.reps}")
         if not 0.0 < self.alpha < 1.0:
             raise SimulationError(f"alpha must be in (0,1), got {self.alpha!r}")
+        if not (math.isfinite(self.varpi) and self.varpi > 0.0):
+            raise SimulationError(f"bandwidth scale must be positive, got {self.varpi!r}")
         for mu in (self.censor_mean0, self.censor_mean1):
             if mu is not None and not mu > 0.0:
                 raise SimulationError(f"censoring means must be positive, got {mu!r}")
@@ -103,22 +107,37 @@ class Scenario:
             )
 
 
+# The arms' mean curves at marks v, given wave = sin(2 pi v), so that a block
+# of datasets evaluates the sine once for both arms.
+def _control_mean(wave):
+    return 3.0 - 2.0 * wave
+
+
+def _treated_mean(scenario: Scenario, v, wave):
+    return scenario.c1 + scenario.c2 * (1.0 - v) + scenario.c3 * wave
+
+
 def control_curve(v):
     """Mean failure time of the control arm at mark v."""
     v = np.asarray(v, dtype=float)
-    out = 3.0 - 2.0 * np.sin(2.0 * np.pi * v)
+    out = _control_mean(np.sin(2.0 * np.pi * v))
     return float(out) if out.ndim == 0 else out
 
 
 def treated_curve(scenario: Scenario, v):
     """Mean failure time of the treated arm at mark v."""
     v = np.asarray(v, dtype=float)
-    out = scenario.c1 + scenario.c2 * (1.0 - v) + scenario.c3 * np.sin(2.0 * np.pi * v)
+    out = _treated_mean(scenario, v, np.sin(2.0 * np.pi * v))
     return float(out) if out.ndim == 0 else out
 
 
 def true_tau(scenario: Scenario, v):
-    """True contrast (c1 - 3) + c2 (1 - v) + (c3 + 2) sin(2 pi v)."""
+    """True contrast (c1 - 3) + c2 (1 - v) + (c3 + 2) sin(2 pi v).
+
+    This is the mean contrast mu1(v) - mu0(v). It equals the estimand, the
+    density-weighted contrast f1(v) mu1(v) - f0(v) mu0(v), because the model
+    draws V ~ U[0, 1] in both arms, so f1 = f0 = 1.
+    """
     v = np.asarray(v, dtype=float)
     out = (
         (scenario.c1 - 3.0)
@@ -147,28 +166,51 @@ def generate_dataset(scenario: Scenario, rng: np.random.Generator) -> Dataset:
 
     Requires resolved censoring means (see :func:`resolve_censoring`). Marks
     are recorded only where the failure is observed. Fails if the configured
-    coefficients produce a negative failure time.
+    coefficients produce a negative failure time. This is
+    :func:`_block_columns` on a block of one draw.
+    """
+    return Dataset.from_arrays(*(column[0] for column in _block_columns(scenario, [rng])))
+
+
+def _block_columns(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
+    """y, delta, mark and arm as (R, n) arrays, row i drawn from the i-th generator.
+
+    Each generator draws, in this order, the n treatment uniforms, the n
+    marks, the n truncated normal residuals and the n unit exponentials
+    that, times the arm's censoring mean, are the censoring times; the rest
+    runs once on the whole block. Sums and products are the ones a single
+    draw makes, in either operand order, so each row is bitwise the dataset
+    its generator alone would give.
     """
     mu0, mu1 = scenario.censor_mean0, scenario.censor_mean1
     if mu0 is None or mu1 is None:
         raise SimulationError(
             "censoring means are unresolved; call resolve_censoring() first"
         )
-    n = scenario.n
-    arm = (rng.random(n) < scenario.p_treat).astype(np.int64)
-    v = rng.random(n)
-    eps = truncated_std_normal(rng, n)
-    t = np.where(arm == 1, treated_curve(scenario, v), control_curve(v)) + eps
+    n, count = scenario.n, len(rngs)
+    uniform = np.empty((count, 2, n))  # the treatment draws, then the marks
+    # the residuals and unit exponentials; the failure and censoring times
+    # are built on them in place
+    t, c = np.empty((count, n)), np.empty((count, n))
+    for i, rng in enumerate(rngs):
+        rng.random(out=uniform[i])
+        t[i] = truncated_std_normal(rng, n)
+        rng.standard_exponential(out=c[i])
+    arm = (uniform[:, 0] < scenario.p_treat).astype(np.int64)
+    v = uniform[:, 1]
+    wave = np.sin(2.0 * np.pi * v)
+    t += np.where(arm == 1, _treated_mean(scenario, v, wave), _control_mean(wave))
     if np.any(t < 0.0):
         raise SimulationError(
             "generating model produced a negative failure time; "
             "check the coefficient configuration"
         )
-    c = rng.exponential(np.where(arm == 1, mu1, mu0))
-    delta = (t <= c).astype(np.int64)
-    y = np.minimum(t, c)
-    mark = np.where(delta == 1, v, np.nan)
-    return Dataset.from_arrays(y, delta, mark, arm)
+    c *= np.array([mu0, mu1])[arm]
+    observed = t <= c
+    y = np.minimum(t, c, out=t)
+    mark = np.where(observed, v, np.nan)
+    delta = observed.astype(np.int64)
+    return y, delta, mark, arm
 
 
 def calibrate_censoring(scenario: Scenario, arm: int) -> float:
@@ -264,17 +306,34 @@ class MetricsTable:
     coverage_se: np.ndarray
 
 
-def _metrics_rep(args: tuple[Scenario, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    scenario, rep = args
-    grid = scenario.grid
-    rng = np.random.default_rng(_replication_seed(scenario.seed, rep, 0))
-    dataset = generate_dataset(scenario, rng)
-    est, _ = _estimate_with_terms(dataset, grid, alpha=scenario.alpha,
-                                  varpi=scenario.varpi)
-    sd_hat = np.sqrt(est.sigma2 / est.nh)
-    truth = true_tau(scenario, grid.points)
-    covered = (est.ci_lower <= truth) & (truth <= est.ci_upper)
-    return est.tau, sd_hat, covered
+def _metrics_rep(args: tuple[Scenario, range]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tau, its estimated sd and interval coverage, (R, g) each, for a block of replications.
+
+    Replication r draws from its own stream, and every check of a single
+    replication runs on each. A block that fails is replayed one
+    replication at a time, so the error raised is that of its first failing
+    replication, as a run of single replications would raise it.
+    """
+    scenario, reps = args
+    rngs = [np.random.default_rng(_replication_seed(scenario.seed, r, 0)) for r in reps]
+    try:
+        y, delta, mark, arm = _block_columns(scenario, rngs)
+        _binary_column(delta, "delta")
+        _binary_column(arm, "a")
+        _arm_sizes(arm)
+        bandwidths, est, _ = _estimate_block(
+            y, delta, mark, arm, scenario.grid.points, alpha=scenario.alpha,
+            bandwidth=None, varpi=scenario.varpi,
+        )
+    except ValueError:
+        if len(reps) > 1:
+            for r in reps:
+                _metrics_rep((scenario, range(r, r + 1)))
+        raise
+    nh = scenario.n * np.array([bw.h for bw in bandwidths])[:, None]
+    truth = true_tau(scenario, scenario.grid.points)
+    covered = (est["ci_lower"] <= truth) & (truth <= est["ci_upper"])
+    return est["tau"], np.sqrt(est["sigma2"] / nh), covered
 
 
 def _map_replications(worker, items, workers: int):
@@ -292,18 +351,19 @@ def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
     """Replicate estimation under a scenario and aggregate quality metrics.
 
     Replication r draws its dataset from a stream derived from
-    (scenario.seed, r), so the table is identical for any worker count;
-    aggregation runs in replication order.
+    (scenario.seed, r). Replications run in blocks of about
+    ``_BLOCK_ROWS`` rows, and every sum of a replication adds its own terms
+    in record order, so the table is identical for any block size and
+    worker count; aggregation runs in replication order.
     """
     scenario = resolve_censoring(scenario)
     grid = scenario.grid
-    rows = _map_replications(
-        _metrics_rep, [(scenario, r) for r in range(scenario.reps)], workers
-    )
-    taus = np.stack([row[0] for row in rows])
-    sds = np.stack([row[1] for row in rows])
-    covered = np.stack([row[2] for row in rows])
     reps = scenario.reps
+    size = max(1, _BLOCK_ROWS // scenario.n)
+    blocks = [(scenario, range(lo, min(lo + size, reps))) for lo in range(0, reps, size)]
+    taus, sds, covered = (
+        np.concatenate(part) for part in zip(*_map_replications(_metrics_rep, blocks, workers))
+    )
     truth = true_tau(scenario, grid.points)
 
     bias = taus.mean(axis=0) - truth

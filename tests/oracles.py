@@ -4,6 +4,7 @@ Everything here trades speed for obviousness: explicit loops, no shared
 helpers with the package, and independent formulas wherever possible.
 """
 
+import bisect
 import csv
 import io
 import math
@@ -11,27 +12,58 @@ import math
 import numpy as np
 
 from marktau.data_model import Dataset, DataError, ValidationReport, Violation
-from marktau.estimator import ipcw_weights
 from marktau.kernels import scaled_kernel
 from marktau.simulation import control_curve, treated_curve, truncated_std_normal
 
 
-def product_limit_censoring(y, delta, t):
-    """P(C >= t) by explicit risk-set iteration, left-continuous in t.
+def product_limit_steps(y, delta):
+    """The censoring curve's jumps, as (time, value just after) in ascending time.
 
     Censored rows (delta == 0) are the events; the risk set at time s is
-    everyone with y >= s, so tied failures are still at risk.
+    everyone with y >= s, so tied failures are still at risk. The value
+    after a jump multiplies the one before it by (at risk - events) / at
+    risk, one distinct censoring time after another.
     """
     y = [float(v) for v in y]
     delta = [int(d) for d in delta]
+    ordered = sorted(y)
+    censored = sorted(yi for yi, di in zip(y, delta) if di == 0)
+    steps, value = [], 1.0
+    for s in sorted(set(censored)):
+        at_risk = len(ordered) - bisect.bisect_left(ordered, s)
+        events = bisect.bisect_right(censored, s) - bisect.bisect_left(censored, s)
+        value *= (at_risk - events) / at_risk
+        steps.append((s, value))
+    return steps
+
+
+def product_limit_censoring(y, delta, t):
+    """P(C >= t), left-continuous in t: the value after the last jump strictly before t."""
     value = 1.0
-    for s in sorted({yi for yi, di in zip(y, delta) if di == 0}):
+    for s, after in product_limit_steps(y, delta):
         if s >= t:
             break
-        at_risk = sum(1 for yi in y if yi >= s)
-        events = sum(1 for yi, di in zip(y, delta) if yi == s and di == 0)
-        value *= (at_risk - events) / at_risk
+        value = after
     return value
+
+
+def ipcw_weights_oracle(dataset):
+    """delta_i * y_i / P(C >= y_i) per record, each arm's curve by :func:`product_limit_steps`.
+
+    The curve of an arm is fitted once and looked up at each of its
+    failures, one record at a time; censored records weigh zero.
+    """
+    y, delta, arm = (column.tolist() for column in (dataset.y, dataset.delta, dataset.arm))
+    weights = [0.0] * len(y)
+    for a in (0, 1):
+        rows = [i for i in range(len(y)) if arm[i] == a]
+        steps = product_limit_steps([y[i] for i in rows], [delta[i] for i in rows])
+        times = [s for s, _ in steps]
+        for i in rows:
+            if delta[i] == 1:
+                before = bisect.bisect_left(times, y[i])  # jumps strictly before y_i
+                weights[i] = y[i] / (steps[before - 1][1] if before else 1.0)
+    return np.array(weights)
 
 
 def _epanechnikov(x):
@@ -82,7 +114,7 @@ def ipcw_mean_difference(dataset):
     entirely; effects that flip sign across marks can average to zero here
     while the mark-specific contrast is far from zero everywhere.
     """
-    weights = ipcw_weights(dataset)
+    weights = ipcw_weights_oracle(dataset)
     idx1 = dataset.arm_indices(1)
     idx0 = dataset.arm_indices(0)
     return float(np.sum(weights[idx1]) / idx1.size - np.sum(weights[idx0]) / idx0.size)
@@ -110,7 +142,7 @@ def dense_kernel_terms(dataset, points, h):
     (j, k) is (y / S_a(y)) * K_h(mark - v_j) for the k-th observed failure
     of arm a in record order, zero outside the kernel window.
     """
-    weights = ipcw_weights(dataset)
+    weights = ipcw_weights_oracle(dataset)
     points = np.asarray(points, dtype=float)[:, None]
     out = []
     for a in (0, 1):

@@ -299,6 +299,28 @@ def test_non_finite_coefficient_is_an_error_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--c3", "-1"),
+    ("power", "--kind", "global", "--c3-range=-1:-1:1"),
+])
+@pytest.mark.parametrize("scale, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
+def test_nonpositive_bandwidth_scale_fails_before_calibrating(tmp_path, capsys, monkeypatch,
+                                                              command, scale, shown):
+    # the scenario rejects the scale, so no censoring calibration runs first
+    from marktau import simulation
+
+    def no_calibration(*args):
+        raise AssertionError("calibrated before checking the bandwidth scale")
+
+    monkeypatch.setattr(simulation, "calibrate_censoring", no_calibration)
+    out = tmp_path / "x.csv"
+    code, stdout, err = _run(capsys, *command, "--n", "200", "--reps", "3",
+                             "--bandwidth-scale", scale, "--out", str(out))
+    assert code == 1
+    assert err == f"error: bandwidth scale must be positive, got {shown}\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_non_integer_thread_variable_is_an_error_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MARKTAU_THREADS", "abc")
     out = tmp_path / "x.csv"

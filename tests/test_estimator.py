@@ -12,7 +12,9 @@ from scipy import stats
 import marktau as mt
 from marktau.estimator import (
     EstimationError,
+    _block_weights,
     _estimate_with_terms,
+    ipcw_weights,
     normal_quantile,
 )
 from marktau.inference import arm_grams
@@ -24,6 +26,7 @@ from conftest import hand_dataset
 from oracles import (
     dense_kernel_terms,
     ipcw_mean_difference,
+    ipcw_weights_oracle,
     normal_quantile_bisect,
     scatter_terms,
     stieltjes_group_mean,
@@ -271,6 +274,52 @@ def test_rule_of_thumb_used_when_no_override():
     assert est.h == expected.h
     assert est.bandwidth.varpi == 2.0
     assert est.bandwidth.m == n
+
+
+def _tied_datasets(rng, rows, n):
+    """(rows, n) integer times in 0..4, tied across arms and status, some -0.0."""
+    y = rng.integers(0, 5, (rows, n)).astype(float)
+    y[rng.random((rows, n)) < 0.15] = -0.0
+    delta = rng.integers(0, 2, (rows, n))
+    arm = rng.integers(0, 2, (rows, n))
+    arm[:, :2] = (0, 1)  # both arms present in every row
+    return y, delta, arm
+
+
+def test_ipcw_weights_match_product_limit_oracle_bitwise():
+    # the oracle multiplies the same factors in the same order, so the
+    # weights agree to the last bit, one dataset or a block of them
+    rng = np.random.default_rng(2026)
+    for _ in range(150):
+        rows, n = int(rng.integers(1, 6)), int(rng.integers(2, 25))
+        y, delta, arm = _tied_datasets(rng, rows, n)
+        wants = []
+        for r in range(rows):
+            ds = mt.Dataset.from_arrays(y[r], delta[r],
+                                        np.where(delta[r] == 1, 0.5, np.nan), arm[r])
+            wants.append(ipcw_weights_oracle(ds))
+            assert ipcw_weights(ds).tobytes() == wants[-1].tobytes()
+        failed, weights = _block_weights(y, delta, arm)
+        block = np.zeros(rows * n)
+        block[failed] = weights
+        assert block.tobytes() == np.concatenate(wants).tobytes()
+
+
+def test_negative_zero_time_stays_in_its_arm():
+    # -0.0 has the sign bit set; a control failure at -0.0 must still see the
+    # control censoring at 0.0 as a tie and the treated censorings not at all
+    y = np.array([-0.0, 0.0, 1.0, 2.0, 0.0, 1.0, 1.0, 3.0])
+    delta = np.array([1, 0, 1, 0, 0, 0, 1, 1])
+    arm = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+    ds = mt.Dataset.from_arrays(y, delta, np.where(delta == 1, 0.5, np.nan), arm)
+    weights = ipcw_weights(ds)
+    assert weights.tobytes() == ipcw_weights_oracle(ds).tobytes()
+    # control: at risk at 0 are all 4, one censored there, so S(1) = 3/4
+    np.testing.assert_array_equal(weights[arm == 0], [-0.0, 0.0, 4.0 / 3.0, 0.0])
+    assert math.copysign(1.0, weights[0]) == -1.0
+    # treated: the censoring at 0.0 leaves 3 of 4, the one at 1.0 then 2 of 3
+    np.testing.assert_array_equal(weights[arm == 1],
+                                  [0.0, 0.0, 4.0 / 3.0, 3.0 / (0.75 * (2 / 3))])
 
 
 def test_ipcw_mean_difference_no_censoring():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from marktau.data_model import DataError
 from marktau.km import StepSurvival, fit_censoring_km
 
-from oracles import product_limit_censoring
+from oracles import product_limit_censoring, product_limit_steps
 
 
 def test_hand_example():
@@ -102,3 +102,34 @@ def test_step_survival_vector_evaluation():
     surv = StepSurvival(np.array([1.0, 3.0]), np.array([0.5, 0.25]))
     out = surv.evaluate(np.array([0.5, 1.0, 2.0, 3.0, 10.0]))
     np.testing.assert_array_equal(out, [1.0, 1.0, 0.5, 0.5, 0.25])
+
+
+def test_fit_matches_product_limit_steps_bitwise():
+    # tie-heavy integer times: the oracle multiplies the same factors in the
+    # same order, so every value agrees to the last bit
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        y = rng.integers(0, 5, n).astype(float)
+        delta = rng.integers(0, 2, n)
+        surv = fit_censoring_km(y, delta)
+        steps = product_limit_steps(y, delta)
+        assert surv.jump_times.tolist() == [s for s, _ in steps]
+        assert surv.values.tobytes() == np.array([v for _, v in steps]).tobytes()
+
+
+@pytest.mark.parametrize("y, delta", [
+    ([0.0, -0.0, 1.0, 2.0], [1, 0, 0, 1]),
+    ([-0.0, 0.0, 1.0, 2.0], [0, 1, 0, 1]),
+])
+def test_zero_jump_time_keeps_the_sign_its_censorings_record(y, delta):
+    # the censoring at -0.0 ties with the failure at 0.0, in either record
+    # order; the jump is at -0.0
+    surv = fit_censoring_km(np.array(y), np.array(delta))
+    assert surv.jump_times.tobytes() == np.array([-0.0, 1.0]).tobytes()
+    np.testing.assert_array_equal(surv.values, [0.75, 0.375])
+
+
+def test_negative_times_are_rejected():
+    with pytest.raises(DataError, match="non-negative"):
+        fit_censoring_km(np.array([-1.0, 2.0]), np.array([0, 1]))

@@ -10,8 +10,12 @@ from scipy import stats
 import marktau as mt
 from marktau import simulation
 from marktau.data_model import validate
+from marktau.estimator import _estimate_block, _estimate_with_terms
+from marktau.inference import arm_grams
 from marktau.simulation import (
     SimulationError,
+    _block_columns,
+    _metrics_rep,
     _replication_seed,
     calibrate_censoring,
     control_curve,
@@ -325,6 +329,11 @@ def test_metrics_table_shapes_and_truth():
         dict(c1=math.nan),
         dict(c2=math.inf),
         dict(c3=-math.inf),
+        # a bad bandwidth scale once failed only in the first replication,
+        # after the censoring calibration
+        dict(varpi=0.0),
+        dict(varpi=-1.0),
+        dict(varpi=math.nan),
     ],
 )
 def test_scenario_validation(kw):
@@ -362,3 +371,85 @@ def test_size_power_curve_recalibrates_per_point():
         curve.se, np.sqrt(curve.rate * (1.0 - curve.rate) / scenario.reps), rtol=1e-12
     )
     np.testing.assert_array_equal(curve.rejections, curve.rate * scenario.reps)
+
+
+def _single_replication(scenario, rep):
+    """Replication ``rep`` the way one dataset is drawn and estimated on its own."""
+    rng = np.random.default_rng(_replication_seed(scenario.seed, rep, 0))
+    return _estimate_with_terms(generate_dataset(scenario, rng), scenario.grid,
+                                alpha=scenario.alpha, varpi=scenario.varpi)
+
+
+@pytest.mark.parametrize("n", [300, 1000, 2000])
+@pytest.mark.parametrize("p_treat", [0.3, 0.5, 2.0 / 3.0])
+@pytest.mark.parametrize("c3", [-2.0, -1.0, 0.0])
+def test_block_equals_single_replications_bitwise(n, p_treat, c3):
+    scenario = _scenario(n=n, p_treat=p_treat, c3=c3, seed=17)
+    everywhere = np.ones(scenario.grid.points.size, dtype=bool)
+    truth = true_tau(scenario, scenario.grid.points)
+    # blocks of 1, 2 and 5 replications
+    for block in (range(3, 4), range(4, 6), range(6, 11)):
+        rngs = [np.random.default_rng(_replication_seed(scenario.seed, r, 0)) for r in block]
+        bandwidths, est, (curve, start, values, widths) = _estimate_block(
+            *_block_columns(scenario, rngs), scenario.grid.points,
+            alpha=scenario.alpha, bandwidth=None, varpi=scenario.varpi)
+        taus, sds, covered = _metrics_rep((scenario, block))
+        for i, rep in enumerate(block):
+            single, terms = _single_replication(scenario, rep)
+            assert bandwidths[i] == single.bandwidth
+            for field in ("tau1", "tau0", "tau", "sigma2", "ci_lower", "ci_upper",
+                          "events1", "events0", "flagged"):
+                got, want = est[field][i], getattr(single, field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+            block_terms = []
+            for a, (want_start, want_values) in enumerate(terms):
+                k = np.flatnonzero(curve == 2 * i + a)
+                block_terms.append((start[k], values[k, :widths[2 * i + a]]))
+                assert block_terms[a][0].tobytes() == want_start.tobytes()
+                assert block_terms[a][1].tobytes() == want_values.tobytes()
+            for got, want in zip(arm_grams(block_terms, everywhere),
+                                 arm_grams(terms, everywhere)):
+                assert got.tobytes() == want.tobytes()
+            assert taus[i].tobytes() == single.tau.tobytes()
+            assert sds[i].tobytes() == np.sqrt(single.sigma2 / single.nh).tobytes()
+            np.testing.assert_array_equal(
+                covered[i], (single.ci_lower <= truth) & (truth <= single.ci_upper))
+
+
+def test_metrics_do_not_depend_on_the_block_size(monkeypatch):
+    # 27 replications of 1500 rows: blocks of 6, 6, 6, 6 and 3, against blocks of one
+    scenario = _scenario(n=1500, reps=27, seed=8)
+    assert simulation._BLOCK_ROWS // scenario.n == 6
+    tables = [mt.run_replications(scenario)]
+    monkeypatch.setattr(simulation, "_BLOCK_ROWS", 1)
+    tables.append(mt.run_replications(scenario))
+    for field in ("bias", "bias_se", "ratio", "ratio_se", "coverage", "coverage_se"):
+        assert getattr(tables[0], field).tobytes() == getattr(tables[1], field).tobytes()
+
+
+@pytest.mark.parametrize("kw, first, message", [
+    # replication 4 draws a negative failure time
+    (dict(c1=0.97, c3=0.0, n=20, seed=0), 4, "generating model produced a negative"),
+    # replication 1 has no control arm; 3 draws a negative failure time
+    (dict(c1=0.97, c3=0.0, n=6, p_treat=0.85, seed=1, censor_mean0=0.8,
+          censor_mean1=0.8), 1, "empty treatment group (n1=6, n0=0)"),
+    # replication 3 observes one mark; 4 draws a negative failure time
+    (dict(c1=0.97, c3=0.0, n=8, p_treat=0.6, seed=6, censor_mean0=0.6,
+          censor_mean1=0.6), 3, "need at least 2 observed marks for a bandwidth"),
+])
+def test_failing_study_raises_its_first_failing_replication(kw, first, message):
+    # a block checks negative failure times before empty arms and bandwidths,
+    # yet the error must be the one replications run one at a time raise first
+    scenario = _scenario(reps=12, **kw)
+    errors = []
+    for rep in range(scenario.reps):
+        try:
+            _single_replication(scenario, rep)
+        except ValueError as exc:
+            errors.append((rep, exc))
+    assert errors[0][0] == first and message in str(errors[0][1])
+    if first > 0:
+        assert any(isinstance(exc, SimulationError) for _, exc in errors[1:])
+    with pytest.raises(type(errors[0][1])) as raised:
+        mt.run_replications(scenario)
+    assert str(raised.value) == str(errors[0][1])
