@@ -165,23 +165,23 @@ def _block_weights(y, delta, arm) -> tuple[np.ndarray, np.ndarray]:
 def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
                          alpha: float = 0.05, bandwidth: float | None = None,
                          varpi: float = 1.0,
-                         ) -> tuple[EstimateGrid, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+                         ) -> tuple[EstimateGrid, tuple[np.ndarray, ...]]:
     """Estimates on the grid plus the windowed kernel terms they are sums of.
 
-    The terms are a (control, treated) pair of ``(start, values)``, one row
-    per observed failure of the arm in record order: ``values[k, i]`` is
-    (y / S_a(y)) * K_h(mark - v_j) at grid point j = start[k] + i. Every
-    failure gets the same number w of columns, the widest window's, and a
-    window that would run past the last grid point starts early instead.
-    Censored subjects contribute zero and have no row; grid points beyond a
-    failure's window get zero from it and are left out. Each per-point sum
-    adds the arm's terms left to right in record order. The multiplier
-    resampling reuses the terms, so they are computed once here. This is
+    The terms are ``(curve, start, values, widths)``, one row per observed
+    failure in record order, with curve the failure's arm: ``values[k, i]``
+    is (y / S_a(y)) * K_h(mark - v_j) at grid point j = start[k] + i, and
+    ``widths[a]`` is arm a's window width, the widest window of its
+    failures. Columns past a failure's window are zero, and a window that
+    would run past the last grid point starts early instead. Censored
+    subjects contribute zero and have no row. Each per-point sum adds the
+    arm's terms left to right in record order. The multiplier resampling
+    reuses the terms, so they are computed once here. This is
     :func:`_estimate_block` on a block of one dataset.
     """
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0,1), got {alpha!r}")
-    bandwidths, columns, (curve, start, values, widths) = _estimate_block(
+    bandwidths, columns, terms = _estimate_block(
         dataset.y[None], dataset.delta[None], dataset.mark[None], dataset.arm[None],
         grid.points, alpha=alpha, bandwidth=bandwidth, varpi=varpi,
     )
@@ -189,8 +189,6 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
         points=grid.points, **{name: column[0] for name, column in columns.items()},
         bandwidth=bandwidths[0], n=dataset.n, n0=dataset.n0, n1=dataset.n1,
     )
-    rows = [np.flatnonzero(curve == a) for a in (0, 1)]
-    terms = tuple((start[k], values[k, :widths[a]]) for a, k in enumerate(rows))
     return est, terms
 
 

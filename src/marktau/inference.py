@@ -92,10 +92,19 @@ def multiplier_draws(est: EstimateGrid, resamples: int, seed) -> np.ndarray:
     The whole matrix comes from one generator seeded by ``seed`` (an integer
     or a SeedSequence); draws are never scheduled in parallel.
     """
-    if resamples < 1:
-        raise InferenceError(f"resamples must be >= 1, got {resamples}")
+    _check_resamples(resamples)
     points = int(np.count_nonzero(_usable_points(est)))
     return np.random.default_rng(seed).standard_normal((resamples, points))
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in TEST_KINDS:
+        raise InferenceError(f"unknown test kind {kind!r}; expected one of {TEST_KINDS}")
+
+
+def _check_resamples(resamples: int) -> None:
+    if resamples < 1:
+        raise InferenceError(f"resamples must be >= 1, got {resamples}")
 
 
 def _arm_scales(pi: float) -> tuple[float, float]:
@@ -109,35 +118,38 @@ def _usable_points(est: EstimateGrid) -> np.ndarray:
     return ~est.flagged & (est.sigma2 > 0.0)
 
 
-def arm_grams(terms: tuple[tuple[np.ndarray, np.ndarray], ...], usable: np.ndarray,
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm Gram matrices over the usable points, control first.
+def arm_grams(terms: tuple, g: int) -> np.ndarray:
+    """Gram matrices of every (row, arm) curve of a block, shape (rows, 2, g, g).
 
-    ``terms`` is the estimator's (control, treated) pair of windowed kernel
-    terms ``(start, values)``; entry (j, k) of arm a's Gram is the sum over
-    the arm's subjects of theta_i(v_j) * theta_i(v_k). Points more than a
-    window apart share no failure, so the Gram is banded: diagonal d holds,
-    for every failure and window offset i < w - d, the product of its terms
-    at offsets i and i + d, summed onto point start + i by one
-    ``np.bincount``. No array is larger than the terms themselves.
+    ``terms`` are the windowed kernel terms ``(curve, start, values,
+    widths)`` of :func:`~marktau.estimator._estimate_block`; entry (j, k) of
+    a curve's Gram is the sum over its failures of theta_i(v_j) *
+    theta_i(v_k). Points more than a window apart share no failure, so each
+    Gram is banded: diagonal d holds, for every failure and window offset
+    i < w - d, the product of its terms at offsets i and i + d, summed onto
+    bin (curve, start + i) by one ``np.bincount`` for the whole block. Each
+    bin adds its products offset by offset, in record order within an
+    offset; a curve narrower than the block's widest window w reads exact
+    zeros past its own width, which leave every sum as it was, and bins
+    past the last grid point are dropped. No array is larger than the terms
+    themselves.
     """
-    g = usable.size
-    grams = []
-    for start, values in terms:
-        w = values.shape[1]
-        # offset-major, so that both factors of every diagonal are contiguous
-        columns = values.T.copy()
-        points = start + np.arange(w)[:, None]
-        gram = np.zeros((g, g))
-        flat = gram.reshape(-1)
-        for d in range(w):
-            band = np.bincount(points[:w - d].ravel(),
-                               weights=(columns[:w - d] * columns[d:]).ravel(),
-                               minlength=g)[:g - d]
-            flat[d::g + 1][:g - d] = band  # entries (p, p + d)
-            flat[d * g::g + 1] = band  # entries (p + d, p)
-        grams.append(gram[np.ix_(usable, usable)])
-    return tuple(grams)
+    curve, start, values, widths = terms
+    w = values.shape[1]
+    curves = widths.size
+    # offset-major, so that both factors of every diagonal are contiguous
+    columns = values.T.copy()
+    # g + w bins per curve: its grid points, then those a clamped window overruns
+    bins = start + (g + w) * curve + np.arange(w)[:, None]
+    grams = np.zeros((curves, g, g))
+    flat = grams.reshape(curves, g * g)
+    for d in range(w):
+        band = np.bincount(bins[:w - d].ravel(),
+                           weights=(columns[:w - d] * columns[d:]).ravel(),
+                           minlength=curves * (g + w)).reshape(curves, g + w)[:, :g - d]
+        flat[:, d::g + 1][:, :g - d] = band  # entries (p, p + d)
+        flat[:, d * g::g + 1] = band  # entries (p + d, p)
+    return grams.reshape(curves // 2, 2, g, g)
 
 
 def resampling_covariance(grams: tuple[np.ndarray, np.ndarray], pi: float) -> np.ndarray:
@@ -189,7 +201,7 @@ def pair_variance_table(grams: tuple[np.ndarray, np.ndarray], est: EstimateGrid,
 
     Entry (j, k) is (n h) * sum over arms of n_a^(-2) * sum_i of
     (theta_i(v_j) - theta_i(v_k))^2, computed from the per-arm Gram matrices
-    of :func:`arm_grams`.
+    of :func:`arm_grams` over the usable points.
     """
     table = np.zeros_like(grams[0])
     for gram, n_a in zip(grams, (est.n0, est.n1)):
@@ -283,30 +295,31 @@ def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = 
     return count / resampled.size
 
 
-def _test_from_estimate(kind: str, est: EstimateGrid, terms: tuple, draws: np.ndarray, *,
-                        alpha: float, pi_design: float | None = None,
+def _test_from_estimate(kind: str, est: EstimateGrid, grams: np.ndarray, draws: np.ndarray,
+                        *, alpha: float, pi_design: float | None = None,
                         add_one_correction: bool = False) -> TestResult:
-    """Test from an estimate, its kernel terms and standard normal ``draws``.
+    """Test from an estimate, its arms' Grams and standard normal ``draws``.
 
-    ``draws`` come from :func:`multiplier_draws`; the multiplier sums are
-    draws @ L^T with L L^T the resampling covariance.
+    ``grams`` is the estimate's (2, g, g) control and treated Grams from
+    :func:`arm_grams`, over the whole grid; ``draws`` come from
+    :func:`multiplier_draws`. The multiplier sums are draws @ L^T with
+    L L^T the resampling covariance.
     """
+    _check_kind(kind)
     pi = pi_design if pi_design is not None else est.n1 / est.n
     usable = _usable_points(est)
-    grams = arm_grams(terms, usable)
+    grams = grams[:, usable][:, :, usable]
     factor, rank = covariance_factor(resampling_covariance(grams, pi))
     sums = draws @ factor.T
     skipped_pairs = 0
     if kind == "global":
         stat = global_statistic(est)
         resampled = global_resample(est, sums)
-    elif kind == "constancy":
+    else:
         pairs = _constancy_pairs(est, pair_variance_table(grams, est))
         stat = constancy_statistic(est, pairs)
         resampled = constancy_resample(est, sums, pairs)
         skipped_pairs = pairs[3]
-    else:
-        raise InferenceError(f"unknown test kind {kind!r}; expected one of {TEST_KINDS}")
     resampled = np.sort(resampled)
     crit = critical_value(resampled, alpha)
     pval = p_value(resampled, stat, add_one_correction)
@@ -333,12 +346,12 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
     rejected when the observed statistic exceeds the (1 - alpha) resampling
     critical value.
     """
-    if kind not in TEST_KINDS:
-        raise InferenceError(f"unknown test kind {kind!r}; expected one of {TEST_KINDS}")
+    _check_kind(kind)
     if pi_design is not None and not 0.0 < pi_design < 1.0:
         raise InferenceError(f"pi_design must be in (0,1), got {pi_design!r}")
     est, terms = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
                                       varpi=varpi)
     draws = multiplier_draws(est, resamples, seed)
-    return _test_from_estimate(kind, est, terms, draws, alpha=alpha, pi_design=pi_design,
+    return _test_from_estimate(kind, est, arm_grams(terms, grid.points.size)[0], draws,
+                               alpha=alpha, pi_design=pi_design,
                                add_one_correction=add_one_correction)

@@ -25,8 +25,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_model import Dataset, MarkInterval, _arm_sizes, _binary_column
-from .estimator import EvaluationGrid, _estimate_block, _estimate_with_terms
-from .inference import _test_from_estimate, multiplier_draws
+from .estimator import EstimateGrid, EvaluationGrid, _estimate_block
+from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
+from .inference import (
+    _check_kind,
+    _check_resamples,
+    _test_from_estimate,
+    arm_grams,
+    multiplier_draws,
+)
 
 __all__ = [
     "SimulationError",
@@ -51,7 +58,7 @@ _REPLICATION_SPACE = 1
 # achieved rate may fall from the target.
 _CALIBRATION_DRAWS = 200_000
 _CALIBRATION_TOL = 0.005
-# Rows of the (replications, n) arrays that simulate's replications run in at once.
+# Rows of the (replications, n) arrays that a study's replications run in at once.
 _BLOCK_ROWS = 10_000
 
 
@@ -150,15 +157,25 @@ def true_tau(scenario: Scenario, v):
 def truncated_std_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     """Standard normal conditioned on [-1, 1], by rejection (acceptance ~ 0.683)."""
     out = np.empty(size)
-    filled = 0
+    _fill_truncated(rng, out, 0)
+    return out
+
+
+def _first_batch(need: int) -> int:
+    """Normals the rejection sampler draws at once while ``need`` values are missing."""
+    return max(16, int(need * 1.6) + 8)
+
+
+def _fill_truncated(rng: np.random.Generator, out: np.ndarray, filled: int) -> None:
+    """Fill ``out[filled:]`` as :func:`truncated_std_normal` continues from there."""
+    size = out.size
     while filled < size:
         need = size - filled
-        batch = rng.standard_normal(max(16, int(need * 1.6) + 8))
+        batch = rng.standard_normal(_first_batch(need))
         keep = batch[np.abs(batch) <= 1.0]
         take = min(keep.size, need)
         out[filled:filled + take] = keep[:take]
         filled += take
-    return out
 
 
 def generate_dataset(scenario: Scenario, rng: np.random.Generator) -> Dataset:
@@ -178,9 +195,11 @@ def _block_columns(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
     Each generator draws, in this order, the n treatment uniforms, the n
     marks, the n truncated normal residuals and the n unit exponentials
     that, times the arm's censoring mean, are the censoring times; the rest
-    runs once on the whole block. Sums and products are the ones a single
-    draw makes, in either operand order, so each row is bitwise the dataset
-    its generator alone would give.
+    runs once on the whole block. The residuals' first rejection batch of
+    every generator is screened in one pass, and only a row it leaves short
+    draws further batches, before its exponentials. Sums and products are
+    the ones a single draw makes, in either operand order, so each row is
+    bitwise the dataset its generator alone would give.
     """
     mu0, mu1 = scenario.censor_mean0, scenario.censor_mean1
     if mu0 is None or mu1 is None:
@@ -189,12 +208,26 @@ def _block_columns(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
         )
     n, count = scenario.n, len(rngs)
     uniform = np.empty((count, 2, n))  # the treatment draws, then the marks
+    normals = np.empty((count, _first_batch(n)))
+    for i, rng in enumerate(rngs):
+        rng.random(out=uniform[i])
+        rng.standard_normal(out=normals[i])
+    # every row's accepted normals, row after row, and where each row's
+    # start (a boolean mask gathers them several times slower)
+    accepted = np.abs(normals) <= 1.0
+    counts = np.count_nonzero(accepted, axis=1)
+    kept = normals.reshape(-1)[np.flatnonzero(accepted)]
+    starts = np.cumsum(counts) - counts
+    del normals, accepted
     # the residuals and unit exponentials; the failure and censoring times
     # are built on them in place
     t, c = np.empty((count, n)), np.empty((count, n))
+    full = counts >= n
+    t[full] = kept[starts[full, None] + np.arange(n)]
     for i, rng in enumerate(rngs):
-        rng.random(out=uniform[i])
-        t[i] = truncated_std_normal(rng, n)
+        if not full[i]:
+            t[i, :counts[i]] = kept[starts[i]:starts[i] + counts[i]]
+            _fill_truncated(rng, t[i], int(counts[i]))
         rng.standard_exponential(out=c[i])
     arm = (uniform[:, 0] < scenario.p_treat).astype(np.int64)
     v = uniform[:, 1]
@@ -229,13 +262,16 @@ def calibrate_censoring(scenario: Scenario, arm: int) -> float:
     return _solve_censoring(scenario, arm, _calibration_draws(scenario.seed, arm))
 
 
-def _calibration_draws(seed: int, arm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (V, residual, unit-exponential) draws that calibrate ``arm``; no coefficient enters."""
+def _calibration_draws(seed: int, arm: int) -> tuple[np.ndarray, ...]:
+    """The draws that calibrate ``arm``: V, sin(2 pi V), residuals, unit exponentials.
+
+    No coefficient enters them, so a sweep draws them once.
+    """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(_CALIBRATION_SPACE, arm))
     rng = np.random.default_rng(ss)
     v = rng.random(_CALIBRATION_DRAWS)
     eps = truncated_std_normal(rng, _CALIBRATION_DRAWS)
-    return v, eps, rng.exponential(1.0, _CALIBRATION_DRAWS)
+    return v, np.sin(2.0 * np.pi * v), eps, rng.exponential(1.0, _CALIBRATION_DRAWS)
 
 
 def _solve_censoring(scenario: Scenario, arm: int, sample) -> float:
@@ -245,9 +281,14 @@ def _solve_censoring(scenario: Scenario, arm: int, sample) -> float:
     # (k + 1)-th largest ratio sits at ascending position N - 1 - k
     k = np.count_nonzero(np.arange(1, draws + 1) / draws <= target)
     rank = draws - 1 - k
-    v, eps, unit_exp = sample
-    t = (treated_curve(scenario, v) if arm == 1 else control_curve(v)) + eps
-    mu = float(np.partition(t / unit_exp, rank)[rank])
+    v, wave, eps, unit_exp = sample
+    t = (_treated_mean(scenario, v, wave) if arm == 1 else _control_mean(wave)) + eps
+    # partitioned in place: a sweep holds the sample, and a copy here would
+    # set the sweep's peak memory
+    ratio = t / unit_exp
+    ratio.partition(rank)
+    mu = float(ratio[rank])
+    del ratio
     if not mu > 0.0:
         raise SimulationError(
             f"calibration for arm {arm} needs a censoring mean of {mu!r}; "
@@ -306,25 +347,32 @@ class MetricsTable:
     coverage_se: np.ndarray
 
 
+def _block_estimates(scenario: Scenario, reps: range):
+    """Arm sizes and :func:`~marktau.estimator._estimate_block` of a block of replications.
+
+    Replication r draws its data from stream (r, 0), and every check of a
+    single replication runs on each.
+    """
+    rngs = [np.random.default_rng(_replication_seed(scenario.seed, r, 0)) for r in reps]
+    y, delta, mark, arm = _block_columns(scenario, rngs)
+    _binary_column(delta, "delta")
+    _binary_column(arm, "a")
+    sizes = _arm_sizes(arm)
+    return sizes, *_estimate_block(y, delta, mark, arm, scenario.grid.points,
+                                   alpha=scenario.alpha, bandwidth=None,
+                                   varpi=scenario.varpi)
+
+
 def _metrics_rep(args: tuple[Scenario, range]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """tau, its estimated sd and interval coverage, (R, g) each, for a block of replications.
 
-    Replication r draws from its own stream, and every check of a single
-    replication runs on each. A block that fails is replayed one
-    replication at a time, so the error raised is that of its first failing
-    replication, as a run of single replications would raise it.
+    A block that fails is replayed one replication at a time, so the error
+    raised is that of its first failing replication, as a run of single
+    replications would raise it.
     """
     scenario, reps = args
-    rngs = [np.random.default_rng(_replication_seed(scenario.seed, r, 0)) for r in reps]
     try:
-        y, delta, mark, arm = _block_columns(scenario, rngs)
-        _binary_column(delta, "delta")
-        _binary_column(arm, "a")
-        _arm_sizes(arm)
-        bandwidths, est, _ = _estimate_block(
-            y, delta, mark, arm, scenario.grid.points, alpha=scenario.alpha,
-            bandwidth=None, varpi=scenario.varpi,
-        )
+        _, bandwidths, est, _ = _block_estimates(scenario, reps)
     except ValueError:
         if len(reps) > 1:
             for r in reps:
@@ -347,6 +395,13 @@ def _map_replications(worker, items, workers: int):
         return list(pool.map(worker, items, chunksize=chunk))
 
 
+def _blocks(scenario: Scenario, *extra) -> list[tuple]:
+    """Blocks of about ``_BLOCK_ROWS`` rows over the scenario's replications."""
+    size = max(1, _BLOCK_ROWS // scenario.n)
+    return [(scenario, range(lo, min(lo + size, scenario.reps)), *extra)
+            for lo in range(0, scenario.reps, size)]
+
+
 def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
     """Replicate estimation under a scenario and aggregate quality metrics.
 
@@ -359,10 +414,9 @@ def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
     scenario = resolve_censoring(scenario)
     grid = scenario.grid
     reps = scenario.reps
-    size = max(1, _BLOCK_ROWS // scenario.n)
-    blocks = [(scenario, range(lo, min(lo + size, reps))) for lo in range(0, reps, size)]
     taus, sds, covered = (
-        np.concatenate(part) for part in zip(*_map_replications(_metrics_rep, blocks, workers))
+        np.concatenate(part)
+        for part in zip(*_map_replications(_metrics_rep, _blocks(scenario), workers))
     )
     truth = true_tau(scenario, grid.points)
 
@@ -399,24 +453,51 @@ class PowerTable:
     rejections: np.ndarray
 
 
-def _test_rep(args: tuple[Scenario, int, str, int]) -> bool:
-    scenario, rep, kind, resamples = args
-    data_ss, mult_ss = (_replication_seed(scenario.seed, rep, i) for i in (0, 1))
-    dataset = generate_dataset(scenario, np.random.default_rng(data_ss))
-    est, terms = _estimate_with_terms(dataset, scenario.grid, alpha=scenario.alpha,
-                                      varpi=scenario.varpi)
-    draws = multiplier_draws(est, resamples, mult_ss)
-    return bool(_test_from_estimate(kind, est, terms, draws, alpha=scenario.alpha).reject)
+def _test_rep(args: tuple[Scenario, range, str, int]) -> list[bool]:
+    """Whether the test rejects, for each replication of a block.
+
+    The block is estimated as in :func:`_metrics_rep`, and one
+    :func:`~marktau.inference.arm_grams` pass gives every replication's
+    Grams; then each replication runs the test on its own estimate, Grams
+    and multiplier stream (r, 1). A block that fails is replayed as in
+    :func:`_metrics_rep`.
+    """
+    scenario, reps, kind, resamples = args
+    points = scenario.grid.points
+    try:
+        (n1, n0), bandwidths, columns, terms = _block_estimates(scenario, reps)
+        grams = arm_grams(terms, points.size)
+        flags = []
+        for i, r in enumerate(reps):
+            est = EstimateGrid(
+                points=points, **{name: column[i] for name, column in columns.items()},
+                bandwidth=bandwidths[i], n=scenario.n, n0=int(n0[i]), n1=int(n1[i]),
+            )
+            draws = multiplier_draws(est, resamples, _replication_seed(scenario.seed, r, 1))
+            result = _test_from_estimate(kind, est, grams[i], draws, alpha=scenario.alpha)
+            flags.append(bool(result.reject))
+    except ValueError:
+        if len(reps) > 1:
+            for r in reps:
+                _test_rep((scenario, range(r, r + 1), kind, resamples))
+        raise
+    return flags
 
 
 def rejection_rate(scenario: Scenario, kind: str, *, resamples: int = 500,
                    workers: int = 1) -> tuple[float, int]:
-    """Fraction of replications on which the test rejects, with the raw count."""
+    """Fraction of replications on which the test rejects, with the raw count.
+
+    Replications run in blocks as in :func:`run_replications`, and each
+    replication's test reads only its own estimate, Grams and multiplier
+    stream, so the count is the same for any block size and worker count.
+    The test settings are checked before any calibration or draw.
+    """
+    _check_resamples(resamples)
+    _check_kind(kind)
     scenario = resolve_censoring(scenario)
-    flags = _map_replications(
-        _test_rep, [(scenario, r, kind, resamples) for r in range(scenario.reps)], workers
-    )
-    count = int(np.count_nonzero(flags))
+    flags = _map_replications(_test_rep, _blocks(scenario, kind, resamples), workers)
+    count = sum(sum(block) for block in flags)
     return count / scenario.reps, count
 
 
@@ -428,11 +509,14 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     for the control arm, whose failure times do not depend on the
     coefficients, and at every c3 for the treated arm, whose failure-time
     scale moves with c3. The treated arm's draws take no coefficient, so they
-    are drawn once and each c3 solves its mean from them.
+    are drawn once and each c3 solves its mean from them. The test settings
+    are checked before any calibration.
     """
     c3_values = np.asarray(c3_values, dtype=float)
     if c3_values.size == 0:
         raise SimulationError("need at least one c3 value")
+    _check_resamples(resamples)
+    _check_kind(kind)
     if scenario.censor_mean0 is None:
         scenario = replace(scenario, censor_mean0=calibrate_censoring(scenario, 0))
     treated_draws = None

@@ -152,19 +152,45 @@ def dense_kernel_terms(dataset, points, h):
 
 
 def scatter_terms(terms, g):
-    """The package's windowed (start, values) terms as dense (g, m_a) arrays.
+    """The package's windowed terms of one dataset as dense (g, m_a) arrays, per arm.
 
-    Entry (start[k] + i, k) takes values[k, i], one entry at a time; every
-    other entry stays zero.
+    ``terms`` is ``(curve, start, values, widths)`` with curve the failure's
+    arm. Entry (start[k] + i, k) of the failure's arm takes values[k, i] for
+    i below its arm's width, one entry at a time; every other entry stays
+    zero, and so must every value past the width.
     """
+    curve, start, values, widths = terms
     out = []
-    for start, values in terms:
-        dense = np.zeros((g, values.shape[0]))
-        for k in range(values.shape[0]):
-            for i in range(values.shape[1]):
-                dense[start[k] + i, k] = values[k, i]
+    for a in (0, 1):
+        rows = np.flatnonzero(curve == a)
+        assert not values[rows, widths[a]:].any()
+        dense = np.zeros((g, rows.size))
+        for col, k in enumerate(rows):
+            for i in range(widths[a]):
+                dense[start[k] + i, col] = values[k, i]
         out.append(dense)
     return tuple(out)
+
+
+def dense_gram(theta, start):
+    """Gram matrix of dense (g, m) kernel terms, each entry a running sum.
+
+    Entry (j, k) adds theta_f(v_j) * theta_f(v_k) one product at a time over
+    every failure f, taken by window start ``start[f]``, latest first, and
+    in record order within one start: the order in which the package's
+    banded Gram adds an entry's nonzero products.
+    """
+    rows = np.asarray(theta, dtype=float).tolist()
+    g = len(rows)
+    order = sorted(range(len(start)), key=lambda f: -int(start[f]))  # a stable sort
+    gram = np.zeros((g, g))
+    for j in range(g):
+        for k in range(j, g):
+            total = 0.0
+            for f in order:
+                total += rows[j][f] * rows[k][f]
+            gram[j, k] = gram[k, j] = total
+    return gram
 
 
 def subject_major(theta, dataset):
@@ -318,6 +344,31 @@ def validate_rows(dataset):
         if mark_present and not (math.isfinite(m) and 0.0 <= m <= 1.0):
             out.append(Violation(i, "mark in [0,1]", f"mark={m!r} (is the data scaled?)"))
     return ValidationReport(tuple(out))
+
+
+def generated_columns(scenario, rng):
+    """y, delta, mark and arm of one dataset, drawn from ``rng`` alone.
+
+    The generator draws the treatment uniforms and the marks, then the
+    residuals by rejection, one batch of max(16, int(1.6 need) + 8) normals
+    at a time while ``need`` values are missing, then the unit exponentials.
+    """
+    n = scenario.n
+    uniform = rng.random((2, n))
+    residuals = []
+    while len(residuals) < n:
+        need = n - len(residuals)
+        batch = rng.standard_normal(max(16, int(need * 1.6) + 8))
+        residuals.extend(x for x in batch.tolist() if abs(x) <= 1.0)
+    del residuals[n:]
+    unit_exp = rng.standard_exponential(n)
+    arm = (uniform[0] < scenario.p_treat).astype(np.int64)
+    v = uniform[1]
+    mean = np.where(arm == 1, treated_curve(scenario, v), control_curve(v))
+    t = mean + np.array(residuals)
+    c = unit_exp * np.where(arm == 1, scenario.censor_mean1, scenario.censor_mean0)
+    delta = (t <= c).astype(np.int64)
+    return np.minimum(t, c), delta, np.where(delta == 1, v, np.nan), arm
 
 
 def calibrate_censoring_bisect(scenario, mc_draws=200_000):

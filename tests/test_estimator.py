@@ -24,6 +24,7 @@ from marktau.simulation import generate_dataset, resolve_censoring
 
 from conftest import hand_dataset
 from oracles import (
+    dense_gram,
     dense_kernel_terms,
     ipcw_mean_difference,
     ipcw_weights_oracle,
@@ -222,8 +223,8 @@ def test_kernel_matrix_shape_and_censored_rows():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.45, 0.5], UNIT)
     _, terms = _estimate_with_terms(ds, grid, bandwidth=0.1)
-    # observed failures by window points, one contiguous block per arm
-    assert all(values.flags.c_contiguous for _, values in terms)
+    # observed failures by window points, one contiguous block
+    assert terms[2].flags.c_contiguous
     theta = scatter_terms(terms, 2)
     # points by observed failures
     assert [t.shape for t in theta] == [(2, 1), (2, 1)]
@@ -396,7 +397,7 @@ def test_mark_reflection_mirrors_the_curve(data):
 def _assert_windows_match_dense(ds, points, h):
     # every (point, failure) term bitwise as the dense evaluation has it, the
     # event counts bitwise as the dense window predicate counts them, and the
-    # Gram as the dense terms give it
+    # Gram bitwise as the dense oracle sums the dense terms
     points = np.asarray(points, dtype=float)
     est, terms = _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT),
                                       bandwidth=h)
@@ -409,13 +410,14 @@ def _assert_windows_match_dense(ds, points, h):
         counts = np.count_nonzero(np.abs(marks - points[:, None]) < h, axis=1)
         assert events.dtype == counts.dtype
         assert events.tobytes() == counts.tobytes()
-    # the banded Gram sums the dense products in another order: within the
+    # a BLAS product sums the dense products in another order: within the
     # worst-case rounding of m-term sums
     eps = np.finfo(float).eps
-    everywhere = np.ones(points.size, dtype=bool)
-    for gram, arm_dense in zip(arm_grams(terms, everywhere), dense):
+    curve, start = terms[:2]
+    for a, (gram, arm_dense) in enumerate(zip(arm_grams(terms, points.size)[0], dense)):
         bound = 2 * arm_dense.shape[1] * eps * (np.abs(arm_dense) @ np.abs(arm_dense).T)
         assert np.all(np.abs(gram - arm_dense @ arm_dense.T) <= bound)
+        assert gram.tobytes() == dense_gram(arm_dense, start[curve == a]).tobytes()
 
 
 @settings(deadline=None, max_examples=200)
@@ -463,9 +465,8 @@ def _assert_record_order_invariant(ds, points, h, perm):
     assert np.all(np.abs(est_s.tau - est.tau) <= tau_bound)
     assert np.all(np.abs(est_s.sigma2 - est.sigma2) <= est.nh * sigma2_bound)
 
-    everywhere = np.ones(len(points), dtype=bool)
-    for gram, gram_s, arm_dense in zip(arm_grams(terms, everywhere),
-                                       arm_grams(terms_s, everywhere), dense):
+    for gram, gram_s, arm_dense in zip(arm_grams(terms, len(points))[0],
+                                       arm_grams(terms_s, len(points))[0], dense):
         m = arm_dense.shape[1]
         bound = 2 * m * eps * (np.abs(arm_dense) @ np.abs(arm_dense).T)
         assert np.all(np.abs(gram_s - gram) <= bound)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import marktau as mt
-from marktau.estimator import EstimateGrid, _estimate_with_terms
+from marktau.estimator import EstimateGrid, _estimate_block, _estimate_with_terms
 from marktau.inference import (
     InferenceError,
     _constancy_pairs,
@@ -24,11 +26,13 @@ from marktau.inference import (
     resampling_covariance,
 )
 from marktau.kernels import Bandwidth
-from marktau.simulation import generate_dataset
+from marktau.simulation import _block_columns, generate_dataset
 
 from conftest import hand_dataset
 from oracles import (
     constancy_resample_dense,
+    dense_gram,
+    dense_kernel_terms,
     scatter_terms,
     subject_major,
     subject_space_sums,
@@ -134,16 +138,41 @@ def test_xi_matrix_decomposition():
     np.testing.assert_allclose(xi[1], -theta[1] / 0.75)
     np.testing.assert_allclose(xi[3], -theta[3] / 0.75)
     # every window starts at the first point and spans both: the dense form
-    blocks = tuple((np.zeros(2, dtype=np.intp), theta[arm == a]) for a in (0, 1))
-    grams = arm_grams(blocks, np.ones(2, dtype=bool))
+    terms = (arm, np.zeros(4, dtype=np.intp), theta, np.array([2, 2]))
+    grams = arm_grams(terms, 2)[0]
     np.testing.assert_allclose(resampling_covariance(grams, 0.25), xi.T @ xi, rtol=1e-12)
     with pytest.raises(InferenceError, match="treated fraction"):
         resampling_covariance(grams, 1.0)
 
 
+def test_block_grams_equal_the_dense_oracle():
+    # three datasets in one block: row 0's marks squeezed toward 0.5 get windows
+    # of one point, row 1's span the whole grid (w = g), row 2's three points,
+    # so row 2's windows near 0.7 start early and overrun the grid at offsets
+    # past their own width
+    scenario = dataclasses.replace(NULL_SCENARIO, n=40)
+    y, delta, mark, arm = _block_columns(scenario, [np.random.default_rng(s) for s in (1, 2, 3)])
+    mark[0] = 0.5 + 0.05 * (mark[0] - 0.5)
+    mark[2] = 0.5 + 0.3 * (mark[2] - 0.5)
+    points = np.linspace(0.3, 0.7, 5)
+    bandwidths, _, terms = _estimate_block(y, delta, mark, arm, points, alpha=0.05,
+                                           bandwidth=None, varpi=3.0)
+    curve, start, _, widths = terms
+    assert widths.tolist() == [1, 1, 5, 5, 3, 3]
+    grams = arm_grams(terms, points.size)
+    assert grams.shape == (3, 2, 5, 5)
+    for row in range(3):
+        ds = mt.Dataset.from_arrays(y[row], delta[row], mark[row], arm[row])
+        dense = dense_kernel_terms(ds, points, bandwidths[row].h)
+        for a in (0, 1):
+            want = dense_gram(dense[a], start[curve == 2 * row + a])
+            assert grams[row, a].tobytes() == want.tobytes()
+
+
 def _grid_covariance(est, theta, pi):
     usable = _usable_points(est)
-    grams = arm_grams(theta, usable)
+    grams = tuple(gram[np.ix_(usable, usable)]
+                  for gram in arm_grams(theta, est.points.size)[0])
     return usable, grams, resampling_covariance(grams, pi)
 
 
@@ -210,7 +239,8 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
     est, theta = _estimate_with_terms(ds, DENSE_GRID, alpha=0.05, bandwidth=None, varpi=1.0)
     reps = 4000
     draws = multiplier_draws(est, reps, 46)
-    resampled = _test_from_estimate(kind, est, theta, draws, alpha=0.05).resampled
+    resampled = _test_from_estimate(kind, est, arm_grams(theta, DENSE_GRID.points.size)[0],
+                                    draws, alpha=0.05).resampled
     assert np.all(np.isfinite(resampled))
 
     usable = _usable_points(est)
@@ -221,7 +251,7 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
     if kind == "global":
         oracle = global_resample(est, sums)
     else:
-        grams = arm_grams(theta, usable)
+        _, grams, _ = _grid_covariance(est, theta, ds.n1 / ds.n)
         pairs = _constancy_pairs(est, pair_variance_table(grams, est))
         oracle = constancy_resample(est, sums, pairs)
     assert stats.ks_2samp(resampled, oracle).pvalue > 0.01
@@ -349,7 +379,8 @@ def test_resample_distribution_matches_sampling_distribution():
         ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
     )
     draws = multiplier_draws(est, reps, 779)
-    resampled = _test_from_estimate("global", est, theta, draws, alpha=0.05).resampled
+    grams = arm_grams(theta, NULL_SCENARIO.grid.points.size)[0]
+    resampled = _test_from_estimate("global", est, grams, draws, alpha=0.05).resampled
 
     q_obs = float(np.quantile(observed, 0.95))
     q_res = float(np.quantile(resampled, 0.95))

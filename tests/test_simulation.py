@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,19 @@ import marktau as mt
 from marktau import simulation
 from marktau.data_model import validate
 from marktau.estimator import _estimate_block, _estimate_with_terms
-from marktau.inference import arm_grams
+from marktau.inference import (
+    TEST_KINDS,
+    InferenceError,
+    _test_from_estimate,
+    arm_grams,
+    multiplier_draws,
+)
 from marktau.simulation import (
     SimulationError,
     _block_columns,
     _metrics_rep,
     _replication_seed,
+    _test_rep,
     calibrate_censoring,
     control_curve,
     generate_dataset,
@@ -26,7 +34,7 @@ from marktau.simulation import (
     true_tau,
     truncated_std_normal,
 )
-from oracles import calibrate_censoring_bisect
+from oracles import calibrate_censoring_bisect, generated_columns
 
 
 def _scenario(**kw):
@@ -89,6 +97,24 @@ def test_generate_dataset_moments():
     assert np.all(np.isnan(ds.mark[ds.delta == 0]))
     assert np.all(~np.isnan(ds.mark[ds.delta == 1]))
     assert validate(ds).ok
+
+
+def test_block_rows_are_each_generators_own_draws():
+    # at n = 30 the first rejection batch of 56 normals leaves a row short of
+    # 30 accepted values about once in a hundred; such a row draws further
+    # batches before its exponentials
+    scenario = _scenario(n=30)
+    seeds = range(400)
+    block = _block_columns(scenario, [np.random.default_rng(seed) for seed in seeds])
+    short = 0
+    for i, seed in enumerate(seeds):
+        want = generated_columns(scenario, np.random.default_rng(seed))
+        for got, column in zip(block, want, strict=True):
+            assert got[i].dtype == column.dtype and got[i].tobytes() == column.tobytes()
+        rng = np.random.default_rng(seed)
+        rng.random((2, scenario.n))
+        short += np.count_nonzero(np.abs(rng.standard_normal(56)) <= 1.0) < scenario.n
+    assert short > 0
 
 
 def test_generate_dataset_requires_resolved_means():
@@ -385,7 +411,7 @@ def _single_replication(scenario, rep):
 @pytest.mark.parametrize("c3", [-2.0, -1.0, 0.0])
 def test_block_equals_single_replications_bitwise(n, p_treat, c3):
     scenario = _scenario(n=n, p_treat=p_treat, c3=c3, seed=17)
-    everywhere = np.ones(scenario.grid.points.size, dtype=bool)
+    g = scenario.grid.points.size
     truth = true_tau(scenario, scenario.grid.points)
     # blocks of 1, 2 and 5 replications
     for block in (range(3, 4), range(4, 6), range(6, 11)):
@@ -393,6 +419,7 @@ def test_block_equals_single_replications_bitwise(n, p_treat, c3):
         bandwidths, est, (curve, start, values, widths) = _estimate_block(
             *_block_columns(scenario, rngs), scenario.grid.points,
             alpha=scenario.alpha, bandwidth=None, varpi=scenario.varpi)
+        grams = arm_grams((curve, start, values, widths), g)
         taus, sds, covered = _metrics_rep((scenario, block))
         for i, rep in enumerate(block):
             single, terms = _single_replication(scenario, rep)
@@ -401,15 +428,15 @@ def test_block_equals_single_replications_bitwise(n, p_treat, c3):
                           "events1", "events0", "flagged"):
                 got, want = est[field][i], getattr(single, field)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
-            block_terms = []
-            for a, (want_start, want_values) in enumerate(terms):
+            single_curve, single_start, single_values, single_widths = terms
+            for a in (0, 1):
                 k = np.flatnonzero(curve == 2 * i + a)
-                block_terms.append((start[k], values[k, :widths[2 * i + a]]))
-                assert block_terms[a][0].tobytes() == want_start.tobytes()
-                assert block_terms[a][1].tobytes() == want_values.tobytes()
-            for got, want in zip(arm_grams(block_terms, everywhere),
-                                 arm_grams(terms, everywhere)):
-                assert got.tobytes() == want.tobytes()
+                want = np.flatnonzero(single_curve == a)
+                w = widths[2 * i + a]
+                assert w == single_widths[a]
+                assert start[k].tobytes() == single_start[want].tobytes()
+                assert values[k, :w].tobytes() == single_values[want, :w].tobytes()
+            assert grams[i].tobytes() == arm_grams(terms, g)[0].tobytes()
             assert taus[i].tobytes() == single.tau.tobytes()
             assert sds[i].tobytes() == np.sqrt(single.sigma2 / single.nh).tobytes()
             np.testing.assert_array_equal(
@@ -453,3 +480,96 @@ def test_failing_study_raises_its_first_failing_replication(kw, first, message):
     with pytest.raises(type(errors[0][1])) as raised:
         mt.run_replications(scenario)
     assert str(raised.value) == str(errors[0][1])
+
+
+def _single_test(scenario, rep, kind, resamples):
+    """Replication ``rep``'s test the way one dataset is drawn, estimated and tested."""
+    est, terms = _single_replication(scenario, rep)
+    draws = multiplier_draws(est, resamples, _replication_seed(scenario.seed, rep, 1))
+    grams = arm_grams(terms, scenario.grid.points.size)[0]
+    return _test_from_estimate(kind, est, grams, draws, alpha=scenario.alpha)
+
+
+def _recorded_tests(monkeypatch):
+    """Record the result of every test the engine runs on a replication."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(_test_from_estimate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(simulation, "_test_from_estimate", recorded)
+    return results
+
+
+@pytest.mark.parametrize("varpi", [1.0, 0.05])
+@pytest.mark.parametrize("n", [300, 1000])
+@pytest.mark.parametrize("kind", TEST_KINDS)
+def test_power_block_equals_single_tests_bitwise(monkeypatch, kind, n, varpi):
+    # at varpi = 0.05 the bandwidth is so small that some grid points see no
+    # event, so the usable points differ between replications of one block
+    scenario = _scenario(n=n, c3=0.0, varpi=varpi, reps=8, seed=23)
+    singles = [_single_test(scenario, rep, kind, 60) for rep in range(scenario.reps)]
+    results = _recorded_tests(monkeypatch)
+    # blocks of 1, 2 and 5 replications
+    flags = [flag for block in (range(0, 1), range(1, 3), range(3, 8))
+             for flag in _test_rep((scenario, block, kind, 60))]
+    assert flags == [single.reject for single in singles]
+    for got, want in zip(results, singles, strict=True):
+        assert np.float64(got.statistic).tobytes() == np.float64(want.statistic).tobytes()
+        assert got.resampled.tobytes() == want.resampled.tobytes()
+        assert np.float64(got.critical_value).tobytes() == \
+            np.float64(want.critical_value).tobytes()
+        assert got.covariance_rank == want.covariance_rank
+        assert got.excluded_points == want.excluded_points
+    if varpi < 1.0:
+        excluded = {result.excluded_points for result in results[3:]}
+        assert len(excluded) > 1
+    # a block boundary inside the replications, and the default blocks
+    count = sum(single.reject for single in singles)
+    for rows in (1, 3 * n, simulation._BLOCK_ROWS):
+        monkeypatch.setattr(simulation, "_BLOCK_ROWS", rows)
+        assert rejection_rate(scenario, kind, resamples=60) == (count / scenario.reps, count)
+
+
+@pytest.mark.parametrize("kw, kind, message", [
+    # replication 1 has no control arm; 3 draws a negative failure time, which
+    # a block checks first
+    (dict(c1=0.97, c3=0.0, n=6, p_treat=0.85, seed=1, censor_mean0=0.8,
+          censor_mean1=0.8), "global", "empty treatment group (n1=6, n0=0)"),
+    # replication 1 keeps one usable point of three: only its constancy test fails
+    (dict(n=300, seed=23, varpi=0.05, grid=mt.EvaluationGrid.explicit(
+        [0.3, 0.5, 0.7], mt.MarkInterval(0.1, 0.9))), "constancy",
+     "constancy test needs at least 2 usable grid points, got 1"),
+])
+def test_failing_power_study_raises_its_first_failing_replication(kw, kind, message):
+    scenario = _scenario(reps=6, **kw)
+    errors = []
+    for rep in range(scenario.reps):
+        try:
+            _single_test(scenario, rep, kind, 20)
+        except ValueError as exc:
+            errors.append((rep, exc))
+    assert errors[0][0] == 1 and str(errors[0][1]) == message
+    with pytest.raises(type(errors[0][1])) as raised:
+        rejection_rate(scenario, kind, resamples=20)
+    assert str(raised.value) == message
+    if kind == "constancy":
+        rejection_rate(scenario, "global", resamples=20)
+
+
+@pytest.mark.parametrize("kind, resamples, message", [
+    ("global", 0, "resamples must be >= 1, got 0"),
+    ("constancy", -3, "resamples must be >= 1, got -3"),
+    ("pointwise", 100, "unknown test kind 'pointwise'; expected one of ('global', 'constancy')"),
+])
+def test_power_settings_fail_before_calibrating(monkeypatch, kind, resamples, message):
+    scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-2.0, n=300, reps=2, seed=0)
+    arms = _count_calibrations(monkeypatch)
+    drawn = _count_draws(monkeypatch)
+    monkeypatch.setattr(simulation, "_block_columns", None)  # no replication may start
+    with pytest.raises(InferenceError, match=re.escape(message)):
+        mt.size_power_curve(scenario, [-2.0, 0.0], kind, resamples=resamples)
+    with pytest.raises(InferenceError, match=re.escape(message)):
+        rejection_rate(scenario, kind, resamples=resamples)
+    assert arms == [] and drawn == []
