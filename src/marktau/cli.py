@@ -25,7 +25,6 @@ from .data_model import (
     DataError,
     MarkInterval,
     apply_mark_scaling,
-    drop_incomplete_rows,
     parse_dataset,
     parse_sidecar,
     scale_marks,
@@ -166,21 +165,20 @@ def _data_config(args, info: dict, grid: EvaluationGrid) -> dict:
 
 
 def _load_dataset(args) -> tuple["Dataset", dict]:
-    """Read, optionally filter, parse, scale, and validate the input CSV."""
+    """Read, parse (dropping rows as asked), scale, and validate the input CSV."""
     data = Path(args.input).read_bytes()
     info: dict = {"input_sha256": hashlib.sha256(data).hexdigest()}
     # text mode, as a file opened for reading: \r\n and lone \r become \n
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     del data  # released before parsing: held, it slowed the parse of large files
-    dropped = 0
-    if args.drop_missing_marks:
-        text, dropped = drop_incomplete_rows(text)
-    info["dropped_rows"] = dropped
 
     scaling = None
     if args.meta:
         scaling = parse_sidecar(Path(args.meta).read_text(encoding="utf-8"))
-    dataset = parse_dataset(text)
+    if args.drop_missing_marks:
+        dataset, info["dropped_rows"] = parse_dataset(text, drop_missing_marks=True)
+    else:
+        dataset, info["dropped_rows"] = parse_dataset(text), 0
 
     if scaling == "auto":
         scaling = scale_marks(dataset.observed_marks())
@@ -212,7 +210,8 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="CSV with header y,delta,mark,a")
     parser.add_argument("--meta", help="JSON sidecar with the mark scaling")
     parser.add_argument("--drop-missing-marks", action="store_true",
-                        help="drop uncensored rows whose mark is missing before parsing")
+                        help="drop uncensored rows whose mark is empty and that have no "
+                             "other fault; report the count as dropped_rows")
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser, default_interval: str | None = None,

@@ -26,7 +26,6 @@ __all__ = [
     "ValidationReport",
     "Dataset",
     "parse_dataset",
-    "drop_incomplete_rows",
     "scale_marks",
     "apply_mark_scaling",
     "validate",
@@ -188,27 +187,11 @@ class Dataset:
 _QUOTED_FIELD = re.compile(r'(?:\A|(?<=[,\n]))"([^",\n]*)"[^\S\n]*(?=[,\n]|\Z)')
 
 
-def _lines(text: str) -> list[str]:
-    """Lines of a CSV text, with a leading byte-order mark dropped and CRLF read as LF."""
-    text = text.lstrip("\ufeff")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    return text.split("\n")
-
-
-def _fields(rows: list[str]) -> list[str]:
-    """The comma-separated fields of ``rows``, row after row, quoted ones unwrapped.
-
-    Fields keep their surrounding whitespace, which ``float`` ignores.
-    """
-    joined = ",".join(rows)
-    if '"' in joined:
-        joined = _QUOTED_FIELD.sub(r"\1", joined)
-    return joined.split(",")
-
-
-def _field_counts(rows: list[str]) -> np.ndarray:
-    return np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
+def _fields(row: str) -> list[str]:
+    """The comma-separated fields of one row, quoted ones unwrapped and whitespace stripped."""
+    if '"' in row:
+        row = _QUOTED_FIELD.sub(r"\1", row)
+    return [field.strip() for field in row.split(",")]
 
 
 def _filled(fields: list[str]) -> np.ndarray:
@@ -216,79 +199,18 @@ def _filled(fields: list[str]) -> np.ndarray:
     return np.fromiter(map(bool, map(str.strip, fields)), bool, len(fields))
 
 
-def _first(mask: np.ndarray, default: int) -> int:
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else default
-
-
-def _floats(fields: list[str]) -> np.ndarray:
-    """The leading fields that read as numbers, as floats: all of them on valid input.
-
-    The result stops before the first field ``float`` rejects, so its length
-    is that field's index.
-    """
+def _number(field: str, name: str, line_no: int) -> float:
     try:
-        return np.array(fields, dtype=float)
-    except ValueError:
-        pass
-    good = 0
-    for field in fields:  # only on invalid input: find the field that failed
-        try:
-            float(field)
-        except ValueError:
-            break
-        good += 1
-    return np.array(fields[:good], dtype=float)
-
-
-def _line_number(lines: list[str], k: int) -> int:
-    """1-based line of the file that holds its ``k``-th non-blank line (the header is 0)."""
-    nonblank = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines)))
-    return int(nonblank[k]) + 1
-
-
-def _reads_as_one(field: str) -> bool:
-    """True when ``field`` reads as the number 1, as :func:`_parse_binary` reads it."""
-    try:
-        return float(field) == 1.0
-    except ValueError:
-        return False
-
-
-def _parse_binary(field: str, name: str, line_no: int) -> int:
-    try:
-        value = float(field)
+        return float(field)
     except ValueError:
         raise DataError(f"line {line_no}: {name} is not numeric: {field!r}") from None
+
+
+def _binary(field: str, name: str, line_no: int) -> float:
+    value = _number(field, name, line_no)
     if value not in (0.0, 1.0):
         raise DataError(f"line {line_no}: {name} must be 0 or 1, got {field!r}")
-    return int(value)
-
-
-def _check_row(row: str, line_no: int) -> None:
-    """Raise the first structural error of one data row.
-
-    The order is field count, ``y``, ``delta``, ``a``, then the mark.
-    """
-    fields = [field.strip() for field in _fields([row])]
-    if len(fields) != 4:
-        raise DataError(f"line {line_no}: expected 4 fields, got {len(fields)}")
-    y_f, d_f, m_f, a_f = fields
-    try:
-        float(y_f)
-    except ValueError:
-        raise DataError(f"line {line_no}: y is not numeric: {y_f!r}") from None
-    d_i = _parse_binary(d_f, "delta", line_no)
-    _parse_binary(a_f, "a", line_no)
-    if d_i == 1:
-        if m_f == "":
-            raise DataError(f"line {line_no}: mark absent on an uncensored row (delta=1)")
-        try:
-            float(m_f)
-        except ValueError:
-            raise DataError(f"line {line_no}: mark is not numeric: {m_f!r}") from None
-    elif m_f != "":
-        raise DataError(f"line {line_no}: mark present on a censored row (delta=0)")
+    return value
 
 
 def _binary_floats(fields: list[str]) -> np.ndarray:
@@ -305,19 +227,18 @@ def _binary_floats(fields: list[str]) -> np.ndarray:
     return np.array(fields, dtype=float)
 
 
-def _columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The y, delta, mark and a columns of a well-formed CSV text; None if a check fails.
+def _columns(text: str, drop_missing_marks: bool) -> tuple | None:
+    """The y, delta, mark and a columns of a well-formed LF-ended CSV text
+    without byte-order mark, and the rows dropped; None if a check fails.
 
     The body is split once on commas. Its n rows of four fields give 3n + 1
     pieces, and the pieces at 3, 6, ..., 3(n - 1) each join one row's ``a``
     to the next row's ``y`` across a line break. With the piece count right,
     a line break in each of those pieces proves that every row has four
-    fields.
+    fields. With ``drop_missing_marks``, an uncensored row with an empty
+    mark is dropped instead of failing the check.
     """
-    body = text.lstrip("\ufeff")
-    if "\r" in body:
-        body = body.replace("\r\n", "\n")
-    body = body.strip("\n")
+    body = text.strip("\n")
     if "\n\n" in body:
         body = "\n".join(filter(None, body.split("\n")))
     if '"' in body:
@@ -350,15 +271,62 @@ def _columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         values = np.array(filled, dtype=float)
     except ValueError:
         return None
-    if np.any(((delta != 0) & (delta != 1)) | ((arm != 0) & (arm != 1))
-              | (present != (delta == 1))):
+    uncensored = delta == 1
+    # bools order False < True: a mark on a censored row is present > uncensored
+    misplaced = (present > uncensored) if drop_missing_marks else (present != uncensored)
+    if np.any(((delta != 0) & (delta != 1)) | ((arm != 0) & (arm != 1)) | misplaced):
         return None
     mark = np.full(n, math.nan)
     mark[present] = values
-    return y, delta, mark, arm
+    columns = (y, delta, mark, arm)
+    if not drop_missing_marks:
+        return columns, 0
+    keep = present >= uncensored
+    return [column[keep] for column in columns], n - int(np.count_nonzero(keep))
 
 
-def parse_dataset(text: str) -> Dataset:
+def _read_rows(text: str, drop_missing_marks: bool) -> tuple:
+    """The columns of an LF-ended CSV text read one row at a time, and the rows dropped.
+
+    This reader alone names errors: it raises the first fault of the first
+    bad row, in the order field count, ``y``, ``delta``, ``a``, then the
+    mark, with the row's line of the file. It also reads the rare valid
+    text that :func:`_columns` declines.
+    """
+    rows = [(line_no, line) for line_no, line in enumerate(text.split("\n"), 1) if line]
+    if not rows:
+        raise DataError("empty input: missing header row")
+    header = tuple(_fields(rows[0][1]))
+    if header != CSV_HEADER:
+        raise DataError(f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
+    if len(rows) == 1:
+        raise DataError("no data rows")
+    records = []
+    dropped = 0
+    for line_no, row in rows[1:]:
+        fields = _fields(row)
+        if len(fields) != 4:
+            raise DataError(f"line {line_no}: expected 4 fields, got {len(fields)}")
+        y_f, d_f, m_f, a_f = fields
+        y_i = _number(y_f, "y", line_no)
+        d_i = _binary(d_f, "delta", line_no)
+        a_i = _binary(a_f, "a", line_no)
+        m_i = math.nan
+        if d_i == 1:
+            if m_f == "":
+                if drop_missing_marks:
+                    dropped += 1
+                    continue
+                raise DataError(f"line {line_no}: mark absent on an uncensored row (delta=1)")
+            m_i = _number(m_f, "mark", line_no)
+        elif m_f != "":
+            raise DataError(f"line {line_no}: mark present on a censored row (delta=0)")
+        records.append((y_i, d_i, m_i, a_i))
+    # rows of a C-ordered array, so each column is contiguous as _columns gives it
+    return np.array(records, dtype=float).reshape(-1, 4).T.copy(), dropped
+
+
+def parse_dataset(text: str, *, drop_missing_marks: bool = False):
     """Parse CSV with header ``y,delta,mark,a`` into a :class:`Dataset`.
 
     The mark field must be empty exactly on censored rows (``delta == 0``).
@@ -372,88 +340,25 @@ def parse_dataset(text: str) -> Dataset:
     ends, blank lines, whitespace around fields and double quotes around a
     whole field are accepted.
 
+    With ``drop_missing_marks`` (complete-case analysis), an uncensored row
+    whose mark is empty is dropped instead of failing, when that is its only
+    fault; the result is then ``(dataset, dropped)``, with ``dropped`` the
+    number of rows dropped. Any other fault of such a row still fails with
+    its line of the file, and a file whose every row is dropped has no data
+    rows.
+
     A well-formed text is split once on commas and each column converted in
-    one piece. A text that fails any check goes to the row-aware reader,
-    which alone names errors.
+    one piece. A text that fails any check is read again one row at a time,
+    by the reader that alone names errors.
     """
-    columns = _columns(text)
-    if columns is None:
-        return _parse_rows(text)
-    return Dataset.from_arrays(*columns)
-
-
-def _parse_rows(text: str) -> Dataset:
-    """The row-aware reader behind :func:`parse_dataset`, the only one that names errors.
-
-    The text is split into lines, and the lines into fields. Each column is
-    converted in one piece and checked with array masks; only a text that
-    fails goes back to its first bad row to name the error.
-    """
-    lines = _lines(text)
-    rows = list(filter(None, lines))
-    if not rows:
-        raise DataError("empty input: missing header row")
-    header = tuple(field.strip() for field in _fields(rows[:1]))
-    if header != CSV_HEADER:
-        raise DataError(f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
-    rows = rows[1:]
-    n = len(rows)
-    if n == 0:
+    text = text.lstrip("\ufeff")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    columns, dropped = _columns(text, drop_missing_marks) or _read_rows(text, drop_missing_marks)
+    if len(columns[0]) == 0:  # every data row was dropped
         raise DataError("no data rows")
-
-    # Rows before the first wrong field count split into aligned columns.
-    limit = _first(_field_counts(rows) != 4, n)
-    fields = _fields(rows[:limit])
-    y = _floats(fields[0::4])
-    delta = _floats(fields[1::4])
-    arm = _floats(fields[3::4])
-    mark_fields = fields[2::4]
-    present = _filled(mark_fields)
-    marks = _floats(list(compress(mark_fields, present)))
-    marked = np.flatnonzero(present)
-    # The masks cover the rows before the first field that is not a number.
-    limit = min(limit, y.size, delta.size, arm.size,
-                marked[marks.size] if marks.size < marked.size else limit)
-    d, a, p = delta[:limit], arm[:limit], present[:limit]
-    bad = ((d != 0) & (d != 1)) | ((a != 0) & (a != 1)) | (p != (d == 1))
-    first = _first(bad, limit)
-    if first < n:
-        _check_row(rows[first], _line_number(lines, first + 1))
-
-    mark = np.full(n, math.nan)
-    mark[present] = marks
-    return Dataset.from_arrays(y, delta, mark, arm)
-
-
-def drop_incomplete_rows(text: str) -> tuple[str, int]:
-    """Remove uncensored data rows whose mark field is empty.
-
-    A row is uncensored when its delta field reads as the number 1 (``1``,
-    ``1.0``, ``1e0``, with surrounding spaces allowed), as strict parsing
-    reads it. Malformed rows stay in place for :func:`parse_dataset` to
-    report. A dropped row leaves a blank line behind, so the line numbers of
-    later parse errors still point into the input. Returns the filtered CSV
-    text and the number of rows dropped. Used by the CLI's complete-case
-    switch before strict parsing.
-    """
-    lines = _lines(text)
-    nonblank = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines)))
-    if nonblank.size == 0:
-        raise DataError("empty input: missing header row")
-    start = int(nonblank[0]) + 1  # the first line after the header
-    body = lines[start:]
-    whole = _field_counts(body) == 4
-    fields = _fields(list(compress(body, whole)))
-    unmarked = ~_filled(fields[2::4])
-    delta = list(compress(fields[1::4], unmarked))
-    try:
-        uncensored = np.array(delta, dtype=float) == 1.0
-    except ValueError:  # a malformed delta; strict parsing reports it
-        uncensored = np.fromiter(map(_reads_as_one, delta), bool, len(delta))
-    drop = start + np.flatnonzero(whole)[np.flatnonzero(unmarked)[uncensored]]
-    for i in drop.tolist():
-        lines[i] = ""
-    return "\n".join(lines), int(drop.size)
+    dataset = Dataset.from_arrays(*columns)
+    return (dataset, dropped) if drop_missing_marks else dataset
 
 
 def scale_marks(raw_marks) -> ScalingRecord:
@@ -531,9 +436,7 @@ def parse_sidecar(text: str) -> ScalingRecord | str | None:
 
     That is None (marks already on [0, 1]), the string ``"auto"`` (fit
     min-max on the observed marks), or a :class:`ScalingRecord` with
-    explicit bounds. A ``follow_up`` key is accepted for compatibility and
-    must hold a number, but no result depends on it: every estimate sums
-    over all observed failures.
+    explicit bounds.
     """
     try:
         obj = json.loads(text)
@@ -541,11 +444,9 @@ def parse_sidecar(text: str) -> ScalingRecord | str | None:
         raise DataError(f"metadata sidecar is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DataError("metadata sidecar must be a JSON object")
-    unknown = set(obj) - {"follow_up", "mark_scaling"}
+    unknown = set(obj) - {"mark_scaling"}
     if unknown:
         raise DataError(f"unknown sidecar keys: {sorted(unknown)}")
-    if obj.get("follow_up") is not None:
-        _json_number(obj["follow_up"], "follow_up")
     scaling = obj.get("mark_scaling")
     if scaling is None or scaling == "auto":
         return scaling

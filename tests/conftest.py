@@ -40,8 +40,5 @@ def trial_files(tmp_path_factory):
     csv_path = folder / "trial.csv"
     csv_path.write_text(serialize_dataset(raw), encoding="utf-8")
     meta_path = folder / "trial.json"
-    meta_path.write_text(
-        json.dumps({"follow_up": float(np.max(ds.y)) + 0.5, "mark_scaling": "auto"}),
-        encoding="utf-8",
-    )
+    meta_path.write_text(json.dumps({"mark_scaling": "auto"}), encoding="utf-8")
     return csv_path, meta_path

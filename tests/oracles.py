@@ -256,11 +256,12 @@ def _parse_binary(field, name, line_no):
     return int(value)
 
 
-def parse_dataset_rows(text):
+def parse_dataset_rows(text, *, drop_missing_marks=False):
     """CSV ingest one row at a time through the ``csv`` module.
 
     Line numbers are lines of the file (``csv.reader.line_num``), so blank
-    lines count.
+    lines count. With ``drop_missing_marks`` a row is skipped exactly where
+    it would raise "mark absent", and the result is ``(dataset, dropped)``.
     """
     text = text.lstrip("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -274,6 +275,7 @@ def parse_dataset_rows(text):
         raise DataError("no data rows")
 
     y, delta, mark, arm = [], [], [], []
+    dropped = 0
     for line_no, row in rows[1:]:
         if len(row) != 4:
             raise DataError(f"line {line_no}: expected 4 fields, got {len(row)}")
@@ -286,6 +288,9 @@ def parse_dataset_rows(text):
         a_i = _parse_binary(a_f, "a", line_no)
         if d_i == 1:
             if m_f == "":
+                if drop_missing_marks:
+                    dropped += 1
+                    continue
                 raise DataError(f"line {line_no}: mark absent on an uncensored row (delta=1)")
             try:
                 m_i = float(m_f)
@@ -300,10 +305,13 @@ def parse_dataset_rows(text):
         mark.append(m_i)
         arm.append(a_i)
 
+    if not arm:  # every data row was dropped
+        raise DataError("no data rows")
     n1 = arm.count(1)
     if n1 == 0 or n1 == len(arm):
         raise DataError(f"empty treatment group (n1={n1}, n0={len(arm) - n1})")
-    return Dataset.from_arrays(y, delta, mark, arm)
+    dataset = Dataset.from_arrays(y, delta, mark, arm)
+    return (dataset, dropped) if drop_missing_marks else dataset
 
 
 def serialize_dataset(dataset):

@@ -366,6 +366,22 @@ def test_drop_missing_marks_flag(tmp_path, capsys):
     assert summary["n"] == 3
 
 
+@pytest.mark.parametrize("row, message", [
+    ("x,1,,7", "line 2: y is not numeric: 'x'"),
+    ("1,1,,7", "line 2: a must be 0 or 1, got '7'"),
+])
+def test_drop_missing_marks_reports_a_row_with_another_fault(tmp_path, capsys, row, message):
+    # an empty mark is not the only fault of this row, so it is not dropped
+    path = tmp_path / "bad.csv"
+    path.write_text(f"y,delta,mark,a\n{row}\n2,0,,0\n1,1,0.5,1\n", encoding="utf-8")
+    out = tmp_path / "est.csv"
+    code, _, err = _run(capsys, "estimate", "--input", str(path), "--grid", "0.5",
+                        "--bandwidth", "0.3", "--drop-missing-marks", "--out", str(out))
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_small_event_count_warns(tmp_path, capsys):
     rows = ["y,delta,mark,a"]
     rows += [f"{1.0 + i / 10.0},1,{0.1 + 0.08 * i},{i % 2}" for i in range(8)]
@@ -472,29 +488,17 @@ def test_non_numeric_c3_range_is_an_error_line(tmp_path, capsys, c3_range, messa
     assert "Traceback" not in err
 
 
-def test_sidecar_follow_up_changes_no_artifact(tmp_path, capsys, trial_files):
-    # follow_up is read for compatibility only: absent, above max(y) or below
-    # it, every artifact of estimate and test comes out byte for byte the same
+def test_sidecar_follow_up_is_an_unknown_key(tmp_path, capsys, trial_files):
+    # follow_up changed no result, so the sidecar no longer takes it
     csv_path, _ = trial_files
-    max_y = float(max(float(line.split(",")[0])
-                      for line in csv_path.read_text(encoding="utf-8").splitlines()[1:]))
-    artifacts = []
-    for name, extra in (("none", {}), ("above", {"follow_up": max_y + 0.5}),
-                        ("below", {"follow_up": max_y - 1.0})):
-        folder = tmp_path / name
-        folder.mkdir()
-        meta_path = folder / "meta.json"
-        meta_path.write_text(json.dumps({"mark_scaling": "auto", **extra}), encoding="utf-8")
-        common = ("--input", str(csv_path), "--meta", str(meta_path),
-                  "--interval", "0.2,0.45", "--grid-points", "5")
-        code, _, err = _run(capsys, "estimate", *common, "--out", str(folder / "est.csv"),
-                            "--dump-censoring", str(folder / "cens"))
-        assert code == 0, err
-        for kind in ("global", "constancy"):
-            code, _, err = _run(capsys, "test", *common, "--kind", kind, "--resamples", "40",
-                                "--seed", "3", "--out", str(folder / f"{kind}.json"))
-            assert code == 0, err
-        artifacts.append({p.name: p.read_bytes() for p in folder.iterdir()
-                          if p.name != "meta.json"})
-    assert len(artifacts[0]) == 6
-    assert artifacts[0] == artifacts[1] == artifacts[2]
+    meta_path = tmp_path / "meta.json"
+    meta_path.write_text(json.dumps({"mark_scaling": "auto", "follow_up": 12.5}),
+                         encoding="utf-8")
+    out = tmp_path / "out.csv"
+    for command in (("estimate",), ("test", "--kind", "global")):
+        code, _, err = _run(capsys, *command, "--input", str(csv_path), "--meta",
+                            str(meta_path), "--interval", "0.2,0.45", "--grid-points", "5",
+                            "--out", str(out))
+        assert code == 1
+        assert err == "error: unknown sidecar keys: ['follow_up']\n"
+        assert not out.exists()

@@ -14,7 +14,6 @@ from marktau.data_model import (
     DataError,
     ScalingRecord,
     apply_mark_scaling,
-    drop_incomplete_rows,
     parse_sidecar,
     scale_marks,
     validate,
@@ -189,19 +188,28 @@ def csv_texts(draw):
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
-def _outcome(parse, text):
+def _outcome(parse, text, drop=False):
     try:
-        ds = parse(text)
+        result = parse(text, drop_missing_marks=drop)
     except DataError as exc:
         return "error", str(exc)
+    ds, dropped = result if drop else (result, None)
     columns = (ds.y, ds.delta, ds.mark, ds.arm)
-    return "dataset", [(c.dtype.str, c.tobytes()) for c in columns]
+    return "dataset", [(c.dtype.str, c.tobytes()) for c in columns], dropped
 
 
 @settings(deadline=None, max_examples=400)
 @given(csv_texts())
 def test_parse_matches_row_loop_oracle(text):
-    assert _outcome(mt.parse_dataset, text) == _outcome(parse_dataset_rows, text)
+    # the generator blanks uncensored marks, so the flag drops rows in some texts
+    expected = [_outcome(parse_dataset_rows, text, drop) for drop in (False, True)]
+    for drop in (False, True):
+        assert _outcome(mt.parse_dataset, text, drop) == expected[drop]
+    # the per-row reader alone, as it runs on valid text the one-split reader declines
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_model, "_columns", lambda text, drop_missing_marks: None)
+        for drop in (False, True):
+            assert _outcome(mt.parse_dataset, text, drop) == expected[drop]
 
 
 @functools.cache
@@ -236,12 +244,50 @@ SCALE_VARIANTS = {
 }
 
 
+def _one_split_only(monkeypatch):
+    """Make reading a text row by row fail the test."""
+    def read_rows(text, drop_missing_marks):
+        raise AssertionError("read row by row, not with one split")
+    monkeypatch.setattr(data_model, "_read_rows", read_rows)
+
+
 @pytest.mark.parametrize("variant", SCALE_VARIANTS)
-def test_parse_at_scale_matches_row_loop_oracle(variant):
+def test_parse_at_scale_matches_row_loop_oracle(variant, monkeypatch):
     text = SCALE_VARIANTS[variant](_scale_text())
-    assert data_model._columns(text) is not None  # read with one split, not row by row
-    assert _outcome(mt.parse_dataset, text) == _outcome(parse_dataset_rows, text)
+    expected = [_outcome(parse_dataset_rows, text, drop) for drop in (False, True)]
+    _one_split_only(monkeypatch)
+    for drop in (False, True):
+        assert _outcome(mt.parse_dataset, text, drop) == expected[drop]
     assert mt.parse_dataset(text) == mt.parse_dataset(_scale_text())
+    assert mt.parse_dataset(text, drop_missing_marks=True) == (mt.parse_dataset(text), 0)
+
+
+def _blank_every_50th_mark(text):
+    """``text`` with the mark of every 50th uncensored row emptied, and the line numbers of those rows."""
+    header, *rows = text.rstrip("\n").split("\n")
+    blanked, uncensored = [], 0
+    for k, row in enumerate(rows):
+        fields = row.split(",")
+        if fields[1] == "1":
+            uncensored += 1
+            if uncensored % 50 == 0:
+                fields[2] = ""
+                rows[k] = ",".join(fields)
+                blanked.append(k + 2)  # data row k is line k + 2
+    return "\n".join([header, *rows]) + "\n", blanked
+
+
+def test_drop_at_scale_reads_with_one_split(monkeypatch):
+    text, blanked = _blank_every_50th_mark(_scale_text())
+    assert len(blanked) > 40
+    message = f"line {blanked[0]}: mark absent on an uncensored row (delta=1)"
+    assert _outcome(mt.parse_dataset, text) == ("error", message)
+    assert _outcome(parse_dataset_rows, text) == ("error", message)
+    expected = _outcome(parse_dataset_rows, text, True)
+    _one_split_only(monkeypatch)
+    assert _outcome(mt.parse_dataset, text, True) == expected
+    ds, dropped = mt.parse_dataset(text, drop_missing_marks=True)
+    assert dropped == len(blanked) and ds.n == 5000 - len(blanked)
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -407,45 +453,61 @@ def test_validate_clean_dataset_ok():
     assert str(report) == "ok"
 
 
+# The tests of --drop-missing-marks: parse_dataset(text, drop_missing_marks=True)
+# drops an uncensored row whose mark is empty and returns (dataset, dropped).
+
+
 def test_drop_incomplete_rows():
     text = "y,delta,mark,a\n1.0,1,,1\n2.0,0,,0\n1.5,1,0.6,0\n3.0,1,0.2,1\n"
-    filtered, dropped = drop_incomplete_rows(text)
+    ds, dropped = mt.parse_dataset(text, drop_missing_marks=True)
     assert dropped == 1
-    ds = mt.parse_dataset(filtered)
     assert ds.n == 3
 
 
 @pytest.mark.parametrize("one", ["1", "1.0", " 1 ", "1e0"])
 def test_drop_incomplete_rows_reads_delta_as_a_number(one):
     text = f"y,delta,mark,a\n1.0,{one},,1\n2.0,0,,0\n1.5,{one},0.6,0\n3.0,1,0.2,1\n"
-    filtered, dropped = drop_incomplete_rows(text)
+    ds, dropped = mt.parse_dataset(text, drop_missing_marks=True)
     assert dropped == 1
-    ds = mt.parse_dataset(filtered)
     assert ds.n == 3 and ds.n1 == 1
 
 
 def test_drop_incomplete_rows_leaves_malformed_rows():
     # an unreadable delta is not a missing mark; strict parsing reports it
     text = "y,delta,mark,a\n1.0,yes,,1\n2.0,0,,0\n"
-    filtered, dropped = drop_incomplete_rows(text)
-    assert dropped == 0
     with pytest.raises(DataError, match="line 2: delta is not numeric"):
-        mt.parse_dataset(filtered)
+        mt.parse_dataset(text, drop_missing_marks=True)
 
 
 def test_drop_incomplete_rows_keeps_line_numbers():
-    # a dropped row leaves a blank line, so later errors name lines of the input
+    # nothing is rewritten, so a dropped row leaves later errors on their input lines
     text = "y,delta,mark,a\n1.0,1,,1\n2.0,0,,0\n1.5,1,0.6,7\n"
-    filtered, dropped = drop_incomplete_rows(text)
-    assert dropped == 1
     with pytest.raises(DataError, match="line 4: a must be 0 or 1"):
-        mt.parse_dataset(filtered)
+        mt.parse_dataset(text, drop_missing_marks=True)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x,1,,7", "line 2: y is not numeric: 'x'"),
+    ("1,1,,7", "line 2: a must be 0 or 1, got '7'"),
+    ("1,1,,", "line 2: a is not numeric: ''"),
+    ("1,1,,1,", "line 2: expected 4 fields, got 5"),
+])
+def test_drop_reports_a_row_with_another_fault(row, message):
+    # once, such a row was dropped as a missing mark and its fault never reported
+    text = f"y,delta,mark,a\n{row}\n2,0,,0\n1,1,0.5,1\n"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        mt.parse_dataset(text, drop_missing_marks=True)
+    assert _outcome(parse_dataset_rows, text, True) == ("error", message)
+
+
+def test_drop_of_every_row_leaves_no_data_rows():
+    with pytest.raises(DataError, match="^no data rows$"):
+        mt.parse_dataset("y,delta,mark,a\n1,1,,1\n\n2,1, ,0\n", drop_missing_marks=True)
 
 
 def test_sidecar_parsing():
-    # follow_up is accepted for compatibility and changes nothing
-    assert parse_sidecar('{"follow_up": 4.5, "mark_scaling": "auto"}') == "auto"
-    assert parse_sidecar('{"follow_up": null}') is None
+    assert parse_sidecar('{"mark_scaling": "auto"}') == "auto"
+    assert parse_sidecar('{"mark_scaling": null}') is None
     scaling = parse_sidecar('{"mark_scaling": {"min": 0.0, "max": 80.0}}')
     assert scaling == ScalingRecord(vmin=0.0, vmax=80.0)
     assert parse_sidecar("{}") is None
@@ -457,8 +519,11 @@ def test_sidecar_parsing():
         ("[1]", "JSON object"),
         ("{bad", "not valid JSON"),
         ('{"extra": 1}', "unknown sidecar keys"),
-        ('{"follow_up": "soon"}', "must be a number"),
-        ('{"follow_up": true}', "follow_up must be a number"),
+        # follow_up changed no result, and the key is gone
+        pytest.param('{"follow_up": 4.5}', r"unknown sidecar keys: \['follow_up'\]",
+                     id="follow_up-number"),
+        pytest.param('{"follow_up": null, "mark_scaling": "auto"}',
+                     r"unknown sidecar keys: \['follow_up'\]", id="follow_up-null"),
         ('{"mark_scaling": {"min": "a", "max": 10}}', "min must be a number"),
         ('{"mark_scaling": {"min": null, "max": 10}}', "min must be a number"),
         ('{"mark_scaling": {"min": 0, "max": [1]}}', "max must be a number"),
