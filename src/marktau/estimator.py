@@ -185,11 +185,8 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
         dataset.y[None], dataset.delta[None], dataset.mark[None], dataset.arm[None],
         grid.points, alpha=alpha, bandwidth=bandwidth, varpi=varpi,
     )
-    est = EstimateGrid(
-        points=grid.points, **{name: column[0] for name, column in columns.items()},
-        bandwidth=bandwidths[0], n=dataset.n, n0=dataset.n0, n1=dataset.n1,
-    )
-    return est, terms
+    return _row_estimate(grid.points, bandwidths, columns, 0,
+                         n=dataset.n, n0=dataset.n0, n1=dataset.n1), terms
 
 
 def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
@@ -266,6 +263,13 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
                    ci_lower=tau - half, ci_upper=tau + half,
                    events1=events1, events0=events0, flagged=flagged)
     return bandwidths, columns, (curve, start, values, widths)
+
+
+def _row_estimate(points: np.ndarray, bandwidths, columns, i: int, *,
+                  n: int, n0: int, n1: int) -> EstimateGrid:
+    """Row ``i`` of the bandwidths and columns of :func:`_estimate_block` as an estimate."""
+    return EstimateGrid(points=points, **{name: column[i] for name, column in columns.items()},
+                        bandwidth=bandwidths[i], n=n, n0=n0, n1=n1)
 
 
 def estimate_on_grid(dataset: Dataset, grid: EvaluationGrid, *, alpha: float = 0.05,

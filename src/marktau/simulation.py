@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .data_model import Dataset, MarkInterval, _arm_sizes, _binary_column
-from .estimator import EstimateGrid, EvaluationGrid, _estimate_block
+from .data_model import Dataset, MarkInterval, _arm_sizes
+from .estimator import EvaluationGrid, _estimate_block, _row_estimate
 from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
 from .inference import (
     _check_kind,
@@ -40,8 +41,6 @@ __all__ = [
     "Scenario",
     "MetricsTable",
     "PowerTable",
-    "control_curve",
-    "treated_curve",
     "true_tau",
     "truncated_std_normal",
     "generate_dataset",
@@ -122,20 +121,6 @@ def _control_mean(wave):
 
 def _treated_mean(scenario: Scenario, v, wave):
     return scenario.c1 + scenario.c2 * (1.0 - v) + scenario.c3 * wave
-
-
-def control_curve(v):
-    """Mean failure time of the control arm at mark v."""
-    v = np.asarray(v, dtype=float)
-    out = _control_mean(np.sin(2.0 * np.pi * v))
-    return float(out) if out.ndim == 0 else out
-
-
-def treated_curve(scenario: Scenario, v):
-    """Mean failure time of the treated arm at mark v."""
-    v = np.asarray(v, dtype=float)
-    out = _treated_mean(scenario, v, np.sin(2.0 * np.pi * v))
-    return float(out) if out.ndim == 0 else out
 
 
 def true_tau(scenario: Scenario, v):
@@ -355,8 +340,6 @@ def _block_estimates(scenario: Scenario, reps: range):
     """
     rngs = [np.random.default_rng(_replication_seed(scenario.seed, r, 0)) for r in reps]
     y, delta, mark, arm = _block_columns(scenario, rngs)
-    _binary_column(delta, "delta")
-    _binary_column(arm, "a")
     sizes = _arm_sizes(arm)
     return sizes, *_estimate_block(y, delta, mark, arm, scenario.grid.points,
                                    alpha=scenario.alpha, bandwidth=None,
@@ -364,35 +347,46 @@ def _block_estimates(scenario: Scenario, reps: range):
 
 
 def _metrics_rep(args: tuple[Scenario, range]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """tau, its estimated sd and interval coverage, (R, g) each, for a block of replications.
-
-    A block that fails is replayed one replication at a time, so the error
-    raised is that of its first failing replication, as a run of single
-    replications would raise it.
-    """
+    """tau, its estimated sd and interval coverage, (R, g) each, for a block of replications."""
     scenario, reps = args
-    try:
-        _, bandwidths, est, _ = _block_estimates(scenario, reps)
-    except ValueError:
-        if len(reps) > 1:
-            for r in reps:
-                _metrics_rep((scenario, range(r, r + 1)))
-        raise
+    _, bandwidths, est, _ = _block_estimates(scenario, reps)
     nh = scenario.n * np.array([bw.h for bw in bandwidths])[:, None]
     truth = true_tau(scenario, scenario.grid.points)
     covered = (est["ci_lower"] <= truth) & (truth <= est["ci_upper"])
     return est["tau"], np.sqrt(est["sigma2"] / nh), covered
 
 
-def _map_replications(worker, items, workers: int):
+def _replayed(worker, item: tuple):
+    """``worker(item)``, where a failing block is replayed one replication at a time.
+
+    So the error raised is that of the block's first failing replication, as
+    a run of single replications would raise it.
+    """
+    try:
+        return worker(item)
+    except ValueError:
+        scenario, reps, *extra = item
+        if len(reps) > 1:
+            for r in reps:
+                worker((scenario, range(r, r + 1), *extra))
+        raise
+
+
+def _map_replications(worker, items: list, workers: int) -> list:
+    """``worker`` on each block through :func:`_replayed`, results in block order.
+
+    One pool runs all the blocks, with at most one worker per block; a run
+    of one block or one worker stays in process.
+    """
+    run, workers = partial(_replayed, worker), min(workers, len(items))
     if workers <= 1:
-        return [worker(item) for item in items]
-    # imported here: it loads multiprocessing, which a one-worker run never needs
+        return [run(item) for item in items]
+    # imported here: it loads multiprocessing, which an in-process run never needs
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, items, chunksize=chunk))
+        return list(pool.map(run, items, chunksize=chunk))
 
 
 def _blocks(scenario: Scenario, *extra) -> list[tuple]:
@@ -407,8 +401,9 @@ def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
 
     Replication r draws its dataset from a stream derived from
     (scenario.seed, r). Replications run in blocks of about
-    ``_BLOCK_ROWS`` rows, and every sum of a replication adds its own terms
-    in record order, so the table is identical for any block size and
+    ``_BLOCK_ROWS`` rows through one pool of at most ``workers`` processes,
+    none beyond the block count, and every sum of a replication adds its own
+    terms in record order, so the table is identical for any block size and
     worker count; aggregation runs in replication order.
     """
     scenario = resolve_censoring(scenario)
@@ -459,28 +454,19 @@ def _test_rep(args: tuple[Scenario, range, str, int]) -> list[bool]:
     The block is estimated as in :func:`_metrics_rep`, and one
     :func:`~marktau.inference.arm_grams` pass gives every replication's
     Grams; then each replication runs the test on its own estimate, Grams
-    and multiplier stream (r, 1). A block that fails is replayed as in
-    :func:`_metrics_rep`.
+    and multiplier stream (r, 1).
     """
     scenario, reps, kind, resamples = args
     points = scenario.grid.points
-    try:
-        (n1, n0), bandwidths, columns, terms = _block_estimates(scenario, reps)
-        grams = arm_grams(terms, points.size)
-        flags = []
-        for i, r in enumerate(reps):
-            est = EstimateGrid(
-                points=points, **{name: column[i] for name, column in columns.items()},
-                bandwidth=bandwidths[i], n=scenario.n, n0=int(n0[i]), n1=int(n1[i]),
-            )
-            draws = multiplier_draws(est, resamples, _replication_seed(scenario.seed, r, 1))
-            result = _test_from_estimate(kind, est, grams[i], draws, alpha=scenario.alpha)
-            flags.append(bool(result.reject))
-    except ValueError:
-        if len(reps) > 1:
-            for r in reps:
-                _test_rep((scenario, range(r, r + 1), kind, resamples))
-        raise
+    (n1, n0), bandwidths, columns, terms = _block_estimates(scenario, reps)
+    grams = arm_grams(terms, points.size)
+    flags = []
+    for i, r in enumerate(reps):
+        est = _row_estimate(points, bandwidths, columns, i,
+                            n=scenario.n, n0=int(n0[i]), n1=int(n1[i]))
+        draws = multiplier_draws(est, resamples, _replication_seed(scenario.seed, r, 1))
+        result = _test_from_estimate(kind, est, grams[i], draws, alpha=scenario.alpha)
+        flags.append(bool(result.reject))
     return flags
 
 
@@ -488,29 +474,26 @@ def rejection_rate(scenario: Scenario, kind: str, *, resamples: int = 500,
                    workers: int = 1) -> tuple[float, int]:
     """Fraction of replications on which the test rejects, with the raw count.
 
-    Replications run in blocks as in :func:`run_replications`, and each
-    replication's test reads only its own estimate, Grams and multiplier
-    stream, so the count is the same for any block size and worker count.
-    The test settings are checked before any calibration or draw.
+    This is :func:`size_power_curve` at the scenario's own c3, so its
+    replications share one worker pool too.
     """
-    _check_resamples(resamples)
-    _check_kind(kind)
-    scenario = resolve_censoring(scenario)
-    flags = _map_replications(_test_rep, _blocks(scenario, kind, resamples), workers)
-    count = sum(sum(block) for block in flags)
-    return count / scenario.reps, count
+    table = size_power_curve(scenario, [scenario.c3], kind, resamples=resamples,
+                             workers=workers)
+    return float(table.rate[0]), int(table.rejections[0])
 
 
 def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
                      resamples: int = 500, workers: int = 1) -> PowerTable:
     """Rejection rate of one test across c3 values.
 
-    A censoring mean left unresolved on the base scenario is calibrated once
-    for the control arm, whose failure times do not depend on the
-    coefficients, and at every c3 for the treated arm, whose failure-time
-    scale moves with c3. The treated arm's draws take no coefficient, so they
-    are drawn once and each c3 solves its mean from them. The test settings
-    are checked before any calibration.
+    The test settings are checked first, then every c3 point gets its
+    censoring means before any replication runs: an unresolved mean is
+    calibrated once for the control arm, whose failure times take no
+    coefficient, and at every c3 for the treated arm from one set of its
+    draws, which take none either. The blocks of all points then share one
+    worker pool as in :func:`run_replications`, and each replication's test
+    reads only its own estimate, Grams and multiplier stream, so the counts
+    are the same for any block size and worker count.
     """
     c3_values = np.asarray(c3_values, dtype=float)
     if c3_values.size == 0:
@@ -519,17 +502,14 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     _check_kind(kind)
     if scenario.censor_mean0 is None:
         scenario = replace(scenario, censor_mean0=calibrate_censoring(scenario, 0))
-    treated_draws = None
+    points = [replace(scenario, c3=float(c3)) for c3 in c3_values]
     if scenario.censor_mean1 is None:
         treated_draws = _calibration_draws(scenario.seed, 1)
-    rates = np.empty(c3_values.size)
-    rejections = np.empty(c3_values.size, dtype=np.int64)
-    for k, c3 in enumerate(c3_values):
-        point = replace(scenario, c3=float(c3))
-        if treated_draws is not None:
-            point = replace(point, censor_mean1=_solve_censoring(point, 1, treated_draws))
-        rates[k], rejections[k] = rejection_rate(
-            point, kind, resamples=resamples, workers=workers,
-        )
+        points = [replace(point, censor_mean1=_solve_censoring(point, 1, treated_draws))
+                  for point in points]
+    blocks = [block for point in points for block in _blocks(point, kind, resamples)]
+    flags = [flag for block in _map_replications(_test_rep, blocks, workers) for flag in block]
+    rejections = np.array(flags).reshape(c3_values.size, scenario.reps).sum(axis=1)
+    rates = rejections / scenario.reps
     se = np.sqrt(rates * (1.0 - rates) / scenario.reps)
     return PowerTable(c3=c3_values, rate=rates, se=se, rejections=rejections)

@@ -13,7 +13,25 @@ import numpy as np
 
 from marktau.data_model import Dataset, DataError, ValidationReport, Violation
 from marktau.kernels import scaled_kernel
-from marktau.simulation import control_curve, treated_curve, truncated_std_normal
+from marktau.simulation import truncated_std_normal
+
+
+def control_mean(v):
+    """The control arm's mean failure time at marks v, 3 - 2 sin(2 pi v).
+
+    The operations run in the generator's order, so its values are bitwise
+    the generator's.
+    """
+    return 3.0 - 2.0 * np.sin(2.0 * np.pi * np.asarray(v, dtype=float))
+
+
+def treated_mean(scenario, v):
+    """The treated arm's mean failure time at marks v, c1 + c2 (1 - v) + c3 sin(2 pi v).
+
+    Bitwise the generator's, as :func:`control_mean` is.
+    """
+    v = np.asarray(v, dtype=float)
+    return scenario.c1 + scenario.c2 * (1.0 - v) + scenario.c3 * np.sin(2.0 * np.pi * v)
 
 
 def product_limit_steps(y, delta):
@@ -372,7 +390,7 @@ def generated_columns(scenario, rng):
     unit_exp = rng.standard_exponential(n)
     arm = (uniform[0] < scenario.p_treat).astype(np.int64)
     v = uniform[1]
-    mean = np.where(arm == 1, treated_curve(scenario, v), control_curve(v))
+    mean = np.where(arm == 1, treated_mean(scenario, v), control_mean(v))
     t = mean + np.array(residuals)
     c = unit_exp * np.where(arm == 1, scenario.censor_mean1, scenario.censor_mean0)
     delta = (t <= c).astype(np.int64)
@@ -393,7 +411,7 @@ def calibrate_censoring_bisect(scenario, mc_draws=200_000):
         rng = np.random.default_rng(ss)
         v = rng.random(mc_draws)
         eps = truncated_std_normal(rng, mc_draws)
-        t = (treated_curve(scenario, v) if arm == 1 else control_curve(v)) + eps
+        t = (treated_mean(scenario, v) if arm == 1 else control_mean(v)) + eps
         unit_exp = rng.exponential(1.0, mc_draws)
 
         def rate(mu):

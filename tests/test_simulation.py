@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import re
@@ -26,15 +27,13 @@ from marktau.simulation import (
     _replication_seed,
     _test_rep,
     calibrate_censoring,
-    control_curve,
     generate_dataset,
     rejection_rate,
     resolve_censoring,
-    treated_curve,
     true_tau,
     truncated_std_normal,
 )
-from oracles import calibrate_censoring_bisect, generated_columns
+from oracles import calibrate_censoring_bisect, control_mean, generated_columns, treated_mean
 
 
 def _scenario(**kw):
@@ -54,8 +53,8 @@ def test_true_tau_hand_values():
     scenario = _scenario(c3=-1.0)
     assert true_tau(scenario, 0.25) == pytest.approx(1.0, rel=1e-12)
     assert true_tau(scenario, 0.75) == pytest.approx(-1.0, rel=1e-12)
-    assert control_curve(0.25) == pytest.approx(1.0, rel=1e-12)
-    assert treated_curve(scenario, 0.25) == pytest.approx(2.0, rel=1e-12)
+    assert control_mean(0.25) == pytest.approx(1.0, rel=1e-12)
+    assert treated_mean(scenario, 0.25) == pytest.approx(2.0, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -65,7 +64,7 @@ def test_true_tau_hand_values():
 )
 def test_true_tau_is_curve_difference(c1, c2, c3, v):
     scenario = _scenario(c1=c1, c2=c2, c3=c3)
-    diff = treated_curve(scenario, v) - control_curve(v)
+    diff = treated_mean(scenario, v) - control_mean(v)
     assert true_tau(scenario, v) == pytest.approx(diff, abs=1e-12)
 
 
@@ -265,12 +264,14 @@ def test_sweep_solves_every_c3_from_one_set_of_treated_draws(monkeypatch):
     drawn = _count_draws(monkeypatch)
     means = []
 
-    def record(point, kind, *, resamples, workers):
+    def record(args):
+        point, reps, *_ = args
         means.append(point.censor_mean1)
-        return 0.0, 0
+        return [False] * len(reps)
 
-    monkeypatch.setattr(simulation, "rejection_rate", record)
+    monkeypatch.setattr(simulation, "_test_rep", record)
     mt.size_power_curve(scenario, c3_values, "global", resamples=10)
+    # each point's 2 replications are one block
     assert means == expected  # exactly, not approximately
     assert sorted(drawn) == [0, 1]
 
@@ -280,6 +281,16 @@ def test_sweep_checks_the_treated_calibration_at_every_c3():
     scenario = mt.Scenario(c1=-10.0, c2=0.0, c3=0.0, n=200, reps=1, seed=0)
     with pytest.raises(SimulationError, match="arm 1 .* too large for this scenario"):
         mt.size_power_curve(scenario, [0.0], "global", resamples=10)
+
+
+def test_sweep_calibrates_every_point_before_any_replication(monkeypatch):
+    # a treated failure time -0.5 + 5 sin(2 pi v) + eps is positive often
+    # enough for a 40 % censoring rate, -0.5 + eps is not
+    scenario = mt.Scenario(c1=-0.5, c2=0.0, c3=5.0, n=200, reps=2, seed=0)
+    assert calibrate_censoring(scenario, 1) > 0.0
+    monkeypatch.setattr(simulation, "_block_columns", None)  # no replication may start
+    with pytest.raises(SimulationError, match="arm 1 .* too large for this scenario"):
+        mt.size_power_curve(scenario, [5.0, 0.0], "global", resamples=10)
 
 
 def test_replication_seeds_are_disjoint_streams():
@@ -301,7 +312,7 @@ def test_replication_seeds_equal_the_spawned_children(seed, rep):
         np.testing.assert_array_equal(direct.generate_state(8), child.generate_state(8))
 
 
-def test_metrics_identical_across_worker_counts():
+def test_metrics_identical_across_worker_counts(monkeypatch):
     scenario = _scenario(
         n=200, reps=12,
         seed=31,
@@ -309,11 +320,59 @@ def test_metrics_identical_across_worker_counts():
             [0.2, 0.35, 0.5, 0.65, 0.8], mt.MarkInterval(0.1, 0.9)
         ),
     )
+    # two blocks of 6 replications, so 2 and 8 workers both run a pool of two
+    monkeypatch.setattr(simulation, "_BLOCK_ROWS", 6 * scenario.n)
     tables = [mt.run_replications(scenario, workers=w) for w in (1, 2, 8)]
     for other in tables[1:]:
         np.testing.assert_array_equal(tables[0].bias, other.bias)
         np.testing.assert_array_equal(tables[0].ratio, other.ratio)
         np.testing.assert_array_equal(tables[0].coverage, other.coverage)
+
+
+def _recorded_pools(monkeypatch):
+    """Record the ``max_workers`` of every process pool the engine builds.
+
+    The recording pool maps in this process, so no test here starts one.
+    """
+    built = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return built
+
+
+def test_one_pool_per_study_and_no_more_workers_than_blocks(monkeypatch):
+    # at n = 300 a block holds 33 replications, so each c3 point is one block
+    scenario = _scenario(n=300, reps=8, seed=5, grid=mt.EvaluationGrid.explicit(
+        [0.25, 0.5, 0.75], mt.MarkInterval(0.1, 0.9)))
+    c3_values = [-2.0, -1.0, 0.0]
+    in_process = mt.size_power_curve(scenario, c3_values, "global", resamples=20)
+    built = _recorded_pools(monkeypatch)
+    pooled = mt.size_power_curve(scenario, c3_values, "global", resamples=20, workers=2)
+    assert built == [2]
+    np.testing.assert_array_equal(pooled.rejections, in_process.rejections)
+    # one block runs in process, whatever the worker count
+    built.clear()
+    rejection_rate(scenario, "global", resamples=20, workers=5000)
+    mt.run_replications(scenario, workers=5000)
+    assert built == []
+    # three blocks, then two
+    mt.size_power_curve(scenario, c3_values, "global", resamples=20, workers=5000)
+    monkeypatch.setattr(simulation, "_BLOCK_ROWS", 4 * scenario.n)
+    mt.run_replications(scenario, workers=5000)
+    assert built == [3, 2]
 
 
 def test_single_replication_has_no_ratio():
@@ -541,18 +600,31 @@ def test_power_block_equals_single_tests_bitwise(monkeypatch, kind, n, varpi):
     (dict(n=300, seed=23, varpi=0.05, grid=mt.EvaluationGrid.explicit(
         [0.3, 0.5, 0.7], mt.MarkInterval(0.1, 0.9))), "constancy",
      "constancy test needs at least 2 usable grid points, got 1"),
+    # a sweep whose first point, c3 = 0.25, has no failing replication; at
+    # c3 = -0.25 replication 1 observes one mark and 2 draws a negative
+    # failure time, which a block checks first
+    (dict(lead=[0.25], c1=0.97, c3=-0.25, n=8, p_treat=0.6, seed=19, censor_mean0=0.8,
+          censor_mean1=0.8), "global",
+     "need at least 2 observed marks for a bandwidth, got 1"),
 ])
 def test_failing_power_study_raises_its_first_failing_replication(kw, kind, message):
+    # ``lead`` holds the c3 points a sweep runs before the scenario's own
+    kw = dict(kw)
+    lead = kw.pop("lead", [])
     scenario = _scenario(reps=6, **kw)
     errors = []
-    for rep in range(scenario.reps):
-        try:
-            _single_test(scenario, rep, kind, 20)
-        except ValueError as exc:
-            errors.append((rep, exc))
-    assert errors[0][0] == 1 and str(errors[0][1]) == message
-    with pytest.raises(type(errors[0][1])) as raised:
-        rejection_rate(scenario, kind, resamples=20)
+    for k, c3 in enumerate([*lead, scenario.c3]):
+        for rep in range(scenario.reps):
+            try:
+                _single_test(dataclasses.replace(scenario, c3=c3), rep, kind, 20)
+            except ValueError as exc:
+                errors.append((k, rep, exc))
+    assert errors[0][:2] == (len(lead), 1) and str(errors[0][2]) == message
+    with pytest.raises(type(errors[0][2])) as raised:
+        if lead:
+            mt.size_power_curve(scenario, [*lead, scenario.c3], kind, resamples=20)
+        else:
+            rejection_rate(scenario, kind, resamples=20)
     assert str(raised.value) == message
     if kind == "constancy":
         rejection_rate(scenario, "global", resamples=20)
