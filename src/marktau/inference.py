@@ -58,6 +58,10 @@ __all__ = [
 ]
 
 TEST_KINDS = ("global", "constancy")
+# Bytes of multiplier draws that one stack of a block's tests holds at once,
+# and of the temporaries of one chunk of constancy pairs.
+_STACK_BYTES = 1 << 23
+_PAIR_CHUNK_BYTES = 1 << 19
 
 
 class InferenceError(ValueError):
@@ -152,184 +156,274 @@ def arm_grams(terms: tuple, g: int) -> np.ndarray:
     return grams.reshape(curves // 2, 2, g, g)
 
 
-def resampling_covariance(grams: tuple[np.ndarray, np.ndarray], pi: float) -> np.ndarray:
-    """xi^T xi over the usable points: the sum over arms of s_a^2 Gram_a.
+def resampling_covariance(grams: np.ndarray, pi) -> np.ndarray:
+    """xi^T xi over the usable points of a stack: per replication, sum over arms of s_a^2 Gram_a.
 
-    Row i of xi is theta_i / pi for a treated subject and -theta_i / (1 - pi)
-    for a control, so that sum_i xi_i / n reproduces the treatment contrast
-    of group means.
+    ``grams`` holds each replication's (control, treated) Grams, shape
+    (R, 2, u, u), and ``pi`` its R treated fractions. Row i of xi is
+    theta_i / pi for a treated subject and -theta_i / (1 - pi) for a
+    control, so that sum_i xi_i / n reproduces the treatment contrast of
+    group means.
     """
-    s0, s1 = _arm_scales(pi)
-    return s0**2 * grams[0] + s1**2 * grams[1]
+    squares = np.array([[s0**2, s1**2] for s0, s1 in map(_arm_scales, pi)])
+    return (squares[:, 0, None, None] * grams[:, 0]
+            + squares[:, 1, None, None] * grams[:, 1])
 
 
-def covariance_factor(cov: np.ndarray) -> tuple[np.ndarray, int]:
+def covariance_factor(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L with L L^T = cov, by an eigendecomposition clipped at zero, and the rank.
 
-    Cholesky would fail here: the covariance is often singular, since grid
-    points with identical contributions give identical columns. The rank
-    counts eigenvalues above eps * max eigenvalue * dimension.
+    ``cov`` is one (u, u) covariance or a stack of them, shape (R, u, u);
+    one ``eigh`` call factors the whole stack, and each matrix gets the
+    numbers a call on it alone gives. Cholesky would fail here: the
+    covariance is often singular, since grid points with identical
+    contributions give identical columns. The rank counts eigenvalues above
+    eps * max eigenvalue * dimension.
     """
     w, u = np.linalg.eigh(cov)
-    tol = np.finfo(float).eps * w.max(initial=0.0) * w.size
-    return u * np.sqrt(np.clip(w, 0.0, None)), int(np.count_nonzero(w > tol))
+    tol = np.finfo(float).eps * w.max(axis=-1, initial=0.0) * w.shape[-1]
+    rank = np.count_nonzero(w > np.expand_dims(tol, -1), axis=-1)
+    return u * np.sqrt(np.clip(w, 0.0, None))[..., None, :], rank
 
 
-def global_statistic(est: EstimateGrid) -> float:
-    """max over usable grid points of (n h) * tau(v)^2 / sigma2(v)."""
-    usable = _usable_points(est)
-    if not np.any(usable):
-        raise InferenceError("no usable grid points: every point is flagged")
-    values = est.nh * est.tau[usable] ** 2 / est.sigma2[usable]
-    return float(np.max(values))
+def global_statistic(nh: np.ndarray, tau: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """max over usable grid points of (n h) * tau(v)^2 / sigma2(v), per replication.
 
-
-def global_resample(est: EstimateGrid, draws: np.ndarray) -> np.ndarray:
-    """Resampled analogue of the global statistic, one value per draw.
-
-    ``draws`` holds the multiplier sums G, one row per draw and one column
-    per usable point; each replaces n * tau(v) and is studentized by the
-    same sigma2(v).
+    ``nh`` holds the R replications' n h; ``tau`` and ``sigma2`` are (R, u)
+    over their usable points.
     """
-    scaled = (est.h / est.n) * draws**2 / est.sigma2[_usable_points(est)]
-    return scaled.max(axis=1)
+    if tau.shape[1] == 0:
+        raise InferenceError("no usable grid points: every point is flagged")
+    return (nh[:, None] * tau**2 / sigma2).max(axis=1)
 
 
-def pair_variance_table(grams: tuple[np.ndarray, np.ndarray], est: EstimateGrid,
-                        ) -> np.ndarray:
+def global_resample(scale: np.ndarray, sigma2: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Resampled analogue of the global statistic, shape (R, draws).
+
+    ``sums`` holds the multiplier sums G of R replications, shape (R, draws,
+    u), one column per usable point; each replaces n * tau(v) and is
+    studentized by the same sigma2(v), (R, u). ``scale`` is each
+    replication's h / n. The work runs point-major, (u, R, draws), so that
+    every operation streams whole rows of draws.
+    """
+    reps, draws, points = sums.shape
+    scaled = np.square(sums.transpose(2, 0, 1), out=np.empty((points, reps, draws)))
+    np.multiply(np.repeat(scale[:, None], draws, axis=1), scaled, out=scaled)
+    np.divide(scaled, sigma2.T[:, :, None], out=scaled)
+    return scaled.max(axis=0)
+
+
+def pair_variance_table(grams: np.ndarray, nh: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Variance estimates for sqrt(n h) * (tau(v1) - tau(v2)), all usable pairs.
 
-    Entry (j, k) is (n h) * sum over arms of n_a^(-2) * sum_i of
-    (theta_i(v_j) - theta_i(v_k))^2, computed from the per-arm Gram matrices
-    of :func:`arm_grams` over the usable points.
+    For each of R replications, entry (j, k) is (n h) * sum over arms of
+    n_a^(-2) * sum_i of (theta_i(v_j) - theta_i(v_k))^2, computed from the
+    (R, 2, u, u) per-arm Gram matrices of :func:`arm_grams` over the usable
+    points and the (R, 2) integer arm sizes (n0, n1).
     """
-    table = np.zeros_like(grams[0])
-    for gram, n_a in zip(grams, (est.n0, est.n1)):
-        diag = np.diag(gram)
-        table += (diag[:, None] + diag[None, :] - 2.0 * gram) / n_a**2
-    return est.nh * table
+    table = np.zeros_like(grams[:, 0])
+    for a in (0, 1):
+        gram = grams[:, a]
+        diag = np.diagonal(gram, axis1=1, axis2=2)
+        table += (diag[:, :, None] + diag[:, None, :] - 2.0 * gram) / (
+            sizes[:, a, None, None] ** 2)
+    return nh[:, None, None] * table
 
 
-def _constancy_pairs(est: EstimateGrid, zeta: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Index pairs (j < k) of usable points with positive pair-variance, by j then k.
+def _constancy_pairs(zeta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index pairs (j < k) of usable points, by j then k, and which each replication keeps.
 
-    Indices count usable points only, as the rows of ``zeta`` and the
-    columns of the resampling draws do. Returns the kept pairs, their
-    pair-variances and the number of pairs skipped for a zero one.
+    ``zeta`` is the (R, u, u) stack of :func:`pair_variance_table`. Indices
+    count usable points only, as the columns of the resampling draws do.
+    Returns the pairs, their (R, pairs) pair-variances and the (R, pairs)
+    mask of those that are positive; a replication skips the others.
     """
-    usable = int(np.count_nonzero(_usable_points(est)))
+    usable = zeta.shape[-1]
     if usable < 2:
         raise InferenceError(
             f"constancy test needs at least 2 usable grid points, got {usable}"
         )
     j_idx, k_idx = np.triu_indices(usable, k=1)
-    zeta_pairs = zeta[j_idx, k_idx]
+    zeta_pairs = zeta[:, j_idx, k_idx]
     keep = zeta_pairs > 0.0
-    skipped = int(np.count_nonzero(~keep))
-    if not np.any(keep):
+    if not keep.any(axis=1).all():
         raise InferenceError("every constancy pair has zero pair-variance")
-    return j_idx[keep], k_idx[keep], zeta_pairs[keep], skipped
+    return j_idx, k_idx, zeta_pairs, keep
 
 
-def constancy_statistic(est: EstimateGrid, pairs: tuple) -> float:
-    """max over usable pairs v1 < v2 of (n h) * (tau(v1) - tau(v2))^2 / zeta.
+def constancy_statistic(nh: np.ndarray, tau: np.ndarray, pairs: tuple) -> np.ndarray:
+    """max over kept pairs v1 < v2 of (n h) * (tau(v1) - tau(v2))^2 / zeta, per replication.
 
-    ``pairs`` is the result of :func:`_constancy_pairs`.
+    ``tau`` is (R, u) over the usable points and ``pairs`` the result of
+    :func:`_constancy_pairs`.
     """
-    j_idx, k_idx, zeta_pairs, _ = pairs
-    tau = est.tau[_usable_points(est)]
-    diffs = tau[j_idx] - tau[k_idx]
-    return float(np.max(est.nh * diffs**2 / zeta_pairs))
+    j_idx, k_idx, zeta_pairs, keep = pairs
+    diffs = tau[:, j_idx] - tau[:, k_idx]
+    scaled = np.divide(nh[:, None] * diffs**2, zeta_pairs, where=keep,
+                       out=np.full(zeta_pairs.shape, -np.inf))
+    return scaled.max(axis=1)
 
 
-def constancy_resample(est: EstimateGrid, draws: np.ndarray, pairs: tuple) -> np.ndarray:
-    """Resampled analogue of the constancy statistic, one value per draw.
+def constancy_resample(scale: np.ndarray, sums: np.ndarray, pairs: tuple) -> np.ndarray:
+    """Resampled analogue of the constancy statistic, shape (R, draws).
 
-    ``draws`` are the multiplier sums as in :func:`global_resample`; pair
-    differences are differences of their columns. The pairs are scored one
-    anchor point j at a time, (j, k > j) against every draw, into a running
-    maximum, so memory grows with draws x points rather than draws x pairs.
+    ``sums`` and ``scale`` are as in :func:`global_resample`; pair
+    differences are differences of their columns. The pair list is scored
+    in chunks of consecutive pairs, for as many replications at once as fit,
+    (h / n) * diff^2 / zeta against every draw, into each replication's
+    running maximum; a pair a replication skips scores -inf. A chunk holds
+    at most ``_PAIR_CHUNK_BYTES`` (or one pair of one replication), so
+    memory grows with draws x points rather than draws x pairs.
     """
-    j_idx, k_idx, zeta_pairs, _ = pairs
-    columns = draws.T.copy()
-    result = np.full(draws.shape[0], -np.inf)
-    bounds = np.searchsorted(j_idx, np.arange(columns.shape[0] + 1))
-    for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if lo == hi:
-            continue
-        diffs = columns[j] - columns[k_idx[lo:hi]]
-        scaled = (est.h / est.n) * diffs**2 / zeta_pairs[lo:hi, None]
-        np.maximum(result, scaled.max(axis=0), out=result)
+    j_idx, k_idx, zeta_pairs, keep = pairs
+    reps, draws, points = sums.shape
+    # point-major, so that a pair's two columns are rows of draws
+    columns = sums.transpose(2, 0, 1).copy()
+    factor = np.repeat(scale[:, None], draws, axis=1)
+    zeta = np.where(keep, zeta_pairs, 1.0).T[:, :, None]
+    skip = ~keep.T
+    skips = bool(skip.any())
+    result = np.full((reps, draws), -np.inf)
+    rows = max(1, _PAIR_CHUNK_BYTES // (8 * draws))
+    stack = min(reps, rows)
+    width = max(1, rows // stack)
+    # anchor point j's pairs (j, k > j) run from first[j] in k order
+    first = np.searchsorted(j_idx, np.arange(points + 1))
+    chunk = np.empty((width, stack, draws))
+    for r0 in range(0, reps, stack):
+        r = slice(r0, r0 + stack)
+        for p0 in range(0, j_idx.size, width):
+            p1 = min(p0 + width, j_idx.size)
+            scaled = chunk[:p1 - p0, :min(stack, reps - r0)]
+            for j in range(j_idx[p0], j_idx[p1 - 1] + 1):
+                lo, hi = max(p0, first[j]), min(p1, first[j + 1])
+                np.subtract(columns[j, r], columns[k_idx[lo]:k_idx[lo] + hi - lo, r],
+                            out=scaled[lo - p0:hi - p0])
+            np.square(scaled, out=scaled)
+            np.multiply(factor[r], scaled, out=scaled)
+            np.divide(scaled, zeta[p0:p1, r], out=scaled)
+            if skips:
+                scaled[skip[p0:p1, r]] = -np.inf
+            np.maximum(result[r], scaled.max(axis=0), out=result[r])
     return result
 
 
-def critical_value(resampled: np.ndarray, alpha: float) -> float:
+def critical_value(resampled: np.ndarray, alpha: float) -> np.ndarray:
     """The k-th smallest resampled value with k = ceil((1 - alpha) * B).
 
-    With B = 5000 and alpha = 0.05 this is the 4750th order statistic. The
-    product is rounded at the 9th decimal before the ceiling so that binary
-    float noise cannot shift the order-statistic index.
+    ``resampled`` is one replication's B values or a stack of them along the
+    last axis. With B = 5000 and alpha = 0.05 this is the 4750th order
+    statistic. The product is rounded at the 9th decimal before the ceiling
+    so that binary float noise cannot shift the order-statistic index.
     """
     if not 0.0 < alpha < 1.0:
         raise InferenceError(f"alpha must be in (0,1), got {alpha!r}")
-    values = np.sort(np.asarray(resampled, dtype=float))
-    if values.size == 0:
+    values = np.sort(np.asarray(resampled, dtype=float), axis=-1)
+    size = values.shape[-1]
+    if size == 0:
         raise InferenceError("no resampled values")
-    k = math.ceil(round((1.0 - alpha) * values.size, 9))
-    k = min(max(k, 1), values.size)
-    return float(values[k - 1])
+    k = math.ceil(round((1.0 - alpha) * size, 9))
+    k = min(max(k, 1), size)
+    return values[..., k - 1]
 
 
-def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = False,
-            ) -> float:
+def p_value(resampled: np.ndarray, statistic, add_one_correction: bool = False,
+            ) -> np.ndarray:
     """Proportion of resampled values at or above the observed statistic.
 
-    With ``add_one_correction`` both numerator and denominator are increased
-    by one, which keeps the p-value strictly positive.
+    ``resampled`` is one replication's values or a stack of them along the
+    last axis, with one statistic each. With ``add_one_correction`` both
+    numerator and denominator are increased by one, which keeps the p-value
+    strictly positive.
     """
     resampled = np.asarray(resampled, dtype=float)
-    count = int(np.count_nonzero(resampled >= statistic))
+    count = np.count_nonzero(resampled >= np.expand_dims(statistic, -1), axis=-1)
+    size = resampled.shape[-1]
     if add_one_correction:
-        return (count + 1) / (resampled.size + 1)
-    return count / resampled.size
+        return (count + 1) / (size + 1)
+    return count / size
 
 
-def _test_from_estimate(kind: str, est: EstimateGrid, grams: np.ndarray, draws: np.ndarray,
-                        *, alpha: float, pi_design: float | None = None,
-                        add_one_correction: bool = False) -> TestResult:
-    """Test from an estimate, its arms' Grams and standard normal ``draws``.
+def _test_from_estimate(kind: str, ests: list[EstimateGrid], grams: np.ndarray, seeds: list,
+                        *, resamples: int, alpha: float, pi_design: float | None = None,
+                        add_one_correction: bool = False) -> list[TestResult]:
+    """Tests of a block of estimates on one grid, each from its Grams and multiplier stream.
 
-    ``grams`` is the estimate's (2, g, g) control and treated Grams from
-    :func:`arm_grams`, over the whole grid; ``draws`` come from
-    :func:`multiplier_draws`. The multiplier sums are draws @ L^T with
-    L L^T the resampling covariance.
+    ``grams`` holds each estimate's control and treated Grams from
+    :func:`arm_grams` over the whole grid, shape (R, 2, g, g); estimate i
+    draws its multipliers with :func:`multiplier_draws` from ``seeds[i]``.
+    Estimates with the same usable points form a group, tested in stacks of
+    at most ``_STACK_BYTES`` of draws by :func:`_stacked_tests`; each result
+    is the one a block of that estimate alone gives.
     """
     _check_kind(kind)
-    pi = pi_design if pi_design is not None else est.n1 / est.n
-    usable = _usable_points(est)
-    grams = grams[:, usable][:, :, usable]
+    _check_resamples(resamples)
+    usable = [_usable_points(est) for est in ests]
+    groups: dict[bytes, list[int]] = {}
+    for i, mask in enumerate(usable):
+        groups.setdefault(mask.tobytes(), []).append(i)
+    results: list = [None] * len(ests)
+    for members in groups.values():
+        mask = usable[members[0]]
+        size = max(1, _STACK_BYTES // (8 * resamples * max(int(np.count_nonzero(mask)), 1)))
+        for lo in range(0, len(members), size):
+            stack = members[lo:lo + size]
+            tested = _stacked_tests(kind, [ests[i] for i in stack], grams[stack],
+                                    [seeds[i] for i in stack], mask, resamples=resamples,
+                                    alpha=alpha, pi_design=pi_design,
+                                    add_one_correction=add_one_correction)
+            for i, result in zip(stack, tested):
+                results[i] = result
+    return results
+
+
+def _stacked_tests(kind: str, ests: list[EstimateGrid], grams: np.ndarray, seeds: list,
+                   mask: np.ndarray, *, resamples: int, alpha: float, pi_design: float | None,
+                   add_one_correction: bool) -> list[TestResult]:
+    """The tests of estimates whose usable points are all ``mask``, as one stack.
+
+    Each estimate's covariance takes its own arm scales; one ``eigh`` call
+    factors them all, one matmul gives every multiplier sum draws @ L^T,
+    and each statistic and resampled maximum is computed for the whole
+    stack, constancy from one pair list.
+    """
+    cols = np.flatnonzero(mask)
+    grams = grams[:, :, cols][:, :, :, cols]
+    nh = np.array([est.nh for est in ests])
+    scale = np.array([est.h / est.n for est in ests])
+    tau = np.array([est.tau[mask] for est in ests])
+    pi = [pi_design if pi_design is not None else est.n1 / est.n for est in ests]
     factor, rank = covariance_factor(resampling_covariance(grams, pi))
-    sums = draws @ factor.T
-    skipped_pairs = 0
+    draws = np.empty((len(ests), resamples, cols.size))
+    for row, (est, seed) in enumerate(zip(ests, seeds)):
+        draws[row] = multiplier_draws(est, resamples, seed)
+    sums = draws @ factor.swapaxes(1, 2)
+    del draws
     if kind == "global":
-        stat = global_statistic(est)
-        resampled = global_resample(est, sums)
+        sigma2 = np.array([est.sigma2[mask] for est in ests])
+        stat = global_statistic(nh, tau, sigma2)
+        resampled = global_resample(scale, sigma2, sums)
+        skipped = np.zeros(len(ests), np.intp)
     else:
-        pairs = _constancy_pairs(est, pair_variance_table(grams, est))
-        stat = constancy_statistic(est, pairs)
-        resampled = constancy_resample(est, sums, pairs)
-        skipped_pairs = pairs[3]
-    resampled = np.sort(resampled)
+        sizes = np.array([(est.n0, est.n1) for est in ests], dtype=np.int64)
+        pairs = _constancy_pairs(pair_variance_table(grams, nh, sizes))
+        stat = constancy_statistic(nh, tau, pairs)
+        resampled = constancy_resample(scale, sums, pairs)
+        skipped = np.count_nonzero(~pairs[3], axis=1)
+    del sums
+    resampled.sort(axis=1)
     crit = critical_value(resampled, alpha)
     pval = p_value(resampled, stat, add_one_correction)
-    excluded = tuple(float(v) for v in est.points[~usable])
-    return TestResult(
-        statistic=stat, critical_value=crit, p_value=pval,
-        reject=stat > crit, resampled=resampled,
-        excluded_points=excluded, skipped_pairs=skipped_pairs, covariance_rank=rank,
-        estimate=est,
-    )
+    excluded = tuple(float(v) for v in ests[0].points[~mask])
+    return [
+        TestResult(
+            statistic=float(stat[row]), critical_value=float(crit[row]),
+            p_value=float(pval[row]), reject=bool(stat[row] > crit[row]),
+            resampled=resampled[row], excluded_points=excluded,
+            skipped_pairs=int(skipped[row]), covariance_rank=int(rank[row]), estimate=est,
+        )
+        for row, est in enumerate(ests)
+    ]
 
 
 def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: int = 500,
@@ -344,14 +438,14 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
     the design randomization probability. Deterministic given the data and
     settings: the multiplier draws derive from ``seed`` alone. The null is
     rejected when the observed statistic exceeds the (1 - alpha) resampling
-    critical value.
+    critical value. This is the block test of :func:`_test_from_estimate` on
+    a block of one estimate.
     """
     _check_kind(kind)
     if pi_design is not None and not 0.0 < pi_design < 1.0:
         raise InferenceError(f"pi_design must be in (0,1), got {pi_design!r}")
     est, terms = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
                                       varpi=varpi)
-    draws = multiplier_draws(est, resamples, seed)
-    return _test_from_estimate(kind, est, arm_grams(terms, grid.points.size)[0], draws,
-                               alpha=alpha, pi_design=pi_design,
-                               add_one_correction=add_one_correction)
+    return _test_from_estimate(kind, [est], arm_grams(terms, grid.points.size), [seed],
+                               resamples=resamples, alpha=alpha, pi_design=pi_design,
+                               add_one_correction=add_one_correction)[0]

@@ -28,13 +28,8 @@ import numpy as np
 from .data_model import Dataset, MarkInterval, _arm_sizes
 from .estimator import EvaluationGrid, _estimate_block, _row_estimate
 from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
-from .inference import (
-    _check_kind,
-    _check_resamples,
-    _test_from_estimate,
-    arm_grams,
-    multiplier_draws,
-)
+from .inference import _check_kind, _check_resamples, _test_from_estimate, arm_grams
+from .inference import multiplier_draws  # noqa: F401 - rebound by perfbench/spans.py
 
 __all__ = [
     "SimulationError",
@@ -157,7 +152,8 @@ def _fill_truncated(rng: np.random.Generator, out: np.ndarray, filled: int) -> N
     while filled < size:
         need = size - filled
         batch = rng.standard_normal(_first_batch(need))
-        keep = batch[np.abs(batch) <= 1.0]
+        # gathered by index: a boolean mask gathers them several times slower
+        keep = batch[np.flatnonzero(np.abs(batch) <= 1.0)]
         take = min(keep.size, need)
         out[filled:filled + take] = keep[:take]
         filled += take
@@ -259,13 +255,25 @@ def _calibration_draws(seed: int, arm: int) -> tuple[np.ndarray, ...]:
     return v, np.sin(2.0 * np.pi * v), eps, rng.exponential(1.0, _CALIBRATION_DRAWS)
 
 
+def _largest_count(target: float, draws: int) -> int:
+    """The largest k with k / draws <= target, by the comparison the achieved rate makes.
+
+    The rounded quotient k / draws rises with k, so k starts at
+    floor(target * draws) and steps until it is the last k that passes.
+    """
+    k = math.floor(target * draws)
+    while (k + 1) / draws <= target:
+        k += 1
+    while k / draws > target:
+        k -= 1
+    return k
+
+
 def _solve_censoring(scenario: Scenario, arm: int, sample) -> float:
     """:func:`calibrate_censoring` on a ``sample`` from :func:`_calibration_draws`."""
     target, draws = scenario.censor_target, _CALIBRATION_DRAWS
-    # k is chosen with the comparison the achieved rate below makes; the
-    # (k + 1)-th largest ratio sits at ascending position N - 1 - k
-    k = np.count_nonzero(np.arange(1, draws + 1) / draws <= target)
-    rank = draws - 1 - k
+    # the (k + 1)-th largest ratio sits at ascending position N - 1 - k
+    rank = draws - 1 - _largest_count(target, draws)
     v, wave, eps, unit_exp = sample
     t = (_treated_mean(scenario, v, wave) if arm == 1 else _control_mean(wave)) + eps
     # partitioned in place: a sweep holds the sample, and a copy here would
@@ -453,21 +461,19 @@ def _test_rep(args: tuple[Scenario, range, str, int]) -> list[bool]:
 
     The block is estimated as in :func:`_metrics_rep`, and one
     :func:`~marktau.inference.arm_grams` pass gives every replication's
-    Grams; then each replication runs the test on its own estimate, Grams
-    and multiplier stream (r, 1).
+    Grams; then one call of the block test runs every replication's test on
+    its own estimate, Grams and multiplier stream (r, 1).
     """
     scenario, reps, kind, resamples = args
     points = scenario.grid.points
     (n1, n0), bandwidths, columns, terms = _block_estimates(scenario, reps)
-    grams = arm_grams(terms, points.size)
-    flags = []
-    for i, r in enumerate(reps):
-        est = _row_estimate(points, bandwidths, columns, i,
-                            n=scenario.n, n0=int(n0[i]), n1=int(n1[i]))
-        draws = multiplier_draws(est, resamples, _replication_seed(scenario.seed, r, 1))
-        result = _test_from_estimate(kind, est, grams[i], draws, alpha=scenario.alpha)
-        flags.append(bool(result.reject))
-    return flags
+    ests = [_row_estimate(points, bandwidths, columns, i,
+                          n=scenario.n, n0=int(n0[i]), n1=int(n1[i]))
+            for i in range(len(reps))]
+    seeds = [_replication_seed(scenario.seed, r, 1) for r in reps]
+    results = _test_from_estimate(kind, ests, arm_grams(terms, points.size), seeds,
+                                  resamples=resamples, alpha=scenario.alpha)
+    return [result.reject for result in results]
 
 
 def rejection_rate(scenario: Scenario, kind: str, *, resamples: int = 500,
@@ -491,9 +497,11 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     calibrated once for the control arm, whose failure times take no
     coefficient, and at every c3 for the treated arm from one set of its
     draws, which take none either. The blocks of all points then share one
-    worker pool as in :func:`run_replications`, and each replication's test
-    reads only its own estimate, Grams and multiplier stream, so the counts
-    are the same for any block size and worker count.
+    worker pool as in :func:`run_replications`. Each block runs its
+    replications' tests in one call of the block test, where each test
+    reads only its own estimate, Grams and multiplier stream and gets the
+    numbers it would get alone, so the counts are the same for any block
+    size and worker count.
     """
     c3_values = np.asarray(c3_values, dtype=float)
     if c3_values.size == 0:

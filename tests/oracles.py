@@ -252,16 +252,21 @@ def subject_space_sums(theta, arm, pi, normals):
     return normals @ xi_matrix(theta, arm, pi)
 
 
-def constancy_resample_dense(est, draws, pairs):
-    """Resampled constancy statistics with every pair scored at once.
+def constancy_resample_dense(scale, sums, pairs):
+    """Resampled constancy statistics with every pair of a replication scored at once.
 
-    Builds the draws x pairs array of ``(h / n) * diff**2 / zeta`` that the
-    package avoids by scanning anchor points; same elementwise formula.
+    For each replication, builds the draws x kept-pairs array of
+    ``(h / n) * diff**2 / zeta`` that the package avoids by scoring the pair
+    list in chunks of bounded size; same elementwise formula.
     """
-    j_idx, k_idx, zeta_pairs, _ = pairs
-    diffs = draws[:, j_idx] - draws[:, k_idx]
-    scaled = (est.h / est.n) * diffs**2 / zeta_pairs
-    return scaled.max(axis=1)
+    j_idx, k_idx, zeta_pairs, keep = pairs
+    out = np.empty(sums.shape[:2])
+    for r, draws in enumerate(sums):
+        kept = keep[r]
+        diffs = draws[:, j_idx[kept]] - draws[:, k_idx[kept]]
+        scaled = scale[r] * diffs**2 / zeta_pairs[r, kept]
+        out[r] = scaled.max(axis=1)
+    return out
 
 
 def _parse_binary(field, name, line_no):

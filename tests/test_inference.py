@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import marktau as mt
+from marktau import inference
 from marktau.estimator import EstimateGrid, _estimate_block, _estimate_with_terms
 from marktau.inference import (
     InferenceError,
@@ -66,65 +69,117 @@ def _manual_grid(points, tau, sigma2, *, n=1000, h=0.1, flagged=None):
     )
 
 
+def _stacked(est):
+    """n h, h / n, tau and sigma2 of one estimate as a block of one, over its usable points."""
+    usable = _usable_points(est)
+    return (np.array([est.nh]), np.array([est.h / est.n]), est.tau[usable][None],
+            est.sigma2[usable][None])
+
+
+def _global_statistic(est):
+    nh, _, tau, sigma2 = _stacked(est)
+    return float(global_statistic(nh, tau, sigma2)[0])
+
+
+def _pair_table(grams, est):
+    """:func:`pair_variance_table` of one estimate, from its (2, u, u) Grams."""
+    return pair_variance_table(np.asarray(grams)[None], np.array([est.nh]),
+                               np.array([[est.n0, est.n1]]))
+
+
 def test_global_statistic_hand_value():
     est = _manual_grid([0.5], [0.5], [25.0])  # nh = 100
-    assert global_statistic(est) == pytest.approx(1.0, rel=1e-12)
+    assert _global_statistic(est) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_global_statistic_takes_max():
     est = _manual_grid([0.3, 0.7], [0.5, 1.0], [25.0, 25.0])
-    assert global_statistic(est) == pytest.approx(4.0, rel=1e-12)
+    assert _global_statistic(est) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_flagged_points_leave_the_maximum():
     est = _manual_grid(
         [0.3, 0.7], [100.0, 0.5], [25.0, 25.0], flagged=[True, False]
     )
-    assert global_statistic(est) == pytest.approx(1.0, rel=1e-12)
+    assert _global_statistic(est) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_zero_variance_points_leave_the_maximum():
     est = _manual_grid([0.3, 0.7], [100.0, 0.5], [0.0, 25.0])
-    assert global_statistic(est) == pytest.approx(1.0, rel=1e-12)
+    assert _global_statistic(est) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_all_points_flagged_errors():
     est = _manual_grid([0.3], [0.5], [25.0], flagged=[True])
     with pytest.raises(InferenceError, match="no usable grid points"):
-        global_statistic(est)
+        _global_statistic(est)
 
 
 def test_constancy_statistic_hand_value():
     est = _manual_grid([0.3, 0.7], [1.0, 0.5], [25.0, 25.0])
-    zeta = np.array([[0.0, 25.0], [25.0, 0.0]])
-    pairs = _constancy_pairs(est, zeta)
-    assert constancy_statistic(est, pairs) == pytest.approx(1.0, rel=1e-12)
+    zeta = np.array([[[0.0, 25.0], [25.0, 0.0]]])
+    pairs = _constancy_pairs(zeta)
+    nh, _, tau, _ = _stacked(est)
+    assert constancy_statistic(nh, tau, pairs)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
 @given(
     st.integers(2, 30),
-    st.integers(1, 40),
+    st.integers(1, 3),
+    st.one_of(st.integers(1, 40), st.integers(1000, 3000)),
     st.floats(0.0, 0.9),
     st.integers(0, 2**32 - 1),
 )
-def test_constancy_resample_matches_dense_oracle_bitwise(g, resamples, skip_frac, seed):
-    # random grids with some flagged points and some zero pair-variances
+def test_constancy_resample_matches_dense_oracle_bitwise(g, reps, resamples, skip_frac, seed):
+    # random grids with some flagged points, a block of replications sharing
+    # them, and some zero pair-variances that each replication skips; at up
+    # to 3000 draws the default byte cap takes several chunks
     rng = np.random.default_rng(seed)
     flagged = rng.uniform(size=g) < 0.2
     assume(np.count_nonzero(~flagged) >= 2)
-    est = _manual_grid(np.linspace(0.1, 0.9, g), rng.normal(size=g), np.ones(g),
-                       n=int(rng.integers(10, 10_000)), h=rng.uniform(0.01, 0.5),
-                       flagged=flagged)
     usable = int(np.count_nonzero(~flagged))
-    zeta = rng.uniform(0.1, 5.0, (usable, usable))
+    zeta = rng.uniform(0.1, 5.0, (reps, usable, usable))
     zeta[rng.uniform(size=zeta.shape) < skip_frac] = 0.0
-    assume(np.any(zeta[np.triu_indices(usable, k=1)] > 0.0))
-    pairs = _constancy_pairs(est, zeta)
-    draws = rng.normal(scale=rng.uniform(0.1, 10.0), size=(resamples, usable))
-    looped = constancy_resample(est, draws, pairs)
-    dense = constancy_resample_dense(est, draws, pairs)
-    assert looped.tobytes() == dense.tobytes()
+    upper = np.triu_indices(usable, k=1)
+    assume(all(np.any(table[upper] > 0.0) for table in zeta))
+    pairs = _constancy_pairs(zeta)
+    scale = rng.uniform(0.01, 0.5, reps) / rng.integers(10, 10_000, reps)
+    sums = rng.normal(scale=rng.uniform(0.1, 10.0), size=(reps, resamples, usable))
+    dense = constancy_resample_dense(scale, sums, pairs)
+    row = 8 * resamples  # the bytes of one pair of one replication
+    # one pair a chunk; chunks of max(1, usable - 2) pairs, whose boundaries
+    # fall inside an anchor point's pairs and whose chunks span two anchors;
+    # the whole list in one chunk; the default cap
+    for cap in (row, row * reps * max(1, usable - 2), row * reps * upper[0].size,
+                inference._PAIR_CHUNK_BYTES):
+        with mock.patch.object(inference, "_PAIR_CHUNK_BYTES", cap):
+            chunked = constancy_resample(scale, sums, pairs)
+        assert chunked.tobytes() == dense.tobytes(), cap
+
+
+@pytest.mark.parametrize("cap", [8 * 4000, 1 << 16, 1 << 19])
+def test_constancy_resample_memory_follows_draws_times_points(cap):
+    # 780 pairs of 2 replications at 4000 draws would be 50 MB at once; the
+    # scoring holds the point-major copy of the sums, the (R, draws) factor
+    # and maxima, and a chunk under the cap with its maximum, plus index
+    # arrays of a few pairs each
+    reps, draws, points = 2, 4000, 40
+    rng = np.random.default_rng(3)
+    sums = rng.normal(size=(reps, draws, points))
+    j_idx, k_idx = np.triu_indices(points, k=1)
+    pairs = (j_idx, k_idx, rng.uniform(0.5, 2.0, (reps, j_idx.size)),
+             rng.uniform(size=(reps, j_idx.size)) > 0.1)
+    scale = rng.uniform(1e-4, 1e-3, reps)
+    with mock.patch.object(inference, "_PAIR_CHUNK_BYTES", cap):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            constancy_resample(scale, sums, pairs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak <= sums.nbytes + 2 * reps * draws * 8 + 2 * cap + 64 * 1024
 
 
 def test_xi_matrix_decomposition():
@@ -139,10 +194,11 @@ def test_xi_matrix_decomposition():
     np.testing.assert_allclose(xi[3], -theta[3] / 0.75)
     # every window starts at the first point and spans both: the dense form
     terms = (arm, np.zeros(4, dtype=np.intp), theta, np.array([2, 2]))
-    grams = arm_grams(terms, 2)[0]
-    np.testing.assert_allclose(resampling_covariance(grams, 0.25), xi.T @ xi, rtol=1e-12)
+    grams = arm_grams(terms, 2)
+    np.testing.assert_allclose(resampling_covariance(grams, [0.25])[0], xi.T @ xi,
+                               rtol=1e-12)
     with pytest.raises(InferenceError, match="treated fraction"):
-        resampling_covariance(grams, 1.0)
+        resampling_covariance(grams, [1.0])
 
 
 def test_block_grams_equal_the_dense_oracle():
@@ -171,9 +227,8 @@ def test_block_grams_equal_the_dense_oracle():
 
 def _grid_covariance(est, theta, pi):
     usable = _usable_points(est)
-    grams = tuple(gram[np.ix_(usable, usable)]
-                  for gram in arm_grams(theta, est.points.size)[0])
-    return usable, grams, resampling_covariance(grams, pi)
+    grams = arm_grams(theta, est.points.size)[0][np.ix_((0, 1), usable, usable)]
+    return usable, grams, resampling_covariance(grams[None], [pi])[0]
 
 
 def test_conditional_variance_identity():
@@ -217,6 +272,36 @@ def test_covariance_factor_reproduces_xi_gram(fixture, rank):
         assert found == rank
 
 
+@pytest.mark.parametrize("g", [4, 20, 30])
+@pytest.mark.parametrize("n", [200, 1000, 4000])
+def test_stacked_factor_and_sums_equal_the_single_calls_bitwise(n, g):
+    # the block test factors a stack of covariances with one eigh call and
+    # multiplies a stack of draws with one matmul; each matrix must get the
+    # bytes a call on it alone gives, or the block test would need the
+    # single calls back
+    scenario = dataclasses.replace(NULL_SCENARIO, n=n, grid=mt.EvaluationGrid.evenly_spaced(
+        mt.MarkInterval(0.1, 0.9), g))
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=n + g, spawn_key=(r,)))
+            for r in range(8)]
+    y, delta, mark, arm = _block_columns(scenario, rngs)
+    _, _, terms = _estimate_block(y, delta, mark, arm, scenario.grid.points, alpha=0.05,
+                                  bandwidth=None, varpi=1.0)
+    n1 = arm.sum(axis=1)
+    cov = resampling_covariance(arm_grams(terms, g), n1 / n)
+    w, u = np.linalg.eigh(cov)
+    factor, rank = covariance_factor(cov)
+    draws = np.random.default_rng(g).standard_normal((8, 500, g))
+    sums = draws @ factor.swapaxes(1, 2)
+    for i in range(8):
+        single_w, single_u = np.linalg.eigh(cov[i])
+        assert w[i].tobytes() == single_w.tobytes()
+        assert u[i].tobytes() == single_u.tobytes()
+        single_factor, single_rank = covariance_factor(cov[i])
+        assert factor[i].tobytes() == single_factor.tobytes()
+        assert rank[i] == single_rank
+        assert sums[i].tobytes() == (draws[i] @ single_factor.T).tobytes()
+
+
 def test_multiplier_draws_are_one_stream_in_grid_space():
     ds = hand_dataset(v=0.5)
     grid = mt.EvaluationGrid.explicit([0.15, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
@@ -238,22 +323,22 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
     ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(45))
     est, theta = _estimate_with_terms(ds, DENSE_GRID, alpha=0.05, bandwidth=None, varpi=1.0)
     reps = 4000
-    draws = multiplier_draws(est, reps, 46)
-    resampled = _test_from_estimate(kind, est, arm_grams(theta, DENSE_GRID.points.size)[0],
-                                    draws, alpha=0.05).resampled
+    resampled = _test_from_estimate(kind, [est], arm_grams(theta, DENSE_GRID.points.size),
+                                    [46], resamples=reps, alpha=0.05)[0].resampled
     assert np.all(np.isfinite(resampled))
 
     usable = _usable_points(est)
     normals = np.random.default_rng(47).standard_normal((reps, ds.n))
     full = subject_major(scatter_terms(theta, DENSE_GRID.points.size), ds)
     sums = subject_space_sums(full, ds.arm, ds.n1 / ds.n, normals)
-    sums = sums[:, usable]
+    sums = sums[:, usable][None]
+    _, scale, _, sigma2 = _stacked(est)
     if kind == "global":
-        oracle = global_resample(est, sums)
+        oracle = global_resample(scale, sigma2, sums)[0]
     else:
         _, grams, _ = _grid_covariance(est, theta, ds.n1 / ds.n)
-        pairs = _constancy_pairs(est, pair_variance_table(grams, est))
-        oracle = constancy_resample(est, sums, pairs)
+        pairs = _constancy_pairs(_pair_table(grams, est))
+        oracle = constancy_resample(scale, sums, pairs)[0]
     assert stats.ks_2samp(resampled, oracle).pvalue > 0.01
 
 
@@ -262,13 +347,14 @@ def test_resampled_values_scale_quadratically():
     grid = mt.EvaluationGrid.explicit([0.48, 0.5], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     _, grams, cov = _grid_covariance(est, theta, ds.n1 / ds.n)
-    sums = multiplier_draws(est, 50, seed=4) @ covariance_factor(cov)[0].T
-    base = global_resample(est, sums)
-    tripled = global_resample(est, 3.0 * sums)
+    sums = (multiplier_draws(est, 50, seed=4) @ covariance_factor(cov)[0].T)[None]
+    _, scale, _, sigma2 = _stacked(est)
+    base = global_resample(scale, sigma2, sums)
+    tripled = global_resample(scale, sigma2, 3.0 * sums)
     np.testing.assert_allclose(tripled, 9.0 * base, rtol=1e-12)
-    pairs = _constancy_pairs(est, pair_variance_table(grams, est))
-    base_c = constancy_resample(est, sums, pairs)
-    tripled_c = constancy_resample(est, 3.0 * sums, pairs)
+    pairs = _constancy_pairs(_pair_table(grams, est))
+    base_c = constancy_resample(scale, sums, pairs)
+    tripled_c = constancy_resample(scale, 3.0 * sums, pairs)
     np.testing.assert_allclose(tripled_c, 9.0 * base_c, rtol=1e-12)
 
 
@@ -277,7 +363,7 @@ def test_pair_variance_table_against_direct_sum():
     grid = mt.EvaluationGrid.explicit([0.42, 0.5, 0.58], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     _, grams, _ = _grid_covariance(est, theta, ds.n1 / ds.n)
-    table = pair_variance_table(grams, est)
+    table = _pair_table(grams, est)[0]
     full = subject_major(scatter_terms(theta, grid.points.size), ds)
     g = grid.points.size
     direct = np.zeros((g, g))
@@ -370,7 +456,7 @@ def test_resample_distribution_matches_sampling_distribution():
         est, _ = _estimate_with_terms(
             ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
         )
-        observed[r] = global_statistic(est)
+        observed[r] = _global_statistic(est)
 
     ds = generate_dataset(
         NULL_SCENARIO, np.random.default_rng(np.random.SeedSequence(778))
@@ -378,9 +464,9 @@ def test_resample_distribution_matches_sampling_distribution():
     est, theta = _estimate_with_terms(
         ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
     )
-    draws = multiplier_draws(est, reps, 779)
-    grams = arm_grams(theta, NULL_SCENARIO.grid.points.size)[0]
-    resampled = _test_from_estimate("global", est, grams, draws, alpha=0.05).resampled
+    grams = arm_grams(theta, NULL_SCENARIO.grid.points.size)
+    resampled = _test_from_estimate("global", [est], grams, [779], resamples=reps,
+                                    alpha=0.05)[0].resampled
 
     q_obs = float(np.quantile(observed, 0.95))
     q_res = float(np.quantile(resampled, 0.95))

@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import marktau as mt
-from marktau import simulation
+from marktau import inference, simulation
 from marktau.data_model import validate
 from marktau.estimator import _estimate_block, _estimate_with_terms
-from marktau.inference import (
-    TEST_KINDS,
-    InferenceError,
-    _test_from_estimate,
-    arm_grams,
-    multiplier_draws,
-)
+from marktau.inference import TEST_KINDS, InferenceError, _test_from_estimate, arm_grams
 from marktau.simulation import (
     SimulationError,
     _block_columns,
@@ -194,6 +188,20 @@ def test_calibration_matches_bisection_oracle(seed, c3, target):
                            censor_target=target)
     np.testing.assert_allclose([calibrate_censoring(scenario, arm) for arm in (0, 1)],
                                calibrate_censoring_bisect(scenario), rtol=1e-9)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(
+    st.floats(1e-6, 1.0, exclude_max=True),
+    # quotients k / N and their neighbours, where rounding decides the count
+    st.integers(1, 199_999).map(lambda k: k / 200_000),
+    st.integers(1, 199_999).map(lambda k: math.nextafter(k / 200_000, 0.0)),
+    st.integers(1, 199_999).map(lambda k: math.nextafter(k / 200_000, 1.0)),
+))
+def test_calibration_count_is_the_grid_comparison(target):
+    draws = simulation._CALIBRATION_DRAWS
+    want = np.count_nonzero(np.arange(1, draws + 1) / draws <= target)
+    assert simulation._largest_count(target, draws) == want
 
 
 def test_calibration_fails_without_a_positive_mean():
@@ -544,21 +552,22 @@ def test_failing_study_raises_its_first_failing_replication(kw, first, message):
 def _single_test(scenario, rep, kind, resamples):
     """Replication ``rep``'s test the way one dataset is drawn, estimated and tested."""
     est, terms = _single_replication(scenario, rep)
-    draws = multiplier_draws(est, resamples, _replication_seed(scenario.seed, rep, 1))
-    grams = arm_grams(terms, scenario.grid.points.size)[0]
-    return _test_from_estimate(kind, est, grams, draws, alpha=scenario.alpha)
+    grams = arm_grams(terms, scenario.grid.points.size)
+    return _test_from_estimate(kind, [est], grams, [_replication_seed(scenario.seed, rep, 1)],
+                               resamples=resamples, alpha=scenario.alpha)[0]
 
 
 def _recorded_tests(monkeypatch):
-    """Record the result of every test the engine runs on a replication."""
-    results = []
+    """Record the number of block tests the engine runs, and every replication's result."""
+    calls, results = [], []
 
     def recorded(*args, **kwargs):
-        results.append(_test_from_estimate(*args, **kwargs))
-        return results[-1]
+        calls.append(len(args[1]))
+        results.extend(_test_from_estimate(*args, **kwargs))
+        return results[-calls[-1]:]
 
     monkeypatch.setattr(simulation, "_test_from_estimate", recorded)
-    return results
+    return calls, results
 
 
 @pytest.mark.parametrize("varpi", [1.0, 0.05])
@@ -569,21 +578,27 @@ def test_power_block_equals_single_tests_bitwise(monkeypatch, kind, n, varpi):
     # event, so the usable points differ between replications of one block
     scenario = _scenario(n=n, c3=0.0, varpi=varpi, reps=8, seed=23)
     singles = [_single_test(scenario, rep, kind, 60) for rep in range(scenario.reps)]
-    results = _recorded_tests(monkeypatch)
-    # blocks of 1, 2 and 5 replications
-    flags = [flag for block in (range(0, 1), range(1, 3), range(3, 8))
-             for flag in _test_rep((scenario, block, kind, 60))]
-    assert flags == [single.reject for single in singles]
-    for got, want in zip(results, singles, strict=True):
-        assert np.float64(got.statistic).tobytes() == np.float64(want.statistic).tobytes()
-        assert got.resampled.tobytes() == want.resampled.tobytes()
-        assert np.float64(got.critical_value).tobytes() == \
-            np.float64(want.critical_value).tobytes()
-        assert got.covariance_rank == want.covariance_rank
-        assert got.excluded_points == want.excluded_points
-    if varpi < 1.0:
-        excluded = {result.excluded_points for result in results[3:]}
-        assert len(excluded) > 1
+    # stacks as large as a group, then stacks of one replication each
+    for stack_bytes in (inference._STACK_BYTES, 1):
+        monkeypatch.setattr(inference, "_STACK_BYTES", stack_bytes)
+        calls, results = _recorded_tests(monkeypatch)
+        # blocks of 1, 2 and 5 replications, each one call of the block test
+        flags = [flag for block in (range(0, 1), range(1, 3), range(3, 8))
+                 for flag in _test_rep((scenario, block, kind, 60))]
+        assert calls == [1, 2, 5]
+        assert flags == [single.reject for single in singles]
+        for got, want in zip(results, singles, strict=True):
+            assert np.float64(got.statistic).tobytes() == np.float64(want.statistic).tobytes()
+            assert got.resampled.tobytes() == want.resampled.tobytes()
+            assert np.float64(got.critical_value).tobytes() == \
+                np.float64(want.critical_value).tobytes()
+            assert np.float64(got.p_value).tobytes() == np.float64(want.p_value).tobytes()
+            assert got.covariance_rank == want.covariance_rank
+            assert got.excluded_points == want.excluded_points
+            assert got.skipped_pairs == want.skipped_pairs
+        if varpi < 1.0:
+            excluded = {result.excluded_points for result in results[3:]}
+            assert len(excluded) > 1
     # a block boundary inside the replications, and the default blocks
     count = sum(single.reject for single in singles)
     for rows in (1, 3 * n, simulation._BLOCK_ROWS):
