@@ -90,15 +90,41 @@ class TestResult:
     estimate: EstimateGrid
 
 
+class _MultiplierStream:
+    """One replication's multiplier normals, drawn only as far as its tests read them.
+
+    A generator's ``standard_normal((B, k))`` is the first B k values of its
+    flat stream, so the tests of one replication at several c3 points, with
+    different usable-point counts, all read prefixes of one draw. The stream
+    holds what it has drawn and extends it when a test reads further.
+    """
+
+    def __init__(self, seed) -> None:
+        self._rng = np.random.default_rng(seed)
+        self._drawn = np.empty(0)
+
+    def first(self, count: int) -> np.ndarray:
+        """The first ``count`` normals of the stream."""
+        more = count - self._drawn.size
+        if more > 0:
+            extra = self._rng.standard_normal(more)
+            self._drawn = np.concatenate((self._drawn, extra)) if self._drawn.size else extra
+        return self._drawn[:count]
+
+
 def multiplier_draws(est: EstimateGrid, resamples: int, seed) -> np.ndarray:
     """Standard normals Z of shape (resamples, usable points), one stream.
 
     The whole matrix comes from one generator seeded by ``seed`` (an integer
-    or a SeedSequence); draws are never scheduled in parallel.
+    or a SeedSequence); draws are never scheduled in parallel. ``seed`` may
+    also be a replication's :class:`_MultiplierStream`, whose earlier reads
+    this one shares: Z is always the first resamples x points normals of
+    the stream.
     """
     _check_resamples(resamples)
     points = int(np.count_nonzero(_usable_points(est)))
-    return np.random.default_rng(seed).standard_normal((resamples, points))
+    stream = seed if isinstance(seed, _MultiplierStream) else _MultiplierStream(seed)
+    return stream.first(resamples * points).reshape(resamples, points)
 
 
 def _check_kind(kind: str) -> None:
@@ -351,7 +377,8 @@ def _test_from_estimate(kind: str, ests: list[EstimateGrid], grams: np.ndarray, 
 
     ``grams`` holds each estimate's control and treated Grams from
     :func:`arm_grams` over the whole grid, shape (R, 2, g, g); estimate i
-    draws its multipliers with :func:`multiplier_draws` from ``seeds[i]``.
+    draws its multipliers with :func:`multiplier_draws` from ``seeds[i]``,
+    a seed or a stream that the replication's other tests read too.
     Estimates with the same usable points form a group, tested in stacks of
     at most ``_STACK_BYTES`` of draws by :func:`_stacked_tests`; each result
     is the one a block of that estimate alone gives.

@@ -28,7 +28,13 @@ import numpy as np
 from .data_model import Dataset, MarkInterval, _arm_sizes
 from .estimator import EvaluationGrid, _estimate_block, _row_estimate
 from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
-from .inference import _check_kind, _check_resamples, _test_from_estimate, arm_grams
+from .inference import (
+    _check_kind,
+    _check_resamples,
+    _MultiplierStream,
+    _test_from_estimate,
+    arm_grams,
+)
 from .inference import multiplier_draws  # noqa: F401 - rebound by perfbench/spans.py
 
 __all__ = [
@@ -173,20 +179,25 @@ def generate_dataset(scenario: Scenario, rng: np.random.Generator) -> Dataset:
 def _block_columns(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
     """y, delta, mark and arm as (R, n) arrays, row i drawn from the i-th generator.
 
+    This is :func:`_scenario_columns` on the :func:`_block_draws` of the
+    generators.
+    """
+    return _scenario_columns(scenario, _block_draws(scenario, rngs))
+
+
+def _block_draws(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
+    """The draws of a block that take no coefficient and no censoring mean.
+
     Each generator draws, in this order, the n treatment uniforms, the n
     marks, the n truncated normal residuals and the n unit exponentials
     that, times the arm's censoring mean, are the censoring times; the rest
     runs once on the whole block. The residuals' first rejection batch of
     every generator is screened in one pass, and only a row it leaves short
-    draws further batches, before its exponentials. Sums and products are
-    the ones a single draw makes, in either operand order, so each row is
-    bitwise the dataset its generator alone would give.
+    draws further batches, before its exponentials. Returns the arm, the
+    mark v, sin(2 pi v), the residuals and the unit exponentials as (R, n)
+    arrays, row i from the i-th generator; every c3 point of a sweep reads
+    these same draws.
     """
-    mu0, mu1 = scenario.censor_mean0, scenario.censor_mean1
-    if mu0 is None or mu1 is None:
-        raise SimulationError(
-            "censoring means are unresolved; call resolve_censoring() first"
-        )
     n, count = scenario.n, len(rngs)
     uniform = np.empty((count, 2, n))  # the treatment draws, then the marks
     normals = np.empty((count, _first_batch(n)))
@@ -212,14 +223,30 @@ def _block_columns(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
         rng.standard_exponential(out=c[i])
     arm = (uniform[:, 0] < scenario.p_treat).astype(np.int64)
     v = uniform[:, 1]
-    wave = np.sin(2.0 * np.pi * v)
-    t += np.where(arm == 1, _treated_mean(scenario, v, wave), _control_mean(wave))
+    return arm, v, np.sin(2.0 * np.pi * v), t, c
+
+
+def _scenario_columns(scenario: Scenario, draws) -> tuple[np.ndarray, ...]:
+    """y, delta, mark and arm of a block's :func:`_block_draws` under the scenario.
+
+    Only here do the coefficients and censoring means enter, so a sweep
+    derives each c3 point's columns from one set of draws. Sums and
+    products are the ones a single draw makes, in either operand order, so
+    each row is bitwise the dataset its generator alone would give.
+    """
+    mu0, mu1 = scenario.censor_mean0, scenario.censor_mean1
+    if mu0 is None or mu1 is None:
+        raise SimulationError(
+            "censoring means are unresolved; call resolve_censoring() first"
+        )
+    arm, v, wave, residual, unit_exp = draws
+    t = residual + np.where(arm == 1, _treated_mean(scenario, v, wave), _control_mean(wave))
     if np.any(t < 0.0):
         raise SimulationError(
             "generating model produced a negative failure time; "
             "check the coefficient configuration"
         )
-    c *= np.array([mu0, mu1])[arm]
+    c = unit_exp * np.array([mu0, mu1])[arm]
     observed = t <= c
     y = np.minimum(t, c, out=t)
     mark = np.where(observed, v, np.nan)
@@ -340,68 +367,76 @@ class MetricsTable:
     coverage_se: np.ndarray
 
 
-def _block_estimates(scenario: Scenario, reps: range):
-    """Arm sizes and :func:`~marktau.estimator._estimate_block` of a block of replications.
+def _replication_draws(scenario: Scenario, reps: range) -> tuple[np.ndarray, ...]:
+    """:func:`_block_draws` of replications ``reps``, replication r from data stream (r, 0)."""
+    return _block_draws(scenario, [np.random.default_rng(_replication_seed(scenario.seed, r, 0))
+                                   for r in reps])
 
-    Replication r draws its data from stream (r, 0), and every check of a
-    single replication runs on each.
+
+def _block_estimates(scenario: Scenario, draws, rows: slice):
+    """Arm sizes and :func:`~marktau.estimator._estimate_block` of some rows of a block.
+
+    The rows' columns are derived from their ``draws`` under the scenario,
+    and every check of a single replication runs on each.
     """
-    rngs = [np.random.default_rng(_replication_seed(scenario.seed, r, 0)) for r in reps]
-    y, delta, mark, arm = _block_columns(scenario, rngs)
+    y, delta, mark, arm = _scenario_columns(scenario, [draw[rows] for draw in draws])
     sizes = _arm_sizes(arm)
     return sizes, *_estimate_block(y, delta, mark, arm, scenario.grid.points,
                                    alpha=scenario.alpha, bandwidth=None,
                                    varpi=scenario.varpi)
 
 
-def _metrics_rep(args: tuple[Scenario, range]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """tau, its estimated sd and interval coverage, (R, g) each, for a block of replications."""
-    scenario, reps = args
-    _, bandwidths, est, _ = _block_estimates(scenario, reps)
-    nh = scenario.n * np.array([bw.h for bw in bandwidths])[:, None]
-    truth = true_tau(scenario, scenario.grid.points)
-    covered = (est["ci_lower"] <= truth) & (truth <= est["ci_upper"])
-    return est["tau"], np.sqrt(est["sigma2"] / nh), covered
-
-
-def _replayed(worker, item: tuple):
-    """``worker(item)``, where a failing block is replayed one replication at a time.
+def _replayed(stage, rows: int):
+    """``stage(slice(0, rows))``, where a failing block is replayed one row at a time.
 
     So the error raised is that of the block's first failing replication, as
     a run of single replications would raise it.
     """
     try:
-        return worker(item)
+        return stage(slice(0, rows))
     except ValueError:
-        scenario, reps, *extra = item
-        if len(reps) > 1:
-            for r in reps:
-                worker((scenario, range(r, r + 1), *extra))
+        if rows > 1:
+            for i in range(rows):
+                stage(slice(i, i + 1))
         raise
 
 
+def _metrics_rep(args: tuple[Scenario, range]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tau, its estimated sd and interval coverage, (R, g) each, for a block of replications."""
+    scenario, reps = args
+    draws = _replication_draws(scenario, reps)
+    truth = true_tau(scenario, scenario.grid.points)
+
+    def metrics(rows: slice):
+        _, bandwidths, est, _ = _block_estimates(scenario, draws, rows)
+        nh = scenario.n * np.array([bw.h for bw in bandwidths])[:, None]
+        covered = (est["ci_lower"] <= truth) & (truth <= est["ci_upper"])
+        return est["tau"], np.sqrt(est["sigma2"] / nh), covered
+
+    return _replayed(metrics, len(reps))
+
+
 def _map_replications(worker, items: list, workers: int) -> list:
-    """``worker`` on each block through :func:`_replayed`, results in block order.
+    """``worker`` on each block, results in block order.
 
     One pool runs all the blocks, with at most one worker per block; a run
     of one block or one worker stays in process.
     """
-    run, workers = partial(_replayed, worker), min(workers, len(items))
+    workers = min(workers, len(items))
     if workers <= 1:
-        return [run(item) for item in items]
+        return [worker(item) for item in items]
     # imported here: it loads multiprocessing, which an in-process run never needs
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, items, chunksize=chunk))
+        return list(pool.map(worker, items, chunksize=chunk))
 
 
-def _blocks(scenario: Scenario, *extra) -> list[tuple]:
+def _blocks(scenario: Scenario) -> list[range]:
     """Blocks of about ``_BLOCK_ROWS`` rows over the scenario's replications."""
     size = max(1, _BLOCK_ROWS // scenario.n)
-    return [(scenario, range(lo, min(lo + size, scenario.reps)), *extra)
-            for lo in range(0, scenario.reps, size)]
+    return [range(lo, min(lo + size, scenario.reps)) for lo in range(0, scenario.reps, size)]
 
 
 def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
@@ -419,7 +454,9 @@ def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
     reps = scenario.reps
     taus, sds, covered = (
         np.concatenate(part)
-        for part in zip(*_map_replications(_metrics_rep, _blocks(scenario), workers))
+        for part in zip(*_map_replications(_metrics_rep,
+                                           [(scenario, block) for block in _blocks(scenario)],
+                                           workers))
     )
     truth = true_tau(scenario, grid.points)
 
@@ -456,22 +493,44 @@ class PowerTable:
     rejections: np.ndarray
 
 
-def _test_rep(args: tuple[Scenario, range, str, int]) -> list[bool]:
-    """Whether the test rejects, for each replication of a block.
+def _test_rep(args: tuple[list[Scenario], range, str, int]) -> list:
+    """The sweep worker: whether the test rejects, per c3 point and replication of a block.
 
-    The block is estimated as in :func:`_metrics_rep`, and one
-    :func:`~marktau.inference.arm_grams` pass gives every replication's
-    Grams; then one call of the block test runs every replication's test on
-    its own estimate, Grams and multiplier stream (r, 1).
+    ``args`` holds the sweep's scenarios, one per c3 point, and a block of
+    replications. Replication r makes its data draws (stream (r, 0)) and
+    opens its multiplier stream (r, 1) once, and every point reads them:
+    a point derives its columns from the shared draws, is estimated as in
+    :func:`_metrics_rep`, gets every replication's Grams from one
+    :func:`~marktau.inference.arm_grams` pass, and runs one call of the
+    block test, in which replication r reads the first B x k normals of
+    its stream, k its usable points there. So each test gets the numbers it
+    would get alone. Returns one list of flags per point, in point order;
+    at the first point that fails, the list ends with the error of that
+    point's first failing replication in the block.
     """
-    scenario, reps, kind, resamples = args
+    scenarios, reps, kind, resamples = args
+    draws = _replication_draws(scenarios[0], reps)
+    streams = [_MultiplierStream(_replication_seed(scenarios[0].seed, r, 1)) for r in reps]
+    outcomes: list = []
+    for scenario in scenarios:
+        try:
+            outcomes.append(_replayed(partial(_point_tests, scenario, draws, streams, kind,
+                                              resamples), len(reps)))
+        except ValueError as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _point_tests(scenario: Scenario, draws, streams: list, kind: str, resamples: int,
+                 rows: slice) -> list[bool]:
+    """Whether the test rejects at one c3 point, for some rows of a block."""
     points = scenario.grid.points
-    (n1, n0), bandwidths, columns, terms = _block_estimates(scenario, reps)
+    (n1, n0), bandwidths, columns, terms = _block_estimates(scenario, draws, rows)
     ests = [_row_estimate(points, bandwidths, columns, i,
                           n=scenario.n, n0=int(n0[i]), n1=int(n1[i]))
-            for i in range(len(reps))]
-    seeds = [_replication_seed(scenario.seed, r, 1) for r in reps]
-    results = _test_from_estimate(kind, ests, arm_grams(terms, points.size), seeds,
+            for i in range(n1.size)]
+    results = _test_from_estimate(kind, ests, arm_grams(terms, points.size), streams[rows],
                                   resamples=resamples, alpha=scenario.alpha)
     return [result.reject for result in results]
 
@@ -496,12 +555,17 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     censoring means before any replication runs: an unresolved mean is
     calibrated once for the control arm, whose failure times take no
     coefficient, and at every c3 for the treated arm from one set of its
-    draws, which take none either. The blocks of all points then share one
-    worker pool as in :func:`run_replications`. Each block runs its
-    replications' tests in one call of the block test, where each test
-    reads only its own estimate, Grams and multiplier stream and gets the
-    numbers it would get alone, so the counts are the same for any block
-    size and worker count.
+    draws, which take none either. Blocks are ranges of about
+    ``_BLOCK_ROWS`` rows of replications, as in :func:`run_replications`,
+    and each holds every c3 point, so the block count does not grow with
+    the points; the blocks share one worker pool. A block draws each of its
+    replications' data and multiplier stream once, and every point reads
+    them (see :func:`_test_rep`): only the treated mean and its censoring
+    mean change with c3. Each test reads only its own estimate, Grams and
+    multiplier stream and gets the numbers it would get alone, so the
+    counts are the same for any block size and worker count. A failing
+    sweep raises the error of its first failing replication at its first
+    failing point, as the points run one after another would.
     """
     c3_values = np.asarray(c3_values, dtype=float)
     if c3_values.size == 0:
@@ -515,9 +579,15 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
         treated_draws = _calibration_draws(scenario.seed, 1)
         points = [replace(point, censor_mean1=_solve_censoring(point, 1, treated_draws))
                   for point in points]
-    blocks = [block for point in points for block in _blocks(point, kind, resamples)]
-    flags = [flag for block in _map_replications(_test_rep, blocks, workers) for flag in block]
-    rejections = np.array(flags).reshape(c3_values.size, scenario.reps).sum(axis=1)
+    blocks = [(points, reps, kind, resamples) for reps in _blocks(scenario)]
+    outcomes = _map_replications(_test_rep, blocks, workers)
+    rejections = np.zeros(c3_values.size, np.int64)
+    # point-major, so a failure at an earlier point wins whichever block it is in
+    for p in range(c3_values.size):
+        for outcome in outcomes:
+            if isinstance(outcome[p], ValueError):
+                raise outcome[p]
+            rejections[p] += sum(outcome[p])
     rates = rejections / scenario.reps
     se = np.sqrt(rates * (1.0 - rates) / scenario.reps)
     return PowerTable(c3=c3_values, rate=rates, se=se, rejections=rejections)

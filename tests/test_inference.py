@@ -315,6 +315,27 @@ def test_multiplier_draws_are_one_stream_in_grid_space():
         multiplier_draws(est, 0, seed=1)
 
 
+def _usable_count(k, g=20):
+    """An estimate whose first ``k`` of ``g`` grid points are usable."""
+    points = np.linspace(0.1, 0.9, g)
+    return _manual_grid(points, np.zeros(g), np.ones(g), flagged=np.arange(g) >= k)
+
+
+def test_multiplier_draws_are_prefixes_of_the_replication_stream():
+    # standard_normal((B, k)) is the first B k normals of the flat stream, so
+    # a replication's tests at several c3 points share one draw of B x k_max
+    seed = np.random.SeedSequence(entropy=3, spawn_key=(1, 5, 1))
+    flat = np.random.default_rng(seed).standard_normal(200 * 21)
+    stream = inference._MultiplierStream(seed)
+    for k in (3, 20, 1, 20, 7):
+        est = _usable_count(k)
+        want = flat[:200 * k].reshape(200, k)
+        assert multiplier_draws(est, 200, seed).tobytes() == want.tobytes()
+        assert multiplier_draws(est, 200, stream).tobytes() == want.tobytes()
+    # the stream drew B x k_max normals in all, and the generator goes on from there
+    assert stream.first(200 * 21)[-200:].tobytes() == flat[-200:].tobytes()
+
+
 @pytest.mark.parametrize("kind", ["global", "constancy"])
 def test_grid_space_resampler_matches_subject_space_oracle(kind):
     # the package draws the multiplier sums from N(0, xi^T xi); the oracle

@@ -72,6 +72,20 @@ def test_rule_of_thumb_formula(marks, varpi):
     assert bw.h == pytest.approx(expected, rel=1e-12)
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(2, 5000),
+    st.sampled_from([1e-9, 1e-3, 1.0, 7.5, 1e3, 1e9]),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_rule_of_thumb_sd_is_bitwise_np_std(m, scale, shift, seed):
+    # the bandwidth runs np.std's own ufunc steps, so not one bit may differ
+    marks = scale * (shift + np.random.default_rng(seed).random(m))
+    sigma_v = rule_of_thumb_bandwidth(marks).sigma_v
+    assert np.float64(sigma_v).tobytes() == np.std(marks, ddof=1).tobytes()
+
+
 def test_bandwidth_errors():
     with pytest.raises(KernelError, match="at least 2"):
         rule_of_thumb_bandwidth([0.5])

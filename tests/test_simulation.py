@@ -273,13 +273,13 @@ def test_sweep_solves_every_c3_from_one_set_of_treated_draws(monkeypatch):
     means = []
 
     def record(args):
-        point, reps, *_ = args
-        means.append(point.censor_mean1)
-        return [False] * len(reps)
+        points, reps, *_ = args
+        means.extend(point.censor_mean1 for point in points)
+        return [[False] * len(reps) for _ in points]
 
     monkeypatch.setattr(simulation, "_test_rep", record)
     mt.size_power_curve(scenario, c3_values, "global", resamples=10)
-    # each point's 2 replications are one block
+    # the 2 replications are one block, which holds every point
     assert means == expected  # exactly, not approximately
     assert sorted(drawn) == [0, 1]
 
@@ -296,7 +296,7 @@ def test_sweep_calibrates_every_point_before_any_replication(monkeypatch):
     # enough for a 40 % censoring rate, -0.5 + eps is not
     scenario = mt.Scenario(c1=-0.5, c2=0.0, c3=5.0, n=200, reps=2, seed=0)
     assert calibrate_censoring(scenario, 1) > 0.0
-    monkeypatch.setattr(simulation, "_block_columns", None)  # no replication may start
+    monkeypatch.setattr(simulation, "_block_draws", None)  # no replication may start
     with pytest.raises(SimulationError, match="arm 1 .* too large for this scenario"):
         mt.size_power_curve(scenario, [5.0, 0.0], "global", resamples=10)
 
@@ -362,25 +362,50 @@ def _recorded_pools(monkeypatch):
 
 
 def test_one_pool_per_study_and_no_more_workers_than_blocks(monkeypatch):
-    # at n = 300 a block holds 33 replications, so each c3 point is one block
+    # at n = 300 a block holds 33 replications, so all 8 are one block, which
+    # holds every c3 point of a sweep
     scenario = _scenario(n=300, reps=8, seed=5, grid=mt.EvaluationGrid.explicit(
         [0.25, 0.5, 0.75], mt.MarkInterval(0.1, 0.9)))
     c3_values = [-2.0, -1.0, 0.0]
     in_process = mt.size_power_curve(scenario, c3_values, "global", resamples=20)
     built = _recorded_pools(monkeypatch)
-    pooled = mt.size_power_curve(scenario, c3_values, "global", resamples=20, workers=2)
-    assert built == [2]
-    np.testing.assert_array_equal(pooled.rejections, in_process.rejections)
     # one block runs in process, whatever the worker count
-    built.clear()
+    pooled = mt.size_power_curve(scenario, c3_values, "global", resamples=20, workers=2)
     rejection_rate(scenario, "global", resamples=20, workers=5000)
     mt.run_replications(scenario, workers=5000)
     assert built == []
-    # three blocks, then two
-    mt.size_power_curve(scenario, c3_values, "global", resamples=20, workers=5000)
+    np.testing.assert_array_equal(pooled.rejections, in_process.rejections)
+    # blocks of 4 replications: two for the sweep, then two for the study
     monkeypatch.setattr(simulation, "_BLOCK_ROWS", 4 * scenario.n)
+    pooled = mt.size_power_curve(scenario, c3_values, "global", resamples=20, workers=5000)
     mt.run_replications(scenario, workers=5000)
-    assert built == [3, 2]
+    assert built == [2, 2]
+    np.testing.assert_array_equal(pooled.rejections, in_process.rejections)
+
+
+def test_sweep_blocks_do_not_grow_with_its_points(monkeypatch):
+    scenario = _scenario(n=300, reps=8, seed=5, grid=mt.EvaluationGrid.explicit(
+        [0.25, 0.5, 0.75], mt.MarkInterval(0.1, 0.9)))
+    received = []
+    mapped = simulation._map_replications
+
+    def recorded(worker, items, workers):
+        received.append([(len(points), reps) for points, reps, *_ in items])
+        return mapped(worker, items, workers)
+
+    monkeypatch.setattr(simulation, "_map_replications", recorded)
+    _recorded_pools(monkeypatch)
+    sweeps = ([0.0], [-2.0, -1.0, 0.0], np.linspace(-2.0, 2.0, 17))
+    for c3_values in sweeps:
+        mt.size_power_curve(scenario, c3_values, "global", resamples=20, workers=2)
+    assert received == [[(size, range(0, 8))] for size in (1, 3, 17)]
+    # blocks of 3 replications, each with every point
+    monkeypatch.setattr(simulation, "_BLOCK_ROWS", 3 * scenario.n)
+    received.clear()
+    for c3_values in sweeps:
+        mt.size_power_curve(scenario, c3_values, "global", resamples=20, workers=2)
+    assert received == [[(size, range(0, 3)), (size, range(3, 6)), (size, range(6, 8))]
+                        for size in (1, 3, 17)]
 
 
 def test_single_replication_has_no_ratio():
@@ -584,7 +609,7 @@ def test_power_block_equals_single_tests_bitwise(monkeypatch, kind, n, varpi):
         calls, results = _recorded_tests(monkeypatch)
         # blocks of 1, 2 and 5 replications, each one call of the block test
         flags = [flag for block in (range(0, 1), range(1, 3), range(3, 8))
-                 for flag in _test_rep((scenario, block, kind, 60))]
+                 for flag in _test_rep(([scenario], block, kind, 60))[0]]
         assert calls == [1, 2, 5]
         assert flags == [single.reject for single in singles]
         for got, want in zip(results, singles, strict=True):
@@ -654,9 +679,66 @@ def test_power_settings_fail_before_calibrating(monkeypatch, kind, resamples, me
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-2.0, n=300, reps=2, seed=0)
     arms = _count_calibrations(monkeypatch)
     drawn = _count_draws(monkeypatch)
-    monkeypatch.setattr(simulation, "_block_columns", None)  # no replication may start
+    monkeypatch.setattr(simulation, "_block_draws", None)  # no replication may start
     with pytest.raises(InferenceError, match=re.escape(message)):
         mt.size_power_curve(scenario, [-2.0, 0.0], kind, resamples=resamples)
     with pytest.raises(InferenceError, match=re.escape(message)):
         rejection_rate(scenario, kind, resamples=resamples)
     assert arms == [] and drawn == []
+
+
+@pytest.mark.parametrize("varpi", [1.0, 0.05])
+@pytest.mark.parametrize("kind", TEST_KINDS)
+def test_sweep_counts_equal_single_point_sweeps(monkeypatch, kind, varpi):
+    # every c3 point of a sweep reads its replications' shared data draws and
+    # multiplier streams; at varpi = 0.05 a replication's usable points differ
+    # between the c3 points, so its tests read different prefixes of one stream
+    scenario = _scenario(n=300, c3=0.0, varpi=varpi, reps=8, seed=23)
+    c3_values = [-2.0, -0.5, 1.0]
+    singles = [[_single_test(dataclasses.replace(scenario, c3=c3), rep, kind, 60)
+                for rep in range(scenario.reps)] for c3 in c3_values]
+    if varpi < 1.0:
+        assert any(len({point[rep].excluded_points for point in singles}) > 1
+                   for rep in range(scenario.reps))
+    # the default blocks hold all 8 replications: one block test per point
+    calls, results = _recorded_tests(monkeypatch)
+    sweep = mt.size_power_curve(scenario, c3_values, kind, resamples=60)
+    assert calls == [scenario.reps] * len(c3_values)
+    for got, want in zip(results, [test for point in singles for test in point], strict=True):
+        assert np.float64(got.statistic).tobytes() == np.float64(want.statistic).tobytes()
+        assert got.resampled.tobytes() == want.resampled.tobytes()
+        assert got.excluded_points == want.excluded_points
+    counts = [sum(test.reject for test in point) for point in singles]
+    assert sweep.rejections.tolist() == counts
+    for rows in (1, 3 * scenario.n, simulation._BLOCK_ROWS):
+        monkeypatch.setattr(simulation, "_BLOCK_ROWS", rows)
+        alone = [int(mt.size_power_curve(scenario, [c3], kind, resamples=60).rejections[0])
+                 for c3 in c3_values]
+        swept = mt.size_power_curve(scenario, c3_values, kind, resamples=60)
+        assert alone == counts and swept.rejections.tolist() == counts
+
+
+def test_failing_sweep_raises_its_first_point_whichever_block_fails_first(monkeypatch):
+    # at c3 = 0 replication 4 is the first to fail (no control arm); at
+    # c3 = -0.5 replication 0 already draws a negative failure time. In blocks
+    # of 2 replications the later point fails in the first block and the
+    # earlier point only in the last, yet the earlier point's error is raised
+    scenario = _scenario(c1=0.97, c3=0.0, n=8, p_treat=0.6, seed=104, censor_mean0=0.8,
+                         censor_mean1=0.8, reps=6)
+    c3_values = [0.0, -0.5]
+    errors = []
+    for k, c3 in enumerate(c3_values):
+        for rep in range(scenario.reps):
+            try:
+                _single_test(dataclasses.replace(scenario, c3=c3), rep, "global", 20)
+            except ValueError as exc:
+                errors.append((k, rep, exc))
+    assert errors[0][:2] == (0, 4)
+    assert str(errors[0][2]) == "empty treatment group (n1=8, n0=0)"
+    assert next(rep for k, rep, _ in errors if k == 1) == 0
+    # blocks of 2 in process and across two worker processes, then one block
+    for rows, workers in ((2 * scenario.n, 1), (2 * scenario.n, 2), (simulation._BLOCK_ROWS, 1)):
+        monkeypatch.setattr(simulation, "_BLOCK_ROWS", rows)
+        with pytest.raises(type(errors[0][2])) as raised:
+            mt.size_power_curve(scenario, c3_values, "global", resamples=20, workers=workers)
+        assert str(raised.value) == str(errors[0][2])
