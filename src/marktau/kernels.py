@@ -82,9 +82,9 @@ def rule_of_thumb_bandwidth(observed_marks, varpi: float = 1.0) -> Bandwidth:
         raise KernelError(f"bandwidth scale must be positive, got {varpi!r}")
     # the ufunc steps np.std(ddof=1) runs, without its dispatch: mean, centred
     # squares, their sum over m - 1, square root; so the result is bitwise np.std's
-    deviations = marks - np.add.reduce(marks) / m
+    deviations = marks - np.add.reduce(marks, axis=None) / m
     np.multiply(deviations, deviations, out=deviations)
-    sigma_v = float(np.sqrt(np.add.reduce(deviations) / (m - 1)))
+    sigma_v = float(np.sqrt(np.add.reduce(deviations, axis=None) / (m - 1)))
     if sigma_v == 0.0:
         raise KernelError("observed marks have zero variance; supply an explicit bandwidth")
     return Bandwidth(h=varpi * sigma_v * m ** (-0.25), varpi=varpi, sigma_v=sigma_v, m=m)

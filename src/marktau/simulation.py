@@ -28,13 +28,8 @@ import numpy as np
 from .data_model import Dataset, MarkInterval, _arm_sizes
 from .estimator import EvaluationGrid, _estimate_block, _row_estimate
 from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
-from .inference import (
-    _check_kind,
-    _check_resamples,
-    _MultiplierStream,
-    _test_from_estimate,
-    arm_grams,
-)
+from .inference import (_check_kind, _check_resamples, _MultiplierStream, _test_from_estimate,
+                        arm_grams)
 from .inference import multiplier_draws  # noqa: F401 - rebound by perfbench/spans.py
 
 __all__ = [
@@ -530,7 +525,9 @@ def _point_tests(scenario: Scenario, draws, streams: list, kind: str, resamples:
     ests = [_row_estimate(points, bandwidths, columns, i,
                           n=scenario.n, n0=int(n0[i]), n1=int(n1[i]))
             for i in range(n1.size)]
-    results = _test_from_estimate(kind, ests, arm_grams(terms, points.size), streams[rows],
+    grams = arm_grams(terms, points.size)
+    del terms
+    results = _test_from_estimate(kind, ests, grams, streams[rows],
                                   resamples=resamples, alpha=scenario.alpha)
     return [result.reject for result in results]
 
@@ -579,6 +576,8 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
         treated_draws = _calibration_draws(scenario.seed, 1)
         points = [replace(point, censor_mean1=_solve_censoring(point, 1, treated_draws))
                   for point in points]
+        # held through the replications, the draws would set the sweep's peak memory
+        del treated_draws
     blocks = [(points, reps, kind, resamples) for reps in _blocks(scenario)]
     outcomes = _map_replications(_test_rep, blocks, workers)
     rejections = np.zeros(c3_values.size, np.int64)
