@@ -217,7 +217,9 @@ def _block_draws(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
             _fill_truncated(rng, t[i], int(counts[i]))
         rng.standard_exponential(out=c[i])
     arm = (uniform[:, 0] < scenario.p_treat).astype(np.int64)
-    v = uniform[:, 1]
+    # a copy, so that a sweep's block does not hold the treatment uniforms
+    # through all of its points
+    v = uniform[:, 1].copy()
     return arm, v, np.sin(2.0 * np.pi * v), t, c
 
 
