@@ -284,10 +284,10 @@ def cmd_estimate(args) -> int:
     if args.dump_censoring:
         from .km import fit_censoring_km
 
+        jump_times, values, curve, _ = fit_censoring_km(
+            dataset.y[None], dataset.delta[None], dataset.arm[None])
         for a in (0, 1):
-            idx = dataset.arm_indices(a)
-            curve = fit_censoring_km(dataset.y[idx], dataset.delta[idx])
-            rows = [(0.0, 1.0)] + list(zip(curve.jump_times, curve.values))
+            rows = [(0.0, 1.0)] + list(zip(jump_times[curve == a], values[curve == a]))
             _write_csv(Path(f"{args.dump_censoring}_arm{a}.csv"),
                        ("t", "survival"), rows, config)
     return 0

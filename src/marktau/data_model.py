@@ -162,9 +162,6 @@ class Dataset:
         return cls(y=y, delta=delta, mark=mark, arm=arm, n=int(y.size), n0=int(n0),
                    n1=int(n1))
 
-    def arm_indices(self, a: int) -> np.ndarray:
-        return np.flatnonzero(self.arm == a)
-
     def observed_marks(self) -> np.ndarray:
         """Marks of uncensored records, in record order."""
         return self.mark[self.delta == 1]

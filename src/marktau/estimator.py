@@ -35,7 +35,7 @@ import numpy as np
 
 from .data_model import Dataset, MarkInterval
 from .kernels import Bandwidth, rule_of_thumb_bandwidth, scaled_kernel
-from .km import _product_limit, fit_censoring_km  # noqa: F401 - rebound by perfbench/spans.py
+from .km import fit_censoring_km
 
 __all__ = [
     "EstimationError",
@@ -129,28 +129,16 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def ipcw_weights(dataset: Dataset) -> np.ndarray:
-    """Per-subject factor delta_i * y_i / S_a(y_i).
+def ipcw_weights(y, delta, arm) -> tuple[np.ndarray, np.ndarray]:
+    """The factors delta_i * y_i / S_a(y_i) of every row of (R, n) arrays.
 
-    Weights are zero on censored rows. Each arm's censoring curve is fitted
-    on that arm alone and evaluated left-continuously, so at an observed
-    failure S_a(y_i) is positive and 1 / S_a(y_i) is at most the arm size.
-    This is :func:`_block_weights` on a block of one dataset.
+    Every row is one dataset. Each arm's censoring curve is fitted on that
+    arm alone and evaluated left-continuously, so at an observed failure
+    S_a(y_i) is positive and 1 / S_a(y_i) is at most the arm size. Returns
+    the flat indices of the observed failures, in row and record order, and
+    their weights; every other weight is zero.
     """
-    failed, at_failed = _block_weights(dataset.y[None], dataset.delta[None],
-                                       dataset.arm[None])
-    weights = np.zeros(dataset.n)
-    weights[failed] = at_failed
-    return weights
-
-
-def _block_weights(y, delta, arm) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ipcw_weights` of every row of (R, n) arrays, each row one dataset.
-
-    Returns the flat indices of the observed failures, in row and record
-    order, and their weights; every other weight is zero.
-    """
-    *_, surv = _product_limit(y, delta, arm)
+    *_, surv = fit_censoring_km(y, delta, arm)
     failed = np.flatnonzero(delta == 1)
     at_failure = surv.reshape(-1)[failed]
     vanished = at_failure <= 0.0
@@ -210,7 +198,7 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
                       for m, d in zip(mark, delta)]
     else:
         bandwidths = [Bandwidth(h=float(bandwidth))] * rows
-    observed, weights = _block_weights(y, delta, arm)
+    observed, weights = ipcw_weights(y, delta, arm)
     h = np.array([bw.h for bw in bandwidths])
     g = points.size
     row = observed // n
@@ -225,7 +213,7 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
     widths = np.zeros(2 * rows, np.intp)
     np.maximum.at(widths, curve,
                   np.searchsorted(points, (marks + reach).ravel(), side="right") - start)
-    del observed, row, reach  # block-sized arrays go once used, as in km._product_limit
+    del observed, row, reach  # block-sized arrays go once used, as in km.fit_censoring_km
     w = int(widths.max())
     np.minimum(start, g - widths[curve], out=start)
     bins = start[:, None] + np.arange(w)

@@ -91,7 +91,7 @@ class TestResult:
 
 
 class _MultiplierStream:
-    """One replication's multiplier normals, drawn only as far as its tests read them.
+    """The multiplier normals of one seed, drawn only as far as its tests read them.
 
     A generator's ``standard_normal((B, k))`` is the first B k values of its
     flat stream, so the tests of one replication at several c3 points, with
@@ -112,18 +112,15 @@ class _MultiplierStream:
         return self._drawn[:count]
 
 
-def multiplier_draws(est: EstimateGrid, resamples: int, seed) -> np.ndarray:
-    """Standard normals Z of shape (resamples, usable points), one stream.
+def multiplier_draws(est: EstimateGrid, resamples: int, stream: _MultiplierStream) -> np.ndarray:
+    """Standard normals Z of shape (resamples, usable points), from one stream.
 
-    The whole matrix comes from one generator seeded by ``seed`` (an integer
-    or a SeedSequence); draws are never scheduled in parallel. ``seed`` may
-    also be a replication's :class:`_MultiplierStream`, whose earlier reads
-    this one shares: Z is always the first resamples x points normals of
-    the stream.
+    Z is always the first resamples x points normals of ``stream``, whose
+    earlier reads, by a replication's other tests, this one shares; draws
+    are never scheduled in parallel.
     """
     _check_resamples(resamples)
     points = int(np.count_nonzero(_usable_points(est)))
-    stream = seed if isinstance(seed, _MultiplierStream) else _MultiplierStream(seed)
     return stream.first(resamples * points).reshape(resamples, points)
 
 
@@ -370,18 +367,18 @@ def p_value(resampled: np.ndarray, statistic, add_one_correction: bool = False,
     return count / size
 
 
-def _test_from_estimate(kind: str, ests: list[EstimateGrid], grams: np.ndarray, seeds: list,
+def _test_from_estimate(kind: str, ests: list[EstimateGrid], grams: np.ndarray, streams: list,
                         *, resamples: int, alpha: float, pi_design: float | None = None,
                         add_one_correction: bool = False) -> list[TestResult]:
     """Tests of a block of estimates on one grid, each from its Grams and multiplier stream.
 
     ``grams`` holds each estimate's control and treated Grams from
     :func:`arm_grams` over the whole grid, shape (R, 2, g, g); estimate i
-    draws its multipliers with :func:`multiplier_draws` from ``seeds[i]``,
-    a seed or a stream that the replication's other tests read too.
-    Estimates with the same usable points form a group, tested in stacks of
-    at most ``_STACK_BYTES`` of draws by :func:`_stacked_tests`; each result
-    is the one a block of that estimate alone gives.
+    draws its multipliers with :func:`multiplier_draws` from ``streams[i]``,
+    which the replication's other tests read too. Estimates with the same
+    usable points form a group, tested in stacks of at most ``_STACK_BYTES``
+    of draws by :func:`_stacked_tests`; each result is the one a block of
+    that estimate alone gives.
     """
     _check_kind(kind)
     _check_resamples(resamples)
@@ -396,7 +393,7 @@ def _test_from_estimate(kind: str, ests: list[EstimateGrid], grams: np.ndarray, 
         for lo in range(0, len(members), size):
             stack = members[lo:lo + size]
             tested = _stacked_tests(kind, [ests[i] for i in stack], grams[stack],
-                                    [seeds[i] for i in stack], mask, resamples=resamples,
+                                    [streams[i] for i in stack], mask, resamples=resamples,
                                     alpha=alpha, pi_design=pi_design,
                                     add_one_correction=add_one_correction)
             for i, result in zip(stack, tested):
@@ -404,7 +401,7 @@ def _test_from_estimate(kind: str, ests: list[EstimateGrid], grams: np.ndarray, 
     return results
 
 
-def _stacked_tests(kind: str, ests: list[EstimateGrid], grams: np.ndarray, seeds: list,
+def _stacked_tests(kind: str, ests: list[EstimateGrid], grams: np.ndarray, streams: list,
                    mask: np.ndarray, *, resamples: int, alpha: float, pi_design: float | None,
                    add_one_correction: bool) -> list[TestResult]:
     """The tests of estimates whose usable points are all ``mask``, as one stack.
@@ -422,8 +419,8 @@ def _stacked_tests(kind: str, ests: list[EstimateGrid], grams: np.ndarray, seeds
     pi = [pi_design if pi_design is not None else est.n1 / est.n for est in ests]
     factor, rank = covariance_factor(resampling_covariance(grams, pi))
     draws = np.empty((len(ests), resamples, cols.size))
-    for row, (est, seed) in enumerate(zip(ests, seeds)):
-        draws[row] = multiplier_draws(est, resamples, seed)
+    for row, (est, stream) in enumerate(zip(ests, streams)):
+        draws[row] = multiplier_draws(est, resamples, stream)
     sums = draws @ factor.swapaxes(1, 2)
     del draws
     if kind == "global":
@@ -473,6 +470,6 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
         raise InferenceError(f"pi_design must be in (0,1), got {pi_design!r}")
     est, terms = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
                                       varpi=varpi)
-    return _test_from_estimate(kind, [est], arm_grams(terms, grid.points.size), [seed],
-                               resamples=resamples, alpha=alpha, pi_design=pi_design,
-                               add_one_correction=add_one_correction)[0]
+    return _test_from_estimate(kind, [est], arm_grams(terms, grid.points.size),
+                               [_MultiplierStream(seed)], resamples=resamples, alpha=alpha,
+                               pi_design=pi_design, add_one_correction=add_one_correction)[0]

@@ -76,13 +76,15 @@ def rule_of_thumb_bandwidth(observed_marks, varpi: float = 1.0) -> Bandwidth:
     m = int(marks.size)
     if m < 2:
         raise KernelError(f"need at least 2 observed marks for a bandwidth, got {m}")
-    if not np.all(np.isfinite(marks)):
+    # a non-finite mark makes the sum non-finite, so only then are the marks scanned
+    total = np.add.reduce(marks, axis=None)
+    if not math.isfinite(total) and not np.isfinite(marks).all():
         raise KernelError("observed marks must be finite")
     if not (math.isfinite(varpi) and varpi > 0.0):
         raise KernelError(f"bandwidth scale must be positive, got {varpi!r}")
     # the ufunc steps np.std(ddof=1) runs, without its dispatch: mean, centred
     # squares, their sum over m - 1, square root; so the result is bitwise np.std's
-    deviations = marks - np.add.reduce(marks, axis=None) / m
+    deviations = marks - total / m
     np.multiply(deviations, deviations, out=deviations)
     sigma_v = float(np.sqrt(np.add.reduce(deviations, axis=None) / (m - 1)))
     if sigma_v == 0.0:

@@ -9,50 +9,19 @@ own censoring-jump time unaffected by that jump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data_model import DataError
 
-__all__ = ["StepSurvival", "fit_censoring_km"]
-
-
-@dataclass(frozen=True, eq=False)
-class StepSurvival:
-    """Right-continuous step curve evaluated left-continuously as P(C >= t).
-
-    ``jump_times`` are the distinct times with at least one censoring event,
-    strictly increasing; ``values[k]`` is the curve just after the k-th jump.
-    """
-
-    jump_times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        jt = np.asarray(self.jump_times, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if jt.ndim != 1 or vals.shape != jt.shape:
-            raise DataError("jump_times and values must be matching 1-d arrays")
-        _check_steps(jt, vals, True)
-        jt.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "values", vals)
-
-    def evaluate(self, t):
-        """P(C >= t): product of jump factors strictly before t. evaluate(0) == 1."""
-        padded = np.concatenate(([1.0], self.values))
-        idx = np.searchsorted(self.jump_times, t, side="left")
-        out = padded[idx]
-        return float(out) if np.isscalar(t) else out
+__all__ = ["fit_censoring_km"]
 
 
 def _check_steps(jump_times, values, same_curve) -> None:
-    """:class:`StepSurvival`'s invariants on step curves laid end to end.
+    """Strictly increasing jump times and non-increasing values in [0, 1] per curve.
 
-    ``same_curve[k]`` (or one bool for all k) says whether jumps k and k + 1
-    belong to one curve; only those pairs are compared.
+    The curves are laid end to end. ``same_curve[k]`` (or one bool for all
+    k) says whether jumps k and k + 1 belong to one curve; only those pairs
+    are compared.
     """
     if (same_curve & (jump_times[1:] <= jump_times[:-1])).any():
         raise DataError("jump times must be strictly increasing")
@@ -61,24 +30,31 @@ def _check_steps(jump_times, values, same_curve) -> None:
         raise DataError("values must be non-increasing within [0, 1]")
 
 
-def _product_limit(y, delta, arm):
-    """Censoring curves of each arm of each row of (R, n) arrays, from one sort.
+def fit_censoring_km(y, delta, arm):
+    """Kaplan-Meier censoring curves of each arm of each row of (R, n) arrays.
 
-    Every row is one dataset. One row-wise sort on a bit key orders each row
-    by arm, then by time, so each (row, arm) pair is a segment of runs of
-    tied times. A run's censorings are the events of its step, everyone from
-    the run's first position to the segment's end is at risk, and the factor
-    (at risk - events) / at risk sits at the run's last position. Each
-    segment gets its own stretch of cells, a leading 1.0 and then one cell
-    per position holding the factor of the run that ends there, 1.0
-    elsewhere. One cumulative product per stretch then multiplies the
-    curve's factors in time order, exactly as a fit of that arm alone does,
-    since a product with 1.0 is exact.
+    Every row is one dataset; ``delta == 0`` rows (censorings) are the
+    events of its curves. The risk set at time t is every subject of the
+    arm with ``y >= t``, so a failure tied with a censoring is still at
+    risk there. A curve is strictly positive at any time with a subject
+    still at risk beyond it, which bounds the inverse weights by the arm
+    size.
+
+    One row-wise sort on a bit key orders each row by arm, then by time, so
+    each (row, arm) pair is a segment of runs of tied times. A run's
+    censorings are the events of its step, everyone from the run's first
+    position to the segment's end is at risk, and the factor (at risk -
+    events) / at risk sits at the run's last position. Each segment gets
+    its own stretch of cells, a leading 1.0 and then one cell per position
+    holding the factor of the run that ends there, 1.0 elsewhere. One
+    cumulative product per stretch then multiplies the curve's factors in
+    time order, exactly as a fit of that arm alone does, since a product
+    with 1.0 is exact.
 
     Returns the jumps of all curves end to end, ordered by row, arm and time
     (their times, their values and their curve, row * 2 + arm), and each
     record's own-arm curve at its own time, left-continuously, in record
-    order. Every curve passes :class:`StepSurvival`'s checks.
+    order. Every curve passes :func:`_check_steps`.
     """
     if not np.all(y >= 0.0):
         raise DataError("censoring curves need non-negative follow-up times")
@@ -126,11 +102,13 @@ def _product_limit(y, delta, arm):
     for lo, hi in zip(bounds, bounds[1:] + [steps.size]):
         np.multiply.accumulate(steps[lo:hi], out=steps[lo:hi])
     values = steps[cell]
-    # a run's time as its censorings record it, which tells -0.0 from 0.0
-    last_censored = np.where(censored, position, 0)
-    np.maximum.accumulate(last_censored, axis=1, out=last_censored)
-    jump_times = times.reshape(-1)[last_censored.reshape(-1)[jump] + n * row]
-    del times, last_censored
+    # tied times share their bits except -0.0 and 0.0, so a jump at zero takes the
+    # sign of its curve's last censoring at zero in record order, not the sort's
+    jump_times = times.reshape(-1)[jump]
+    del times
+    for j in np.flatnonzero(jump_times == 0.0):
+        r, a = divmod(int(curve[j]), 2)
+        jump_times[j] = y[r, np.flatnonzero((y[r] == 0.0) & (delta[r] == 0) & (arm[r] == a))[-1]]
     _check_steps(jump_times, values, curve[1:] == curve[:-1])
     # a record's curve at its own time multiplies the factors before its run,
     # which end in the cell before its run's first one
@@ -139,31 +117,3 @@ def _product_limit(y, delta, arm):
     surv[take] = steps[run_start]
     return jump_times, values, curve, surv.reshape(rows, n)
 
-
-def fit_censoring_km(y, delta) -> StepSurvival:
-    """Kaplan-Meier curve for the censoring distribution of one treatment arm.
-
-    Parameters
-    ----------
-    y, delta : array-like
-        Follow-up times and failure indicators of the arm's subjects.
-        ``delta == 0`` rows (censorings) are the events of this curve.
-
-    Notes
-    -----
-    The risk set at time t is every subject with ``y >= t``; in particular a
-    failure tied with a censoring is still at risk there, so failures are
-    ordered before censorings at tied times. The returned curve is strictly
-    positive at any time with a subject still at risk beyond it, which
-    bounds the inverse weights by the arm size. The fit is
-    :func:`_product_limit` on a block of one dataset with a single arm.
-    """
-    y = np.asarray(y, dtype=float)
-    delta = np.asarray(delta, dtype=np.int64)
-    if y.ndim != 1 or y.shape != delta.shape:
-        raise DataError("y and delta must be matching 1-d arrays")
-    if y.size == 0:
-        raise DataError("cannot fit a survival curve on an empty group")
-    jump_times, values, _, _ = _product_limit(y[None], delta[None],
-                                              np.zeros((1, y.size), np.int64))
-    return StepSurvival(jump_times, values)

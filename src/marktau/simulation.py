@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .data_model import Dataset, MarkInterval, _arm_sizes
+from .data_model import MarkInterval, _arm_sizes
 from .estimator import EvaluationGrid, _estimate_block, _row_estimate
 from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
 from .inference import (_check_kind, _check_resamples, _MultiplierStream, _test_from_estimate,
@@ -160,26 +160,6 @@ def _fill_truncated(rng: np.random.Generator, out: np.ndarray, filled: int) -> N
         filled += take
 
 
-def generate_dataset(scenario: Scenario, rng: np.random.Generator) -> Dataset:
-    """Draw one dataset of size scenario.n from the generating model.
-
-    Requires resolved censoring means (see :func:`resolve_censoring`). Marks
-    are recorded only where the failure is observed. Fails if the configured
-    coefficients produce a negative failure time. This is
-    :func:`_block_columns` on a block of one draw.
-    """
-    return Dataset.from_arrays(*(column[0] for column in _block_columns(scenario, [rng])))
-
-
-def _block_columns(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
-    """y, delta, mark and arm as (R, n) arrays, row i drawn from the i-th generator.
-
-    This is :func:`_scenario_columns` on the :func:`_block_draws` of the
-    generators.
-    """
-    return _scenario_columns(scenario, _block_draws(scenario, rngs))
-
-
 def _block_draws(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
     """The draws of a block that take no coefficient and no censoring mean.
 
@@ -223,13 +203,17 @@ def _block_draws(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
     return arm, v, np.sin(2.0 * np.pi * v), t, c
 
 
-def _scenario_columns(scenario: Scenario, draws) -> tuple[np.ndarray, ...]:
-    """y, delta, mark and arm of a block's :func:`_block_draws` under the scenario.
+def generate_dataset(scenario: Scenario, draws) -> tuple[np.ndarray, ...]:
+    """y, delta, mark and arm as (R, n) arrays, from a block's :func:`_block_draws`.
 
-    Only here do the coefficients and censoring means enter, so a sweep
-    derives each c3 point's columns from one set of draws. Sums and
-    products are the ones a single draw makes, in either operand order, so
-    each row is bitwise the dataset its generator alone would give.
+    Row i is the dataset of size scenario.n that the i-th generator draws
+    from the generating model. Requires resolved censoring means (see
+    :func:`resolve_censoring`). Marks are recorded only where the failure is
+    observed. Fails if the configured coefficients produce a negative
+    failure time. Only here do the coefficients and censoring means enter,
+    so a sweep derives each c3 point's columns from one set of draws. Sums
+    and products are the ones a single draw makes, in either operand order,
+    so each row is bitwise the dataset its generator alone would give.
     """
     mu0, mu1 = scenario.censor_mean0, scenario.censor_mean1
     if mu0 is None or mu1 is None:
@@ -376,7 +360,7 @@ def _block_estimates(scenario: Scenario, draws, rows: slice):
     The rows' columns are derived from their ``draws`` under the scenario,
     and every check of a single replication runs on each.
     """
-    y, delta, mark, arm = _scenario_columns(scenario, [draw[rows] for draw in draws])
+    y, delta, mark, arm = generate_dataset(scenario, [draw[rows] for draw in draws])
     sizes = _arm_sizes(arm)
     return sizes, *_estimate_block(y, delta, mark, arm, scenario.grid.points,
                                    alpha=scenario.alpha, bandwidth=None,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import marktau as mt
-from marktau.simulation import generate_dataset, resolve_censoring
-from oracles import serialize_dataset
+from marktau.simulation import resolve_censoring
+from oracles import draw_dataset, serialize_dataset
 
 
 def hand_dataset(v: float = 0.5):
@@ -33,7 +33,7 @@ def trial_files(tmp_path_factory):
     scenario = resolve_censoring(
         mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=600, reps=1, seed=914)
     )
-    ds = generate_dataset(scenario, np.random.default_rng(914))
+    ds = draw_dataset(scenario, np.random.default_rng(914))
     raw_marks = np.where(ds.delta == 1, 0.074 + ds.mark * (77.56 - 0.074), np.nan)
     raw = mt.Dataset.from_arrays(ds.y, ds.delta, raw_marks, ds.arm)
     folder = tmp_path_factory.mktemp("trial")

@@ -13,7 +13,7 @@ import numpy as np
 
 from marktau.data_model import Dataset, DataError, ValidationReport, Violation
 from marktau.kernels import scaled_kernel
-from marktau.simulation import truncated_std_normal
+from marktau.simulation import _block_draws, generate_dataset, truncated_std_normal
 
 
 def control_mean(v):
@@ -40,14 +40,16 @@ def product_limit_steps(y, delta):
     Censored rows (delta == 0) are the events; the risk set at time s is
     everyone with y >= s, so tied failures are still at risk. The value
     after a jump multiplies the one before it by (at risk - events) / at
-    risk, one distinct censoring time after another.
+    risk, one distinct censoring time after another. Censorings at -0.0 and
+    0.0 tie, and their jump is at the last one's time in record order.
     """
     y = [float(v) for v in y]
     delta = [int(d) for d in delta]
     ordered = sorted(y)
     censored = sorted(yi for yi, di in zip(y, delta) if di == 0)
     steps, value = [], 1.0
-    for s in sorted(set(censored)):
+    # a set keeps the first of equal values it is given
+    for s in sorted(set(reversed(censored))):
         at_risk = len(ordered) - bisect.bisect_left(ordered, s)
         events = bisect.bisect_right(censored, s) - bisect.bisect_left(censored, s)
         value *= (at_risk - events) / at_risk
@@ -63,6 +65,11 @@ def product_limit_censoring(y, delta, t):
             break
         value = after
     return value
+
+
+def left_continuous(jump_times, values, t):
+    """A step curve at t: the value after the last jump strictly before t, 1.0 before any."""
+    return np.concatenate(([1.0], values))[np.searchsorted(jump_times, t, side="left")]
 
 
 def ipcw_weights_oracle(dataset):
@@ -133,9 +140,8 @@ def ipcw_mean_difference(dataset):
     while the mark-specific contrast is far from zero everywhere.
     """
     weights = ipcw_weights_oracle(dataset)
-    idx1 = dataset.arm_indices(1)
-    idx0 = dataset.arm_indices(0)
-    return float(np.sum(weights[idx1]) / idx1.size - np.sum(weights[idx0]) / idx0.size)
+    return float(np.sum(weights[dataset.arm == 1]) / dataset.n1
+                 - np.sum(weights[dataset.arm == 0]) / dataset.n0)
 
 
 def normal_quantile_bisect(p, tol=1e-13):
@@ -400,6 +406,12 @@ def generated_columns(scenario, rng):
     c = unit_exp * np.where(arm == 1, scenario.censor_mean1, scenario.censor_mean0)
     delta = (t <= c).astype(np.int64)
     return np.minimum(t, c), delta, np.where(delta == 1, v, np.nan), arm
+
+
+def draw_dataset(scenario, rng):
+    """The dataset that ``rng`` draws as the one row of a block of the package's generator."""
+    columns = generate_dataset(scenario, _block_draws(scenario, [rng]))
+    return Dataset.from_arrays(*(column[0] for column in columns))
 
 
 def calibrate_censoring_bisect(scenario, mc_draws=200_000):

@@ -20,14 +20,15 @@ import marktau as mt
 from marktau.cli import main
 from marktau.kernels import epanechnikov, scaled_kernel
 from marktau.km import fit_censoring_km
-from marktau.simulation import (
-    _replication_seed,
-    generate_dataset,
-    rejection_rate,
-    resolve_censoring,
-)
+from marktau.simulation import _replication_seed, rejection_rate, resolve_censoring
 
-from oracles import ipcw_mean_difference, product_limit_censoring, stieltjes_group_mean
+from oracles import (
+    draw_dataset,
+    ipcw_mean_difference,
+    left_continuous,
+    product_limit_censoring,
+    stieltjes_group_mean,
+)
 
 SEED = 20260822
 METRIC_GRID = mt.EvaluationGrid.explicit(
@@ -106,12 +107,14 @@ def test_criterion_4_oracle_equivalence():
         y = np.array(base_times[:n])
         for pattern in itertools.product([0, 1], repeat=n):
             delta = np.array(pattern)
-            surv = fit_censoring_km(y, delta)
+            jump_times, values, _, _ = fit_censoring_km(y[None], delta[None],
+                                                        np.zeros((1, n), np.int64))
             probes = sorted(set([0.0, 6.0] + list(y) + [t + 0.5 for t in y]))
             for t in probes:
                 km_worst = max(
                     km_worst,
-                    abs(surv.evaluate(t) - product_limit_censoring(y, delta, t)),
+                    abs(left_continuous(jump_times, values, t)
+                        - product_limit_censoring(y, delta, t)),
                 )
     ok_km = km_worst <= 1e-12
 
@@ -129,12 +132,15 @@ def test_criterion_4_oracle_equivalence():
             mark = np.where(delta == 1, base_marks, np.nan)
             ds = mt.Dataset.from_arrays(y, delta, mark, arm)
             est = mt.estimate_on_grid(ds, grid, bandwidth=0.3)
+            jump_times, values, jump_arm, _ = fit_censoring_km(y[None], delta[None],
+                                                             arm[None])
             for a, curve in ((0, est.tau0), (1, est.tau1)):
-                idx = ds.arm_indices(a)
-                surv = fit_censoring_km(y[idx], delta[idx])
+                idx = np.flatnonzero(arm == a)
+                surv = functools.partial(left_continuous, jump_times[jump_arm == a],
+                                         values[jump_arm == a])
                 for got, v in zip(curve, grid.points):
                     want = stieltjes_group_mean(
-                        y[idx], delta[idx], mark[idx], surv.evaluate, v, 0.3
+                        y[idx], delta[idx], mark[idx], surv, v, 0.3
                     )
                     est_worst = max(est_worst, abs(got - want))
     ok_est = est_worst <= 1e-12
@@ -158,7 +164,7 @@ def test_criterion_5_no_censoring_reduction():
     for h in (0.1, 0.27):
         est = mt.estimate_on_grid(ds, grid, bandwidth=h)
         for a, curve in ((0, est.tau0), (1, est.tau1)):
-            idx = ds.arm_indices(a)
+            idx = np.flatnonzero(ds.arm == a)
             for got, v in zip(curve, grid.points):
                 # the estimator adds an arm's terms left to right in record order
                 terms = y[idx] * scaled_kernel(mark[idx], v, h)
@@ -194,7 +200,7 @@ def test_criterion_7_unmarked_analysis_misses_the_effect():
     diffs = np.empty(scenario.reps)
     for r in range(scenario.reps):
         rng = np.random.default_rng(_replication_seed(SEED, r, 0))
-        diffs[r] = ipcw_mean_difference(generate_dataset(scenario, rng))
+        diffs[r] = ipcw_mean_difference(draw_dataset(scenario, rng))
     mean_diff = float(np.mean(diffs))
 
     import dataclasses

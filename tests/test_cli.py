@@ -11,6 +11,8 @@ import pytest
 
 from marktau.cli import main
 
+from oracles import parse_dataset_rows, product_limit_steps
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -175,6 +177,39 @@ def test_estimate_dumps_censoring_curves(tmp_path, capsys, trial_files):
         times = [float(r[0]) for r in rows]
         assert times == sorted(times)
         assert all(b <= a for a, b in zip(surv, surv[1:]))
+    _assert_dump_is_the_oracle(prefix, parse_dataset_rows(csv_path.read_text()))
+
+
+def _assert_dump_is_the_oracle(prefix, dataset):
+    """Each arm's dump is 0.0,1.0 and then that arm's product-limit steps, bit for bit."""
+    for a in (0, 1):
+        _, header, rows = _read_artifact(Path(f"{prefix}_arm{a}.csv"))
+        assert header == ["t", "survival"]
+        mine = dataset.arm == a
+        steps = product_limit_steps(dataset.y[mine], dataset.delta[mine])
+        assert rows == [["0.0", "1.0"]] + [[repr(t), repr(value)] for t, value in steps]
+
+
+@pytest.mark.parametrize("first, second", [("-0.0", "0.0"), ("0.0", "-0.0")])
+def test_dump_of_signed_zero_censorings_and_an_uncensored_arm(tmp_path, capsys, first,
+                                                              second):
+    # the control arm's censorings at -0.0 and 0.0 tie with its failure at
+    # 0.0, and the jump has the sign of the last in record order; the
+    # treated arm has no censoring, so its dump is the header and 0.0,1.0
+    text = ("y,delta,mark,a\n0.0,1,0.3,0\n"
+            f"{first},0,,0\n{second},0,,0\n"
+            "1.5,0,,0\n2.0,1,0.6,0\n2.5,1,0.4,0\n1.0,1,0.5,1\n2.0,1,0.7,1\n3.0,1,0.2,1\n")
+    path = tmp_path / "zeros.csv"
+    path.write_text(text, encoding="utf-8")
+    prefix = tmp_path / "cens"
+    code, _, _ = _run(capsys, "estimate", "--input", str(path), "--interval", "0.1,0.9",
+                      "--bandwidth", "0.3", "--out", str(tmp_path / "est.csv"),
+                      "--dump-censoring", str(prefix))
+    assert code == 0
+    _assert_dump_is_the_oracle(prefix, parse_dataset_rows(text))
+    # at zero, 2 of the arm's 6 subjects are censored
+    assert _read_artifact(tmp_path / "cens_arm0.csv")[2][1] == [second, repr(4 / 6)]
+    assert _read_artifact(tmp_path / "cens_arm1.csv")[2] == [["0.0", "1.0"]]
 
 
 def test_test_report_and_determinism(tmp_path, capsys, trial_files):

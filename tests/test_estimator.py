@@ -12,7 +12,6 @@ from scipy import stats
 import marktau as mt
 from marktau.estimator import (
     EstimationError,
-    _block_weights,
     _estimate_with_terms,
     ipcw_weights,
     normal_quantile,
@@ -20,14 +19,16 @@ from marktau.estimator import (
 from marktau.inference import arm_grams
 from marktau.kernels import rule_of_thumb_bandwidth, scaled_kernel
 from marktau.km import fit_censoring_km
-from marktau.simulation import generate_dataset, resolve_censoring
+from marktau.simulation import resolve_censoring
 
 from conftest import hand_dataset
 from oracles import (
     dense_gram,
     dense_kernel_terms,
+    draw_dataset,
     ipcw_mean_difference,
     ipcw_weights_oracle,
+    left_continuous,
     normal_quantile_bisect,
     scatter_terms,
     stieltjes_group_mean,
@@ -134,9 +135,11 @@ def test_group_mean_matches_double_integral_oracle():
         ds = mt.Dataset.from_arrays(np.append(y, 1.5), np.append(delta, 1),
                                     np.append(mark, 0.5), [1] * 6 + [0])
         est = _at(ds, points, h)
-        surv = fit_censoring_km(y, delta)
+        jump_times, values, curve, _ = fit_censoring_km(ds.y[None], ds.delta[None],
+                                                        ds.arm[None])
+        surv = functools.partial(left_continuous, jump_times[curve == 1], values[curve == 1])
         for j, v in enumerate(points):
-            want = stieltjes_group_mean(y, delta, mark, surv.evaluate, v, h)
+            want = stieltjes_group_mean(y, delta, mark, surv, v, h)
             assert abs(est.tau1[j] - want) <= 1e-12, (pattern, v)
 
 
@@ -151,7 +154,7 @@ def test_no_censoring_reduces_to_plain_kernel_mean():
     points = [0.25, 0.5, 0.9]
     est = _at(ds, points, h)
     for a, curve in ((0, est.tau0), (1, est.tau1)):
-        idx = ds.arm_indices(a)
+        idx = np.flatnonzero(ds.arm == a)
         for j, v in enumerate(points):
             # the estimator adds an arm's terms left to right in record order
             terms = y[idx] * scaled_kernel(mark[idx], v, h)
@@ -277,6 +280,14 @@ def test_rule_of_thumb_used_when_no_override():
     assert est.bandwidth.m == n
 
 
+def _weights(ds):
+    """Every record's weight: :func:`ipcw_weights` on a block of one, zero off the failures."""
+    failed, at_failed = ipcw_weights(ds.y[None], ds.delta[None], ds.arm[None])
+    weights = np.zeros(ds.n)
+    weights[failed] = at_failed
+    return weights
+
+
 def _tied_datasets(rng, rows, n):
     """(rows, n) integer times in 0..4, tied across arms and status, some -0.0."""
     y = rng.integers(0, 5, (rows, n)).astype(float)
@@ -299,8 +310,8 @@ def test_ipcw_weights_match_product_limit_oracle_bitwise():
             ds = mt.Dataset.from_arrays(y[r], delta[r],
                                         np.where(delta[r] == 1, 0.5, np.nan), arm[r])
             wants.append(ipcw_weights_oracle(ds))
-            assert ipcw_weights(ds).tobytes() == wants[-1].tobytes()
-        failed, weights = _block_weights(y, delta, arm)
+            assert _weights(ds).tobytes() == wants[-1].tobytes()
+        failed, weights = ipcw_weights(y, delta, arm)
         block = np.zeros(rows * n)
         block[failed] = weights
         assert block.tobytes() == np.concatenate(wants).tobytes()
@@ -313,7 +324,7 @@ def test_negative_zero_time_stays_in_its_arm():
     delta = np.array([1, 0, 1, 0, 0, 0, 1, 1])
     arm = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     ds = mt.Dataset.from_arrays(y, delta, np.where(delta == 1, 0.5, np.nan), arm)
-    weights = ipcw_weights(ds)
+    weights = _weights(ds)
     assert weights.tobytes() == ipcw_weights_oracle(ds).tobytes()
     # control: at risk at 0 are all 4, one censored there, so S(1) = 3/4
     np.testing.assert_array_equal(weights[arm == 0], [-0.0, 0.0, 4.0 / 3.0, 0.0])
@@ -483,7 +494,7 @@ def test_record_order_moves_sums_by_rounding_only(data, random):
 def test_record_order_moves_sums_by_rounding_only_at_scale():
     scenario = resolve_censoring(mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=3000, reps=1,
                                              seed=31))
-    ds = generate_dataset(scenario, np.random.default_rng(31))
+    ds = draw_dataset(scenario, np.random.default_rng(31))
     perm = np.random.default_rng(32).permutation(ds.n)
     points = np.linspace(0.1, 0.9, 20)
     for h in (0.03, 0.12, 0.6):

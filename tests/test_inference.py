@@ -29,13 +29,14 @@ from marktau.inference import (
     resampling_covariance,
 )
 from marktau.kernels import Bandwidth
-from marktau.simulation import _block_columns, generate_dataset
+from marktau.simulation import _block_draws, generate_dataset
 
 from conftest import hand_dataset
 from oracles import (
     constancy_resample_dense,
     dense_gram,
     dense_kernel_terms,
+    draw_dataset,
     scatter_terms,
     subject_major,
     subject_space_sums,
@@ -207,7 +208,8 @@ def test_block_grams_equal_the_dense_oracle():
     # so row 2's windows near 0.7 start early and overrun the grid at offsets
     # past their own width
     scenario = dataclasses.replace(NULL_SCENARIO, n=40)
-    y, delta, mark, arm = _block_columns(scenario, [np.random.default_rng(s) for s in (1, 2, 3)])
+    rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+    y, delta, mark, arm = generate_dataset(scenario, _block_draws(scenario, rngs))
     mark[0] = 0.5 + 0.05 * (mark[0] - 0.5)
     mark[2] = 0.5 + 0.3 * (mark[2] - 0.5)
     points = np.linspace(0.3, 0.7, 5)
@@ -252,7 +254,7 @@ def _mirrored_fixture():
 
 
 def _null_fixture():
-    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(44))
+    ds = draw_dataset(NULL_SCENARIO, np.random.default_rng(44))
     return ds, DENSE_GRID, None
 
 
@@ -283,7 +285,7 @@ def test_stacked_factor_and_sums_equal_the_single_calls_bitwise(n, g):
         mt.MarkInterval(0.1, 0.9), g))
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=n + g, spawn_key=(r,)))
             for r in range(8)]
-    y, delta, mark, arm = _block_columns(scenario, rngs)
+    y, delta, mark, arm = generate_dataset(scenario, _block_draws(scenario, rngs))
     _, _, terms = _estimate_block(y, delta, mark, arm, scenario.grid.points, alpha=0.05,
                                   bandwidth=None, varpi=1.0)
     n1 = arm.sum(axis=1)
@@ -306,13 +308,13 @@ def test_multiplier_draws_are_one_stream_in_grid_space():
     ds = hand_dataset(v=0.5)
     grid = mt.EvaluationGrid.explicit([0.15, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
     est, _ = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
-    draws = multiplier_draws(est, 5, seed=99)
+    draws = multiplier_draws(est, 5, inference._MultiplierStream(99))
     assert draws.shape == (5, 2)  # (B, usable points), never (B, n)
     np.testing.assert_array_equal(
         draws, np.random.default_rng(99).standard_normal((5, 2))
     )
     with pytest.raises(InferenceError, match="resamples"):
-        multiplier_draws(est, 0, seed=1)
+        multiplier_draws(est, 0, inference._MultiplierStream(1))
 
 
 def _usable_count(k, g=20):
@@ -330,7 +332,8 @@ def test_multiplier_draws_are_prefixes_of_the_replication_stream():
     for k in (3, 20, 1, 20, 7):
         est = _usable_count(k)
         want = flat[:200 * k].reshape(200, k)
-        assert multiplier_draws(est, 200, seed).tobytes() == want.tobytes()
+        fresh = inference._MultiplierStream(seed)
+        assert multiplier_draws(est, 200, fresh).tobytes() == want.tobytes()
         assert multiplier_draws(est, 200, stream).tobytes() == want.tobytes()
     # the stream drew B x k_max normals in all, and the generator goes on from there
     assert stream.first(200 * 21)[-200:].tobytes() == flat[-200:].tobytes()
@@ -341,11 +344,12 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
     # the package draws the multiplier sums from N(0, xi^T xi); the oracle
     # multiplies a (B, n) normal matrix into xi; the resampled statistics
     # must agree in distribution
-    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(45))
+    ds = draw_dataset(NULL_SCENARIO, np.random.default_rng(45))
     est, theta = _estimate_with_terms(ds, DENSE_GRID, alpha=0.05, bandwidth=None, varpi=1.0)
     reps = 4000
     resampled = _test_from_estimate(kind, [est], arm_grams(theta, DENSE_GRID.points.size),
-                                    [46], resamples=reps, alpha=0.05)[0].resampled
+                                    [inference._MultiplierStream(46)], resamples=reps,
+                                    alpha=0.05)[0].resampled
     assert np.all(np.isfinite(resampled))
 
     usable = _usable_points(est)
@@ -368,7 +372,8 @@ def test_resampled_values_scale_quadratically():
     grid = mt.EvaluationGrid.explicit([0.48, 0.5], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     _, grams, cov = _grid_covariance(est, theta, ds.n1 / ds.n)
-    sums = (multiplier_draws(est, 50, seed=4) @ covariance_factor(cov)[0].T)[None]
+    draws = multiplier_draws(est, 50, inference._MultiplierStream(4))
+    sums = (draws @ covariance_factor(cov)[0].T)[None]
     _, scale, _, sigma2 = _stacked(est)
     base = global_resample(scale, sigma2, sums)
     tripled = global_resample(scale, sigma2, 3.0 * sums)
@@ -435,7 +440,7 @@ def test_p_value_conventions():
 
 
 def test_run_test_is_deterministic():
-    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(41))
+    ds = draw_dataset(NULL_SCENARIO, np.random.default_rng(41))
     first = mt.run_test("global", ds, NULL_SCENARIO.grid, resamples=80, seed=123)
     second = mt.run_test("global", ds, NULL_SCENARIO.grid, resamples=80, seed=123)
     assert first.statistic == second.statistic
@@ -449,7 +454,7 @@ def test_run_test_is_deterministic():
 
 
 def test_statistic_invariant_under_record_order():
-    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(42))
+    ds = draw_dataset(NULL_SCENARIO, np.random.default_rng(42))
     perm = np.random.default_rng(1).permutation(ds.n)
     shuffled = mt.Dataset.from_arrays(ds.y[perm], ds.delta[perm], ds.mark[perm], ds.arm[perm])
     for kind in ("global", "constancy"):
@@ -473,21 +478,21 @@ def test_resample_distribution_matches_sampling_distribution():
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=777, spawn_key=(1, r))
         )
-        ds = generate_dataset(NULL_SCENARIO, rng)
+        ds = draw_dataset(NULL_SCENARIO, rng)
         est, _ = _estimate_with_terms(
             ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
         )
         observed[r] = _global_statistic(est)
 
-    ds = generate_dataset(
+    ds = draw_dataset(
         NULL_SCENARIO, np.random.default_rng(np.random.SeedSequence(778))
     )
     est, theta = _estimate_with_terms(
         ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
     )
     grams = arm_grams(theta, NULL_SCENARIO.grid.points.size)
-    resampled = _test_from_estimate("global", [est], grams, [779], resamples=reps,
-                                    alpha=0.05)[0].resampled
+    resampled = _test_from_estimate("global", [est], grams, [inference._MultiplierStream(779)],
+                                    resamples=reps, alpha=0.05)[0].resampled
 
     q_obs = float(np.quantile(observed, 0.95))
     q_res = float(np.quantile(resampled, 0.95))
@@ -543,7 +548,7 @@ def test_constancy_zero_variance_pairs():
 
 
 def test_pi_design_changes_resampling_only():
-    ds = generate_dataset(NULL_SCENARIO, np.random.default_rng(43))
+    ds = draw_dataset(NULL_SCENARIO, np.random.default_rng(43))
     base = mt.run_test("global", ds, NULL_SCENARIO.grid, resamples=40, seed=7)
     designed = mt.run_test(
         "global", ds, NULL_SCENARIO.grid, resamples=40, seed=7, pi_design=0.25

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,3 +102,15 @@ def test_bandwidth_errors():
         Bandwidth(h=-0.5)
     with pytest.raises(KernelError, match="positive"):
         scaled_kernel(0.5, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf]])
+def test_rule_of_thumb_needs_finite_marks(bad):
+    with pytest.raises(KernelError, match="observed marks must be finite"):
+        rule_of_thumb_bandwidth([0.2, 0.7] + bad)
+
+
+def test_rule_of_thumb_on_finite_marks_whose_sum_overflows():
+    # every mark is finite, so the marks pass; their sum, and with it h, is not
+    with pytest.raises(KernelError, match=re.escape("bandwidth must be positive, got inf")):
+        rule_of_thumb_bandwidth([1e308, 1e308, 0.5])

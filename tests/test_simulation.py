@@ -16,7 +16,7 @@ from marktau.estimator import _estimate_block, _estimate_with_terms
 from marktau.inference import TEST_KINDS, InferenceError, _test_from_estimate, arm_grams
 from marktau.simulation import (
     SimulationError,
-    _block_columns,
+    _block_draws,
     _metrics_rep,
     _replication_seed,
     _test_rep,
@@ -27,7 +27,8 @@ from marktau.simulation import (
     true_tau,
     truncated_std_normal,
 )
-from oracles import calibrate_censoring_bisect, control_mean, generated_columns, treated_mean
+from oracles import (calibrate_censoring_bisect, control_mean, draw_dataset, generated_columns,
+                     treated_mean)
 
 
 def _scenario(**kw):
@@ -80,7 +81,7 @@ def test_truncated_normal_draws():
 
 def test_generate_dataset_moments():
     scenario = _scenario(n=100_000)
-    ds = generate_dataset(scenario, np.random.default_rng(77))
+    ds = draw_dataset(scenario, np.random.default_rng(77))
     assert ds.n == scenario.n
     se = math.sqrt(2.0 / 9.0 / scenario.n)
     assert abs(ds.n1 / ds.n - 2.0 / 3.0) <= 3.0 * se
@@ -98,7 +99,8 @@ def test_block_rows_are_each_generators_own_draws():
     # batches before its exponentials
     scenario = _scenario(n=30)
     seeds = range(400)
-    block = _block_columns(scenario, [np.random.default_rng(seed) for seed in seeds])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    block = generate_dataset(scenario, _block_draws(scenario, rngs))
     short = 0
     for i, seed in enumerate(seeds):
         want = generated_columns(scenario, np.random.default_rng(seed))
@@ -113,13 +115,13 @@ def test_block_rows_are_each_generators_own_draws():
 def test_generate_dataset_requires_resolved_means():
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=50, reps=1, seed=0)
     with pytest.raises(SimulationError, match="unresolved"):
-        generate_dataset(scenario, np.random.default_rng(0))
+        draw_dataset(scenario, np.random.default_rng(0))
 
 
 def test_generate_dataset_rejects_negative_failure_times():
     scenario = _scenario(c1=-10.0, c3=0.0, n=500)
     with pytest.raises(SimulationError, match="negative failure time"):
-        generate_dataset(scenario, np.random.default_rng(0))
+        draw_dataset(scenario, np.random.default_rng(0))
 
 
 def test_calibration_against_quadrature():
@@ -149,7 +151,7 @@ def test_calibration_against_quadrature():
 def test_calibration_hits_target_rate():
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=200, reps=1, seed=0)
     resolved = dataclasses.replace(resolve_censoring(scenario), n=200_000)
-    ds = generate_dataset(resolved, np.random.default_rng(123))
+    ds = draw_dataset(resolved, np.random.default_rng(123))
     rate = 1.0 - float(np.mean(ds.delta))
     assert abs(rate - 0.4) <= 0.01
 
@@ -166,9 +168,9 @@ def test_censoring_rate_decreases_in_mean():
         base, censor_mean0=2.0 * base.censor_mean0,
         censor_mean1=2.0 * base.censor_mean1,
     )
-    r1 = 1.0 - float(np.mean(generate_dataset(base, np.random.default_rng(5)).delta))
+    r1 = 1.0 - float(np.mean(draw_dataset(base, np.random.default_rng(5)).delta))
     r2 = 1.0 - float(
-        np.mean(generate_dataset(doubled, np.random.default_rng(5)).delta)
+        np.mean(draw_dataset(doubled, np.random.default_rng(5)).delta)
     )
     assert r2 < r1
 
@@ -494,7 +496,7 @@ def test_size_power_curve_recalibrates_per_point():
 def _single_replication(scenario, rep):
     """Replication ``rep`` the way one dataset is drawn and estimated on its own."""
     rng = np.random.default_rng(_replication_seed(scenario.seed, rep, 0))
-    return _estimate_with_terms(generate_dataset(scenario, rng), scenario.grid,
+    return _estimate_with_terms(draw_dataset(scenario, rng), scenario.grid,
                                 alpha=scenario.alpha, varpi=scenario.varpi)
 
 
@@ -509,7 +511,7 @@ def test_block_equals_single_replications_bitwise(n, p_treat, c3):
     for block in (range(3, 4), range(4, 6), range(6, 11)):
         rngs = [np.random.default_rng(_replication_seed(scenario.seed, r, 0)) for r in block]
         bandwidths, est, (curve, start, values, widths) = _estimate_block(
-            *_block_columns(scenario, rngs), scenario.grid.points,
+            *generate_dataset(scenario, _block_draws(scenario, rngs)), scenario.grid.points,
             alpha=scenario.alpha, bandwidth=None, varpi=scenario.varpi)
         grams = arm_grams((curve, start, values, widths), g)
         taus, sds, covered = _metrics_rep((scenario, block))
@@ -578,8 +580,9 @@ def _single_test(scenario, rep, kind, resamples):
     """Replication ``rep``'s test the way one dataset is drawn, estimated and tested."""
     est, terms = _single_replication(scenario, rep)
     grams = arm_grams(terms, scenario.grid.points.size)
-    return _test_from_estimate(kind, [est], grams, [_replication_seed(scenario.seed, rep, 1)],
-                               resamples=resamples, alpha=scenario.alpha)[0]
+    stream = inference._MultiplierStream(_replication_seed(scenario.seed, rep, 1))
+    return _test_from_estimate(kind, [est], grams, [stream], resamples=resamples,
+                               alpha=scenario.alpha)[0]
 
 
 def _recorded_tests(monkeypatch):
