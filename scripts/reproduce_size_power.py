@@ -5,9 +5,9 @@ Sweeps c3 over [-2, 2] (the null of no effect sits at c3 = -2, where the
 treated and control curves coincide; the constancy null holds there too)
 and reports the rejection rate of the global and constancy tests at each
 point. Desk scale by default; --full-scale raises replications and
-resamples. Censoring is calibrated to the 40% target once for the control
-arm, whose failure times do not depend on c3, and at each c3 for the
-treated arm.
+resamples. Censoring means are solved from the population censoring rate
+for the 40% target, once for the control arm, whose failure times do not
+depend on c3, and at each c3 for the treated arm; no seed changes them.
 """
 
 import argparse

@@ -41,7 +41,7 @@ from .simulation import (
     size_power_curve,
 )
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _ERRORS = (DataError, KernelError, EstimationError, InferenceError, SimulationError,
            OSError)

@@ -3,9 +3,9 @@
 The generating model draws treatment A ~ Bernoulli(p_treat), a latent mark
 V ~ Uniform[0,1], a residual from a standard normal truncated to [-1, 1],
 and sets the failure time to the arm's mean curve at V plus the residual.
-Censoring is exponential with an arm-specific mean, calibrated in closed
-form so that roughly a target fraction of subjects is censored. The mark is
-observed only on uncensored subjects.
+Censoring is exponential with an arm-specific mean, solved from the
+population censoring rate so that the target fraction of each arm is
+censored. The mark is observed only on uncensored subjects.
 
 Mean curves:
 
@@ -38,7 +38,6 @@ __all__ = [
     "MetricsTable",
     "PowerTable",
     "true_tau",
-    "truncated_std_normal",
     "generate_dataset",
     "calibrate_censoring",
     "resolve_censoring",
@@ -46,13 +45,16 @@ __all__ = [
     "size_power_curve",
 ]
 
-# Seed-space tags: calibration uses (0, arm), replication r uses (1, r).
-_CALIBRATION_SPACE = 0
+# Seed-space tag of replication r's streams, spawn key (1, r, stream); the
+# key 0 seeded a Monte Carlo censoring calibration up to format 6.
 _REPLICATION_SPACE = 1
-# Monte Carlo draws per arm in the censoring calibration, and how far its
-# achieved rate may fall from the target.
-_CALIBRATION_DRAWS = 200_000
-_CALIBRATION_TOL = 0.005
+# The control arm's mean curve 3 - 2 sin(2 pi v), as (c1, c2, c3) of the treated form.
+_CONTROL_CURVE = (3.0, 0.0, -2.0)
+# Where the calibration bisects the censoring mean, and its Fejer rule's order per piece.
+_MEAN_RANGE = (2.0**-100, 2.0**100)
+_QUADRATURE_ORDER = 32
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Rows of the (replications, n) arrays that a study's replications run in at once.
 _BLOCK_ROWS = 10_000
 
@@ -66,7 +68,9 @@ class Scenario:
     """One simulation configuration; all randomness derives from ``seed``.
 
     ``censor_mean0``/``censor_mean1`` of None mean "calibrate to
-    ``censor_target``"; :func:`resolve_censoring` fills them in.
+    ``censor_target``"; :func:`resolve_censoring` fills them in with the
+    means whose population censoring rate is the target, which no seed
+    changes.
     ``grid`` defaults to 20 evenly spaced points on [0.1, 0.9].
     """
 
@@ -135,20 +139,17 @@ def true_tau(scenario: Scenario, v):
     return float(out) if out.ndim == 0 else out
 
 
-def truncated_std_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normal conditioned on [-1, 1], by rejection (acceptance ~ 0.683)."""
-    out = np.empty(size)
-    _fill_truncated(rng, out, 0)
-    return out
-
-
 def _first_batch(need: int) -> int:
     """Normals the rejection sampler draws at once while ``need`` values are missing."""
     return max(16, int(need * 1.6) + 8)
 
 
 def _fill_truncated(rng: np.random.Generator, out: np.ndarray, filled: int) -> None:
-    """Fill ``out[filled:]`` as :func:`truncated_std_normal` continues from there."""
+    """Fill ``out[filled:]`` with standard normals conditioned on [-1, 1], by rejection.
+
+    Each batch of :func:`_first_batch` normals keeps those in [-1, 1]
+    (about 68 %), in draw order.
+    """
     size = out.size
     while filled < size:
         need = size - filled
@@ -236,77 +237,144 @@ def generate_dataset(scenario: Scenario, draws) -> tuple[np.ndarray, ...]:
 
 
 def calibrate_censoring(scenario: Scenario, arm: int) -> float:
-    """Exponential censoring mean of one arm hitting ``scenario.censor_target``.
+    """Exponential censoring mean of one arm whose censoring rate is ``scenario.censor_target``.
 
-    One Monte Carlo set of (V, residual, unit-exponential) draws is held
-    fixed, so the estimated censoring rate count(mu E < T) / N is a step
-    function of the mean that falls at each ratio T / E. The mean is the
-    smallest one whose rate is at most the target: the (k + 1)-th largest
-    ratio, with k the largest count for which k / N <= target.
-    Deterministic given ``scenario.seed`` and ``arm``; the control arm's
-    mean does not depend on the coefficients. Fails when that ratio is not
-    positive, or when the rate it achieves misses the target by more than
-    0.5 percentage points.
+    A subject is censored when C = mu E, E a unit exponential, falls below its
+    failure time T = m(V) + eps, so the rate of a mean mu is the population
+    value E[(1 - exp(-T / mu)) 1{T > 0}] that :func:`_censoring_rate` computes,
+    with no random draw. The rate falls as mu grows, and bisecting the bit
+    patterns of mu over [2^-100, 2^100], by the same 60 steps on every run,
+    ends at adjacent doubles lo < hi with rate(lo) > target >= rate(hi); the
+    mean is hi. It depends only on the arm's mean curve and the target; the
+    control arm's takes no coefficient. Fails, naming the rate, when the
+    target is not below the rate at 2^-100, which is P(T > 0), the largest
+    any mean reaches, to double precision.
     """
-    return _solve_censoring(scenario, arm, _calibration_draws(scenario.seed, arm))
-
-
-def _calibration_draws(seed: int, arm: int) -> tuple[np.ndarray, ...]:
-    """The draws that calibrate ``arm``: V, sin(2 pi V), residuals, unit exponentials.
-
-    No coefficient enters them, so a sweep draws them once.
-    """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_CALIBRATION_SPACE, arm))
-    rng = np.random.default_rng(ss)
-    v = rng.random(_CALIBRATION_DRAWS)
-    eps = truncated_std_normal(rng, _CALIBRATION_DRAWS)
-    return v, np.sin(2.0 * np.pi * v), eps, rng.exponential(1.0, _CALIBRATION_DRAWS)
-
-
-def _largest_count(target: float, draws: int) -> int:
-    """The largest k with k / draws <= target, by the comparison the achieved rate makes.
-
-    The rounded quotient k / draws rises with k, so k starts at
-    floor(target * draws) and steps until it is the last k that passes.
-    """
-    k = math.floor(target * draws)
-    while (k + 1) / draws <= target:
-        k += 1
-    while k / draws > target:
-        k -= 1
-    return k
-
-
-def _solve_censoring(scenario: Scenario, arm: int, sample) -> float:
-    """:func:`calibrate_censoring` on a ``sample`` from :func:`_calibration_draws`."""
-    target, draws = scenario.censor_target, _CALIBRATION_DRAWS
-    # the (k + 1)-th largest ratio sits at ascending position N - 1 - k
-    rank = draws - 1 - _largest_count(target, draws)
-    v, wave, eps, unit_exp = sample
-    t = (_treated_mean(scenario, v, wave) if arm == 1 else _control_mean(wave)) + eps
-    # partitioned in place: a sweep holds the sample, and a copy here would
-    # set the sweep's peak memory
-    ratio = t / unit_exp
-    ratio.partition(rank)
-    mu = float(ratio[rank])
-    del ratio
-    if not mu > 0.0:
+    curve = (scenario.c1, scenario.c2, scenario.c3) if arm == 1 else _CONTROL_CURVE
+    rate = _censoring_rate(*curve)
+    target = scenario.censor_target
+    lo, hi = np.array(_MEAN_RANGE).view(np.int64).tolist()
+    largest, smallest = rate(_MEAN_RANGE[0]), rate(_MEAN_RANGE[1])
+    if not target < largest:
         raise SimulationError(
-            f"calibration for arm {arm} needs a censoring mean of {mu!r}; "
-            f"target {target:.3f} is too large for this scenario"
+            f"calibration for arm {arm} cannot reach target {target:.3f}, too large for "
+            f"this scenario; the largest censoring rate, P(T > 0), is {largest:.6g}"
         )
-    # censored exactly when C = mu * E falls strictly below T
-    achieved = np.count_nonzero(mu * unit_exp < t) / draws
-    if abs(achieved - target) > _CALIBRATION_TOL:
+    if not smallest <= target:
         raise SimulationError(
-            f"calibration for arm {arm} reached rate {achieved:.4f}, "
-            f"more than {_CALIBRATION_TOL:.3f} from target {target:.3f}"
+            f"calibration for arm {arm} cannot reach target {target!r}, below "
+            f"{smallest:.3g}, the smallest censoring rate it resolves"
         )
-    return mu
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rate(float(np.int64(mid).view(np.float64))) > target:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+def _censoring_rate(c1: float, c2: float, c3: float):
+    """The censoring rate of an exponential mean, for the mean curve m = :func:`_curve`.
+
+    Given V = v, write m = m(v), s = 1 / mu and L = max(-1, -m), the lowest
+    residual with T > 0; the residual has density phi / z on [-1, 1], with
+    z = Phi(1) - Phi(-1). Then
+
+        E[exp(-s T) 1{T > 0} | v] z = phi(L) exp(-s (m + L)) R(s + L)
+                                      - phi(1) exp(-s (m + 1)) R(s + 1),
+
+    R the Mills ratio (1 - Phi) / phi, which keeps every factor finite, and
+    the rate is P(T > 0) less the mean of that over V, taken by
+    :func:`_mark_quadrature`. Where m >= 1, L = -1 and R(s - 1) is one
+    number for all the nodes; only the nodes with |m| < 1 take a Mills ratio
+    each.
+    """
+    v, w = _mark_quadrature(c1, c2, c3)
+    m = _curve(c1, c2, c3, v)
+    full = m >= 1.0
+    w_full, excess = w[full], m[full] - 1.0
+    bent = ~full & (m > -1.0)
+    w_bent, m_bent = w[bent], m[bent]
+    pdf_bent = np.exp(-0.5 * m_bent * m_bent) / _SQRT_2PI
+    pdf1 = math.exp(-0.5) / _SQRT_2PI
+    z = math.erf(_SQRT_HALF)
+    # P(T > 0) z, with Phi(1) - Phi(-m) = (erf(1 / sqrt 2) + erf(m / sqrt 2)) / 2 where m < 1
+    positive = w_full.sum() * z + w_bent @ np.array(
+        [0.5 * (z + math.erf(x * _SQRT_HALF)) for x in m_bent.tolist()])
+
+    def rate(mu: float) -> float:
+        s = 1.0 / mu
+        tail = pdf1 * _mills_ratio(s + 1.0)
+        laplace = ((pdf1 * _mills_ratio(s - 1.0) - math.exp(-2.0 * s) * tail)
+                   * (w_full @ np.exp(-s * excess)))
+        if m_bent.size:
+            mills = np.array([_mills_ratio(s - x) for x in m_bent.tolist()])
+            laplace += w_bent @ (pdf_bent * mills - tail * np.exp(-s * (1.0 + m_bent)))
+        return (positive - laplace) / z
+
+    return rate
+
+
+def _curve(c1: float, c2: float, c3: float, v):
+    """The mean curve c1 + c2 (1 - v) + c3 sin(2 pi v) at marks v."""
+    return c1 + c2 * (1.0 - v) + c3 * np.sin(2.0 * np.pi * v)
+
+
+def _mark_quadrature(c1: float, c2: float, c3: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1]: a Fejer rule on each piece where :func:`_curve` is smooth.
+
+    The curve turns where 2 pi c3 cos(2 pi v) = c2, and between its turns it
+    crosses each of -1 and 1 at most once, where bisection finds the
+    crossing; the censoring rate has a kink in v at each crossing, so no
+    piece holds one.
+    """
+    curve = partial(_curve, c1, c2, c3)
+    cuts = [0.0, 1.0]
+    if abs(c2) < abs(2.0 * math.pi * c3):
+        turn = math.acos(c2 / (2.0 * math.pi * c3)) / (2.0 * math.pi)
+        cuts[1:1] = [turn, 1.0 - turn]
+    breaks = list(cuts)
+    for start, stop in zip(cuts, cuts[1:]):
+        for level in (-1.0, 1.0):
+            if not (curve(start) - level) * (curve(stop) - level) < 0.0:
+                continue
+            above, a, b = curve(start) > level, start, stop
+            while a < (mid := 0.5 * (a + b)) < b:
+                if (curve(mid) > level) == above:
+                    a = mid
+                else:
+                    b = mid
+            breaks.append(mid)
+    breaks.sort()
+    # Fejer's first rule of order n on (-1, 1): nodes cos(theta_j), theta_j = (j + 1/2) pi / n
+    n = _QUADRATURE_ORDER
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    k = np.arange(1, n // 2 + 1)[:, None]
+    unit_w = (2.0 / n) * (1.0 - 2.0 * (np.cos(2 * k * theta) / (4.0 * k * k - 1.0)).sum(axis=0))
+    lo, half = np.array(breaks[:-1])[:, None], 0.5 * np.diff(breaks)[:, None]
+    return (lo + half * (1.0 + np.cos(theta))).ravel(), (half * unit_w).ravel()
+
+
+def _mills_ratio(x: float) -> float:
+    """(1 - Phi(x)) / phi(x), the standard normal Mills ratio."""
+    if x < 26.0:
+        return math.erfc(x * _SQRT_HALF) * math.exp(0.5 * x * x) * (0.5 * _SQRT_2PI)
+    # the asymptotic series 1/x - 1/x^3 + 3/x^5 - ...; at x >= 26 its next
+    # term is below 1e-18 relative
+    step, term, total = 1.0 / (x * x), 1.0, 1.0
+    for k in range(1, 9):
+        term *= -(2 * k - 1) * step
+        total += term
+    return total / x
 
 
 def resolve_censoring(scenario: Scenario) -> Scenario:
-    """Fill in each unresolved censoring mean by calibrating that arm."""
+    """Fill in each unresolved censoring mean by :func:`calibrate_censoring` of that arm.
+
+    A mean already set is kept; the calibrated ones depend on the arm's
+    mean curve and the target only, not on the seed.
+    """
     mu0, mu1 = scenario.censor_mean0, scenario.censor_mean1
     if mu0 is not None and mu1 is not None:
         return scenario
@@ -537,8 +605,9 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     The test settings are checked first, then every c3 point gets its
     censoring means before any replication runs: an unresolved mean is
     calibrated once for the control arm, whose failure times take no
-    coefficient, and at every c3 for the treated arm from one set of its
-    draws, which take none either. Blocks are ranges of about
+    coefficient, and by :func:`calibrate_censoring` at every c3 for the
+    treated arm, so a point that cannot be calibrated fails the sweep
+    before any replication runs. Blocks are ranges of about
     ``_BLOCK_ROWS`` rows of replications, as in :func:`run_replications`,
     and each holds every c3 point, so the block count does not grow with
     the points; the blocks share one worker pool. A block draws each of its
@@ -559,11 +628,7 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
         scenario = replace(scenario, censor_mean0=calibrate_censoring(scenario, 0))
     points = [replace(scenario, c3=float(c3)) for c3 in c3_values]
     if scenario.censor_mean1 is None:
-        treated_draws = _calibration_draws(scenario.seed, 1)
-        points = [replace(point, censor_mean1=_solve_censoring(point, 1, treated_draws))
-                  for point in points]
-        # held through the replications, the draws would set the sweep's peak memory
-        del treated_draws
+        points = [replace(point, censor_mean1=calibrate_censoring(point, 1)) for point in points]
     blocks = [(points, reps, kind, resamples) for reps in _blocks(scenario)]
     outcomes = _map_replications(_test_rep, blocks, workers)
     rejections = np.zeros(c3_values.size, np.int64)

@@ -6,14 +6,16 @@ helpers with the package, and independent formulas wherever possible.
 
 import bisect
 import csv
+import functools
 import io
 import math
 
 import numpy as np
+from scipy import integrate, optimize, stats
 
 from marktau.data_model import Dataset, DataError, ValidationReport, Violation
 from marktau.kernels import scaled_kernel
-from marktau.simulation import _block_draws, generate_dataset, truncated_std_normal
+from marktau.simulation import _block_draws, _fill_truncated, generate_dataset
 
 
 def control_mean(v):
@@ -414,38 +416,57 @@ def draw_dataset(scenario, rng):
     return Dataset.from_arrays(*(column[0] for column in columns))
 
 
-def calibrate_censoring_bisect(scenario, mc_draws=200_000):
-    """Per-arm censoring means by bracketing and bisecting the Monte Carlo rate.
+def truncated_std_normal(rng, size):
+    """``size`` standard normals conditioned on [-1, 1], by the generator's rejection sampler."""
+    out = np.empty(size)
+    _fill_truncated(rng, out, 0)
+    return out
 
-    Draws the calibration's own seeded (V, residual, unit-exponential) sets,
-    then widens a bracket until it holds the target rate and halves it to
-    1e-10 relative. The package reads the same mean off one order statistic.
+
+def censoring_rate(curve, mu):
+    """P(mu E < T) for T = m(V) + eps, by adaptive two-dimensional quadrature.
+
+    ``curve`` is (c1, c2, c3) of m(v) = c1 + c2 (1 - v) + c3 sin(2 pi v);
+    V ~ U[0, 1], eps is a standard normal on [-1, 1] and E a unit
+    exponential, so given T the censoring probability is 1 - exp(-T / mu) on
+    T > 0. The inner integral over eps starts where T turns positive.
     """
-    target = scenario.censor_target
-    means = []
-    for arm in (0, 1):
-        ss = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(0, arm))
-        rng = np.random.default_rng(ss)
-        v = rng.random(mc_draws)
-        eps = truncated_std_normal(rng, mc_draws)
-        t = (treated_mean(scenario, v) if arm == 1 else control_mean(v)) + eps
-        unit_exp = rng.exponential(1.0, mc_draws)
+    c1, c2, c3 = curve
+    z = math.sqrt(2.0 * math.pi) * (stats.norm.cdf(1.0) - stats.norm.cdf(-1.0))
 
-        def rate(mu):
-            return np.count_nonzero(mu * unit_exp < t) / mc_draws
+    def mean(v):
+        return c1 + c2 * (1.0 - v) + c3 * math.sin(2.0 * math.pi * v)
 
-        lo, hi = 1e-3, 8.0
-        while rate(hi) > target:
-            hi *= 4.0
-        while rate(lo) < target:
-            lo /= 4.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if rate(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-10 * max(1.0, hi):
-                break
-        means.append(0.5 * (lo + hi))
-    return means[0], means[1]
+    def integrand(eps, v):
+        return -math.expm1(-(mean(v) + eps) / mu) * math.exp(-0.5 * eps * eps) / z
+
+    return integrate.dblquad(integrand, 0.0, 1.0, lambda v: min(1.0, max(-1.0, -mean(v))),
+                             1.0, epsabs=1e-14, epsrel=1e-13)[0]
+
+
+def positive_share(curve):
+    """P(T > 0) for T = m(V) + eps as in :func:`censoring_rate`, by adaptive quadrature over v."""
+    c1, c2, c3 = curve
+    lo = stats.norm.cdf(-1.0)
+    z = stats.norm.cdf(1.0) - lo
+
+    def share(v):
+        m = c1 + c2 * (1.0 - v) + c3 * math.sin(2.0 * math.pi * v)
+        return (stats.norm.cdf(1.0) - max(lo, stats.norm.cdf(min(1.0, -m)))) / z
+
+    return integrate.quad(share, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def censoring_mean(curve, target):
+    """The exponential mean whose :func:`censoring_rate` is ``target``, by Brent's method.
+
+    The bracket widens from [1, 8] until it holds the target.
+    """
+    lo, hi = 1.0, 8.0
+    while censoring_rate(curve, hi) > target:
+        hi *= 4.0
+    while censoring_rate(curve, lo) < target:
+        lo /= 4.0
+    return optimize.brentq(lambda mu: censoring_rate(curve, mu) - target, lo, hi,
+                           xtol=1e-14, rtol=1e-13)

@@ -81,7 +81,7 @@ def _run(capsys, *argv):
 def _read_artifact(path):
     """Split a CSV artifact into (config dict, header, data rows)."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    prefix = "# marktau format=6 config="
+    prefix = "# marktau format=7 config="
     assert lines[0].startswith(prefix)
     config = json.loads(lines[0][len(prefix):])
     header = lines[1].split(",")
@@ -111,7 +111,7 @@ def test_estimate_artifacts(tmp_path, capsys, trial_files):
         assert int(row[7]) >= 0 and int(row[8]) >= 0
 
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
-    assert summary["format_version"] == 6
+    assert summary["format_version"] == 7
     assert summary["config"] == config
     assert summary["n"] == summary["n0"] + summary["n1"]
     assert summary["h"] > 0

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,10 +26,9 @@ from marktau.simulation import (
     rejection_rate,
     resolve_censoring,
     true_tau,
-    truncated_std_normal,
 )
-from oracles import (calibrate_censoring_bisect, control_mean, draw_dataset, generated_columns,
-                     treated_mean)
+from oracles import (censoring_mean, censoring_rate, control_mean, draw_dataset,
+                     generated_columns, positive_share, treated_mean, truncated_std_normal)
 
 
 def _scenario(**kw):
@@ -141,8 +141,7 @@ def test_calibration_against_quadrature():
     assert mu_star == pytest.approx(5.82395440196643, rel=1e-9)
 
     scenario = _scenario(c3=0.0, censor_mean0=None, censor_mean1=None)
-    mu1 = calibrate_censoring(scenario, 1)
-    assert abs(mu1 - mu_star) <= 0.15
+    assert calibrate_censoring(scenario, 1) == pytest.approx(mu_star, rel=1e-9)
 
     # sanity anchor: a constant failure time T = 3 would need -3 / ln(0.6)
     assert abs(-3.0 / math.log(0.6) - mu_star) < 0.1
@@ -186,31 +185,64 @@ def test_calibration_target_must_be_interior(target):
 @pytest.mark.parametrize("c3", [-2.0, 0.0, 2.0])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_calibration_matches_bisection_oracle(seed, c3, target):
+    # the means are population values, so every seed gets the same ones
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=c3, n=200, reps=1, seed=seed,
                            censor_target=target)
-    np.testing.assert_allclose([calibrate_censoring(scenario, arm) for arm in (0, 1)],
-                               calibrate_censoring_bisect(scenario), rtol=1e-9)
+    np.testing.assert_allclose(
+        [calibrate_censoring(scenario, arm) for arm in (0, 1)],
+        [censoring_mean(CONTROL, target), censoring_mean((3.0, 0.0, c3), target)], rtol=1e-8)
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.one_of(
-    st.floats(1e-6, 1.0, exclude_max=True),
-    # quotients k / N and their neighbours, where rounding decides the count
-    st.integers(1, 199_999).map(lambda k: k / 200_000),
-    st.integers(1, 199_999).map(lambda k: math.nextafter(k / 200_000, 0.0)),
-    st.integers(1, 199_999).map(lambda k: math.nextafter(k / 200_000, 1.0)),
-))
-def test_calibration_count_is_the_grid_comparison(target):
-    draws = simulation._CALIBRATION_DRAWS
-    want = np.count_nonzero(np.arange(1, draws + 1) / draws <= target)
-    assert simulation._largest_count(target, draws) == want
+# (c1, c2, c3) of the control curve 3 - 2 sin(2 pi v), and of a treated curve
+# 0.5 + 0.7 (1 - v) + 2 sin(2 pi v) that falls below 1 and below -1, so the
+# residual's lower limit max(-1, -m(v)) bends and some failure times are negative
+CONTROL = (3.0, 0.0, -2.0)
+BENT = (0.5, 0.7, 2.0)
+
+
+@pytest.mark.parametrize("target", [0.1, 0.4, 0.6])
+def test_calibration_matches_the_oracle_where_the_residual_limit_bends(target):
+    scenario = mt.Scenario(*BENT, n=200, reps=1, censor_target=target)
+    assert calibrate_censoring(scenario, 1) == pytest.approx(censoring_mean(BENT, target),
+                                                             rel=1e-8)
+
+
+@pytest.mark.parametrize("treated, target", [
+    ((3.0, 0.0, -1.0), 1e-3),
+    ((3.0, 0.0, -1.0), 0.999),
+    (BENT, 1e-3),
+    (BENT, 0.6),
+])
+def test_calibration_at_extreme_targets_is_warning_free(treated, target):
+    scenario = mt.Scenario(*treated, n=200, reps=1, censor_target=target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means = [calibrate_censoring(scenario, arm) for arm in (0, 1)]
+    for curve, mu in zip((CONTROL, treated), means):
+        assert censoring_rate(curve, mu) == pytest.approx(target, rel=1e-8)
 
 
 def test_calibration_fails_without_a_positive_mean():
     # every failure time is negative, so no positive mean censors anyone
     scenario = mt.Scenario(c1=-10.0, c2=0.0, c3=0.0, n=200, reps=1, seed=0)
-    with pytest.raises(SimulationError, match="arm 1 .* too large for this scenario"):
+    with pytest.raises(SimulationError, match=re.escape(
+            "calibration for arm 1 cannot reach target 0.400, too large for this scenario; "
+            "the largest censoring rate, P(T > 0), is 0")):
         calibrate_censoring(scenario, 1)
+
+
+@pytest.mark.parametrize("target", [0.62, 0.999])
+def test_calibration_fails_at_or_above_the_share_of_positive_failure_times(target):
+    # P(T > 0) is about 0.618 on the bent curve, and no mean censors more
+    largest = positive_share(BENT)
+    scenario = mt.Scenario(*BENT, n=200, reps=1, censor_target=target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match="arm 1 .* too large") as raised:
+            calibrate_censoring(scenario, 1)
+    named = float(str(raised.value).rsplit(" ", 1)[1])
+    assert named == pytest.approx(largest, rel=1e-5)
+    assert calibrate_censoring(dataclasses.replace(scenario, censor_target=0.617), 1) > 0.0
 
 
 def _count_calibrations(monkeypatch):
@@ -246,32 +278,15 @@ def test_sweep_calibrates_the_control_arm_once(monkeypatch):
     for c3 in (0.0, 2.0):
         assert calibrate_censoring(dataclasses.replace(scenario, c3=c3), 0) == mu0
     arms = _count_calibrations(monkeypatch)
-    drawn = _count_draws(monkeypatch)
     mt.size_power_curve(scenario, [-2.0, 0.0, 2.0], "global", resamples=10)
-    # the treated arm's means are solved from its draws without calibrate_censoring
-    assert arms == [0]
-    assert sorted(drawn) == [0, 1]
+    assert arms == [0, 1, 1, 1]
 
 
-def _count_draws(monkeypatch):
-    """Record the arm of every set of calibration draws the engine makes."""
-    arms = []
-    draws = simulation._calibration_draws
-
-    def counted(seed, arm):
-        arms.append(arm)
-        return draws(seed, arm)
-
-    monkeypatch.setattr(simulation, "_calibration_draws", counted)
-    return arms
-
-
-def test_sweep_solves_every_c3_from_one_set_of_treated_draws(monkeypatch):
+def test_sweep_gives_each_point_its_own_treated_calibration(monkeypatch):
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-2.0, n=100, reps=2, seed=4)
     c3_values = [-2.0, -0.5, 1.0, 2.5]
     expected = [calibrate_censoring(dataclasses.replace(scenario, c3=c3), 1)
                 for c3 in c3_values]
-    drawn = _count_draws(monkeypatch)
     means = []
 
     def record(args):
@@ -283,7 +298,6 @@ def test_sweep_solves_every_c3_from_one_set_of_treated_draws(monkeypatch):
     mt.size_power_curve(scenario, c3_values, "global", resamples=10)
     # the 2 replications are one block, which holds every point
     assert means == expected  # exactly, not approximately
-    assert sorted(drawn) == [0, 1]
 
 
 def test_sweep_checks_the_treated_calibration_at_every_c3():
@@ -681,13 +695,12 @@ def test_failing_power_study_raises_its_first_failing_replication(kw, kind, mess
 def test_power_settings_fail_before_calibrating(monkeypatch, kind, resamples, message):
     scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-2.0, n=300, reps=2, seed=0)
     arms = _count_calibrations(monkeypatch)
-    drawn = _count_draws(monkeypatch)
     monkeypatch.setattr(simulation, "_block_draws", None)  # no replication may start
     with pytest.raises(InferenceError, match=re.escape(message)):
         mt.size_power_curve(scenario, [-2.0, 0.0], kind, resamples=resamples)
     with pytest.raises(InferenceError, match=re.escape(message)):
         rejection_rate(scenario, kind, resamples=resamples)
-    assert arms == [] and drawn == []
+    assert arms == []
 
 
 @pytest.mark.parametrize("varpi", [1.0, 0.05])
