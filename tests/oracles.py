@@ -423,36 +423,37 @@ def truncated_std_normal(rng, size):
     return out
 
 
+def curve_mean(curve, v):
+    """m(v) = c1 + c2 (1 - v) + c3 sin(2 pi v) at one mark, for ``curve`` = (c1, c2, c3)."""
+    c1, c2, c3 = curve
+    return c1 + c2 * (1.0 - v) + c3 * math.sin(2.0 * math.pi * v)
+
+
 def censoring_rate(curve, mu):
     """P(mu E < T) for T = m(V) + eps, by adaptive two-dimensional quadrature.
 
-    ``curve`` is (c1, c2, c3) of m(v) = c1 + c2 (1 - v) + c3 sin(2 pi v);
-    V ~ U[0, 1], eps is a standard normal on [-1, 1] and E a unit
-    exponential, so given T the censoring probability is 1 - exp(-T / mu) on
-    T > 0. The inner integral over eps starts where T turns positive.
+    m is :func:`curve_mean`; V ~ U[0, 1], eps is a standard normal on
+    [-1, 1] and E a unit exponential, so given T the censoring probability
+    is 1 - exp(-T / mu) on T > 0. The inner integral over eps starts where T
+    turns positive.
     """
-    c1, c2, c3 = curve
     z = math.sqrt(2.0 * math.pi) * (stats.norm.cdf(1.0) - stats.norm.cdf(-1.0))
 
-    def mean(v):
-        return c1 + c2 * (1.0 - v) + c3 * math.sin(2.0 * math.pi * v)
-
     def integrand(eps, v):
-        return -math.expm1(-(mean(v) + eps) / mu) * math.exp(-0.5 * eps * eps) / z
+        return -math.expm1(-(curve_mean(curve, v) + eps) / mu) * math.exp(-0.5 * eps * eps) / z
 
-    return integrate.dblquad(integrand, 0.0, 1.0, lambda v: min(1.0, max(-1.0, -mean(v))),
-                             1.0, epsabs=1e-14, epsrel=1e-13)[0]
+    return integrate.dblquad(integrand, 0.0, 1.0,
+                             lambda v: min(1.0, max(-1.0, -curve_mean(curve, v))), 1.0,
+                             epsabs=1e-14, epsrel=1e-13)[0]
 
 
 def positive_share(curve):
     """P(T > 0) for T = m(V) + eps as in :func:`censoring_rate`, by adaptive quadrature over v."""
-    c1, c2, c3 = curve
     lo = stats.norm.cdf(-1.0)
     z = stats.norm.cdf(1.0) - lo
 
     def share(v):
-        m = c1 + c2 * (1.0 - v) + c3 * math.sin(2.0 * math.pi * v)
-        return (stats.norm.cdf(1.0) - max(lo, stats.norm.cdf(min(1.0, -m)))) / z
+        return (stats.norm.cdf(1.0) - max(lo, stats.norm.cdf(min(1.0, -curve_mean(curve, v))))) / z
 
     return integrate.quad(share, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
 
