@@ -1,11 +1,14 @@
 """Command line interface: estimate, test, simulate, power.
 
-Every artifact embeds the resolved run configuration and a format version.
-All randomness is seed-driven and replications use per-index seed streams,
-so artifacts are byte-identical across re-runs and worker counts; the
-worker count is an execution detail and deliberately not part of the
-embedded configuration. File paths are identified by content hash rather
-than by name for the same reason.
+Every artifact embeds the run configuration and a format version. The
+configuration is resolved except for ``power``'s censoring means: a sweep
+records them only as given, so a calibrated one writes null for both and
+no treated mean of any c3 point; they take no seed, so a rerun solves the
+same means. All randomness is seed-driven and replications use per-index
+seed streams, so artifacts are byte-identical across re-runs and worker
+counts; the worker count is an execution detail and deliberately not part
+of the embedded configuration. File paths are identified by content hash
+rather than by name for the same reason.
 """
 
 from __future__ import annotations
@@ -164,17 +167,26 @@ def _data_config(args, info: dict, grid: EvaluationGrid) -> dict:
     }
 
 
+def _decode(data: bytes, what: str, path: str) -> str:
+    """``data`` as UTF-8 text; a byte that is not UTF-8 fails, naming the file and offset."""
+    try:
+        # text mode, as a file opened for reading: \r\n and lone \r become \n
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8: byte 0x{data[exc.start]:02x} "
+                        f"at offset {exc.start}") from None
+
+
 def _load_dataset(args) -> tuple["Dataset", dict]:
     """Read, parse (dropping rows as asked), scale, and validate the input CSV."""
     data = Path(args.input).read_bytes()
     info: dict = {"input_sha256": hashlib.sha256(data).hexdigest()}
-    # text mode, as a file opened for reading: \r\n and lone \r become \n
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    text = _decode(data, "input", args.input)
     del data  # released before parsing: held, it slowed the parse of large files
 
     scaling = None
     if args.meta:
-        scaling = parse_sidecar(Path(args.meta).read_text(encoding="utf-8"))
+        scaling = parse_sidecar(_decode(Path(args.meta).read_bytes(), "sidecar", args.meta))
     if args.drop_missing_marks:
         dataset, info["dropped_rows"] = parse_dataset(text, drop_missing_marks=True)
     else:

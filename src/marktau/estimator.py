@@ -33,7 +33,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data_model import Dataset, MarkInterval
+from .data_model import Dataset, MarkInterval, _arm_sizes
 from .kernels import Bandwidth, rule_of_thumb_bandwidth, scaled_kernel
 from .km import fit_censoring_km
 
@@ -173,17 +173,18 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
         dataset.y[None], dataset.delta[None], dataset.mark[None], dataset.arm[None],
         grid.points, alpha=alpha, bandwidth=bandwidth, varpi=varpi,
     )
-    return _row_estimate(grid.points, bandwidths, columns, 0,
-                         n=dataset.n, n0=dataset.n0, n1=dataset.n1), terms
+    return _row_estimate(grid.points, bandwidths, columns, 0), terms
 
 
 def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
                     bandwidth: float | None, varpi: float):
     """Estimates of every row of (R, n) arrays, each row one dataset.
 
-    Each row gets its own bandwidth: ``bandwidth`` when given, else the rule
-    of thumb on its observed marks. Returns the bandwidths, the columns of
-    each row's :class:`EstimateGrid` as (R, g) arrays, and the windowed
+    Each row's arm sizes are checked first, so an empty arm fails before
+    anything else, and each row then gets its own bandwidth: ``bandwidth``
+    when given, else the rule of thumb on its observed marks. Returns the
+    bandwidths, the columns of each row's :class:`EstimateGrid` (its (R, g)
+    arrays and its arm sizes n1 and n0 as lists of R ints), and the windowed
     kernel terms of all rows' observed failures in row and record order:
     their curve (row * 2 + arm), window start and values, plus each
     curve's window width w. A failure's window starts early enough for its
@@ -193,6 +194,7 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
     record order, as a single dataset's estimate does.
     """
     rows, n = y.shape
+    n1, n0 = (size[:, None] for size in _arm_sizes(arm))
     if bandwidth is None:
         bandwidths = [rule_of_thumb_bandwidth(m[d == 1], varpi=varpi)
                       for m, d in zip(mark, delta)]
@@ -236,8 +238,6 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
                                                minlength=size))
     events0, events1 = per_point(np.bincount(bins[inside], minlength=size))
 
-    n1 = arm.sum(axis=1, keepdims=True)
-    n0 = n - n1
     tau1 = totals1 / n1
     tau0 = totals0 / n0
     tau = tau1 - tau0
@@ -249,15 +249,15 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
     half = z * np.sqrt(sigma2 / nh)
     columns = dict(tau1=tau1, tau0=tau0, tau=tau, sigma2=sigma2,
                    ci_lower=tau - half, ci_upper=tau + half,
-                   events1=events1, events0=events0, flagged=flagged)
+                   events1=events1, events0=events0, flagged=flagged,
+                   n1=n1.ravel().tolist(), n0=n0.ravel().tolist())
     return bandwidths, columns, (curve, start, values, widths)
 
 
-def _row_estimate(points: np.ndarray, bandwidths, columns, i: int, *,
-                  n: int, n0: int, n1: int) -> EstimateGrid:
+def _row_estimate(points: np.ndarray, bandwidths, columns, i: int) -> EstimateGrid:
     """Row ``i`` of the bandwidths and columns of :func:`_estimate_block` as an estimate."""
-    return EstimateGrid(points=points, **{name: column[i] for name, column in columns.items()},
-                        bandwidth=bandwidths[i], n=n, n0=n0, n1=n1)
+    row = {name: column[i] for name, column in columns.items()}
+    return EstimateGrid(points=points, **row, bandwidth=bandwidths[i], n=row["n0"] + row["n1"])
 
 
 def estimate_on_grid(dataset: Dataset, grid: EvaluationGrid, *, alpha: float = 0.05,

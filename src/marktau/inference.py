@@ -112,15 +112,14 @@ class _MultiplierStream:
         return self._drawn[:count]
 
 
-def multiplier_draws(est: EstimateGrid, resamples: int, stream: _MultiplierStream) -> np.ndarray:
-    """Standard normals Z of shape (resamples, usable points), from one stream.
+def multiplier_draws(points: int, resamples: int, stream: _MultiplierStream) -> np.ndarray:
+    """Standard normals Z of shape (resamples, points), from one stream.
 
-    Z is always the first resamples x points normals of ``stream``, whose
-    earlier reads, by a replication's other tests, this one shares; draws
-    are never scheduled in parallel.
+    ``points`` counts the test's usable points. Z is always the first
+    resamples x points normals of ``stream``, whose earlier reads, by a
+    replication's other tests, this one shares; draws are never scheduled in
+    parallel.
     """
-    _check_resamples(resamples)
-    points = int(np.count_nonzero(_usable_points(est)))
     return stream.first(resamples * points).reshape(resamples, points)
 
 
@@ -378,10 +377,8 @@ def _test_from_estimate(kind: str, ests: list[EstimateGrid], grams: np.ndarray, 
     which the replication's other tests read too. Estimates with the same
     usable points form a group, tested in stacks of at most ``_STACK_BYTES``
     of draws by :func:`_stacked_tests`; each result is the one a block of
-    that estimate alone gives.
+    that estimate alone gives. The callers check ``kind`` and ``resamples``.
     """
-    _check_kind(kind)
-    _check_resamples(resamples)
     usable = [_usable_points(est) for est in ests]
     groups: dict[bytes, list[int]] = {}
     for i, mask in enumerate(usable):
@@ -419,8 +416,8 @@ def _stacked_tests(kind: str, ests: list[EstimateGrid], grams: np.ndarray, strea
     pi = [pi_design if pi_design is not None else est.n1 / est.n for est in ests]
     factor, rank = covariance_factor(resampling_covariance(grams, pi))
     draws = np.empty((len(ests), resamples, cols.size))
-    for row, (est, stream) in enumerate(zip(ests, streams)):
-        draws[row] = multiplier_draws(est, resamples, stream)
+    for row, stream in enumerate(streams):
+        draws[row] = multiplier_draws(cols.size, resamples, stream)
     sums = draws @ factor.swapaxes(1, 2)
     del draws
     if kind == "global":
@@ -468,6 +465,7 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
     _check_kind(kind)
     if pi_design is not None and not 0.0 < pi_design < 1.0:
         raise InferenceError(f"pi_design must be in (0,1), got {pi_design!r}")
+    _check_resamples(resamples)
     est, terms = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
                                       varpi=varpi)
     return _test_from_estimate(kind, [est], arm_grams(terms, grid.points.size),

@@ -76,8 +76,10 @@ def rule_of_thumb_bandwidth(observed_marks, varpi: float = 1.0) -> Bandwidth:
     m = int(marks.size)
     if m < 2:
         raise KernelError(f"need at least 2 observed marks for a bandwidth, got {m}")
-    # a non-finite mark makes the sum non-finite, so only then are the marks scanned
-    total = np.add.reduce(marks, axis=None)
+    # a non-finite mark makes the sum non-finite, so only then are the marks
+    # scanned; that check, not a numpy warning, reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(marks, axis=None)
     if not math.isfinite(total) and not np.isfinite(marks).all():
         raise KernelError("observed marks must be finite")
     if not (math.isfinite(varpi) and varpi > 0.0):

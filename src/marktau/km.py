@@ -16,20 +16,6 @@ from .data_model import DataError
 __all__ = ["fit_censoring_km"]
 
 
-def _check_steps(jump_times, values, same_curve) -> None:
-    """Strictly increasing jump times and non-increasing values in [0, 1] per curve.
-
-    The curves are laid end to end. ``same_curve[k]`` (or one bool for all
-    k) says whether jumps k and k + 1 belong to one curve; only those pairs
-    are compared.
-    """
-    if (same_curve & (jump_times[1:] <= jump_times[:-1])).any():
-        raise DataError("jump times must be strictly increasing")
-    if ((values < 0.0).any() or (values > 1.0).any()
-            or (same_curve & (values[1:] > values[:-1])).any()):
-        raise DataError("values must be non-increasing within [0, 1]")
-
-
 def fit_censoring_km(y, delta, arm):
     """Kaplan-Meier censoring curves of each arm of each row of (R, n) arrays.
 
@@ -54,7 +40,7 @@ def fit_censoring_km(y, delta, arm):
     Returns the jumps of all curves end to end, ordered by row, arm and time
     (their times, their values and their curve, row * 2 + arm), and each
     record's own-arm curve at its own time, left-continuously, in record
-    order. Every curve passes :func:`_check_steps`.
+    order.
     """
     if not np.all(y >= 0.0):
         raise DataError("censoring curves need non-negative follow-up times")
@@ -109,7 +95,6 @@ def fit_censoring_km(y, delta, arm):
     for j in np.flatnonzero(jump_times == 0.0):
         r, a = divmod(int(curve[j]), 2)
         jump_times[j] = y[r, np.flatnonzero((y[r] == 0.0) & (delta[r] == 0) & (arm[r] == a))[-1]]
-    _check_steps(jump_times, values, curve[1:] == curve[:-1])
     # a record's curve at its own time multiplies the factors before its run,
     # which end in the cell before its run's first one
     run_start += (2 * np.arange(rows)[:, None] + in_arm1).reshape(-1)

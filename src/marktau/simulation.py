@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .data_model import MarkInterval, _arm_sizes
+from .data_model import MarkInterval
 from .estimator import EvaluationGrid, _estimate_block, _row_estimate
 from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
 from .inference import (_check_kind, _check_resamples, _MultiplierStream, _test_from_estimate,
@@ -113,16 +113,6 @@ class Scenario:
             )
 
 
-# The arms' mean curves at marks v, given wave = sin(2 pi v), so that a block
-# of datasets evaluates the sine once for both arms.
-def _control_mean(wave):
-    return 3.0 - 2.0 * wave
-
-
-def _treated_mean(scenario: Scenario, v, wave):
-    return scenario.c1 + scenario.c2 * (1.0 - v) + scenario.c3 * wave
-
-
 def true_tau(scenario: Scenario, v):
     """True contrast (c1 - 3) + c2 (1 - v) + (c3 + 2) sin(2 pi v).
 
@@ -130,12 +120,10 @@ def true_tau(scenario: Scenario, v):
     density-weighted contrast f1(v) mu1(v) - f0(v) mu0(v), because the model
     draws V ~ U[0, 1] in both arms, so f1 = f0 = 1.
     """
-    v = np.asarray(v, dtype=float)
-    out = (
-        (scenario.c1 - 3.0)
-        + scenario.c2 * (1.0 - v)
-        + (scenario.c3 + 2.0) * np.sin(2.0 * np.pi * v)
-    )
+    # the curve is linear in its coefficients, so the contrast is the curve of
+    # their difference
+    contrast = (c - c0 for c, c0 in zip((scenario.c1, scenario.c2, scenario.c3), _CONTROL_CURVE))
+    out = _curve(*contrast, np.asarray(v, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -222,7 +210,8 @@ def generate_dataset(scenario: Scenario, draws) -> tuple[np.ndarray, ...]:
             "censoring means are unresolved; call resolve_censoring() first"
         )
     arm, v, wave, residual, unit_exp = draws
-    t = residual + np.where(arm == 1, _treated_mean(scenario, v, wave), _control_mean(wave))
+    t = residual + np.where(arm == 1, _curve(scenario.c1, scenario.c2, scenario.c3, v, wave),
+                            _curve(*_CONTROL_CURVE, v, wave))
     if np.any(t < 0.0):
         raise SimulationError(
             "generating model produced a negative failure time; "
@@ -316,9 +305,15 @@ def _censoring_rate(c1: float, c2: float, c3: float):
     return rate
 
 
-def _curve(c1: float, c2: float, c3: float, v):
-    """The mean curve c1 + c2 (1 - v) + c3 sin(2 pi v) at marks v."""
-    return c1 + c2 * (1.0 - v) + c3 * np.sin(2.0 * np.pi * v)
+def _curve(c1: float, c2: float, c3: float, v, wave=None):
+    """The mean curve c1 + c2 (1 - v) + c3 sin(2 pi v) at marks v.
+
+    ``wave`` is sin(2 pi v) when the caller has it, so that a block of
+    datasets evaluates the sine once for both arms.
+    """
+    if wave is None:
+        wave = np.sin(2.0 * np.pi * v)
+    return c1 + c2 * (1.0 - v) + c3 * wave
 
 
 def _mark_quadrature(c1: float, c2: float, c3: float) -> tuple[np.ndarray, np.ndarray]:
@@ -423,16 +418,14 @@ def _replication_draws(scenario: Scenario, reps: range) -> tuple[np.ndarray, ...
 
 
 def _block_estimates(scenario: Scenario, draws, rows: slice):
-    """Arm sizes and :func:`~marktau.estimator._estimate_block` of some rows of a block.
+    """:func:`~marktau.estimator._estimate_block` of some rows of a block.
 
     The rows' columns are derived from their ``draws`` under the scenario,
     and every check of a single replication runs on each.
     """
     y, delta, mark, arm = generate_dataset(scenario, [draw[rows] for draw in draws])
-    sizes = _arm_sizes(arm)
-    return sizes, *_estimate_block(y, delta, mark, arm, scenario.grid.points,
-                                   alpha=scenario.alpha, bandwidth=None,
-                                   varpi=scenario.varpi)
+    return _estimate_block(y, delta, mark, arm, scenario.grid.points, alpha=scenario.alpha,
+                           bandwidth=None, varpi=scenario.varpi)
 
 
 def _replayed(stage, rows: int):
@@ -457,7 +450,7 @@ def _metrics_rep(args: tuple[Scenario, range]) -> tuple[np.ndarray, np.ndarray, 
     truth = true_tau(scenario, scenario.grid.points)
 
     def metrics(rows: slice):
-        _, bandwidths, est, _ = _block_estimates(scenario, draws, rows)
+        bandwidths, est, _ = _block_estimates(scenario, draws, rows)
         nh = scenario.n * np.array([bw.h for bw in bandwidths])[:, None]
         covered = (est["ci_lower"] <= truth) & (truth <= est["ci_upper"])
         return est["tau"], np.sqrt(est["sigma2"] / nh), covered
@@ -575,10 +568,8 @@ def _point_tests(scenario: Scenario, draws, streams: list, kind: str, resamples:
                  rows: slice) -> list[bool]:
     """Whether the test rejects at one c3 point, for some rows of a block."""
     points = scenario.grid.points
-    (n1, n0), bandwidths, columns, terms = _block_estimates(scenario, draws, rows)
-    ests = [_row_estimate(points, bandwidths, columns, i,
-                          n=scenario.n, n0=int(n0[i]), n1=int(n1[i]))
-            for i in range(n1.size)]
+    bandwidths, columns, terms = _block_estimates(scenario, draws, rows)
+    ests = [_row_estimate(points, bandwidths, columns, i) for i in range(len(bandwidths))]
     grams = arm_grams(terms, points.size)
     del terms
     results = _test_from_estimate(kind, ests, grams, streams[rows],
@@ -605,8 +596,8 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     The test settings are checked first, then every c3 point gets its
     censoring means before any replication runs: an unresolved mean is
     calibrated once for the control arm, whose failure times take no
-    coefficient, and by :func:`calibrate_censoring` at every c3 for the
-    treated arm, so a point that cannot be calibrated fails the sweep
+    coefficient, and :func:`resolve_censoring` calibrates the treated arm at
+    every c3, so a point that cannot be calibrated fails the sweep
     before any replication runs. Blocks are ranges of about
     ``_BLOCK_ROWS`` rows of replications, as in :func:`run_replications`,
     and each holds every c3 point, so the block count does not grow with
@@ -626,9 +617,7 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     _check_kind(kind)
     if scenario.censor_mean0 is None:
         scenario = replace(scenario, censor_mean0=calibrate_censoring(scenario, 0))
-    points = [replace(scenario, c3=float(c3)) for c3 in c3_values]
-    if scenario.censor_mean1 is None:
-        points = [replace(point, censor_mean1=calibrate_censoring(point, 1)) for point in points]
+    points = [resolve_censoring(replace(scenario, c3=float(c3))) for c3 in c3_values]
     blocks = [(points, reps, kind, resamples) for reps in _blocks(scenario)]
     outcomes = _map_replications(_test_rep, blocks, workers)
     rejections = np.zeros(c3_values.size, np.int64)

@@ -368,6 +368,20 @@ def test_non_integer_thread_variable_is_an_error_line(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads, env", [(["--threads", "0"], None), ([], "0")])
+def test_zero_threads_is_an_error_line(tmp_path, capsys, monkeypatch, threads, env):
+    if env is not None:
+        monkeypatch.setenv("MARKTAU_THREADS", env)
+    out = tmp_path / "x.csv"
+    code, _, err = _run(
+        capsys, "simulate", "--c3", "-1", "--n", "150", "--reps", "2",
+        "--censor-mean0", "5.44", "--censor-mean1", "5.76", *threads, "--out", str(out),
+    )
+    assert code == 1
+    assert err == "error: thread count must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ("simulate", "--c3", "-1"),
     ("power", "--kind", "global", "--c3-range=-2:0:2"),
@@ -537,3 +551,29 @@ def test_sidecar_follow_up_is_an_unknown_key(tmp_path, capsys, trial_files):
         assert code == 1
         assert err == "error: unknown sidecar keys: ['follow_up']\n"
         assert not out.exists()
+
+
+
+@pytest.mark.parametrize("command", ["estimate", "test"])
+@pytest.mark.parametrize("bad", ["input", "sidecar"])
+def test_bytes_that_are_not_utf8_are_an_error_line(tmp_path, capsys, trial_files, command,
+                                                   bad):
+    csv_path, meta_path = trial_files
+    if bad == "input":
+        # the last row's decimal point becomes a byte 0xff
+        data = csv_path.read_bytes()
+        offset = data.rindex(b".")
+        csv_path = path = tmp_path / "latin.csv"
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+    else:
+        data = b'{"mark_scaling": \xff"auto"}'
+        offset = data.index(b"\xff")
+        meta_path = path = tmp_path / "latin.json"
+        path.write_bytes(data)
+    flags = ("--kind", "global", "--resamples", "20") if command == "test" else ()
+    out = tmp_path / "out.csv"
+    code, stdout, err = _run(capsys, command, "--input", str(csv_path), "--meta", str(meta_path),
+                             "--interval", "0.2,0.45", *flags, "--out", str(out))
+    assert code == 1
+    assert err == f"error: {bad} {path} is not UTF-8: byte 0xff at offset {offset}\n"
+    assert stdout == "" and not out.exists()

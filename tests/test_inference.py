@@ -308,19 +308,12 @@ def test_multiplier_draws_are_one_stream_in_grid_space():
     ds = hand_dataset(v=0.5)
     grid = mt.EvaluationGrid.explicit([0.15, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
     est, _ = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
-    draws = multiplier_draws(est, 5, inference._MultiplierStream(99))
+    points = int(np.count_nonzero(_usable_points(est)))
+    draws = multiplier_draws(points, 5, inference._MultiplierStream(99))
     assert draws.shape == (5, 2)  # (B, usable points), never (B, n)
     np.testing.assert_array_equal(
         draws, np.random.default_rng(99).standard_normal((5, 2))
     )
-    with pytest.raises(InferenceError, match="resamples"):
-        multiplier_draws(est, 0, inference._MultiplierStream(1))
-
-
-def _usable_count(k, g=20):
-    """An estimate whose first ``k`` of ``g`` grid points are usable."""
-    points = np.linspace(0.1, 0.9, g)
-    return _manual_grid(points, np.zeros(g), np.ones(g), flagged=np.arange(g) >= k)
 
 
 def test_multiplier_draws_are_prefixes_of_the_replication_stream():
@@ -330,11 +323,10 @@ def test_multiplier_draws_are_prefixes_of_the_replication_stream():
     flat = np.random.default_rng(seed).standard_normal(200 * 21)
     stream = inference._MultiplierStream(seed)
     for k in (3, 20, 1, 20, 7):
-        est = _usable_count(k)
         want = flat[:200 * k].reshape(200, k)
         fresh = inference._MultiplierStream(seed)
-        assert multiplier_draws(est, 200, fresh).tobytes() == want.tobytes()
-        assert multiplier_draws(est, 200, stream).tobytes() == want.tobytes()
+        assert multiplier_draws(k, 200, fresh).tobytes() == want.tobytes()
+        assert multiplier_draws(k, 200, stream).tobytes() == want.tobytes()
     # the stream drew B x k_max normals in all, and the generator goes on from there
     assert stream.first(200 * 21)[-200:].tobytes() == flat[-200:].tobytes()
 
@@ -372,7 +364,8 @@ def test_resampled_values_scale_quadratically():
     grid = mt.EvaluationGrid.explicit([0.48, 0.5], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     _, grams, cov = _grid_covariance(est, theta, ds.n1 / ds.n)
-    draws = multiplier_draws(est, 50, inference._MultiplierStream(4))
+    draws = multiplier_draws(int(np.count_nonzero(_usable_points(est))), 50,
+                             inference._MultiplierStream(4))
     sums = (draws @ covariance_factor(cov)[0].T)[None]
     _, scale, _, sigma2 = _stacked(est)
     base = global_resample(scale, sigma2, sums)

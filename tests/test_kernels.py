@@ -104,12 +104,15 @@ def test_bandwidth_errors():
         scaled_kernel(0.5, 0.5, 0.0)
 
 
+# numpy's overflow and invalid-value warnings on the sum would come first under -W error
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf]])
 def test_rule_of_thumb_needs_finite_marks(bad):
     with pytest.raises(KernelError, match="observed marks must be finite"):
         rule_of_thumb_bandwidth([0.2, 0.7] + bad)
 
 
+@pytest.mark.filterwarnings("error")
 def test_rule_of_thumb_on_finite_marks_whose_sum_overflows():
     # every mark is finite, so the marks pass; their sum, and with it h, is not
     with pytest.raises(KernelError, match=re.escape("bandwidth must be positive, got inf")):

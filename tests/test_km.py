@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marktau.data_model import DataError
-from marktau.km import _check_steps, fit_censoring_km
+from marktau.km import fit_censoring_km
 
 from oracles import left_continuous, product_limit_censoring, product_limit_steps
 
@@ -91,15 +91,6 @@ def test_exhaustive_against_oracle():
                     pattern,
                     t,
                 )
-
-
-def test_step_survival_validation():
-    with pytest.raises(DataError, match="increasing"):
-        _check_steps(np.array([2.0, 1.0]), np.array([0.5, 0.25]), True)
-    with pytest.raises(DataError, match="non-increasing"):
-        _check_steps(np.array([1.0, 2.0]), np.array([0.5, 0.75]), True)
-    with pytest.raises(DataError, match="within"):
-        _check_steps(np.array([1.0]), np.array([1.5]), True)
 
 
 def test_step_survival_vector_evaluation():

@@ -231,6 +231,15 @@ def test_calibration_fails_without_a_positive_mean():
         calibrate_censoring(scenario, 1)
 
 
+def test_calibration_fails_below_the_smallest_rate_it_resolves():
+    # at the largest mean, 2^100, the control arm still censors about 1.6e-16
+    scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-1.0, n=100, censor_target=1e-40)
+    with pytest.raises(SimulationError, match=re.escape(
+            "calibration for arm 0 cannot reach target 1e-40, below 1.63e-16, "
+            "the smallest censoring rate it resolves")):
+        calibrate_censoring(scenario, 0)
+
+
 @pytest.mark.parametrize("target", [0.62, 0.999])
 def test_calibration_fails_at_or_above_the_share_of_positive_failure_times(target):
     # P(T > 0) is about 0.618 on the bent curve, and no mean censors more
