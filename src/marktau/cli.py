@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,7 +298,7 @@ def cmd_estimate(args) -> int:
         from .km import fit_censoring_km
 
         jump_times, values, curve, _ = fit_censoring_km(
-            dataset.y[None], dataset.delta[None], dataset.arm[None])
+            dataset.y[None], dataset.delta[None], dataset.arm[None], dataset.n0)
         for a in (0, 1):
             rows = [(0.0, 1.0)] + list(zip(jump_times[curve == a], values[curve == a]))
             _write_csv(Path(f"{args.dump_censoring}_arm{a}.csv"),
@@ -473,17 +474,24 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+def _notice(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning as the CLI's other notices: one ``warning:`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the command is the first argument that names one: the top-level parser
     # takes no option with a value, so nothing before it can be one
     parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _notice
+        try:
+            return args.func(args)
+        except _ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+# The most grid points a window's width is counted along before a binary search
+# finds it instead. Counting along one point costs a quarter of that search or
+# less, from 6e3 to 2e5 failures, so a window this wide costs at most about two.
+_STRETCH = 8
+
+
 class EstimationError(ValueError):
     """Invalid estimation request (vanishing weights, bad grid or level)."""
 
@@ -129,16 +135,17 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def ipcw_weights(y, delta, arm) -> tuple[np.ndarray, np.ndarray]:
+def ipcw_weights(y, delta, arm, n0) -> tuple[np.ndarray, np.ndarray]:
     """The factors delta_i * y_i / S_a(y_i) of every row of (R, n) arrays.
 
-    Every row is one dataset. Each arm's censoring curve is fitted on that
-    arm alone and evaluated left-continuously, so at an observed failure
-    S_a(y_i) is positive and 1 / S_a(y_i) is at most the arm size. Returns
-    the flat indices of the observed failures, in row and record order, and
-    their weights; every other weight is zero.
+    Every row is one dataset, with ``n0`` its count of arm-0 subjects.
+    Each arm's censoring curve is fitted on that arm alone and evaluated
+    left-continuously, so at an observed failure S_a(y_i) is positive and
+    1 / S_a(y_i) is at most the arm size. Returns the flat indices of the
+    observed failures, in row and record order, and their weights; every
+    other weight is zero.
     """
-    *_, surv = fit_censoring_km(y, delta, arm)
+    *_, surv = fit_censoring_km(y, delta, arm, n0)
     failed = np.flatnonzero(delta == 1)
     at_failure = surv.reshape(-1)[failed]
     vanished = at_failure <= 0.0
@@ -161,11 +168,12 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
     is (y / S_a(y)) * K_h(mark - v_j) at grid point j = start[k] + i, and
     ``widths[a]`` is arm a's window width, the widest window of its
     failures. Columns past a failure's window are zero, and a window that
-    would run past the last grid point starts early instead. Censored
-    subjects contribute zero and have no row. Each per-point sum adds the
-    arm's terms left to right in record order. The multiplier resampling
-    reuses the terms, so they are computed once here. This is
-    :func:`_estimate_block` on a block of one dataset.
+    would run past the last grid point starts early instead. ``values`` is
+    stored offset-major: it is the transposed view of a contiguous (w, m)
+    array. Censored subjects contribute zero and have no row. Each
+    per-point sum adds the arm's terms left to right in record order. The
+    multiplier resampling reuses the terms, so they are computed once here.
+    This is :func:`_estimate_block` on a block of one dataset.
     """
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0,1), got {alpha!r}")
@@ -181,63 +189,88 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
     """Estimates of every row of (R, n) arrays, each row one dataset.
 
     Each row's arm sizes are checked first, so an empty arm fails before
-    anything else, and each row then gets its own bandwidth: ``bandwidth``
-    when given, else the rule of thumb on its observed marks. Returns the
-    bandwidths, the columns of each row's :class:`EstimateGrid` (its (R, g)
-    arrays and its arm sizes n1 and n0 as lists of R ints), and the windowed
-    kernel terms of all rows' observed failures in row and record order:
-    their curve (row * 2 + arm), window start and values, plus each
-    curve's window width w. A failure's window starts early enough for its
-    curve's width, and columns past the last grid point read points at
-    infinity, where the kernel is zero. Every sum is an ``np.bincount``
-    with one bin per (row, arm, grid point), so each bin adds its terms in
-    record order, as a single dataset's estimate does.
+    anything else. The censoring weights come next, and then each row gets
+    its own bandwidth: ``bandwidth`` when given, else the rule of thumb on
+    its observed marks. Returns the bandwidths, the columns of each row's
+    :class:`EstimateGrid` (its (R, g) arrays and its arm sizes n1 and n0 as
+    lists of R ints), and the windowed kernel terms of all rows' observed
+    failures in row and record order: their curve (row * 2 + arm), window
+    start and values, plus each curve's window width. A failure's window
+    starts early enough for its curve's width, and columns past the last
+    grid point read points at infinity, where the kernel is zero.
+
+    The window arrays are built offset-major, (w, m) for the widest width w
+    and the m failures, so that every per-failure factor broadcasts along
+    the failures; the values are returned as their (m, w) transposed view.
+    Every sum is an ``np.bincount`` with one bin per (row, arm, grid point).
+    The float sums read the terms failure by failure, so each bin adds its
+    terms in record order, as a single dataset's estimate does.
     """
     rows, n = y.shape
-    n1, n0 = (size[:, None] for size in _arm_sizes(arm))
+    n1, n0 = _arm_sizes(arm)
+    observed, weights = ipcw_weights(y, delta, arm, n0)
+    row = observed // n
+    marks = mark.reshape(-1)[observed]
     if bandwidth is None:
-        bandwidths = [rule_of_thumb_bandwidth(m[d == 1], varpi=varpi)
-                      for m, d in zip(mark, delta)]
+        bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()
+        bandwidths = [rule_of_thumb_bandwidth(marks[lo:hi], varpi=varpi)
+                      for lo, hi in zip(bounds, bounds[1:])]
     else:
         bandwidths = [Bandwidth(h=float(bandwidth))] * rows
-    observed, weights = ipcw_weights(y, delta, arm)
     h = np.array([bw.h for bw in bandwidths])
     g = points.size
-    row = observed // n
     curve = 2 * row + arm.reshape(-1)[observed]
-    marks = mark.reshape(-1)[observed][:, None]
-    h_at = h[row][:, None]
+    h_at = h[row]
     # Rounding is monotone, so mark -/+ h already brackets every point within
     # h; the few ulps more are slack. The kernel's |(u - v) / h| < 1 and the
     # count's |u - v| < h decide each point of the window.
     reach = h_at * (1.0 + 4.0 * np.finfo(float).eps)
-    start = np.searchsorted(points, (marks - reach).ravel())
-    widths = np.zeros(2 * rows, np.intp)
-    np.maximum.at(widths, curve,
-                  np.searchsorted(points, (marks + reach).ravel(), side="right") - start)
+    start = np.searchsorted(points, marks - reach)
+    upper = marks + reach
+    # A window's width counts the points from its start up to mark + h. They
+    # lie within 2h of the first, so there are at most `most` of them, the
+    # largest count of points within 2h of one point. Counted along a stretch
+    # one point longer, or _STRETCH points, a width is exact when it stops
+    # short of the stretch's end; a count that reaches it, on a wide window
+    # or by rounding at a window's edges, is found by binary search instead.
+    r = reach.max(initial=0.0)
+    most = int((np.searchsorted(points - r, points + r, side="right") - np.arange(g)).max())
+    stretch = min(most + 1, _STRETCH)
     del observed, row, reach  # block-sized arrays go once used, as in km.fit_censoring_km
+    after = np.concatenate((points, np.full(stretch, np.inf)))
+    counts = (after[start + np.arange(stretch)[:, None]] <= upper).sum(axis=0)
+    full = np.flatnonzero(counts == stretch)
+    counts[full] = np.searchsorted(points, upper[full], side="right") - start[full]
+    del after, upper
+    widths = np.zeros(2 * rows, np.intp)
+    np.maximum.at(widths, curve, counts)
     w = int(widths.max())
     np.minimum(start, g - widths[curve], out=start)
-    bins = start[:, None] + np.arange(w)
+    bins = start + np.arange(w)[:, None]
     at = np.concatenate((points, np.full(w, np.inf)))[bins]
-    inside = (np.abs(marks - at) < h_at).ravel()
+    inside = np.abs(marks - at) < h_at
     values = scaled_kernel(marks, at, h_at)
     del at
-    values *= weights[:, None]
+    values *= weights
     # g + w bins per (row, arm) pair: its grid points, then the points at infinity
-    bins += (g + w) * curve[:, None]
-    bins = bins.ravel()
+    bins += (g + w) * curve
     size = 2 * rows * (g + w)
 
     def per_point(sums):
         sums = sums.reshape(rows, 2, g + w)[:, :, :g]
         return sums[:, 0], sums[:, 1]
 
-    totals0, totals1 = per_point(np.bincount(bins, weights=values.ravel(), minlength=size))
-    squares0, squares1 = per_point(np.bincount(bins, weights=(values**2).ravel(),
-                                               minlength=size))
-    events0, events1 = per_point(np.bincount(bins[inside], minlength=size))
+    # failure-major copies, so that each bin adds its terms in record order
+    record = bins.T.ravel()
+    terms = values.T.ravel()
+    totals0, totals1 = per_point(np.bincount(record, weights=terms, minlength=size))
+    squares0, squares1 = per_point(np.bincount(record, weights=terms**2, minlength=size))
+    del record, terms
+    # whole counts, exact in any order of addition
+    events0, events1 = per_point(np.bincount(bins.ravel(), weights=inside.ravel(),
+                                             minlength=size).astype(np.int64))
 
+    n1, n0 = n1[:, None], n0[:, None]
     tau1 = totals1 / n1
     tau0 = totals0 / n0
     tau = tau1 - tau0
@@ -251,7 +284,7 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
                    ci_lower=tau - half, ci_upper=tau + half,
                    events1=events1, events0=events0, flagged=flagged,
                    n1=n1.ravel().tolist(), n0=n0.ravel().tolist())
-    return bandwidths, columns, (curve, start, values, widths)
+    return bandwidths, columns, (curve, start, values.T, widths)
 
 
 def _row_estimate(points: np.ndarray, bandwidths, columns, i: int) -> EstimateGrid:

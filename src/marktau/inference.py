@@ -157,14 +157,15 @@ def arm_grams(terms: tuple, g: int) -> np.ndarray:
     bin adds its products offset by offset, in record order within an
     offset; a curve narrower than the block's widest window w reads exact
     zeros past its own width, which leave every sum as it was, and bins
-    past the last grid point are dropped. No array is larger than the terms
+    past the last grid point are dropped. The terms' values are stored
+    offset-major, so ``values.T`` is contiguous and both factors of every
+    diagonal are contiguous rows of it. No array is larger than the terms
     themselves.
     """
     curve, start, values, widths = terms
     w = values.shape[1]
     curves = widths.size
-    # offset-major, so that both factors of every diagonal are contiguous
-    columns = values.T.copy()
+    columns = np.ascontiguousarray(values.T)
     # g + w bins per curve: its grid points, then those a clamped window overruns
     bins = start + (g + w) * curve + np.arange(w)[:, None]
     grams = np.zeros((curves, g, g))

@@ -16,15 +16,15 @@ from .data_model import DataError
 __all__ = ["fit_censoring_km"]
 
 
-def fit_censoring_km(y, delta, arm):
+def fit_censoring_km(y, delta, arm, n0):
     """Kaplan-Meier censoring curves of each arm of each row of (R, n) arrays.
 
-    Every row is one dataset; ``delta == 0`` rows (censorings) are the
-    events of its curves. The risk set at time t is every subject of the
-    arm with ``y >= t``, so a failure tied with a censoring is still at
-    risk there. A curve is strictly positive at any time with a subject
-    still at risk beyond it, which bounds the inverse weights by the arm
-    size.
+    Every row is one dataset, and ``n0`` holds each row's count of arm-0
+    subjects; ``delta == 0`` rows (censorings) are the events of its
+    curves. The risk set at time t is every subject of the arm with
+    ``y >= t``, so a failure tied with a censoring is still at risk there.
+    A curve is strictly positive at any time with a subject still at risk
+    beyond it, which bounds the inverse weights by the arm size.
 
     One row-wise sort on a bit key orders each row by arm, then by time, so
     each (row, arm) pair is a segment of runs of tied times. A run's
@@ -56,7 +56,7 @@ def fit_censoring_km(y, delta, arm):
     take = take.reshape(-1)
     times = y.reshape(-1)[take].reshape(rows, n)
     censored = (delta == 0).reshape(-1)[take].reshape(rows, n)
-    n0 = n - arm.sum(axis=1)[:, None]
+    n0 = np.reshape(n0, (rows, 1))
     position = np.arange(n)
     in_arm1 = position >= n0
     run_starts = position == n0

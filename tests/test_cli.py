@@ -446,6 +446,28 @@ def test_small_event_count_warns(tmp_path, capsys):
     assert "only 8 observed events" in err
 
 
+def test_library_warnings_are_one_notice_line_each(tmp_path, capsys):
+    # each warning the library raises reaches stderr as the CLI's other
+    # notices do, without the source path and line Python's format adds
+    out = tmp_path / "sim.csv"
+    code, _, err = _run(capsys, "simulate", "--c3", "-1", "--n", "200", "--reps", "1",
+                        "--out", str(out))
+    assert code == 0
+    assert err == "warning: ratio requires at least 2 replications; reporting NaN\n"
+
+    rows = [f"{1.0 + i / 10.0},1,42.5,{i % 2}" for i in range(24)]
+    path = tmp_path / "equal.csv"
+    path.write_text("\n".join(["y,delta,mark,a", *rows]) + "\n", encoding="utf-8")
+    meta = tmp_path / "equal.json"
+    meta.write_text('{"mark_scaling": "auto"}\n', encoding="utf-8")
+    code, _, err = _run(capsys, "estimate", "--input", str(path), "--meta", str(meta),
+                        "--grid", "0.5", "--interval", "0,1", "--bandwidth", "0.3",
+                        "--out", str(tmp_path / "est.csv"))
+    assert code == 0
+    assert err == ("warning: all observed marks are equal; mapping them to 0.5 "
+                   "(degenerate scaling)\n")
+
+
 def test_lone_cr_line_ends_estimate_and_hash_the_bytes(tmp_path, capsys):
     rows = [f"{1.0 + i / 10.0},1,{0.1 + 0.03 * i},{i % 2}" for i in range(24)]
     data = "\r".join(["y,delta,mark,a", *rows]).encode("utf-8")

@@ -136,7 +136,7 @@ def test_group_mean_matches_double_integral_oracle():
                                     np.append(mark, 0.5), [1] * 6 + [0])
         est = _at(ds, points, h)
         jump_times, values, curve, _ = fit_censoring_km(ds.y[None], ds.delta[None],
-                                                        ds.arm[None])
+                                                        ds.arm[None], ds.n0)
         surv = functools.partial(left_continuous, jump_times[curve == 1], values[curve == 1])
         for j, v in enumerate(points):
             want = stieltjes_group_mean(y, delta, mark, surv, v, h)
@@ -226,8 +226,8 @@ def test_kernel_matrix_shape_and_censored_rows():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.45, 0.5], UNIT)
     _, terms = _estimate_with_terms(ds, grid, bandwidth=0.1)
-    # observed failures by window points, one contiguous block
-    assert terms[2].flags.c_contiguous
+    # observed failures by window points, a view of one offset-major block
+    assert terms[2].T.flags.c_contiguous
     theta = scatter_terms(terms, 2)
     # points by observed failures
     assert [t.shape for t in theta] == [(2, 1), (2, 1)]
@@ -236,6 +236,19 @@ def test_kernel_matrix_shape_and_censored_rows():
     np.testing.assert_array_equal(full[ds.delta == 0], 0.0)
     assert full[0, 1] == pytest.approx(15.0, rel=1e-12)
     assert full[4, 1] == pytest.approx(10.0, rel=1e-12)
+
+
+def test_zero_time_failure_is_an_event_with_a_zero_term():
+    # a failure at y = 0 has the term (0 / S(0)) * K = 0 at v = 0.5, yet its
+    # mark is within h of v: the point counts it as an event and is not flagged
+    ds = mt.Dataset.from_arrays([0.0, 2.0, 3.0, 1.0, 4.0], [1, 1, 0, 1, 1],
+                                [0.5, 0.1, np.nan, 0.1, 0.9], [0, 0, 0, 1, 1])
+    est = _at(ds, [0.5], 0.1)
+    assert est.events0.tolist() == [1]
+    assert est.events1.tolist() == [0]
+    assert est.flagged.tolist() == [False]
+    assert est.tau0.tolist() == [0.0]
+    assert est.sigma2.tolist() == [0.0]
 
 
 def test_single_point_grid_needs_explicit_interval():
@@ -282,7 +295,7 @@ def test_rule_of_thumb_used_when_no_override():
 
 def _weights(ds):
     """Every record's weight: :func:`ipcw_weights` on a block of one, zero off the failures."""
-    failed, at_failed = ipcw_weights(ds.y[None], ds.delta[None], ds.arm[None])
+    failed, at_failed = ipcw_weights(ds.y[None], ds.delta[None], ds.arm[None], ds.n0)
     weights = np.zeros(ds.n)
     weights[failed] = at_failed
     return weights
@@ -311,7 +324,7 @@ def test_ipcw_weights_match_product_limit_oracle_bitwise():
                                         np.where(delta[r] == 1, 0.5, np.nan), arm[r])
             wants.append(ipcw_weights_oracle(ds))
             assert _weights(ds).tobytes() == wants[-1].tobytes()
-        failed, weights = ipcw_weights(y, delta, arm)
+        failed, weights = ipcw_weights(y, delta, arm, n - arm.sum(axis=1))
         block = np.zeros(rows * n)
         block[failed] = weights
         assert block.tobytes() == np.concatenate(wants).tobytes()
@@ -406,12 +419,21 @@ def test_mark_reflection_mirrors_the_curve(data):
 
 
 def _assert_windows_match_dense(ds, points, h):
+    # every arm's window width as two binary searches per failure find it,
     # every (point, failure) term bitwise as the dense evaluation has it, the
     # event counts bitwise as the dense window predicate counts them, and the
     # Gram bitwise as the dense oracle sums the dense terms
     points = np.asarray(points, dtype=float)
     est, terms = _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT),
                                       bandwidth=h)
+    # the points from the first at or above mark - h to the last at or below
+    # mark + h, with the window's few ulps of slack
+    reach = h * (1.0 + 4.0 * np.finfo(float).eps)
+    for a in (0, 1):
+        marks = ds.mark[(ds.arm == a) & (ds.delta == 1)]
+        widths = (np.searchsorted(points, marks + reach, side="right")
+                  - np.searchsorted(points, marks - reach))
+        assert terms[3][a] == widths.max(initial=0)
     dense = dense_kernel_terms(ds, points, h)
     for got, want in zip(scatter_terms(terms, points.size), dense):
         assert got.shape == want.shape
@@ -431,11 +453,54 @@ def _assert_windows_match_dense(ds, points, h):
         assert gram.tobytes() == dense_gram(arm_dense, start[curve == a]).tobytes()
 
 
+@st.composite
+def _window_cases(draw):
+    """:func:`_marked_data`, or one of the inputs a window search must also get exact.
+
+    These are grid points clustered from an ulp to a few thousandths apart,
+    windows that span a grid of up to 20 points, marks at v - h or v + h as rounding
+    puts them for a bandwidth off the lattice, and raw marks far outside
+    [0, 1] that no scaling or validation moved.
+    """
+    ds, points, h = draw(_marked_data())
+    case = draw(st.sampled_from(("lattice", "clustered", "spanning", "edges", "raw")))
+    if case == "clustered":
+        step = draw(st.sampled_from((np.finfo(float).eps, 1e-9, 1.0 / 640.0)))
+        offsets = np.array(draw(st.lists(st.integers(0, 20), min_size=1, max_size=16)))
+        points = np.unique(np.clip(draw(_LATTICE) + step * offsets, 0.0, 1.0))
+        h = draw(st.sampled_from((h, step * draw(st.integers(1, 6)))))
+    elif case == "spanning":
+        points = np.array(sorted(set(draw(st.lists(_LATTICE, min_size=1, max_size=20)))))
+        h = draw(st.sampled_from((1.0, 1.5, 2.0)))
+    elif case == "edges":
+        h = draw(st.floats(0.01, 0.5))
+        picks = draw(st.lists(st.integers(0, points.size - 1), min_size=ds.n, max_size=ds.n))
+        sides = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=ds.n, max_size=ds.n))
+        marks = points[picks] + np.array(sides) * h
+        ds = mt.Dataset.from_arrays(ds.y, ds.delta, np.where(ds.delta == 1, marks, np.nan),
+                                    ds.arm)
+    elif case == "raw":
+        scale = draw(st.sampled_from((1.0, 50.0, 1000.0)))
+        shift = draw(st.sampled_from((-500.0, -20.0, 0.0, 3.0, 1e6)))
+        ds = mt.Dataset.from_arrays(ds.y, ds.delta, ds.mark * scale + shift, ds.arm)
+    return ds, points, h
+
+
 @settings(deadline=None, max_examples=200)
-@given(_marked_data())
+@given(_window_cases())
 def test_window_terms_match_dense_oracle_on_window_edges(data):
     # lattice marks sit exactly at v - h and v + h for many grid points v
     _assert_windows_match_dense(*data)
+
+
+def test_window_width_with_grid_points_at_its_rounded_ends():
+    # mark - h and mark + h, with the window's slack, both round outward here,
+    # so the two grid points placed there are a little more than 2h apart:
+    # the window still holds both
+    mark, h = 0.39161900052816123, 0.26817956208138977
+    reach = h * (1.0 + 4.0 * np.finfo(float).eps)
+    ds = mt.Dataset.from_arrays([1.0, 2.0, 3.0], [1, 1, 1], [mark, 0.0, 1.0], [0, 1, 1])
+    _assert_windows_match_dense(ds, [mark - reach, mark + reach], h)
 
 
 @pytest.mark.parametrize("points, h", [
