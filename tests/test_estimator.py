@@ -458,9 +458,9 @@ def _window_cases(draw):
     """:func:`_marked_data`, or one of the inputs a window search must also get exact.
 
     These are grid points clustered from an ulp to a few thousandths apart,
-    windows that span a grid of up to 20 points, marks at v - h or v + h as rounding
-    puts them for a bandwidth off the lattice, and raw marks far outside
-    [0, 1] that no scaling or validation moved.
+    windows that span a grid of up to 20 points, marks at v - h or v + h as
+    rounding puts them for a bandwidth off the lattice, and raw marks far
+    outside [0, 1] that no scaling or validation moved.
     """
     ds, points, h = draw(_marked_data())
     case = draw(st.sampled_from(("lattice", "clustered", "spanning", "edges", "raw")))
