@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -238,11 +239,14 @@ def _add_grid_flags(parser: argparse.ArgumentParser, default_interval: str | Non
 
 
 def _add_bandwidth_flags(parser: argparse.ArgumentParser, explicit: bool) -> None:
-    parser.add_argument("--bandwidth-scale", type=float, default=1.0, metavar="VARPI",
-                        help="scale constant of the rule-of-thumb bandwidth (default 1)")
-    if explicit:  # simulation scenarios always use the rule of thumb
-        parser.add_argument("--bandwidth", type=float,
-                            help="explicit bandwidth; overrides the rule of thumb")
+    # an explicit bandwidth leaves no rule of thumb to scale, so the two exclude
+    # each other; simulation scenarios always use the rule of thumb
+    group = parser.add_mutually_exclusive_group() if explicit else parser
+    group.add_argument("--bandwidth-scale", type=float, default=1.0, metavar="VARPI",
+                       help="scale constant of the rule-of-thumb bandwidth (default 1)")
+    if explicit:
+        group.add_argument("--bandwidth", type=float,
+                           help="explicit bandwidth in place of the rule of thumb")
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -253,7 +257,9 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p-treat", type=float, default=2.0 / 3.0)
     parser.add_argument("--censor-mean0", type=float)
     parser.add_argument("--censor-mean1", type=float)
-    parser.add_argument("--censor-target", type=float, default=0.4)
+    parser.add_argument("--censor-target", type=float,
+                        help="censoring rate an arm without a given mean is calibrated to "
+                             "(default 0.4)")
     _add_grid_flags(parser, default_interval="0.1,0.9")
     _add_bandwidth_flags(parser, explicit=False)
     parser.add_argument("--alpha", type=float, default=0.05)
@@ -353,10 +359,15 @@ def cmd_test(args) -> int:
 
 
 def _scenario_from_args(args, c3: float | None = None) -> Scenario:
+    target = args.censor_target
+    if target is not None and None not in (args.censor_mean0, args.censor_mean1):
+        raise SimulationError("--censor-target calibrates only an arm without a given "
+                              "mean, and both censoring means are given")
     return Scenario(
         c1=args.c1, c2=args.c2, c3=args.c3 if c3 is None else c3, n=args.n,
         p_treat=args.p_treat, censor_mean0=args.censor_mean0,
-        censor_mean1=args.censor_mean1, censor_target=args.censor_target,
+        censor_mean1=args.censor_mean1,
+        censor_target=Scenario.censor_target if target is None else target,
         grid=_build_grid(args), reps=args.reps, seed=args.seed, alpha=args.alpha,
         varpi=args.bandwidth_scale,
     )
@@ -376,16 +387,29 @@ def _scenario_config(scenario: Scenario, command: str) -> dict:
     }
 
 
+_SIMULATE_HEADER = ("v", "true_tau", "bias", "bias_se", "ratio", "ratio_se",
+                   "coverage", "coverage_se", "reps", "n")
+_POWER_HEADER = ("c3", "rate", "se", "rejections", "reps", "n")
+
+
+def _simulate_rows(table, scenario: Scenario):
+    """The rows of a ``simulate`` artifact, under :data:`_SIMULATE_HEADER`."""
+    return zip(table.points, table.true_tau, table.bias, table.bias_se,
+               table.ratio, table.ratio_se, table.coverage, table.coverage_se,
+               repeat(scenario.reps), repeat(scenario.n))
+
+
+def _power_rows(table, scenario: Scenario):
+    """The rows of a ``power`` artifact, under :data:`_POWER_HEADER`."""
+    return zip(table.c3, table.rate, table.se, table.rejections,
+               repeat(scenario.reps), repeat(scenario.n))
+
+
 def cmd_simulate(args) -> int:
     scenario = resolve_censoring(_scenario_from_args(args))
     table = run_replications(scenario, workers=_resolve_workers(args.threads))
-    config = _scenario_config(scenario, "simulate")
-    header = ("v", "true_tau", "bias", "bias_se", "ratio", "ratio_se",
-              "coverage", "coverage_se", "reps", "n")
-    rows = zip(table.points, table.true_tau, table.bias, table.bias_se,
-               table.ratio, table.ratio_se, table.coverage, table.coverage_se,
-               [scenario.reps] * len(table.points), [scenario.n] * len(table.points))
-    _write_csv(Path(args.out), header, rows, config)
+    _write_csv(Path(args.out), _SIMULATE_HEADER, _simulate_rows(table, scenario),
+               _scenario_config(scenario, "simulate"))
     return 0
 
 
@@ -394,14 +418,9 @@ def cmd_power(args) -> int:
     base = _scenario_from_args(args, c3=c3_values[0])
     table = size_power_curve(base, c3_values, args.kind, resamples=args.resamples,
                              workers=_resolve_workers(args.threads))
-    config = _scenario_config(base, "power")
-    config["kind"] = args.kind
-    config["c3"] = c3_values
-    config["B"] = args.resamples
-    header = ("c3", "rate", "se", "rejections", "reps", "n")
-    rows = zip(table.c3, table.rate, table.se, table.rejections,
-               [base.reps] * len(c3_values), [base.n] * len(c3_values))
-    _write_csv(Path(args.out), header, rows, config)
+    config = {**_scenario_config(base, "power"), "kind": args.kind, "c3": c3_values,
+              "B": args.resamples}
+    _write_csv(Path(args.out), _POWER_HEADER, _power_rows(table, base), config)
     return 0
 
 

@@ -395,6 +395,44 @@ def test_simulation_commands_take_no_explicit_bandwidth(tmp_path, capsys, comman
     assert "unrecognized arguments: --bandwidth 0.01" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("estimate",), ("test", "--kind", "global")])
+@pytest.mark.parametrize("scale", ["-3", "nan", "1"])
+def test_explicit_bandwidth_takes_no_bandwidth_scale(tmp_path, capsys, trial_files, command,
+                                                     scale):
+    # an explicit bandwidth leaves no rule of thumb for the scale to act on
+    csv_path, meta_path = trial_files
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--input", str(csv_path), "--meta", str(meta_path),
+              "--interval", "0.2,0.45", "--bandwidth", "0.1", "--bandwidth-scale", scale,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("argument --bandwidth-scale: not allowed with argument --bandwidth\n"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--c3", "-1"),
+    ("power", "--kind", "global", "--c3-range=-1:-1:1"),
+])
+def test_censor_target_needs_an_arm_to_calibrate(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    flags = [*command, "--n", "150", "--reps", "2", "--grid", "0.3,0.5,0.7",
+             "--interval", "0.1,0.9", "--out", str(out)]
+    code, stdout, err = _run(capsys, *flags, "--censor-mean0", "5.44", "--censor-mean1",
+                             "5.76", "--censor-target", "0.3")
+    assert code == 1
+    assert err == ("error: --censor-target calibrates only an arm without a given mean, "
+                   "and both censoring means are given\n")
+    assert stdout == "" and not out.exists()
+    # with one mean given, the target calibrates the other arm
+    code, _, err = _run(capsys, *flags, "--censor-mean0", "5.44", "--censor-target", "0.3")
+    assert code == 0, err
+    config, _, _ = _read_artifact(out)
+    assert config["censor_target"] == 0.3
+
+
 def test_drop_missing_marks_flag(tmp_path, capsys):
     text = "y,delta,mark,a\n1.0,1,,1\n2.0,0,,0\n1.5,1,0.6,0\n3.0,1,0.2,1\n"
     path = tmp_path / "holes.csv"

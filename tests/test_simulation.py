@@ -1,8 +1,13 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +166,26 @@ def test_calibration_is_deterministic():
         assert calibrate_censoring(scenario, arm) == calibrate_censoring(scenario, arm)
 
 
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="emulates an x86-64 host without AVX-512")
+def test_calibrated_means_do_not_depend_on_the_cpu():
+    # numpy's vector exp and OpenBLAS's dot kernel are chosen by the CPU; a
+    # subprocess that emulates an AVX2 host must solve the same doubles
+    code = ("import marktau.simulation as s; print([s.calibrate_censoring(s.Scenario("
+            "c1=3.0, c2=0.0, c3=k / 4, n=2, censor_target=t), a).hex() "
+            "for k in range(-8, 9) for t in (0.3, 0.4) for a in (0, 1)])")
+    env = {**os.environ, "PYTHONPATH": str(Path(simulation.__file__).parents[1]),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "OPENBLAS_CORETYPE": "Haswell"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        pytest.skip(f"this numpy cannot emulate the host: {proc.stderr.strip()[-200:]}")
+    here = [calibrate_censoring(mt.Scenario(c1=3.0, c2=0.0, c3=k / 4, n=2, censor_target=t),
+                                a).hex()
+            for k in range(-8, 9) for t in (0.3, 0.4) for a in (0, 1)]
+    assert proc.stdout.strip() == str(here)
+
+
 def test_censoring_rate_decreases_in_mean():
     base = _scenario(n=100_000)
     doubled = dataclasses.replace(
@@ -307,6 +332,19 @@ def test_sweep_gives_each_point_its_own_treated_calibration(monkeypatch):
     mt.size_power_curve(scenario, c3_values, "global", resamples=10)
     # the 2 replications are one block, which holds every point
     assert means == expected  # exactly, not approximately
+
+
+@pytest.mark.parametrize("given", [{}, {"censor_mean0": 6.0}, {"censor_mean1": 5.5}])
+def test_sweep_returns_the_censoring_means_of_its_points(given):
+    scenario = mt.Scenario(c1=3.0, c2=0.0, c3=-2.0, n=100, reps=2, seed=4,
+                           censor_target=0.35, **given)
+    c3_values = [-2.0, -0.5, 1.0]
+    curve = mt.size_power_curve(scenario, c3_values, "global", resamples=10)
+    resolved = [resolve_censoring(dataclasses.replace(scenario, c3=c3)) for c3 in c3_values]
+    # exactly, not approximately: each point ran with these
+    assert all(curve.censor_mean0 == point.censor_mean0 for point in resolved)
+    np.testing.assert_array_equal(curve.censor_mean1, [point.censor_mean1 for point in resolved])
+    assert isinstance(curve.censor_mean0, float)
 
 
 def test_sweep_checks_the_treated_calibration_at_every_c3():
