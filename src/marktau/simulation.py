@@ -277,31 +277,29 @@ def _censoring_rate(c1: float, c2: float, c3: float):
     the rate is P(T > 0) less the mean of that over V, taken by
     :func:`_mark_quadrature`. Where m >= 1, L = -1 and R(s - 1) is one
     number for all the nodes; only the nodes with |m| < 1 take a Mills ratio
-    each. Every exponential is the C library's and every sum over the nodes
-    is ``math.fsum``, correctly rounded, so the rate, and each mean solved
-    from it, do not depend on the CPU features that numpy's vector ``exp``
-    and the BLAS dot product dispatch on.
+    each.
     """
     v, w = _mark_quadrature(c1, c2, c3)
     m = _curve(c1, c2, c3, v)
     full = m >= 1.0
-    w_full, excess = w[full].tolist(), (m[full] - 1.0).tolist()
+    w_full, excess = w[full], m[full] - 1.0
     bent = ~full & (m > -1.0)
-    w_bent, m_bent = w[bent].tolist(), m[bent].tolist()
-    pdf_bent = [math.exp(-0.5 * x * x) / _SQRT_2PI for x in m_bent]
+    w_bent, m_bent = w[bent], m[bent]
+    pdf_bent = np.exp(-0.5 * m_bent * m_bent) / _SQRT_2PI
     pdf1 = math.exp(-0.5) / _SQRT_2PI
     z = math.erf(_SQRT_HALF)
     # P(T > 0) z, with Phi(1) - Phi(-m) = (erf(1 / sqrt 2) + erf(m / sqrt 2)) / 2 where m < 1
-    positive = math.fsum(w_full) * z + math.fsum(
-        wi * (0.5 * (z + math.erf(x * _SQRT_HALF))) for wi, x in zip(w_bent, m_bent))
+    positive = w_full.sum() * z + w_bent @ np.array(
+        [0.5 * (z + math.erf(x * _SQRT_HALF)) for x in m_bent.tolist()])
 
     def rate(mu: float) -> float:
         s = 1.0 / mu
         tail = pdf1 * _mills_ratio(s + 1.0)
         laplace = ((pdf1 * _mills_ratio(s - 1.0) - math.exp(-2.0 * s) * tail)
-                   * math.fsum(wi * math.exp(-s * x) for wi, x in zip(w_full, excess)))
-        laplace += math.fsum(wi * (pdf * _mills_ratio(s - x) - tail * math.exp(-s * (1.0 + x)))
-                             for wi, pdf, x in zip(w_bent, pdf_bent, m_bent))
+                   * (w_full @ np.exp(-s * excess)))
+        if m_bent.size:
+            mills = np.array([_mills_ratio(s - x) for x in m_bent.tolist()])
+            laplace += w_bent @ (pdf_bent * mills - tail * np.exp(-s * (1.0 + m_bent)))
         return (positive - laplace) / z
 
     return rate
