@@ -106,13 +106,11 @@ def _binary_column(column: np.ndarray, name: str) -> np.ndarray:
     """A ``column`` of 0s and 1s as int64; any other value is a :class:`DataError`.
 
     The check comes before the cast, which would truncate 0.5 to 0 and 1.7 to 1.
-    A 2-d ``column`` holds one dataset per row, and the error names the row
-    of the first dataset that fails.
     """
     bad = np.flatnonzero((column != 0.0) & (column != 1.0))
     if bad.size:
-        row = int(bad[0]) % column.shape[-1]
-        raise DataError(f"row {row}: {name} must be 0 or 1, got {column.flat[bad[0]].item()!r}")
+        row = int(bad[0])
+        raise DataError(f"row {row}: {name} must be 0 or 1, got {column[row].item()!r}")
     return column.astype(np.int64)
 
 

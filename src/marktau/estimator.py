@@ -123,10 +123,6 @@ class EstimateGrid:
     def h(self) -> float:
         return self.bandwidth.h
 
-    @property
-    def nh(self) -> float:
-        return self.n * self.bandwidth.h
-
 
 def normal_quantile(p: float) -> float:
     """Standard normal quantile (inverse CDF), by the standard library."""

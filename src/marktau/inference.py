@@ -27,6 +27,10 @@ contributions) do not enter. Grid points flagged by the estimator (or with a
 zero variance estimate) are excluded from the maxima; constancy pairs with a
 zero pair-variance are skipped with a diagnostic count rather than failing
 the test.
+
+The block test :func:`_test_from_estimate` takes the estimator's columns
+and returns arrays, one entry per replication, which a simulation sweep
+reads directly; only :func:`run_test` builds a :class:`TestResult`.
 """
 
 from __future__ import annotations
@@ -140,8 +144,8 @@ def _arm_scales(pi: float) -> tuple[float, float]:
     return -1.0 / (1.0 - pi), 1.0 / pi
 
 
-def _usable_points(est: EstimateGrid) -> np.ndarray:
-    return ~est.flagged & (est.sigma2 > 0.0)
+def _usable_points(flagged: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    return ~flagged & (sigma2 > 0.0)
 
 
 def arm_grams(terms: tuple, g: int) -> np.ndarray:
@@ -259,7 +263,8 @@ def _constancy_pairs(zeta: np.ndarray) -> tuple[np.ndarray, ...]:
     ``zeta`` is the (R, u, u) stack of :func:`pair_variance_table`. Indices
     count usable points only, as the columns of the resampling draws do.
     Returns the pairs, their (R, pairs) pair-variances and the (R, pairs)
-    mask of those that are positive; a replication skips the others.
+    mask of those that are positive. A replication skips the others: they
+    take a pair-variance of +inf, so they score +0.0, below no kept pair.
     """
     usable = zeta.shape[-1]
     if usable < 2:
@@ -271,7 +276,7 @@ def _constancy_pairs(zeta: np.ndarray) -> tuple[np.ndarray, ...]:
     keep = zeta_pairs > 0.0
     if not keep.any(axis=1).all():
         raise InferenceError("every constancy pair has zero pair-variance")
-    return j_idx, k_idx, zeta_pairs, keep
+    return j_idx, k_idx, np.where(keep, zeta_pairs, np.inf), keep
 
 
 def constancy_statistic(nh: np.ndarray, tau: np.ndarray, pairs: tuple) -> np.ndarray:
@@ -280,11 +285,9 @@ def constancy_statistic(nh: np.ndarray, tau: np.ndarray, pairs: tuple) -> np.nda
     ``tau`` is (R, u) over the usable points and ``pairs`` the result of
     :func:`_constancy_pairs`.
     """
-    j_idx, k_idx, zeta_pairs, keep = pairs
+    j_idx, k_idx, zeta_pairs, _ = pairs
     diffs = tau[:, j_idx] - tau[:, k_idx]
-    scaled = np.divide(nh[:, None] * diffs**2, zeta_pairs, where=keep,
-                       out=np.full(zeta_pairs.shape, -np.inf))
-    return scaled.max(axis=1)
+    return (nh[:, None] * diffs**2 / zeta_pairs).max(axis=1)
 
 
 def constancy_resample(scale: np.ndarray, sums: np.ndarray, pairs: tuple) -> np.ndarray:
@@ -294,18 +297,16 @@ def constancy_resample(scale: np.ndarray, sums: np.ndarray, pairs: tuple) -> np.
     differences are differences of their columns. The pair list is scored
     in chunks of consecutive pairs, for as many replications at once as fit,
     (h / n) * diff^2 / zeta against every draw, into each replication's
-    running maximum; a pair a replication skips scores -inf. A chunk holds
+    running maximum; a pair a replication skips scores +0.0. A chunk holds
     at most ``_PAIR_CHUNK_BYTES`` (or one pair of one replication), so
     memory grows with draws x points rather than draws x pairs.
     """
-    j_idx, k_idx, zeta_pairs, keep = pairs
+    j_idx, k_idx, zeta_pairs, _ = pairs
     reps, draws, points = sums.shape
     # point-major, so that a pair's two columns are rows of draws
     columns = sums.transpose(2, 0, 1).copy()
     factor = np.repeat(scale[:, None], draws, axis=1)
-    zeta = np.where(keep, zeta_pairs, 1.0).T[:, :, None]
-    skip = ~keep.T
-    skips = bool(skip.any())
+    zeta = zeta_pairs.T[:, :, None]
     result = np.full((reps, draws), -np.inf)
     rows = max(1, _PAIR_CHUNK_BYTES // (8 * draws))
     stack = min(reps, rows)
@@ -325,8 +326,6 @@ def constancy_resample(scale: np.ndarray, sums: np.ndarray, pairs: tuple) -> np.
             np.square(scaled, out=scaled)
             np.multiply(factor[r], scaled, out=scaled)
             np.divide(scaled, zeta[p0:p1, r], out=scaled)
-            if skips:
-                scaled[skip[p0:p1, r]] = -np.inf
             np.maximum(result[r], scaled.max(axis=0), out=result[r])
     return result
 
@@ -367,85 +366,67 @@ def p_value(resampled: np.ndarray, statistic, add_one_correction: bool = False,
     return count / size
 
 
-def _test_from_estimate(kind: str, ests: list[EstimateGrid], grams: np.ndarray, streams: list,
-                        *, resamples: int, alpha: float, pi_design: float | None = None,
-                        add_one_correction: bool = False) -> list[TestResult]:
-    """Tests of a block of estimates on one grid, each from its Grams and multiplier stream.
+def _test_from_estimate(kind: str, columns: dict, h: np.ndarray, pi: list, grams: np.ndarray,
+                        streams: list, *, resamples: int, alpha: float) -> tuple[np.ndarray, ...]:
+    """The tests of a block of estimates on one grid, arrays in and arrays out.
 
-    ``grams`` holds each estimate's control and treated Grams from
-    :func:`arm_grams` over the whole grid, shape (R, 2, g, g); estimate i
-    draws its multipliers with :func:`multiplier_draws` from ``streams[i]``,
-    which the replication's other tests read too. Estimates with the same
-    usable points form a group, tested in stacks of at most ``_STACK_BYTES``
-    of draws by :func:`_stacked_tests`; each result is the one a block of
-    that estimate alone gives. The callers check ``kind`` and ``resamples``.
+    ``columns`` holds the estimator's ``tau``, ``sigma2`` and ``flagged`` as
+    (R, g) arrays, and its arm sizes ``n0`` and ``n1`` as R-lists or arrays,
+    as :func:`~marktau.estimator._estimate_block` returns them; ``h`` holds
+    each row's bandwidth and ``pi`` its treated fraction. ``grams`` holds
+    each row's control and treated Grams from :func:`arm_grams` over the
+    whole grid, shape (R, 2, g, g); row i draws its multipliers with
+    :func:`multiplier_draws` from ``streams[i]``, which the replication's
+    other tests read too. Rows with the same usable points form a group,
+    tested in stacks of at most ``_STACK_BYTES`` of draws: each row's
+    covariance takes its own arm scales, one ``eigh`` call factors the
+    stack, one matmul gives every multiplier sum draws @ L^T, and each
+    statistic and resampled maximum is computed for the whole stack,
+    constancy from one pair list. So each row gets the numbers a block of
+    that row alone gives.
+
+    Returns, per row, the statistic, the sorted resampled values (R,
+    resamples), the critical value, the covariance rank and the skipped
+    constancy pairs. The callers check ``kind`` and ``resamples``.
     """
-    usable = [_usable_points(est) for est in ests]
+    tau, sigma2 = columns["tau"], columns["sigma2"]
+    sizes = np.array([columns["n0"], columns["n1"]], dtype=np.int64).T
+    n = sizes.sum(axis=1)
+    nh, scale = n * h, h / n
+    usable = _usable_points(columns["flagged"], sigma2)
+    stat, crit = np.empty((2, len(streams)))
+    resampled = np.empty((len(streams), resamples))
+    rank, skipped = np.zeros((2, len(streams)), np.intp)
     groups: dict[bytes, list[int]] = {}
     for i, mask in enumerate(usable):
         groups.setdefault(mask.tobytes(), []).append(i)
-    results: list = [None] * len(ests)
     for members in groups.values():
-        mask = usable[members[0]]
-        size = max(1, _STACK_BYTES // (8 * resamples * max(int(np.count_nonzero(mask)), 1)))
+        cols = np.flatnonzero(usable[members[0]])
+        size = max(1, _STACK_BYTES // (8 * resamples * max(cols.size, 1)))
         for lo in range(0, len(members), size):
-            stack = members[lo:lo + size]
-            tested = _stacked_tests(kind, [ests[i] for i in stack], grams[stack],
-                                    [streams[i] for i in stack], mask, resamples=resamples,
-                                    alpha=alpha, pi_design=pi_design,
-                                    add_one_correction=add_one_correction)
-            for i, result in zip(stack, tested):
-                results[i] = result
-    return results
-
-
-def _stacked_tests(kind: str, ests: list[EstimateGrid], grams: np.ndarray, streams: list,
-                   mask: np.ndarray, *, resamples: int, alpha: float, pi_design: float | None,
-                   add_one_correction: bool) -> list[TestResult]:
-    """The tests of estimates whose usable points are all ``mask``, as one stack.
-
-    Each estimate's covariance takes its own arm scales; one ``eigh`` call
-    factors them all, one matmul gives every multiplier sum draws @ L^T,
-    and each statistic and resampled maximum is computed for the whole
-    stack, constancy from one pair list.
-    """
-    cols = np.flatnonzero(mask)
-    grams = grams[:, :, cols][:, :, :, cols]
-    nh = np.array([est.nh for est in ests])
-    scale = np.array([est.h / est.n for est in ests])
-    tau = np.array([est.tau[mask] for est in ests])
-    pi = [pi_design if pi_design is not None else est.n1 / est.n for est in ests]
-    factor, rank = covariance_factor(resampling_covariance(grams, pi))
-    draws = np.empty((len(ests), resamples, cols.size))
-    for row, stream in enumerate(streams):
-        draws[row] = multiplier_draws(cols.size, resamples, stream)
-    sums = draws @ factor.swapaxes(1, 2)
-    del draws
-    if kind == "global":
-        sigma2 = np.array([est.sigma2[mask] for est in ests])
-        stat = global_statistic(nh, tau, sigma2)
-        resampled = global_resample(scale, sigma2, sums)
-        skipped = np.zeros(len(ests), np.intp)
-    else:
-        sizes = np.array([(est.n0, est.n1) for est in ests], dtype=np.int64)
-        pairs = _constancy_pairs(pair_variance_table(grams, nh, sizes))
-        stat = constancy_statistic(nh, tau, pairs)
-        resampled = constancy_resample(scale, sums, pairs)
-        skipped = np.count_nonzero(~pairs[3], axis=1)
-    del sums
-    resampled.sort(axis=1)
-    crit = critical_value(resampled, alpha)
-    pval = p_value(resampled, stat, add_one_correction)
-    excluded = tuple(float(v) for v in ests[0].points[~mask])
-    return [
-        TestResult(
-            statistic=float(stat[row]), critical_value=float(crit[row]),
-            p_value=float(pval[row]), reject=bool(stat[row] > crit[row]),
-            resampled=resampled[row], excluded_points=excluded,
-            skipped_pairs=int(skipped[row]), covariance_rank=int(rank[row]), estimate=est,
-        )
-        for row, est in enumerate(ests)
-    ]
+            rows = members[lo:lo + size]
+            at = np.ix_(rows, cols)
+            stack = grams[rows][:, :, cols][:, :, :, cols]
+            factor, rank[rows] = covariance_factor(
+                resampling_covariance(stack, [pi[i] for i in rows]))
+            draws = np.empty((len(rows), resamples, cols.size))
+            for row, i in enumerate(rows):
+                draws[row] = multiplier_draws(cols.size, resamples, streams[i])
+            sums = draws @ factor.swapaxes(1, 2)
+            del draws
+            if kind == "global":
+                stat[rows] = global_statistic(nh[rows], tau[at], sigma2[at])
+                values = global_resample(scale[rows], sigma2[at], sums)
+            else:
+                pairs = _constancy_pairs(pair_variance_table(stack, nh[rows], sizes[rows]))
+                stat[rows] = constancy_statistic(nh[rows], tau[at], pairs)
+                values = constancy_resample(scale[rows], sums, pairs)
+                skipped[rows] = np.count_nonzero(~pairs[3], axis=1)
+            del sums
+            values.sort(axis=1)
+            resampled[rows] = values
+            crit[rows] = critical_value(values, alpha)
+    return stat, resampled, crit, rank, skipped
 
 
 def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: int = 500,
@@ -460,8 +441,10 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
     the design randomization probability. Deterministic given the data and
     settings: the multiplier draws derive from ``seed`` alone. The null is
     rejected when the observed statistic exceeds the (1 - alpha) resampling
-    critical value. This is the block test of :func:`_test_from_estimate` on
-    a block of one estimate.
+    critical value. The estimate is tested as a block of one row by
+    :func:`_test_from_estimate`; only here are the p-value, with
+    ``add_one_correction`` if asked, and the excluded points computed and a
+    :class:`TestResult` built.
     """
     _check_kind(kind)
     if pi_design is not None and not 0.0 < pi_design < 1.0:
@@ -469,6 +452,17 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
     _check_resamples(resamples)
     est, terms = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
                                       varpi=varpi)
-    return _test_from_estimate(kind, [est], arm_grams(terms, grid.points.size),
-                               [_MultiplierStream(seed)], resamples=resamples, alpha=alpha,
-                               pi_design=pi_design, add_one_correction=add_one_correction)[0]
+    columns = {name: np.array([getattr(est, name)])
+               for name in ("tau", "sigma2", "flagged", "n0", "n1")}
+    pi = pi_design if pi_design is not None else est.n1 / est.n
+    stat, resampled, crit, rank, skipped = (
+        row[0] for row in _test_from_estimate(
+            kind, columns, np.array([est.h]), [pi], arm_grams(terms, grid.points.size),
+            [_MultiplierStream(seed)], resamples=resamples, alpha=alpha))
+    usable = _usable_points(est.flagged, est.sigma2)
+    return TestResult(
+        statistic=float(stat), critical_value=float(crit),
+        p_value=float(p_value(resampled, stat, add_one_correction)), reject=bool(stat > crit),
+        resampled=resampled, excluded_points=tuple(grid.points[~usable].tolist()),
+        skipped_pairs=int(skipped), covariance_rank=int(rank), estimate=est,
+    )

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .data_model import MarkInterval
-from .estimator import EvaluationGrid, _estimate_block, _row_estimate
+from .estimator import EvaluationGrid, _estimate_block
 from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
 from .inference import (_check_kind, _check_resamples, _MultiplierStream, _test_from_estimate,
                         arm_grams)
@@ -573,14 +573,14 @@ def _test_rep(args: tuple[list[Scenario], range, str, int]) -> list:
 def _point_tests(scenario: Scenario, draws, streams: list, kind: str, resamples: int,
                  rows: slice) -> list[bool]:
     """Whether the test rejects at one c3 point, for some rows of a block."""
-    points = scenario.grid.points
     bandwidths, columns, terms = _block_estimates(scenario, draws, rows)
-    ests = [_row_estimate(points, bandwidths, columns, i) for i in range(len(bandwidths))]
-    grams = arm_grams(terms, points.size)
+    grams = arm_grams(terms, scenario.grid.points.size)
     del terms
-    results = _test_from_estimate(kind, ests, grams, streams[rows],
-                                  resamples=resamples, alpha=scenario.alpha)
-    return [result.reject for result in results]
+    stat, _, crit, _, _ = _test_from_estimate(
+        kind, columns, np.array([bw.h for bw in bandwidths]),
+        [n1 / scenario.n for n1 in columns["n1"]], grams, streams[rows],
+        resamples=resamples, alpha=scenario.alpha)
+    return (stat > crit).tolist()
 
 
 def rejection_rate(scenario: Scenario, kind: str, *, resamples: int = 500,

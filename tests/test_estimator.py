@@ -219,7 +219,7 @@ def test_estimate_grid_matches_pointwise_functions():
     np.testing.assert_allclose(est.tau1, [2.8125, 3.75, 2.8125], rtol=1e-12)
     np.testing.assert_allclose(est.tau0, [1.875, 2.5, 1.875], rtol=1e-12)
     assert est.n == 8 and est.n1 == 4 and est.n0 == 4
-    assert est.nh == pytest.approx(0.8)
+    assert est.n * est.h == pytest.approx(0.8)
 
 
 def test_kernel_matrix_shape_and_censored_rows():
@@ -539,7 +539,7 @@ def _assert_record_order_invariant(ds, points, h, perm):
         tau_bound = tau_bound + bound
         sigma2_bound = sigma2_bound + 2 * m * eps * (dense[a] ** 2).sum(axis=1) / n_a**2
     assert np.all(np.abs(est_s.tau - est.tau) <= tau_bound)
-    assert np.all(np.abs(est_s.sigma2 - est.sigma2) <= est.nh * sigma2_bound)
+    assert np.all(np.abs(est_s.sigma2 - est.sigma2) <= est.n * est.h * sigma2_bound)
 
     for gram, gram_s, arm_dense in zip(arm_grams(terms, len(points))[0],
                                        arm_grams(terms_s, len(points))[0], dense):

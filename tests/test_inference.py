@@ -70,11 +70,25 @@ def _manual_grid(points, tau, sigma2, *, n=1000, h=0.1, flagged=None):
     )
 
 
+def _usable(est):
+    return _usable_points(est.flagged, est.sigma2)
+
+
 def _stacked(est):
     """n h, h / n, tau and sigma2 of one estimate as a block of one, over its usable points."""
-    usable = _usable_points(est)
-    return (np.array([est.nh]), np.array([est.h / est.n]), est.tau[usable][None],
+    usable = _usable(est)
+    return (np.array([est.n * est.h]), np.array([est.h / est.n]), est.tau[usable][None],
             est.sigma2[usable][None])
+
+
+def _resampled_alone(kind, est, terms, seed, resamples):
+    """The sorted resampled values of the block test on a block of one estimate."""
+    columns = {name: np.array([getattr(est, name)])
+               for name in ("tau", "sigma2", "flagged", "n0", "n1")}
+    grams = arm_grams(terms, est.points.size)
+    return _test_from_estimate(kind, columns, np.array([est.h]), [est.n1 / est.n], grams,
+                               [inference._MultiplierStream(seed)], resamples=resamples,
+                               alpha=0.05)[1][0]
 
 
 def _global_statistic(est):
@@ -84,7 +98,7 @@ def _global_statistic(est):
 
 def _pair_table(grams, est):
     """:func:`pair_variance_table` of one estimate, from its (2, u, u) Grams."""
-    return pair_variance_table(np.asarray(grams)[None], np.array([est.nh]),
+    return pair_variance_table(np.asarray(grams)[None], np.array([est.n * est.h]),
                                np.array([[est.n0, est.n1]]))
 
 
@@ -169,8 +183,10 @@ def test_constancy_resample_memory_follows_draws_times_points(cap):
     rng = np.random.default_rng(3)
     sums = rng.normal(size=(reps, draws, points))
     j_idx, k_idx = np.triu_indices(points, k=1)
-    pairs = (j_idx, k_idx, rng.uniform(0.5, 2.0, (reps, j_idx.size)),
-             rng.uniform(size=(reps, j_idx.size)) > 0.1)
+    # a skipped pair carries an infinite pair-variance, as _constancy_pairs gives it
+    zeta = rng.uniform(0.5, 2.0, (reps, j_idx.size))
+    keep = rng.uniform(size=(reps, j_idx.size)) > 0.1
+    pairs = (j_idx, k_idx, np.where(keep, zeta, np.inf), keep)
     scale = rng.uniform(1e-4, 1e-3, reps)
     with mock.patch.object(inference, "_PAIR_CHUNK_BYTES", cap):
         tracemalloc.start()
@@ -228,7 +244,7 @@ def test_block_grams_equal_the_dense_oracle():
 
 
 def _grid_covariance(est, theta, pi):
-    usable = _usable_points(est)
+    usable = _usable(est)
     grams = arm_grams(theta, est.points.size)[0][np.ix_((0, 1), usable, usable)]
     return usable, grams, resampling_covariance(grams[None], [pi])[0]
 
@@ -308,7 +324,7 @@ def test_multiplier_draws_are_one_stream_in_grid_space():
     ds = hand_dataset(v=0.5)
     grid = mt.EvaluationGrid.explicit([0.15, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
     est, _ = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
-    points = int(np.count_nonzero(_usable_points(est)))
+    points = int(np.count_nonzero(_usable(est)))
     draws = multiplier_draws(points, 5, inference._MultiplierStream(99))
     assert draws.shape == (5, 2)  # (B, usable points), never (B, n)
     np.testing.assert_array_equal(
@@ -339,12 +355,10 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
     ds = draw_dataset(NULL_SCENARIO, np.random.default_rng(45))
     est, theta = _estimate_with_terms(ds, DENSE_GRID, alpha=0.05, bandwidth=None, varpi=1.0)
     reps = 4000
-    resampled = _test_from_estimate(kind, [est], arm_grams(theta, DENSE_GRID.points.size),
-                                    [inference._MultiplierStream(46)], resamples=reps,
-                                    alpha=0.05)[0].resampled
+    resampled = _resampled_alone(kind, est, theta, 46, reps)
     assert np.all(np.isfinite(resampled))
 
-    usable = _usable_points(est)
+    usable = _usable(est)
     normals = np.random.default_rng(47).standard_normal((reps, ds.n))
     full = subject_major(scatter_terms(theta, DENSE_GRID.points.size), ds)
     sums = subject_space_sums(full, ds.arm, ds.n1 / ds.n, normals)
@@ -364,7 +378,7 @@ def test_resampled_values_scale_quadratically():
     grid = mt.EvaluationGrid.explicit([0.48, 0.5], mt.MarkInterval(0.1, 0.9))
     est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     _, grams, cov = _grid_covariance(est, theta, ds.n1 / ds.n)
-    draws = multiplier_draws(int(np.count_nonzero(_usable_points(est))), 50,
+    draws = multiplier_draws(int(np.count_nonzero(_usable(est))), 50,
                              inference._MultiplierStream(4))
     sums = (draws @ covariance_factor(cov)[0].T)[None]
     _, scale, _, sigma2 = _stacked(est)
@@ -483,9 +497,7 @@ def test_resample_distribution_matches_sampling_distribution():
     est, theta = _estimate_with_terms(
         ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
     )
-    grams = arm_grams(theta, NULL_SCENARIO.grid.points.size)
-    resampled = _test_from_estimate("global", [est], grams, [inference._MultiplierStream(779)],
-                                    resamples=reps, alpha=0.05)[0].resampled
+    resampled = _resampled_alone("global", est, theta, 779, reps)
 
     q_obs = float(np.quantile(observed, 0.95))
     q_res = float(np.quantile(resampled, 0.95))

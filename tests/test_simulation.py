@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import marktau as mt
-from marktau import inference, simulation
+from marktau import estimator, inference, simulation
 from marktau.data_model import validate
 from marktau.estimator import _estimate_block, _estimate_with_terms
-from marktau.inference import TEST_KINDS, InferenceError, _test_from_estimate, arm_grams
+from marktau.inference import (TEST_KINDS, InferenceError, _test_from_estimate, _usable_points,
+                               arm_grams, p_value)
 from marktau.simulation import (
     SimulationError,
     _block_draws,
@@ -568,7 +570,7 @@ def test_block_equals_single_replications_bitwise(n, p_treat, c3):
                 assert values[k, :w].tobytes() == single_values[want, :w].tobytes()
             assert grams[i].tobytes() == arm_grams(terms, g)[0].tobytes()
             assert taus[i].tobytes() == single.tau.tobytes()
-            assert sds[i].tobytes() == np.sqrt(single.sigma2 / single.nh).tobytes()
+            assert sds[i].tobytes() == np.sqrt(single.sigma2 / (single.n * single.h)).tobytes()
             np.testing.assert_array_equal(
                 covered[i], (single.ci_lower <= truth) & (truth <= single.ci_upper))
 
@@ -613,22 +615,32 @@ def test_failing_study_raises_its_first_failing_replication(kw, first, message):
 
 
 def _single_test(scenario, rep, kind, resamples):
-    """Replication ``rep``'s test the way one dataset is drawn, estimated and tested."""
-    est, terms = _single_replication(scenario, rep)
-    grams = arm_grams(terms, scenario.grid.points.size)
-    stream = inference._MultiplierStream(_replication_seed(scenario.seed, rep, 1))
-    return _test_from_estimate(kind, [est], grams, [stream], resamples=resamples,
-                               alpha=scenario.alpha)[0]
+    """Replication ``rep``'s test the way :func:`run_test` tests one dataset drawn alone."""
+    rng = np.random.default_rng(_replication_seed(scenario.seed, rep, 0))
+    return mt.run_test(kind, draw_dataset(scenario, rng), scenario.grid, resamples=resamples,
+                       alpha=scenario.alpha, seed=_replication_seed(scenario.seed, rep, 1),
+                       varpi=scenario.varpi)
 
 
-def _recorded_tests(monkeypatch):
-    """Record the number of block tests the engine runs, and every replication's result."""
+def _recorded_tests(monkeypatch, points):
+    """Record the number of block tests the engine runs, and every replication's result.
+
+    A result holds the block test's arrays at its row, with the p-value and
+    the excluded grid ``points`` that :func:`run_test` adds to them.
+    """
     calls, results = [], []
 
-    def recorded(*args, **kwargs):
-        calls.append(len(args[1]))
-        results.extend(_test_from_estimate(*args, **kwargs))
-        return results[-calls[-1]:]
+    def recorded(kind, columns, *args, **kwargs):
+        tested = _test_from_estimate(kind, columns, *args, **kwargs)
+        stat, resampled, crit, rank, skipped = tested
+        calls.append(stat.size)
+        for i in range(stat.size):
+            usable = _usable_points(columns["flagged"][i], columns["sigma2"][i])
+            results.append(types.SimpleNamespace(
+                statistic=stat[i], resampled=resampled[i], critical_value=crit[i],
+                p_value=p_value(resampled[i], stat[i]), covariance_rank=rank[i],
+                excluded_points=tuple(points[~usable].tolist()), skipped_pairs=skipped[i]))
+        return tested
 
     monkeypatch.setattr(simulation, "_test_from_estimate", recorded)
     return calls, results
@@ -645,7 +657,7 @@ def test_power_block_equals_single_tests_bitwise(monkeypatch, kind, n, varpi):
     # stacks as large as a group, then stacks of one replication each
     for stack_bytes in (inference._STACK_BYTES, 1):
         monkeypatch.setattr(inference, "_STACK_BYTES", stack_bytes)
-        calls, results = _recorded_tests(monkeypatch)
+        calls, results = _recorded_tests(monkeypatch, scenario.grid.points)
         # blocks of 1, 2 and 5 replications, each one call of the block test
         flags = [flag for block in (range(0, 1), range(1, 3), range(3, 8))
                  for flag in _test_rep(([scenario], block, kind, 60))[0]]
@@ -668,6 +680,23 @@ def test_power_block_equals_single_tests_bitwise(monkeypatch, kind, n, varpi):
     for rows in (1, 3 * n, simulation._BLOCK_ROWS):
         monkeypatch.setattr(simulation, "_BLOCK_ROWS", rows)
         assert rejection_rate(scenario, kind, resamples=60) == (count / scenario.reps, count)
+
+
+@pytest.mark.parametrize("kind", TEST_KINDS)
+def test_power_sweep_builds_no_estimate_or_test_objects(monkeypatch, kind):
+    # a sweep reads each rejection from the block test's arrays; only run_test
+    # wraps an estimate and a test in objects
+    scenario = _scenario(n=300, reps=12, seed=23)
+    want = mt.size_power_curve(scenario, [-2.0, 0.0], kind, resamples=60).rejections
+    assert want.tolist() == {"global": [2, 8], "constancy": [1, 2]}[kind]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a power sweep built a per-replication object")
+
+    monkeypatch.setattr(inference, "TestResult", refused)
+    monkeypatch.setattr(estimator, "EstimateGrid", refused)
+    got = mt.size_power_curve(scenario, [-2.0, 0.0], kind, resamples=60).rejections
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kw, kind, message", [
@@ -739,7 +768,7 @@ def test_sweep_counts_equal_single_point_sweeps(monkeypatch, kind, varpi):
         assert any(len({point[rep].excluded_points for point in singles}) > 1
                    for rep in range(scenario.reps))
     # the default blocks hold all 8 replications: one block test per point
-    calls, results = _recorded_tests(monkeypatch)
+    calls, results = _recorded_tests(monkeypatch, scenario.grid.points)
     sweep = mt.size_power_curve(scenario, c3_values, kind, resamples=60)
     assert calls == [scenario.reps] * len(c3_values)
     for got, want in zip(results, [test for point in singles for test in point], strict=True):
