@@ -17,10 +17,14 @@ there, so tau scales with the mark density on the scaled axis: a raw range
 of width L multiplies the raw density by L.
 
 Both statistics are maxima of studentized squares, and both critical values
-come from Gaussian multiplier resampling holding the data fixed. Given the
-data, the multiplier sums G = draws @ xi of the n x g subject contributions
-xi are exactly N(0, xi^T xi), and both statistics read only G at the usable
-grid points, so the resampler draws G directly from that grid-sized
+come from Gaussian multiplier resampling holding the data fixed. Each kind's
+maximum has one function, :func:`global_resample` or
+:func:`constancy_resample`, of c * x^2 per draw: the resampled statistics
+take the multiplier sums G with c = h / n, and the observed statistic is the
+same maximum at a single draw, x = tau with c = n h. Given the data, the
+multiplier sums G = draws @ xi of the n x g subject contributions xi are
+exactly N(0, xi^T xi), and both resampled statistics read only G at the
+usable grid points, so the resampler draws G directly from that grid-sized
 covariance and no draw touches the n subjects. The covariance is built from
 the estimator's per-arm kernel terms, which censored subjects (zero
 contributions) do not enter. Grid points flagged by the estimator (or with a
@@ -51,10 +55,8 @@ __all__ = [
     "arm_grams",
     "resampling_covariance",
     "covariance_factor",
-    "global_statistic",
     "global_resample",
     "pair_variance_table",
-    "constancy_statistic",
     "constancy_resample",
     "critical_value",
     "p_value",
@@ -213,27 +215,21 @@ def covariance_factor(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * np.sqrt(np.clip(w, 0.0, None))[..., None, :], rank
 
 
-def global_statistic(nh: np.ndarray, tau: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """max over usable grid points of (n h) * tau(v)^2 / sigma2(v), per replication.
-
-    ``nh`` holds the R replications' n h; ``tau`` and ``sigma2`` are (R, u)
-    over their usable points.
-    """
-    if tau.shape[1] == 0:
-        raise InferenceError("no usable grid points: every point is flagged")
-    return (nh[:, None] * tau**2 / sigma2).max(axis=1)
-
-
 def global_resample(scale: np.ndarray, sigma2: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Resampled analogue of the global statistic, shape (R, draws).
+    """The global maximum over usable points of c * x^2 / sigma2, shape (R, draws).
 
-    ``sums`` holds the multiplier sums G of R replications, shape (R, draws,
-    u), one column per usable point; each replaces n * tau(v) and is
-    studentized by the same sigma2(v), (R, u). ``scale`` is each
-    replication's h / n. The work runs point-major, (u, R, draws), so that
-    every operation streams whole rows of draws.
+    ``sums`` holds x for R replications, shape (R, draws, u), one column per
+    usable point, studentized by the (R, u) sigma2(v); ``scale`` holds each
+    replication's c. The resampled statistic takes the multiplier sums G,
+    which replace n * tau(v), with c = h / n; the observed statistic is the
+    same maximum at one draw, x = tau and c = n h. The work runs
+    point-major, (u, R, draws), so that every operation streams whole rows
+    of draws.
     """
     reps, draws, points = sums.shape
+    if points == 0:
+        raise InferenceError(
+            "no usable grid points: every point is flagged or has a zero variance estimate")
     scaled = np.square(sums.transpose(2, 0, 1), out=np.empty((points, reps, draws)))
     np.multiply(np.repeat(scale[:, None], draws, axis=1), scaled, out=scaled)
     np.divide(scaled, sigma2.T[:, :, None], out=scaled)
@@ -279,27 +275,19 @@ def _constancy_pairs(zeta: np.ndarray) -> tuple[np.ndarray, ...]:
     return j_idx, k_idx, np.where(keep, zeta_pairs, np.inf), keep
 
 
-def constancy_statistic(nh: np.ndarray, tau: np.ndarray, pairs: tuple) -> np.ndarray:
-    """max over kept pairs v1 < v2 of (n h) * (tau(v1) - tau(v2))^2 / zeta, per replication.
-
-    ``tau`` is (R, u) over the usable points and ``pairs`` the result of
-    :func:`_constancy_pairs`.
-    """
-    j_idx, k_idx, zeta_pairs, _ = pairs
-    diffs = tau[:, j_idx] - tau[:, k_idx]
-    return (nh[:, None] * diffs**2 / zeta_pairs).max(axis=1)
-
-
 def constancy_resample(scale: np.ndarray, sums: np.ndarray, pairs: tuple) -> np.ndarray:
-    """Resampled analogue of the constancy statistic, shape (R, draws).
+    """The constancy maximum over kept pairs j < k of c * (x_j - x_k)^2 / zeta, (R, draws).
 
-    ``sums`` and ``scale`` are as in :func:`global_resample`; pair
-    differences are differences of their columns. The pair list is scored
-    in chunks of consecutive pairs, for as many replications at once as fit,
-    (h / n) * diff^2 / zeta against every draw, into each replication's
-    running maximum; a pair a replication skips scores +0.0. A chunk holds
-    at most ``_PAIR_CHUNK_BYTES`` (or one pair of one replication), so
-    memory grows with draws x points rather than draws x pairs.
+    ``sums`` and ``scale`` are as in :func:`global_resample`: the
+    multiplier sums G with c = h / n for the resampled statistic, tau at one
+    draw with c = n h for the observed one; pair differences are
+    differences of their columns. The pair list is scored in chunks of
+    consecutive pairs, for as many replications at once as fit, against
+    every draw, into each replication's running maximum; a pair a
+    replication skips scores +0.0. A chunk holds at most
+    ``_PAIR_CHUNK_BYTES`` (or one pair of one replication) and no more
+    pairs than the list, so memory grows with draws x points rather than
+    draws x pairs.
     """
     j_idx, k_idx, zeta_pairs, _ = pairs
     reps, draws, points = sums.shape
@@ -310,7 +298,7 @@ def constancy_resample(scale: np.ndarray, sums: np.ndarray, pairs: tuple) -> np.
     result = np.full((reps, draws), -np.inf)
     rows = max(1, _PAIR_CHUNK_BYTES // (8 * draws))
     stack = min(reps, rows)
-    width = max(1, rows // stack)
+    width = min(j_idx.size, max(1, rows // stack))
     # anchor point j's pairs (j, k > j) run from first[j] in k order
     first = np.searchsorted(j_idx, np.arange(points + 1))
     chunk = np.empty((width, stack, draws))
@@ -349,21 +337,18 @@ def critical_value(resampled: np.ndarray, alpha: float) -> np.ndarray:
     return values[..., k - 1]
 
 
-def p_value(resampled: np.ndarray, statistic, add_one_correction: bool = False,
-            ) -> np.ndarray:
-    """Proportion of resampled values at or above the observed statistic.
+def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = False,
+            ) -> float:
+    """Proportion of one replication's resampled values at or above its statistic.
 
-    ``resampled`` is one replication's values or a stack of them along the
-    last axis, with one statistic each. With ``add_one_correction`` both
-    numerator and denominator are increased by one, which keeps the p-value
-    strictly positive.
+    With ``add_one_correction`` both numerator and denominator are
+    increased by one, which keeps the p-value strictly positive.
     """
     resampled = np.asarray(resampled, dtype=float)
-    count = np.count_nonzero(resampled >= np.expand_dims(statistic, -1), axis=-1)
-    size = resampled.shape[-1]
+    count = np.count_nonzero(resampled >= statistic)
     if add_one_correction:
-        return (count + 1) / (size + 1)
-    return count / size
+        return (count + 1) / (resampled.size + 1)
+    return count / resampled.size
 
 
 def _test_from_estimate(kind: str, columns: dict, h: np.ndarray, pi: list, grams: np.ndarray,
@@ -380,10 +365,10 @@ def _test_from_estimate(kind: str, columns: dict, h: np.ndarray, pi: list, grams
     other tests read too. Rows with the same usable points form a group,
     tested in stacks of at most ``_STACK_BYTES`` of draws: each row's
     covariance takes its own arm scales, one ``eigh`` call factors the
-    stack, one matmul gives every multiplier sum draws @ L^T, and each
-    statistic and resampled maximum is computed for the whole stack,
-    constancy from one pair list. So each row gets the numbers a block of
-    that row alone gives.
+    stack, one matmul gives every multiplier sum draws @ L^T, and the kind's
+    maximum gives the whole stack's statistics, at tau as one draw, and its
+    resampled values, constancy from one pair list. So each row gets the
+    numbers a block of that row alone gives.
 
     Returns, per row, the statistic, the sorted resampled values (R,
     resamples), the critical value, the covariance rank and the skipped
@@ -415,11 +400,11 @@ def _test_from_estimate(kind: str, columns: dict, h: np.ndarray, pi: list, grams
             sums = draws @ factor.swapaxes(1, 2)
             del draws
             if kind == "global":
-                stat[rows] = global_statistic(nh[rows], tau[at], sigma2[at])
+                stat[rows] = global_resample(nh[rows], sigma2[at], tau[at][:, None])[:, 0]
                 values = global_resample(scale[rows], sigma2[at], sums)
             else:
                 pairs = _constancy_pairs(pair_variance_table(stack, nh[rows], sizes[rows]))
-                stat[rows] = constancy_statistic(nh[rows], tau[at], pairs)
+                stat[rows] = constancy_resample(nh[rows], tau[at][:, None], pairs)[:, 0]
                 values = constancy_resample(scale[rows], sums, pairs)
                 skipped[rows] = np.count_nonzero(~pairs[3], axis=1)
             del sums

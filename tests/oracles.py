@@ -260,12 +260,27 @@ def subject_space_sums(theta, arm, pi, normals):
     return normals @ xi_matrix(theta, arm, pi)
 
 
+def global_resample_dense(scale, sigma2, sums):
+    """The global maximum of ``c * x**2 / sigma2`` over the points, one replication at a time.
+
+    ``sums`` is (R, draws, u) and ``scale`` holds each replication's c:
+    h / n for multiplier sums, n h for tau as a single draw. The package
+    works point-major over the whole stack; same elementwise formula.
+    """
+    out = np.empty(sums.shape[:2])
+    for r, draws in enumerate(sums):
+        out[r] = (scale[r] * draws**2 / sigma2[r]).max(axis=1)
+    return out
+
+
 def constancy_resample_dense(scale, sums, pairs):
-    """Resampled constancy statistics with every pair of a replication scored at once.
+    """The constancy maximum with every pair of a replication scored at once.
 
     For each replication, builds the draws x kept-pairs array of
-    ``(h / n) * diff**2 / zeta`` that the package avoids by scoring the pair
-    list in chunks of bounded size; same elementwise formula.
+    ``c * diff**2 / zeta`` that the package avoids by scoring the pair
+    list in chunks of bounded size; same elementwise formula. With
+    multiplier sums c is h / n; with tau as a single draw, the observed
+    statistic, it is n h.
     """
     j_idx, k_idx, zeta_pairs, keep = pairs
     out = np.empty(sums.shape[:2])

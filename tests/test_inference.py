@@ -1,10 +1,11 @@
 import dataclasses
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -18,11 +19,9 @@ from marktau.inference import (
     _usable_points,
     arm_grams,
     constancy_resample,
-    constancy_statistic,
     covariance_factor,
     critical_value,
     global_resample,
-    global_statistic,
     multiplier_draws,
     p_value,
     pair_variance_table,
@@ -37,6 +36,7 @@ from oracles import (
     dense_gram,
     dense_kernel_terms,
     draw_dataset,
+    global_resample_dense,
     scatter_terms,
     subject_major,
     subject_space_sums,
@@ -51,6 +51,8 @@ NULL_SCENARIO = mt.Scenario(
 # kernel windows of neighbouring points overlap here, so the resampling
 # covariance has off-diagonal terms
 DENSE_GRID = mt.EvaluationGrid.evenly_spaced(mt.MarkInterval(0.1, 0.9), 20)
+NO_USABLE_POINTS = ("^no usable grid points: every point is flagged or has a zero variance "
+                    "estimate$")
 
 
 def _manual_grid(points, tau, sigma2, *, n=1000, h=0.1, flagged=None):
@@ -92,8 +94,9 @@ def _resampled_alone(kind, est, terms, seed, resamples):
 
 
 def _global_statistic(est):
+    """The observed global statistic of one estimate: its maximum at tau as one draw."""
     nh, _, tau, sigma2 = _stacked(est)
-    return float(global_statistic(nh, tau, sigma2)[0])
+    return float(global_resample(nh, sigma2, tau[:, None])[0, 0])
 
 
 def _pair_table(grams, est):
@@ -135,7 +138,32 @@ def test_constancy_statistic_hand_value():
     zeta = np.array([[[0.0, 25.0], [25.0, 0.0]]])
     pairs = _constancy_pairs(zeta)
     nh, _, tau, _ = _stacked(est)
-    assert constancy_statistic(nh, tau, pairs)[0] == pytest.approx(1.0, rel=1e-12)
+    assert constancy_resample(nh, tau[:, None], pairs)[0, 0] == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 30),
+    st.integers(1, 3),
+    st.one_of(st.just(1), st.integers(1, 40), st.integers(1000, 3000)),
+    st.integers(0, 2**32 - 1),
+)
+@example(0, 2, 1, 0)
+@example(3, 2, 1, 0)
+def test_global_resample_matches_dense_oracle_bitwise(usable, reps, draws, seed):
+    # at one draw this is the observed statistic, x = tau with c = n h; at
+    # many it is the resampled one, x = G with c = h / n
+    rng = np.random.default_rng(seed)
+    h, n = rng.uniform(0.01, 0.5, reps), rng.integers(10, 10_000, reps)
+    scale = h * n if draws == 1 else h / n
+    sigma2 = rng.uniform(0.1, 5.0, (reps, usable))
+    sums = rng.normal(scale=rng.uniform(0.1, 10.0), size=(reps, draws, usable))
+    if usable == 0:
+        with pytest.raises(InferenceError, match=NO_USABLE_POINTS):
+            global_resample(scale, sigma2, sums)
+        return
+    got = global_resample(scale, sigma2, sums)
+    assert got.tobytes() == global_resample_dense(scale, sigma2, sums).tobytes()
 
 
 @settings(deadline=None, max_examples=60)
@@ -514,9 +542,24 @@ def test_constancy_needs_two_usable_points():
 def test_global_all_flagged_errors():
     ds = hand_dataset(v=0.9)
     grid = mt.EvaluationGrid.explicit([0.2, 0.3], mt.MarkInterval(0.1, 0.9))
-    with pytest.raises(InferenceError,
-                       match="^no usable grid points: every point is flagged$"):
+    with pytest.raises(InferenceError, match=NO_USABLE_POINTS):
         mt.run_test("global", ds, grid, resamples=10, seed=0, bandwidth=0.1)
+
+
+def test_zero_weight_failures_leave_no_usable_point():
+    # every failure is at y = 0, so its weight y / S is 0: the windows hold
+    # events and no point is flagged, but every variance estimate is 0
+    nan = math.nan
+    ds = mt.Dataset.from_arrays(
+        [0.0, 0.0, 5.0, 6.0, 7.0, 8.0, 0.0, 0.0, 5.0, 6.0, 7.0, 8.0],
+        [1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+        [0.45, 0.55, nan, nan, nan, nan, 0.5, 0.52, nan, nan, nan, nan],
+        [1] * 6 + [0] * 6)
+    grid = mt.EvaluationGrid.explicit([0.4, 0.5, 0.6], mt.MarkInterval(0.1, 0.9))
+    est, _ = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.2, varpi=1.0)
+    assert est.flagged.tolist() == [False] * 3 and est.sigma2.tolist() == [0.0] * 3
+    with pytest.raises(InferenceError, match=NO_USABLE_POINTS):
+        mt.run_test("global", ds, grid, resamples=10, seed=0, bandwidth=0.2)
 
 
 def test_one_usable_point_of_several():

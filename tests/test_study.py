@@ -41,3 +41,13 @@ def test_one_metrics_cell_reruns_to_its_committed_rows():
     recorded = json.loads(lines[0].split(" config=", 1)[1])["cells"][name]
     assert recorded == json.loads(json.dumps(_json_safe(config)))
     assert recorded["censor_mean0"] is not None and recorded["censor_mean1"] is not None
+
+
+def test_one_power_cell_reruns_to_its_committed_rows():
+    # the n = 1000 point at c3 = -2 of the size and power sweep, both kinds
+    _, rows = _load_study().power_cell("-2:-2:0.25", 1000, 1000, 1000)
+    lines = (ROOT / "docs" / "study" / "size_power.csv").read_text(encoding="utf-8").splitlines()
+    committed = [line for line in lines[2:]
+                 if line.startswith("n1000,") and line.split(",")[2] == "-2.0"]
+    assert [",".join(_format_cell(cell) for cell in ("n1000", *row)) for row in rows] == committed
+    assert [line.split(",")[5] for line in committed] == ["53", "45"]
