@@ -18,12 +18,13 @@ and none otherwise; the integral form survives only in the test oracles.
 Censored subjects therefore contribute exactly zero, and the kernel terms
 are kept for observed failures only. A failure's term is nonzero only at
 the grid points within h of its mark, so each failure keeps one window of
-consecutive grid points, found by binary search on the grid, and the
-kernel is evaluated there alone. Every per-point sum adds the arm's terms
-left to right in record order. The contrast tau(v) = tau_1(v) - tau_0(v),
-its variance estimate (n h) * sum over arms of n_a^(-2) * sum_i
-theta_i(v)^2 and pointwise confidence intervals follow the large-sample
-normal approximation for sqrt(n h).
+consecutive grid points and the kernel is evaluated there alone. Each
+window's ends are ranked by the grid's even spacing, checked against the
+neighbouring points and searched for only where the check fails. Every
+per-point sum adds the arm's terms left to right in record order. The
+contrast tau(v) = tau_1(v) - tau_0(v), its variance estimate (n h) * sum
+over arms of n_a^(-2) * sum_i theta_i(v)^2 and pointwise confidence
+intervals follow the large-sample normal approximation for sqrt(n h).
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ __all__ = [
     "ipcw_weights",
     "estimate_on_grid",
 ]
-
-
-# The most grid points a window's width is counted along before a binary search
-# finds it instead. Counting along one point costs a quarter of that search or
-# less, from 6e3 to 2e5 failures, so a window this wide costs at most about two.
-_STRETCH = 8
 
 
 class EstimationError(ValueError):
@@ -153,6 +148,27 @@ def ipcw_weights(y, delta, arm, n0) -> tuple[np.ndarray, np.ndarray]:
     return failed, y.reshape(-1)[failed] / at_failure
 
 
+def _rank(points: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(points, keys, side)``, guessed from the grid's spacing.
+
+    Each rank is guessed as if the points were evenly spaced and checked
+    against the points either side of it; only the keys that fail are searched.
+    """
+    g, left = points.size, side == "left"
+    span = points[-1] - points[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a far key's guess is only clipped
+        guess = (keys - points[0]) * ((g - 1) / span if span > 0.0 else 0.0)
+    guess = np.ceil(guess, out=guess) if left else np.floor(guess, out=guess) + 1.0
+    # fmax and fmin send a NaN guess to 0, so the cast never sees one
+    rank = np.fmin(np.fmax(guess, 0.0, out=guess), g, out=guess).astype(np.intp)
+    padded = np.concatenate(([-np.inf], points, [np.inf]))
+    below, above = padded[rank], padded[1:][rank]  # points rank - 1 and rank
+    fits = (below < keys) & (keys <= above) if left else (below <= keys) & (keys < above)
+    wrong = np.flatnonzero(~fits)  # by rounding, an uneven grid or a NaN key
+    rank[wrong] = np.searchsorted(points, keys[wrong], side)
+    return rank
+
+
 def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
                          alpha: float = 0.05, bandwidth: float | None = None,
                          varpi: float = 1.0,
@@ -221,23 +237,11 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
     # h; the few ulps more are slack. The kernel's |(u - v) / h| < 1 and the
     # count's |u - v| < h decide each point of the window.
     reach = h_at * (1.0 + 4.0 * np.finfo(float).eps)
-    start = np.searchsorted(points, marks - reach)
-    upper = marks + reach
-    # A window's width counts the points from its start up to mark + h. They
-    # lie within 2h of the first, so there are at most `most` of them, the
-    # largest count of points within 2h of one point. Counted along a stretch
-    # one point longer, or _STRETCH points, a width is exact when it stops
-    # short of the stretch's end; a count that reaches it, on a wide window
-    # or by rounding at a window's edges, is found by binary search instead.
-    r = reach.max(initial=0.0)
-    most = int((np.searchsorted(points - r, points + r, side="right") - np.arange(g)).max())
-    stretch = min(most + 1, _STRETCH)
+    # A window runs from the first grid point at or above mark - h to the last
+    # at or below mark + h; _rank finds both ends exactly as np.searchsorted.
+    start = _rank(points, marks - reach, "left")
+    counts = _rank(points, marks + reach, "right") - start
     del observed, row, reach  # block-sized arrays go once used, as in km.fit_censoring_km
-    after = np.concatenate((points, np.full(stretch, np.inf)))
-    counts = (after[start + np.arange(stretch)[:, None]] <= upper).sum(axis=0)
-    full = np.flatnonzero(counts == stretch)
-    counts[full] = np.searchsorted(points, upper[full], side="right") - start[full]
-    del after, upper
     widths = np.zeros(2 * rows, np.intp)
     np.maximum.at(widths, curve, counts)
     w = int(widths.max())

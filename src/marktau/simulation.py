@@ -103,8 +103,8 @@ class Scenario:
         if not (math.isfinite(self.varpi) and self.varpi > 0.0):
             raise SimulationError(f"bandwidth scale must be positive, got {self.varpi!r}")
         for mu in (self.censor_mean0, self.censor_mean1):
-            if mu is not None and not mu > 0.0:
-                raise SimulationError(f"censoring means must be positive, got {mu!r}")
+            if mu is not None and not (math.isfinite(mu) and mu > 0.0):
+                raise SimulationError(f"censoring means must be positive and finite, got {mu!r}")
         if not 0.0 < self.censor_target < 1.0:
             raise SimulationError(
                 "censoring target must be strictly inside (0,1); "

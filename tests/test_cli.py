@@ -334,6 +334,19 @@ def test_non_finite_coefficient_is_an_error_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_infinite_censoring_mean_is_an_error_line(tmp_path, capsys):
+    # an infinite mean would leave the arm uncensored and reach the config
+    # line as null, the record of a calibrated mean
+    out = tmp_path / "x.csv"
+    code, stdout, err = _run(
+        capsys, "simulate", "--c3", "-1", "--censor-mean0", "inf", "--censor-mean1", "5",
+        "--n", "200", "--reps", "3", "--out", str(out),
+    )
+    assert code == 1
+    assert err == "error: censoring means must be positive and finite, got inf\n"
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ("simulate", "--c3", "-1"),
     ("power", "--kind", "global", "--c3-range=-1:-1:1"),

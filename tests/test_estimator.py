@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import marktau as mt
 from marktau.estimator import (
     EstimationError,
     _estimate_with_terms,
+    _rank,
     ipcw_weights,
     normal_quantile,
 )
@@ -514,6 +516,49 @@ def test_window_width_with_grid_points_at_its_rounded_ends():
 def test_window_terms_match_dense_oracle_on_hand_dataset(points, h):
     _assert_windows_match_dense(hand_dataset(), points, h)
     _assert_windows_match_dense(hand_dataset(v=0.4), points, h)
+
+
+@st.composite
+def _rank_cases(draw):
+    """A grid and the keys its ranks must get exact.
+
+    The grids are evenly spaced with 2 to 200 points on a subinterval of
+    [0, 1], irregular, or one point. The keys are every grid point, the
+    floats one ulp either side of each, keys inside and outside the grid,
+    the largest finite floats, the infinities and NaN, in a drawn order.
+    """
+    kind = draw(st.sampled_from(("even", "irregular", "one")))
+    if kind == "even":
+        lower = draw(st.floats(0.0, 0.999))
+        upper = draw(st.floats(lower + 1e-3, 1.0))
+        count = draw(st.integers(2, 200))
+        points = mt.EvaluationGrid.evenly_spaced(mt.MarkInterval(lower, upper), count).points
+    else:
+        size = 1 if kind == "one" else draw(st.integers(2, 30))
+        floats = st.floats(0.0, 1.0)
+        points = np.array(sorted(draw(st.lists(floats, min_size=size, max_size=size,
+                                                unique=True))))
+    near = np.concatenate((points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)))
+    loose = draw(st.lists(st.floats(-2.0, 3.0), max_size=20))
+    extreme = [-np.finfo(float).max, np.finfo(float).max, -np.inf, np.inf, np.nan]
+    keys = np.concatenate((near, loose, extreme))
+    return points, keys[draw(st.permutations(range(keys.size)))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_rank_cases())
+def test_rank_is_searchsorted(data):
+    # the guess from even spacing, its check and its search fallback together
+    # give np.searchsorted's rank on every increasing grid, with no warning on
+    # a NaN, infinite or far key
+    points, keys = data
+    for side in ("left", "right"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _rank(points, keys, side)
+        want = np.searchsorted(points, keys, side)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def _assert_record_order_invariant(ds, points, h, perm):

@@ -481,6 +481,9 @@ def test_metrics_table_shapes_and_truth():
         dict(p_treat=1.0),
         dict(alpha=1.0),
         dict(censor_mean0=-1.0),
+        # not inf > 0 is False, so an infinite mean once ran that arm uncensored
+        dict(censor_mean0=math.inf),
+        dict(censor_mean1=math.inf),
         dict(censor_target=1.5),
         # nan < 0 is False, so a NaN coefficient would pass the negative
         # failure-time check in generate_dataset
