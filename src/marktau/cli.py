@@ -304,7 +304,7 @@ def cmd_estimate(args) -> int:
         from .km import fit_censoring_km
 
         jump_times, values, curve, _ = fit_censoring_km(
-            dataset.y[None], dataset.delta[None], dataset.arm[None], dataset.n0)
+            dataset.y[None], dataset.delta[None], dataset.arm[None])
         for a in (0, 1):
             rows = [(0.0, 1.0)] + list(zip(jump_times[curve == a], values[curve == a]))
             _write_csv(Path(f"{args.dump_censoring}_arm{a}.csv"),

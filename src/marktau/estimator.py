@@ -126,17 +126,17 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def ipcw_weights(y, delta, arm, n0) -> tuple[np.ndarray, np.ndarray]:
+def ipcw_weights(y, delta, arm) -> tuple[np.ndarray, np.ndarray]:
     """The factors delta_i * y_i / S_a(y_i) of every row of (R, n) arrays.
 
-    Every row is one dataset, with ``n0`` its count of arm-0 subjects.
-    Each arm's censoring curve is fitted on that arm alone and evaluated
-    left-continuously, so at an observed failure S_a(y_i) is positive and
-    1 / S_a(y_i) is at most the arm size. Returns the flat indices of the
-    observed failures, in row and record order, and their weights; every
-    other weight is zero.
+    Every row is one dataset, whose arm sizes the censoring fit counts from
+    ``arm``. Each arm's censoring curve is fitted on that arm alone and
+    evaluated left-continuously, so at an observed failure S_a(y_i) is
+    positive and 1 / S_a(y_i) is at most the arm size. Returns the flat
+    indices of the observed failures, in row and record order, and their
+    weights; every other weight is zero.
     """
-    *_, surv = fit_censoring_km(y, delta, arm, n0)
+    *_, surv = fit_censoring_km(y, delta, arm)
     failed = np.flatnonzero(delta == 1)
     at_failure = surv.reshape(-1)[failed]
     vanished = at_failure <= 0.0
@@ -172,10 +172,13 @@ def _rank(points: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
 def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
                          alpha: float = 0.05, bandwidth: float | None = None,
                          varpi: float = 1.0,
-                         ) -> tuple[EstimateGrid, tuple[np.ndarray, ...]]:
-    """Estimates on the grid plus the windowed kernel terms they are sums of.
+                         ) -> tuple[EstimateGrid, tuple]:
+    """Estimates on the grid plus the block of one dataset they are read from.
 
-    The terms are ``(curve, start, values, widths)``, one row per observed
+    The block is what :func:`_estimate_block` returns for this one dataset,
+    ``(bandwidths, columns, terms)``, which the block test takes whole. The
+    terms, the windowed kernel terms the estimates are sums of, are
+    ``(curve, start, values, widths)``, one row per observed
     failure in record order, with curve the failure's arm: ``values[k, i]``
     is (y / S_a(y)) * K_h(mark - v_j) at grid point j = start[k] + i, and
     ``widths[a]`` is arm a's window width, the widest window of its
@@ -185,15 +188,14 @@ def _estimate_with_terms(dataset: Dataset, grid: EvaluationGrid, *,
     array. Censored subjects contribute zero and have no row. Each
     per-point sum adds the arm's terms left to right in record order. The
     multiplier resampling reuses the terms, so they are computed once here.
-    This is :func:`_estimate_block` on a block of one dataset.
     """
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0,1), got {alpha!r}")
-    bandwidths, columns, terms = _estimate_block(
+    block = _estimate_block(
         dataset.y[None], dataset.delta[None], dataset.mark[None], dataset.arm[None],
         grid.points, alpha=alpha, bandwidth=bandwidth, varpi=varpi,
     )
-    return _row_estimate(grid.points, bandwidths, columns, 0), terms
+    return _row_estimate(grid.points, *block[:2], 0), block
 
 
 def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
@@ -220,7 +222,7 @@ def _estimate_block(y, delta, mark, arm, points: np.ndarray, *, alpha: float,
     """
     rows, n = y.shape
     n1, n0 = _arm_sizes(arm)
-    observed, weights = ipcw_weights(y, delta, arm, n0)
+    observed, weights = ipcw_weights(y, delta, arm)
     row = observed // n
     marks = mark.reshape(-1)[observed]
     if bandwidth is None:

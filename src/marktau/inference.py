@@ -32,9 +32,10 @@ zero variance estimate) are excluded from the maxima; constancy pairs with a
 zero pair-variance are skipped with a diagnostic count rather than failing
 the test.
 
-The block test :func:`_test_from_estimate` takes the estimator's columns
-and returns arrays, one entry per replication, which a simulation sweep
-reads directly; only :func:`run_test` builds a :class:`TestResult`.
+The block test :func:`_test_from_estimate` takes the estimator's block of
+bandwidths, columns and kernel terms whole and returns arrays, one entry per
+replication, which a simulation sweep reads directly; only :func:`run_test`
+builds a :class:`TestResult`.
 """
 
 from __future__ import annotations
@@ -351,33 +352,40 @@ def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = 
     return count / resampled.size
 
 
-def _test_from_estimate(kind: str, columns: dict, h: np.ndarray, pi: list, grams: np.ndarray,
-                        streams: list, *, resamples: int, alpha: float) -> tuple[np.ndarray, ...]:
+def _test_from_estimate(kind: str, block: tuple, streams: list, *, resamples: int,
+                        alpha: float, pi: float | None = None) -> tuple[np.ndarray, ...]:
     """The tests of a block of estimates on one grid, arrays in and arrays out.
 
-    ``columns`` holds the estimator's ``tau``, ``sigma2`` and ``flagged`` as
-    (R, g) arrays, and its arm sizes ``n0`` and ``n1`` as R-lists or arrays,
-    as :func:`~marktau.estimator._estimate_block` returns them; ``h`` holds
-    each row's bandwidth and ``pi`` its treated fraction. ``grams`` holds
-    each row's control and treated Grams from :func:`arm_grams` over the
-    whole grid, shape (R, 2, g, g); row i draws its multipliers with
-    :func:`multiplier_draws` from ``streams[i]``, which the replication's
-    other tests read too. Rows with the same usable points form a group,
-    tested in stacks of at most ``_STACK_BYTES`` of draws: each row's
-    covariance takes its own arm scales, one ``eigh`` call factors the
-    stack, one matmul gives every multiplier sum draws @ L^T, and the kind's
-    maximum gives the whole stack's statistics, at tau as one draw, and its
-    resampled values, constancy from one pair list. So each row gets the
-    numbers a block of that row alone gives.
+    ``block`` is ``(bandwidths, columns, terms)`` of
+    :func:`~marktau.estimator._estimate_block`, whole: each row's bandwidth
+    h, its (R, g) ``tau``, ``sigma2`` and ``flagged`` columns, its arm sizes
+    ``n0`` and ``n1`` and the kernel terms, from which one :func:`arm_grams`
+    pass gives each row's control and treated Grams over the whole grid
+    before the terms are dropped. Each row's treated fraction is its n1 / n,
+    or ``pi`` for every row when a design fraction is given. Row i draws its
+    multipliers with :func:`multiplier_draws` from ``streams[i]``, which the
+    replication's other tests read too. Rows with the same usable points
+    form a group, tested in stacks of at most ``_STACK_BYTES`` of draws:
+    each row's covariance takes its own arm scales, one ``eigh`` call
+    factors the stack, one matmul gives every multiplier sum draws @ L^T,
+    and the kind's maximum gives the whole stack's statistics, at tau as one
+    draw, and its resampled values, constancy from one pair list. So each
+    row gets the numbers a block of that row alone gives.
 
     Returns, per row, the statistic, the sorted resampled values (R,
     resamples), the critical value, the covariance rank and the skipped
     constancy pairs. The callers check ``kind`` and ``resamples``.
     """
+    bandwidths, columns, terms = block
     tau, sigma2 = columns["tau"], columns["sigma2"]
+    grams = arm_grams(terms, tau.shape[1])
+    del block, terms  # block-sized, and read no further than the Grams
+    h = np.array([bw.h for bw in bandwidths])
     sizes = np.array([columns["n0"], columns["n1"]], dtype=np.int64).T
     n = sizes.sum(axis=1)
     nh, scale = n * h, h / n
+    pi = ([n1 / (n0 + n1) for n0, n1 in zip(columns["n0"], columns["n1"])] if pi is None
+          else [pi] * len(streams))
     usable = _usable_points(columns["flagged"], sigma2)
     stat, crit = np.empty((2, len(streams)))
     resampled = np.empty((len(streams), resamples))
@@ -435,15 +443,11 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
     if pi_design is not None and not 0.0 < pi_design < 1.0:
         raise InferenceError(f"pi_design must be in (0,1), got {pi_design!r}")
     _check_resamples(resamples)
-    est, terms = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
+    est, block = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
                                       varpi=varpi)
-    columns = {name: np.array([getattr(est, name)])
-               for name in ("tau", "sigma2", "flagged", "n0", "n1")}
-    pi = pi_design if pi_design is not None else est.n1 / est.n
     stat, resampled, crit, rank, skipped = (
-        row[0] for row in _test_from_estimate(
-            kind, columns, np.array([est.h]), [pi], arm_grams(terms, grid.points.size),
-            [_MultiplierStream(seed)], resamples=resamples, alpha=alpha))
+        row[0] for row in _test_from_estimate(kind, block, [_MultiplierStream(seed)],
+                                              resamples=resamples, alpha=alpha, pi=pi_design))
     usable = _usable_points(est.flagged, est.sigma2)
     return TestResult(
         statistic=float(stat), critical_value=float(crit),

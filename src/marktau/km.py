@@ -16,13 +16,13 @@ from .data_model import DataError
 __all__ = ["fit_censoring_km"]
 
 
-def fit_censoring_km(y, delta, arm, n0):
+def fit_censoring_km(y, delta, arm):
     """Kaplan-Meier censoring curves of each arm of each row of (R, n) arrays.
 
-    Every row is one dataset, and ``n0`` holds each row's count of arm-0
-    subjects; ``delta == 0`` rows (censorings) are the events of its
-    curves. The risk set at time t is every subject of the arm with
-    ``y >= t``, so a failure tied with a censoring is still at risk there.
+    Every row is one dataset, and its arm-0 count is taken from ``arm``;
+    ``delta == 0`` rows (censorings) are the events of its curves. The risk
+    set at time t is every subject of the arm with ``y >= t``, so a failure
+    tied with a censoring is still at risk there.
     A curve is strictly positive at any time with a subject still at risk
     beyond it, which bounds the inverse weights by the arm size.
 
@@ -56,7 +56,7 @@ def fit_censoring_km(y, delta, arm, n0):
     take = take.reshape(-1)
     times = y.reshape(-1)[take].reshape(rows, n)
     censored = (delta == 0).reshape(-1)[take].reshape(rows, n)
-    n0 = np.reshape(n0, (rows, 1))
+    n0 = n - np.count_nonzero(arm, axis=1, keepdims=True)
     position = np.arange(n)
     in_arm1 = position >= n0
     run_starts = position == n0

@@ -28,8 +28,7 @@ import numpy as np
 from .data_model import MarkInterval
 from .estimator import EvaluationGrid, _estimate_block
 from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
-from .inference import (_check_kind, _check_resamples, _MultiplierStream, _test_from_estimate,
-                        arm_grams)
+from .inference import _check_kind, _check_resamples, _MultiplierStream, _test_from_estimate
 from .inference import multiplier_draws  # noqa: F401 - rebound by perfbench/spans.py
 
 __all__ = [
@@ -127,21 +126,16 @@ def true_tau(scenario: Scenario, v):
     return float(out) if out.ndim == 0 else out
 
 
-def _first_batch(need: int) -> int:
-    """Normals the rejection sampler draws at once while ``need`` values are missing."""
-    return max(16, int(need * 1.6) + 8)
+def _fill_truncated(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with standard normals conditioned on [-1, 1], by rejection.
 
-
-def _fill_truncated(rng: np.random.Generator, out: np.ndarray, filled: int) -> None:
-    """Fill ``out[filled:]`` with standard normals conditioned on [-1, 1], by rejection.
-
-    Each batch of :func:`_first_batch` normals keeps those in [-1, 1]
-    (about 68 %), in draw order.
+    While ``need`` values are missing, a batch of max(16, int(1.6 need) + 8)
+    normals keeps those in [-1, 1] (about 68 %), in draw order.
     """
-    size = out.size
+    filled, size = 0, out.size
     while filled < size:
         need = size - filled
-        batch = rng.standard_normal(_first_batch(need))
+        batch = rng.standard_normal(max(16, int(need * 1.6) + 8))
         # gathered by index: a boolean mask gathers them several times slower
         keep = batch[np.flatnonzero(np.abs(batch) <= 1.0)]
         take = min(keep.size, need)
@@ -153,37 +147,21 @@ def _block_draws(scenario: Scenario, rngs: list) -> tuple[np.ndarray, ...]:
     """The draws of a block that take no coefficient and no censoring mean.
 
     Each generator draws, in this order, the n treatment uniforms, the n
-    marks, the n truncated normal residuals and the n unit exponentials
-    that, times the arm's censoring mean, are the censoring times; the rest
-    runs once on the whole block. The residuals' first rejection batch of
-    every generator is screened in one pass, and only a row it leaves short
-    draws further batches, before its exponentials. Returns the arm, the
-    mark v, sin(2 pi v), the residuals and the unit exponentials as (R, n)
-    arrays, row i from the i-th generator; every c3 point of a sweep reads
-    these same draws.
+    marks, the n truncated normal residuals by :func:`_fill_truncated` and
+    the n unit exponentials that, times the arm's censoring mean, are the
+    censoring times; the rest runs once on the whole block. Returns the arm,
+    the mark v, sin(2 pi v), the residuals and the unit exponentials as
+    (R, n) arrays, row i from the i-th generator; every c3 point of a sweep
+    reads these same draws.
     """
     n, count = scenario.n, len(rngs)
     uniform = np.empty((count, 2, n))  # the treatment draws, then the marks
-    normals = np.empty((count, _first_batch(n)))
-    for i, rng in enumerate(rngs):
-        rng.random(out=uniform[i])
-        rng.standard_normal(out=normals[i])
-    # every row's accepted normals, row after row, and where each row's
-    # start (a boolean mask gathers them several times slower)
-    accepted = np.abs(normals) <= 1.0
-    counts = np.count_nonzero(accepted, axis=1)
-    kept = normals.reshape(-1)[np.flatnonzero(accepted)]
-    starts = np.cumsum(counts) - counts
-    del normals, accepted
     # the residuals and unit exponentials; the failure and censoring times
     # are built on them in place
     t, c = np.empty((count, n)), np.empty((count, n))
-    full = counts >= n
-    t[full] = kept[starts[full, None] + np.arange(n)]
     for i, rng in enumerate(rngs):
-        if not full[i]:
-            t[i, :counts[i]] = kept[starts[i]:starts[i] + counts[i]]
-            _fill_truncated(rng, t[i], int(counts[i]))
+        rng.random(out=uniform[i])
+        _fill_truncated(rng, t[i])
         rng.standard_exponential(out=c[i])
     arm = (uniform[:, 0] < scenario.p_treat).astype(np.int64)
     # a copy, so that a sweep's block does not hold the treatment uniforms
@@ -548,10 +526,10 @@ def _test_rep(args: tuple[list[Scenario], range, str, int]) -> list:
     replications. Replication r makes its data draws (stream (r, 0)) and
     opens its multiplier stream (r, 1) once, and every point reads them:
     a point derives its columns from the shared draws, is estimated as in
-    :func:`_metrics_rep`, gets every replication's Grams from one
-    :func:`~marktau.inference.arm_grams` pass, and runs one call of the
-    block test, in which replication r reads the first B x k normals of
-    its stream, k its usable points there. So each test gets the numbers it
+    :func:`_metrics_rep`, and hands that block estimate whole to one call of
+    the block test, which takes every replication's treated fraction n1 / n
+    from it and in which replication r reads the first B x k normals of its
+    stream, k its usable points there. So each test gets the numbers it
     would get alone. Returns one list of flags per point, in point order;
     at the first point that fails, the list ends with the error of that
     point's first failing replication in the block.
@@ -573,13 +551,9 @@ def _test_rep(args: tuple[list[Scenario], range, str, int]) -> list:
 def _point_tests(scenario: Scenario, draws, streams: list, kind: str, resamples: int,
                  rows: slice) -> list[bool]:
     """Whether the test rejects at one c3 point, for some rows of a block."""
-    bandwidths, columns, terms = _block_estimates(scenario, draws, rows)
-    grams = arm_grams(terms, scenario.grid.points.size)
-    del terms
     stat, _, crit, _, _ = _test_from_estimate(
-        kind, columns, np.array([bw.h for bw in bandwidths]),
-        [n1 / scenario.n for n1 in columns["n1"]], grams, streams[rows],
-        resamples=resamples, alpha=scenario.alpha)
+        kind, _block_estimates(scenario, draws, rows), streams[rows], resamples=resamples,
+        alpha=scenario.alpha)
     return (stat > crit).tolist()
 
 

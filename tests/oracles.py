@@ -434,7 +434,7 @@ def draw_dataset(scenario, rng):
 def truncated_std_normal(rng, size):
     """``size`` standard normals conditioned on [-1, 1], by the generator's rejection sampler."""
     out = np.empty(size)
-    _fill_truncated(rng, out, 0)
+    _fill_truncated(rng, out)
     return out
 
 

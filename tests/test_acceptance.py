@@ -108,7 +108,7 @@ def test_criterion_4_oracle_equivalence():
         for pattern in itertools.product([0, 1], repeat=n):
             delta = np.array(pattern)
             jump_times, values, _, _ = fit_censoring_km(y[None], delta[None],
-                                                        np.zeros((1, n), np.int64), n)
+                                                        np.zeros((1, n), np.int64))
             probes = sorted(set([0.0, 6.0] + list(y) + [t + 0.5 for t in y]))
             for t in probes:
                 km_worst = max(
@@ -132,8 +132,7 @@ def test_criterion_4_oracle_equivalence():
             mark = np.where(delta == 1, base_marks, np.nan)
             ds = mt.Dataset.from_arrays(y, delta, mark, arm)
             est = mt.estimate_on_grid(ds, grid, bandwidth=0.3)
-            jump_times, values, jump_arm, _ = fit_censoring_km(y[None], delta[None],
-                                                             arm[None], ds.n0)
+            jump_times, values, jump_arm, _ = fit_censoring_km(y[None], delta[None], arm[None])
             for a, curve in ((0, est.tau0), (1, est.tau1)):
                 idx = np.flatnonzero(arm == a)
                 surv = functools.partial(left_continuous, jump_times[jump_arm == a],

@@ -49,8 +49,8 @@ def _at(ds, points, h, **kwargs):
 def _terms(ds, points, h):
     """Estimates and the per-arm kernel terms, scattered into dense (points,
     failures) arrays, at explicit points inside [0, 1]."""
-    est, terms = _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT),
-                                      bandwidth=h)
+    est, (_, _, terms) = _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT),
+                                              bandwidth=h)
     return est, scatter_terms(terms, len(points))
 
 
@@ -137,8 +137,7 @@ def test_group_mean_matches_double_integral_oracle():
         ds = mt.Dataset.from_arrays(np.append(y, 1.5), np.append(delta, 1),
                                     np.append(mark, 0.5), [1] * 6 + [0])
         est = _at(ds, points, h)
-        jump_times, values, curve, _ = fit_censoring_km(ds.y[None], ds.delta[None],
-                                                        ds.arm[None], ds.n0)
+        jump_times, values, curve, _ = fit_censoring_km(ds.y[None], ds.delta[None], ds.arm[None])
         surv = functools.partial(left_continuous, jump_times[curve == 1], values[curve == 1])
         for j, v in enumerate(points):
             want = stieltjes_group_mean(y, delta, mark, surv, v, h)
@@ -227,7 +226,7 @@ def test_estimate_grid_matches_pointwise_functions():
 def test_kernel_matrix_shape_and_censored_rows():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.45, 0.5], UNIT)
-    _, terms = _estimate_with_terms(ds, grid, bandwidth=0.1)
+    _, (_, _, terms) = _estimate_with_terms(ds, grid, bandwidth=0.1)
     # observed failures by window points, a view of one offset-major block
     assert terms[2].T.flags.c_contiguous
     theta = scatter_terms(terms, 2)
@@ -297,7 +296,7 @@ def test_rule_of_thumb_used_when_no_override():
 
 def _weights(ds):
     """Every record's weight: :func:`ipcw_weights` on a block of one, zero off the failures."""
-    failed, at_failed = ipcw_weights(ds.y[None], ds.delta[None], ds.arm[None], ds.n0)
+    failed, at_failed = ipcw_weights(ds.y[None], ds.delta[None], ds.arm[None])
     weights = np.zeros(ds.n)
     weights[failed] = at_failed
     return weights
@@ -326,7 +325,7 @@ def test_ipcw_weights_match_product_limit_oracle_bitwise():
                                         np.where(delta[r] == 1, 0.5, np.nan), arm[r])
             wants.append(ipcw_weights_oracle(ds))
             assert _weights(ds).tobytes() == wants[-1].tobytes()
-        failed, weights = ipcw_weights(y, delta, arm, n - arm.sum(axis=1))
+        failed, weights = ipcw_weights(y, delta, arm)
         block = np.zeros(rows * n)
         block[failed] = weights
         assert block.tobytes() == np.concatenate(wants).tobytes()
@@ -426,8 +425,8 @@ def _assert_windows_match_dense(ds, points, h):
     # event counts bitwise as the dense window predicate counts them, and the
     # Gram bitwise as the dense oracle sums the dense terms
     points = np.asarray(points, dtype=float)
-    est, terms = _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT),
-                                      bandwidth=h)
+    est, (_, _, terms) = _estimate_with_terms(ds, mt.EvaluationGrid.explicit(points, UNIT),
+                                              bandwidth=h)
     # the points from the first at or above mark - h to the last at or below
     # mark + h, with the window's few ulps of slack
     reach = h * (1.0 + 4.0 * np.finfo(float).eps)
@@ -568,8 +567,8 @@ def _assert_record_order_invariant(ds, points, h, perm):
     shuffled = mt.Dataset.from_arrays(ds.y[perm], ds.delta[perm], ds.mark[perm],
                                       ds.arm[perm])
     grid = mt.EvaluationGrid.explicit(points, UNIT)
-    est, terms = _estimate_with_terms(ds, grid, bandwidth=h)
-    est_s, terms_s = _estimate_with_terms(shuffled, grid, bandwidth=h)
+    est, (_, _, terms) = _estimate_with_terms(ds, grid, bandwidth=h)
+    est_s, (_, _, terms_s) = _estimate_with_terms(shuffled, grid, bandwidth=h)
     assert est_s.events0.tobytes() == est.events0.tobytes()
     assert est_s.events1.tobytes() == est.events1.tobytes()
 

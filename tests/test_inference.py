@@ -83,14 +83,10 @@ def _stacked(est):
             est.sigma2[usable][None])
 
 
-def _resampled_alone(kind, est, terms, seed, resamples):
+def _resampled_alone(kind, block, seed, resamples):
     """The sorted resampled values of the block test on a block of one estimate."""
-    columns = {name: np.array([getattr(est, name)])
-               for name in ("tau", "sigma2", "flagged", "n0", "n1")}
-    grams = arm_grams(terms, est.points.size)
-    return _test_from_estimate(kind, columns, np.array([est.h]), [est.n1 / est.n], grams,
-                               [inference._MultiplierStream(seed)], resamples=resamples,
-                               alpha=0.05)[1][0]
+    return _test_from_estimate(kind, block, [inference._MultiplierStream(seed)],
+                               resamples=resamples, alpha=0.05)[1][0]
 
 
 def _global_statistic(est):
@@ -283,7 +279,7 @@ def test_conditional_variance_identity():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.45, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
     h = 0.1
-    est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
+    est, (_, _, theta) = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
     usable, _, cov = _grid_covariance(est, theta, ds.n1 / ds.n)
     assert np.all(usable)
     np.testing.assert_allclose((h / ds.n) * np.diag(cov), est.sigma2, rtol=1e-12)
@@ -305,7 +301,7 @@ def _null_fixture():
 @pytest.mark.parametrize("fixture, rank", [(_mirrored_fixture, 1), (_null_fixture, 20)])
 def test_covariance_factor_reproduces_xi_gram(fixture, rank):
     ds, grid, h = fixture()
-    est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
+    est, (_, _, theta) = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=h, varpi=1.0)
     for pi in (ds.n1 / ds.n, 0.25):
         usable, _, cov = _grid_covariance(est, theta, pi)
         full = subject_major(scatter_terms(theta, grid.points.size), ds)
@@ -381,9 +377,10 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
     # multiplies a (B, n) normal matrix into xi; the resampled statistics
     # must agree in distribution
     ds = draw_dataset(NULL_SCENARIO, np.random.default_rng(45))
-    est, theta = _estimate_with_terms(ds, DENSE_GRID, alpha=0.05, bandwidth=None, varpi=1.0)
+    est, block = _estimate_with_terms(ds, DENSE_GRID, alpha=0.05, bandwidth=None, varpi=1.0)
+    theta = block[2]
     reps = 4000
-    resampled = _resampled_alone(kind, est, theta, 46, reps)
+    resampled = _resampled_alone(kind, block, 46, reps)
     assert np.all(np.isfinite(resampled))
 
     usable = _usable(est)
@@ -404,7 +401,7 @@ def test_grid_space_resampler_matches_subject_space_oracle(kind):
 def test_resampled_values_scale_quadratically():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.48, 0.5], mt.MarkInterval(0.1, 0.9))
-    est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
+    est, (_, _, theta) = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     _, grams, cov = _grid_covariance(est, theta, ds.n1 / ds.n)
     draws = multiplier_draws(int(np.count_nonzero(_usable(est))), 50,
                              inference._MultiplierStream(4))
@@ -422,7 +419,7 @@ def test_resampled_values_scale_quadratically():
 def test_pair_variance_table_against_direct_sum():
     ds = hand_dataset()
     grid = mt.EvaluationGrid.explicit([0.42, 0.5, 0.58], mt.MarkInterval(0.1, 0.9))
-    est, theta = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
+    est, (_, _, theta) = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     _, grams, _ = _grid_covariance(est, theta, ds.n1 / ds.n)
     table = _pair_table(grams, est)[0]
     full = subject_major(scatter_terms(theta, grid.points.size), ds)
@@ -522,10 +519,10 @@ def test_resample_distribution_matches_sampling_distribution():
     ds = draw_dataset(
         NULL_SCENARIO, np.random.default_rng(np.random.SeedSequence(778))
     )
-    est, theta = _estimate_with_terms(
+    _, block = _estimate_with_terms(
         ds, NULL_SCENARIO.grid, alpha=0.05, bandwidth=None, varpi=1.0
     )
-    resampled = _resampled_alone("global", est, theta, 779, reps)
+    resampled = _resampled_alone("global", block, 779, reps)
 
     q_obs = float(np.quantile(observed, 0.95))
     q_res = float(np.quantile(resampled, 0.95))

@@ -15,7 +15,7 @@ def _fit(y, delta):
     """The censoring curve of one arm: the fit of a block of one dataset, all in arm 0."""
     y = np.asarray(y, dtype=float)
     jump_times, values, curve, _ = fit_censoring_km(y[None], np.asarray(delta)[None],
-                                                    np.zeros((1, y.size), np.int64), y.size)
+                                                    np.zeros((1, y.size), np.int64))
     assert not curve.any()
     return jump_times, values
 
@@ -125,7 +125,7 @@ def test_block_curves_are_each_arms_own_fit_bitwise():
         y[rng.random((rows, n)) < 0.2] = -0.0
         delta = rng.integers(0, 2, (rows, n))
         arm = rng.integers(0, 2, (rows, n))
-        jump_times, values, curve, _ = fit_censoring_km(y, delta, arm, n - arm.sum(axis=1))
+        jump_times, values, curve, _ = fit_censoring_km(y, delta, arm)
         assert (np.diff(curve) >= 0).all()
         for r, a in itertools.product(range(rows), (0, 1)):
             steps = product_limit_steps(y[r, arm[r] == a], delta[r, arm[r] == a])

@@ -95,23 +95,27 @@ def test_generate_dataset_moments():
     assert validate(ds).ok
 
 
+def _short_first_batch(scenario, rng):
+    """Whether the generator's first rejection batch keeps fewer than n residuals.
+
+    Such a row draws further batches before its exponentials. At n = 30 the
+    batch is 56 normals, and it falls short about once in a hundred rows.
+    """
+    n = scenario.n
+    rng.random((2, n))
+    return np.count_nonzero(np.abs(rng.standard_normal(max(16, int(n * 1.6) + 8))) <= 1.0) < n
+
+
 def test_block_rows_are_each_generators_own_draws():
-    # at n = 30 the first rejection batch of 56 normals leaves a row short of
-    # 30 accepted values about once in a hundred; such a row draws further
-    # batches before its exponentials
     scenario = _scenario(n=30)
     seeds = range(400)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     block = generate_dataset(scenario, _block_draws(scenario, rngs))
-    short = 0
     for i, seed in enumerate(seeds):
         want = generated_columns(scenario, np.random.default_rng(seed))
         for got, column in zip(block, want, strict=True):
             assert got[i].dtype == column.dtype and got[i].tobytes() == column.tobytes()
-        rng = np.random.default_rng(seed)
-        rng.random((2, scenario.n))
-        short += np.count_nonzero(np.abs(rng.standard_normal(56)) <= 1.0) < scenario.n
-    assert short > 0
+    assert any(_short_first_batch(scenario, np.random.default_rng(seed)) for seed in seeds)
 
 
 def test_generate_dataset_requires_resolved_means():
@@ -361,20 +365,20 @@ def test_replication_seeds_equal_the_spawned_children(seed, rep):
 
 
 def test_metrics_identical_across_worker_counts(monkeypatch):
-    scenario = _scenario(
-        n=200, reps=12,
-        seed=31,
-        grid=mt.EvaluationGrid.explicit(
-            [0.2, 0.35, 0.5, 0.65, 0.8], mt.MarkInterval(0.1, 0.9)
-        ),
-    )
-    # two blocks of 6 replications, so 2 and 8 workers both run a pool of two
-    monkeypatch.setattr(simulation, "_BLOCK_ROWS", 6 * scenario.n)
-    tables = [mt.run_replications(scenario, workers=w) for w in (1, 2, 8)]
-    for other in tables[1:]:
-        np.testing.assert_array_equal(tables[0].bias, other.bias)
-        np.testing.assert_array_equal(tables[0].ratio, other.ratio)
-        np.testing.assert_array_equal(tables[0].coverage, other.coverage)
+    grid = mt.EvaluationGrid.explicit([0.2, 0.35, 0.5, 0.65, 0.8], mt.MarkInterval(0.1, 0.9))
+    for n, reps in ((200, 12), (30, 200)):
+        scenario = _scenario(n=n, reps=reps, seed=31, grid=grid)
+        if n == 30:
+            # some replication draws residuals past its first rejection batch
+            assert any(_short_first_batch(scenario, np.random.default_rng(
+                _replication_seed(scenario.seed, rep, 0))) for rep in range(reps))
+        # two blocks of reps / 2 replications, so 2 and 8 workers both run a pool of two
+        monkeypatch.setattr(simulation, "_BLOCK_ROWS", reps // 2 * n)
+        tables = [mt.run_replications(scenario, workers=w) for w in (1, 2, 8)]
+        for other in tables[1:]:
+            np.testing.assert_array_equal(tables[0].bias, other.bias)
+            np.testing.assert_array_equal(tables[0].ratio, other.ratio)
+            np.testing.assert_array_equal(tables[0].coverage, other.coverage)
 
 
 def _recorded_pools(monkeypatch):
@@ -557,7 +561,7 @@ def test_block_equals_single_replications_bitwise(n, p_treat, c3):
         grams = arm_grams((curve, start, values, widths), g)
         taus, sds, covered = _metrics_rep((scenario, block))
         for i, rep in enumerate(block):
-            single, terms = _single_replication(scenario, rep)
+            single, (_, _, terms) = _single_replication(scenario, rep)
             assert bandwidths[i] == single.bandwidth
             for field in ("tau1", "tau0", "tau", "sigma2", "ci_lower", "ci_upper",
                           "events1", "events0", "flagged"):
@@ -633,8 +637,9 @@ def _recorded_tests(monkeypatch, points):
     """
     calls, results = [], []
 
-    def recorded(kind, columns, *args, **kwargs):
-        tested = _test_from_estimate(kind, columns, *args, **kwargs)
+    def recorded(kind, block, *args, **kwargs):
+        columns = block[1]
+        tested = _test_from_estimate(kind, block, *args, **kwargs)
         stat, resampled, crit, rank, skipped = tested
         calls.append(stat.size)
         for i in range(stat.size):
