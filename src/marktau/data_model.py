@@ -13,8 +13,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import contains
 
 import numpy as np
 
@@ -174,12 +172,13 @@ class Dataset:
         )
 
 
-# A field wrapped in double quotes, as CSV writers quote it: the opening quote
-# starts the field and only whitespace may follow the closing one, on one line
-# of the text. Quoted text holding a comma, a quote or a line break is left as
-# it is; it is never a number, so it fails as a field count or as a
-# non-numeric field.
+# A field wrapped in double quotes on one line, as CSV writers quote it, with only whitespace (in
+# bytes, spaces and tabs) after the closing quote. Quoted text holding a comma, a quote or a line
+# break is left as it is: it is never a number, so it fails a check.
 _QUOTED_FIELD = re.compile(r'(?:\A|(?<=[,\n]))"([^",\n]*)"[^\S\n]*(?=[,\n]|\Z)')
+_QUOTED_BYTES = re.compile(rb'(?:\A|(?<=[,\n]))"([^",\n]*)"[ \t]*(?=[,\n])')
+_PADDING = re.compile(rb"\A[ \t]+|(?<=[,\n])[ \t]+|[ \t]+(?=[,\n])")
+_CHUNK_BYTES = 1 << 18  # the fixed-width fields cast at a time
 
 
 def _fields(row: str) -> list[str]:
@@ -187,11 +186,6 @@ def _fields(row: str) -> list[str]:
     if '"' in row:
         row = _QUOTED_FIELD.sub(r"\1", row)
     return [field.strip() for field in row.split(",")]
-
-
-def _filled(fields: list[str]) -> np.ndarray:
-    """True where a field holds more than whitespace."""
-    return np.fromiter(map(bool, map(str.strip, fields)), bool, len(fields))
 
 
 def _number(field: str, name: str, line_no: int) -> float:
@@ -208,62 +202,75 @@ def _binary(field: str, name: str, line_no: int) -> float:
     return value
 
 
-def _binary_floats(fields: list[str]) -> np.ndarray:
-    """A column of fields as floats, read from one byte view when each is ``0`` or ``1``.
+def _floats(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The fields ``body[s:s + l]``, ascending in s, as numpy's cast of ``S{w}`` bytes reads them:
+    bit for bit as ``float`` does, raising ValueError where it fails. w is the longest
+    field rounded up to 8 bytes, and ``_CHUNK_BYTES`` of fields are NUL-padded at a time."""
+    out = np.empty(len(starts))
+    w = -(-int(lengths.max(initial=1)) // 8) * 8
+    keep = np.tri(w + 1, w, -1, np.uint8)  # row l keeps the first l bytes of a window
+    step = max(1, _CHUNK_BYTES // w)
+    # each w-byte window of the body is one item; the last starts read theirs
+    # from a padded copy of the body's last w bytes
+    tail = len(body) - w
+    last = int(np.searchsorted(starts, tail, "right"))
+    for buffer, offset, lo, hi in ((body, 0, 0, last),
+                                   (body[tail:] + bytes(w), tail, last, len(starts))):
+        windows = np.ndarray((len(buffer) - w + 1,), f"S{w}", buffer, strides=(1,))
+        for i in range(lo, hi, step):
+            j = min(i + step, hi)
+            chunk = windows[starts[i:j] - offset]
+            chunk.view(np.uint8).reshape(-1, w)[:] *= np.take(keep, lengths[i:j], axis=0)
+            out[i:j] = chunk
+    return out
 
-    Raises ValueError, as ``float`` does, on a field that is not a number.
-    """
-    joined = ",".join(fields)
-    # fields hold no comma, so at this length every other byte is one field
-    if len(joined) == 2 * len(fields) - 1 and joined.isascii():
-        digits = np.frombuffer(joined.encode("ascii"), np.uint8)[0::2] - ord("0")
-        if digits.max() <= 1:  # bytes below "0" wrap around to large values
-            return digits.astype(float)
-    return np.array(fields, dtype=float)
+
+def _separators(data: np.ndarray) -> np.ndarray | None:
+    """Where each field of the bytes ``data`` ends; None unless each line has four fields.
+    Of the bytes at or below the comma a number holds only ``+``, so a control byte fails."""
+    ends = np.flatnonzero(data <= ord(","))
+    kinds = data[ends]
+    if ord("+") in kinds:
+        ends = ends[kinds != ord("+")]
+        kinds = data[ends]
+    if kinds.size % 4 or np.any(kinds.view(np.uint32) != np.frombuffer(b",,,\n", np.uint32)):
+        return None
+    return ends
 
 
 def _columns(text: str, drop_missing_marks: bool) -> tuple | None:
     """The y, delta, mark and a columns of a well-formed LF-ended CSV text
     without byte-order mark, and the rows dropped; None if a check fails.
 
-    The body is split once on commas. Its n rows of four fields give 3n + 1
-    pieces, and the pieces at 3, 6, ..., 3(n - 1) each join one row's ``a``
-    to the next row's ``y`` across a line break. With the piece count right,
-    a line break in each of those pieces proves that every row has four
-    fields. With ``drop_missing_marks``, an uncensored row with an empty
-    mark is dropped instead of failing the check.
+    The text is read as ASCII bytes. If :func:`_separators` fails, blank lines
+    go, then quotes and padding around fields, and it is tried again. One-byte
+    ``delta`` and ``a`` fields are read as digits, the others by :func:`_floats`.
+    With ``drop_missing_marks``, an uncensored row with an empty mark is dropped
+    instead of failing a check.
     """
-    body = text.strip("\n")
-    if "\n\n" in body:
-        body = "\n".join(filter(None, body.split("\n")))
-    if '"' in body:
-        body = _QUOTED_FIELD.sub(r"\1", body)
-    header, _, body = body.partition("\n")
-    if not body or tuple(map(str.strip, header.split(","))) != CSV_HEADER:
+    if not text.isascii():
         return None
-    n = body.count("\n") + 1
-    pieces = body.split(",")
-    # each large intermediate is dropped once read: held to the end, they raised
-    # the peak allocation of a 200 000-row parse from 37 MB to 60 MB
-    del body
-    if len(pieces) != 3 * n + 1 or not all(map(contains, pieces[3:-1:3], repeat("\n"))):
+    body = text.encode("ascii").lstrip(b"\n")
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    ends = _separators(np.frombuffer(body, np.uint8))
+    if ends is None:  # a line that only quotes or padding empties is a row of one field
+        body = _PADDING.sub(b"", _QUOTED_BYTES.sub(rb"\1", re.sub(rb"\n\n+", b"\n", body)))
+        ends = _separators(np.frombuffer(body, np.uint8))
+    if ends is None or not body.startswith((",".join(CSV_HEADER) + "\n").encode()):
         return None
-    delta_fields, marks = pieces[1::3], pieces[2::3]
-    y_and_a = "\n".join(pieces[0::3])
-    del pieces
-    y_and_a = y_and_a.split("\n")
-    joined = ",".join(marks)
-    if joined.split(None, 1) == [joined]:  # no character that str.strip removes
-        present = np.fromiter(map(bool, marks), bool, n)
-        filled = list(filter(None, marks))
-    else:
-        present = _filled(marks)
-        filled = list(compress(marks, present))
+    # a field starts past the separator before it; row 0 is the header
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = np.subtract(ends, starts, out=ends).reshape(-1, 4)[1:]
+    starts = starts.reshape(-1, 4)[1:]
+    data = np.frombuffer(body, np.uint8)
+    present = lengths[:, 2] > 0
     try:
-        y = np.array(y_and_a[0::2], dtype=float)
-        delta = _binary_floats(delta_fields)
-        arm = _binary_floats(y_and_a[1::2])
-        values = np.array(filled, dtype=float)
+        y = _floats(body, starts[:, 0], lengths[:, 0])
+        # any byte but "0" or "1" reads as a value the 0/1 check rejects
+        delta, arm = ((data[starts[:, k]] - ord("0")).astype(float) if np.all(lengths[:, k] == 1)
+                      else _floats(body, starts[:, k], lengths[:, k]) for k in (1, 3))
+        values = _floats(body, starts[:, 2][present], lengths[:, 2][present])
     except ValueError:
         return None
     uncensored = delta == 1
@@ -271,13 +278,13 @@ def _columns(text: str, drop_missing_marks: bool) -> tuple | None:
     misplaced = (present > uncensored) if drop_missing_marks else (present != uncensored)
     if np.any(((delta != 0) & (delta != 1)) | ((arm != 0) & (arm != 1)) | misplaced):
         return None
-    mark = np.full(n, math.nan)
+    mark = np.full(len(present), math.nan)
     mark[present] = values
     columns = (y, delta, mark, arm)
     if not drop_missing_marks:
         return columns, 0
     keep = present >= uncensored
-    return [column[keep] for column in columns], n - int(np.count_nonzero(keep))
+    return [column[keep] for column in columns], int(np.count_nonzero(~keep))
 
 
 def _read_rows(text: str, drop_missing_marks: bool) -> tuple:
@@ -342,12 +349,15 @@ def parse_dataset(text: str, *, drop_missing_marks: bool = False):
     its line of the file, and a file whose every row is dropped has no data
     rows.
 
-    A well-formed text is split once on commas and each column converted in
-    one piece. A text that fails any check is read again one row at a time,
-    by the reader that alone names errors.
+    A well-formed text is read as ASCII bytes: its commas and line breaks
+    prove that each row has four fields, and numpy's cast of fixed-width
+    bytes converts each column bit for bit as ``float`` does. A text that
+    fails a check, such as one with a non-ASCII character or a control byte
+    other than a line break or a tab beside a field, is read again one row at
+    a time, by the reader that alone names errors.
     """
     text = text.lstrip("\ufeff")
-    if "\r" in text:
+    if "\r" in text:  # a scan for "\r" is far cheaper than one for "\r\n"
         text = text.replace("\r\n", "\n")
     columns, dropped = _columns(text, drop_missing_marks) or _read_rows(text, drop_missing_marks)
     if len(columns[0]) == 0:  # every data row was dropped

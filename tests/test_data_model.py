@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,16 +206,32 @@ def test_parse_matches_row_loop_oracle(text):
     expected = [_outcome(parse_dataset_rows, text, drop) for drop in (False, True)]
     for drop in (False, True):
         assert _outcome(mt.parse_dataset, text, drop) == expected[drop]
-    # the per-row reader alone, as it runs on valid text the one-split reader declines
+    # the per-row reader alone, as it runs on valid text the bytes reader declines
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_model, "_columns", lambda text, drop_missing_marks: None)
         for drop in (False, True):
             assert _outcome(mt.parse_dataset, text, drop) == expected[drop]
 
 
+@pytest.mark.parametrize("row", [
+    "1.0\x00,1,0.3,1",  # numpy's S dtype drops a trailing NUL, and float() fails on it
+    "1.0,1,0.3\x00,1",
+    "1.0\x0b,1,0.3,1",  # whitespace to str.strip and float(), a control byte to the bytes reader
+    "1.0,1,\x0c0.3,1",
+    "1.0,0,\x0b,1",
+    '"1.0"\x0c,1,0.3,1',
+    "\u0661.\u0665,1,0.3,1",  # a non-ASCII digit field that float() reads as 1.5
+])
+def test_bytes_the_cast_would_misread_go_to_the_row_reader(row):
+    text = f"y,delta,mark,a\n{row}\n2.0,1,,0\n2.5,0,,0\n"
+    for drop in (False, True):
+        assert data_model._columns(text, drop) is None
+        assert _outcome(mt.parse_dataset, text, drop) == _outcome(parse_dataset_rows, text, drop)
+
+
 @functools.cache
 def _scale_text() -> str:
-    """A random 5000-row dataset, serialized; the one-split reader's piece checks
+    """A random 5000-row dataset, serialized; the bytes reader's separator checks
     span every row of it, while the generated texts above hold at most 8."""
     rng = np.random.default_rng(5000)
     n = 5000
@@ -241,13 +258,19 @@ SCALE_VARIANTS = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "bom": lambda text: "\ufeff" + text,
     "blank lines": lambda text: "\n" + text.replace("\n", "\n\n", 40).replace(",1\n", ",1\n\n"),
+    # 17 significant digits round-trip exactly
+    "exponents": lambda text: _every_row(text, lambda k, fields: [
+        "+" * (k % 4 == 0) + format(float(fields[0]), ".16e"), fields[1],
+        fields[2] and format(float(fields[2]), ".16e"), fields[3]]),
+    "wide": lambda text: _every_row(text, lambda k, fields: [
+        "0" * 280 * (k % 100 == 0) + fields[0], *fields[1:]]),
 }
 
 
-def _one_split_only(monkeypatch):
+def _bytes_reader_only(monkeypatch):
     """Make reading a text row by row fail the test."""
     def read_rows(text, drop_missing_marks):
-        raise AssertionError("read row by row, not with one split")
+        raise AssertionError("read row by row, not by the bytes reader")
     monkeypatch.setattr(data_model, "_read_rows", read_rows)
 
 
@@ -255,11 +278,29 @@ def _one_split_only(monkeypatch):
 def test_parse_at_scale_matches_row_loop_oracle(variant, monkeypatch):
     text = SCALE_VARIANTS[variant](_scale_text())
     expected = [_outcome(parse_dataset_rows, text, drop) for drop in (False, True)]
-    _one_split_only(monkeypatch)
+    _bytes_reader_only(monkeypatch)
     for drop in (False, True):
         assert _outcome(mt.parse_dataset, text, drop) == expected[drop]
     assert mt.parse_dataset(text) == mt.parse_dataset(_scale_text())
     assert mt.parse_dataset(text, drop_missing_marks=True) == (mt.parse_dataset(text), 0)
+
+
+def _peak_bytes(parse, text) -> int:
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_wide_field_does_not_widen_every_row():
+    # 50 fields of about 300 bytes among 5000 rows: a fixed-width array of
+    # every y at that width would take 1.5 MB, and the chunked casts take
+    # about a sixth of it
+    plain = _peak_bytes(mt.parse_dataset, _scale_text())
+    wide = _peak_bytes(mt.parse_dataset, SCALE_VARIANTS["wide"](_scale_text()))
+    assert wide - plain < 600_000
 
 
 def _blank_every_50th_mark(text):
@@ -277,21 +318,25 @@ def _blank_every_50th_mark(text):
     return "\n".join([header, *rows]) + "\n", blanked
 
 
-def test_drop_at_scale_reads_with_one_split(monkeypatch):
-    text, blanked = _blank_every_50th_mark(_scale_text())
+def test_drop_at_scale_reads_with_one_split():
+    plain, blanked = _blank_every_50th_mark(_scale_text())
     assert len(blanked) > 40
     message = f"line {blanked[0]}: mark absent on an uncensored row (delta=1)"
-    assert _outcome(mt.parse_dataset, text) == ("error", message)
-    assert _outcome(parse_dataset_rows, text) == ("error", message)
-    expected = _outcome(parse_dataset_rows, text, True)
-    _one_split_only(monkeypatch)
-    assert _outcome(mt.parse_dataset, text, True) == expected
-    ds, dropped = mt.parse_dataset(text, drop_missing_marks=True)
-    assert dropped == len(blanked) and ds.n == 5000 - len(blanked)
+    # in the quoted and padded spellings a blanked mark reads "" or whitespace
+    for variant in ("plain", "quoted", "padded"):
+        text = SCALE_VARIANTS[variant](plain)
+        assert _outcome(mt.parse_dataset, text) == ("error", message)
+        assert _outcome(parse_dataset_rows, text) == ("error", message)
+        expected = _outcome(parse_dataset_rows, text, True)
+        with pytest.MonkeyPatch.context() as patch:
+            _bytes_reader_only(patch)
+            assert _outcome(mt.parse_dataset, text, True) == expected
+            ds, dropped = mt.parse_dataset(text, drop_missing_marks=True)
+        assert dropped == len(blanked) and ds.n == 5000 - len(blanked)
 
 
 @pytest.mark.parametrize("rows, message", [
-    # a row of five fields and one of three split into the right number of pieces
+    # a row of five fields and one of three hold the right number of separators
     (["1.0,1,0.3,1,7", "0,,1"], "expected 4 fields, got 5"),
     (["1.0,1,0.3", "0.5,0,,1,1"], "expected 4 fields, got 3"),
     # a row of one field beside one of seven: every column still reads as valid
