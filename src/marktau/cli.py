@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
@@ -172,8 +171,7 @@ def _data_config(args, info: dict, grid: EvaluationGrid) -> dict:
 def _decode(data: bytes, what: str, path: str) -> str:
     """``data`` as UTF-8 text; a byte that is not UTF-8 fails, naming the file and offset."""
     try:
-        # text mode, as a file opened for reading: \r\n and lone \r become \n
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} {path} is not UTF-8: byte 0x{data[exc.start]:02x} "
                         f"at offset {exc.start}") from None

@@ -338,8 +338,8 @@ def parse_dataset(text: str, *, drop_missing_marks: bool = False):
     first bad line by its number in the file (the first line is 1, and blank
     lines count); range checks such as ``y >= 0`` are deferred to
     :func:`validate`.
-    Decimal separator is ``.``. A leading byte-order mark, LF or CRLF line
-    ends, blank lines, whitespace around fields and double quotes around a
+    Decimal separator is ``.``. A leading byte-order mark, LF, CRLF or lone
+    CR line ends, blank lines, whitespace around fields and double quotes around a
     whole field are accepted.
 
     With ``drop_missing_marks`` (complete-case analysis), an uncensored row
@@ -358,7 +358,7 @@ def parse_dataset(text: str, *, drop_missing_marks: bool = False):
     """
     text = text.lstrip("\ufeff")
     if "\r" in text:  # a scan for "\r" is far cheaper than one for "\r\n"
-        text = text.replace("\r\n", "\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     columns, dropped = _columns(text, drop_missing_marks) or _read_rows(text, drop_missing_marks)
     if len(columns[0]) == 0:  # every data row was dropped
         raise DataError("no data rows")

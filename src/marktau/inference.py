@@ -65,9 +65,7 @@ __all__ = [
 ]
 
 TEST_KINDS = ("global", "constancy")
-# Bytes of multiplier draws that one stack of a block's tests holds at once,
-# and of the temporaries of one chunk of constancy pairs.
-_STACK_BYTES = 1 << 23
+# Bytes of the temporaries of one chunk of constancy pairs.
 _PAIR_CHUNK_BYTES = 1 << 19
 
 
@@ -359,18 +357,18 @@ def _test_from_estimate(kind: str, block: tuple, streams: list, *, resamples: in
     ``block`` is ``(bandwidths, columns, terms)`` of
     :func:`~marktau.estimator._estimate_block`, whole: each row's bandwidth
     h, its (R, g) ``tau``, ``sigma2`` and ``flagged`` columns, its arm sizes
-    ``n0`` and ``n1`` and the kernel terms, from which one :func:`arm_grams`
-    pass gives each row's control and treated Grams over the whole grid
-    before the terms are dropped. Each row's treated fraction is its n1 / n,
-    or ``pi`` for every row when a design fraction is given. Row i draws its
-    multipliers with :func:`multiplier_draws` from ``streams[i]``, which the
-    replication's other tests read too. Rows with the same usable points
-    form a group, tested in stacks of at most ``_STACK_BYTES`` of draws:
-    each row's covariance takes its own arm scales, one ``eigh`` call
-    factors the stack, one matmul gives every multiplier sum draws @ L^T,
-    and the kind's maximum gives the whole stack's statistics, at tau as one
-    draw, and its resampled values, constancy from one pair list. So each
-    row gets the numbers a block of that row alone gives.
+    ``n0`` and ``n1`` and the kernel terms, which one :func:`arm_grams` pass
+    turns into each row's control and treated Grams over the whole grid.
+    Each row's treated fraction is its n1 / n, or ``pi`` for every row when
+    a design fraction is given. Row i draws its multipliers with
+    :func:`multiplier_draws` from ``streams[i]``, which the replication's
+    other tests read too. Rows with the same usable points form a group,
+    tested as one stack, which the block's size bounds: each row's
+    covariance takes its own arm scales, one ``eigh`` call factors the
+    stack, one matmul gives every multiplier sum draws @ L^T, and the kind's
+    maximum gives the whole stack's statistics, at tau as one draw, and its
+    resampled values, constancy from one pair list. So each row gets the
+    numbers a block of that row alone gives.
 
     Returns, per row, the statistic, the sorted resampled values (R,
     resamples), the critical value, the covariance rank and the skipped
@@ -393,32 +391,29 @@ def _test_from_estimate(kind: str, block: tuple, streams: list, *, resamples: in
     groups: dict[bytes, list[int]] = {}
     for i, mask in enumerate(usable):
         groups.setdefault(mask.tobytes(), []).append(i)
-    for members in groups.values():
-        cols = np.flatnonzero(usable[members[0]])
-        size = max(1, _STACK_BYTES // (8 * resamples * max(cols.size, 1)))
-        for lo in range(0, len(members), size):
-            rows = members[lo:lo + size]
-            at = np.ix_(rows, cols)
-            stack = grams[rows][:, :, cols][:, :, :, cols]
-            factor, rank[rows] = covariance_factor(
-                resampling_covariance(stack, [pi[i] for i in rows]))
-            draws = np.empty((len(rows), resamples, cols.size))
-            for row, i in enumerate(rows):
-                draws[row] = multiplier_draws(cols.size, resamples, streams[i])
-            sums = draws @ factor.swapaxes(1, 2)
-            del draws
-            if kind == "global":
-                stat[rows] = global_resample(nh[rows], sigma2[at], tau[at][:, None])[:, 0]
-                values = global_resample(scale[rows], sigma2[at], sums)
-            else:
-                pairs = _constancy_pairs(pair_variance_table(stack, nh[rows], sizes[rows]))
-                stat[rows] = constancy_resample(nh[rows], tau[at][:, None], pairs)[:, 0]
-                values = constancy_resample(scale[rows], sums, pairs)
-                skipped[rows] = np.count_nonzero(~pairs[3], axis=1)
-            del sums
-            values.sort(axis=1)
-            resampled[rows] = values
-            crit[rows] = critical_value(values, alpha)
+    for rows in groups.values():
+        cols = np.flatnonzero(usable[rows[0]])
+        at = np.ix_(rows, cols)
+        stack = grams[rows][:, :, cols][:, :, :, cols]
+        factor, rank[rows] = covariance_factor(
+            resampling_covariance(stack, [pi[i] for i in rows]))
+        draws = np.empty((len(rows), resamples, cols.size))
+        for row, i in enumerate(rows):
+            draws[row] = multiplier_draws(cols.size, resamples, streams[i])
+        sums = draws @ factor.swapaxes(1, 2)
+        del draws
+        if kind == "global":
+            stat[rows] = global_resample(nh[rows], sigma2[at], tau[at][:, None])[:, 0]
+            values = global_resample(scale[rows], sigma2[at], sums)
+        else:
+            pairs = _constancy_pairs(pair_variance_table(stack, nh[rows], sizes[rows]))
+            stat[rows] = constancy_resample(nh[rows], tau[at][:, None], pairs)[:, 0]
+            values = constancy_resample(scale[rows], sums, pairs)
+            skipped[rows] = np.count_nonzero(~pairs[3], axis=1)
+        del sums
+        values.sort(axis=1)
+        resampled[rows] = values
+        crit[rows] = critical_value(values, alpha)
     return stat, resampled, crit, rank, skipped
 
 
@@ -443,6 +438,8 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
     if pi_design is not None and not 0.0 < pi_design < 1.0:
         raise InferenceError(f"pi_design must be in (0,1), got {pi_design!r}")
     _check_resamples(resamples)
+    if isinstance(seed, int) and seed < 0:
+        raise InferenceError(f"seed must be >= 0, got {seed}")
     est, block = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
                                       varpi=varpi)
     stat, resampled, crit, rank, skipped = (

@@ -54,8 +54,9 @@ _MEAN_RANGE = (2.0**-100, 2.0**100)
 _QUADRATURE_ORDER = 32
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Rows of the (replications, n) arrays that a study's replications run in at once.
+# Data rows a study's block holds, and bytes of normals and Grams a power block holds.
 _BLOCK_ROWS = 10_000
+_BLOCK_BYTES = 1 << 23
 
 
 class SimulationError(ValueError):
@@ -97,6 +98,8 @@ class Scenario:
             raise SimulationError(f"p_treat must be in (0,1), got {self.p_treat!r}")
         if self.reps < 1:
             raise SimulationError(f"reps must be >= 1, got {self.reps}")
+        if self.seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.alpha < 1.0:
             raise SimulationError(f"alpha must be in (0,1), got {self.alpha!r}")
         if not (math.isfinite(self.varpi) and self.varpi > 0.0):
@@ -453,9 +456,17 @@ def _map_replications(worker, items: list, workers: int) -> list:
         return list(pool.map(worker, items, chunksize=chunk))
 
 
-def _blocks(scenario: Scenario) -> list[range]:
-    """Blocks of about ``_BLOCK_ROWS`` rows over the scenario's replications."""
-    size = max(1, _BLOCK_ROWS // scenario.n)
+def _blocks(scenario: Scenario, resamples: int = 0) -> list[range]:
+    """Blocks of about ``_BLOCK_ROWS`` rows over the scenario's replications.
+
+    A power block, of ``resamples`` B > 0, also holds at most ``_BLOCK_BYTES``
+    of its replications' B x g multiplier normals and 2 g x g Gram entries.
+    """
+    size = _BLOCK_ROWS // scenario.n
+    if resamples:
+        g = scenario.grid.points.size
+        size = min(size, _BLOCK_BYTES // (8 * g * (resamples + 2 * g)))
+    size = max(1, size)
     return [range(lo, min(lo + size, scenario.reps)) for lo in range(0, scenario.reps, size)]
 
 
@@ -463,11 +474,11 @@ def run_replications(scenario: Scenario, *, workers: int = 1) -> MetricsTable:
     """Replicate estimation under a scenario and aggregate quality metrics.
 
     Replication r draws its dataset from a stream derived from
-    (scenario.seed, r). Replications run in blocks of about
-    ``_BLOCK_ROWS`` rows through one pool of at most ``workers`` processes,
-    none beyond the block count, and every sum of a replication adds its own
-    terms in record order, so the table is identical for any block size and
-    worker count; aggregation runs in replication order.
+    (scenario.seed, r). Replications run in the blocks of :func:`_blocks`
+    through one pool of at most ``workers`` processes, none beyond the
+    block count, and every sum of a replication adds its own terms in record
+    order, so the table is identical for any block size and worker count;
+    aggregation runs in replication order.
     """
     scenario = resolve_censoring(scenario)
     grid = scenario.grid
@@ -523,16 +534,15 @@ def _test_rep(args: tuple[list[Scenario], range, str, int]) -> list:
     """The sweep worker: whether the test rejects, per c3 point and replication of a block.
 
     ``args`` holds the sweep's scenarios, one per c3 point, and a block of
-    replications. Replication r makes its data draws (stream (r, 0)) and
-    opens its multiplier stream (r, 1) once, and every point reads them:
-    a point derives its columns from the shared draws, is estimated as in
-    :func:`_metrics_rep`, and hands that block estimate whole to one call of
-    the block test, which takes every replication's treated fraction n1 / n
-    from it and in which replication r reads the first B x k normals of its
-    stream, k its usable points there. So each test gets the numbers it
-    would get alone. Returns one list of flags per point, in point order;
-    at the first point that fails, the list ends with the error of that
-    point's first failing replication in the block.
+    replications. Replication r makes its data draws (stream (r, 0)) and opens
+    its multiplier stream (r, 1) once, and every point reads them: a point's
+    block estimate, derived from the shared draws as in :func:`_metrics_rep`,
+    goes whole to one call of the block test, where replication r reads the
+    first B x k normals of its stream, k its usable points there, so each test
+    gets the numbers it would get alone; :func:`_blocks` bounds what the
+    streams hold. Returns one list of flags per point, in point order; at the
+    first point that fails, the list ends with the error of that point's first
+    failing replication.
     """
     scenarios, reps, kind, resamples = args
     draws = _replication_draws(scenarios[0], reps)
@@ -573,22 +583,20 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
                      resamples: int = 500, workers: int = 1) -> PowerTable:
     """Rejection rate of one test across c3 values.
 
-    The test settings are checked first, then every c3 point gets its
-    censoring means before any replication runs: an unresolved mean is
-    calibrated once for the control arm, whose failure times take no
-    coefficient, and :func:`resolve_censoring` calibrates the treated arm at
-    every c3, so a point that cannot be calibrated fails the sweep
-    before any replication runs. Blocks are ranges of about
-    ``_BLOCK_ROWS`` rows of replications, as in :func:`run_replications`,
-    and each holds every c3 point, so the block count does not grow with
-    the points; the blocks share one worker pool. A block draws each of its
-    replications' data and multiplier stream once, and every point reads
-    them (see :func:`_test_rep`): only the treated mean and its censoring
-    mean change with c3. Each test reads only its own estimate, Grams and
-    multiplier stream and gets the numbers it would get alone, so the
-    counts are the same for any block size and worker count. A failing
-    sweep raises the error of its first failing replication at its first
-    failing point, as the points run one after another would.
+    The test settings are checked first, then every c3 point gets its censoring
+    means: an unresolved mean is calibrated once for the control arm, whose
+    failure times take no coefficient, and :func:`resolve_censoring` calibrates
+    the treated arm at every c3, so a point that cannot be calibrated fails the
+    sweep before any replication runs. The blocks of :func:`_blocks`, whose
+    memory is bounded, share one worker pool, and each holds every c3 point, so
+    the block count does not grow with the points. A block draws each of its
+    replications' data and multiplier stream once, and every point reads them
+    (see :func:`_test_rep`): only the treated mean and its censoring mean
+    change with c3. Each test reads only its own estimate, Grams and multiplier
+    stream and gets the numbers it would get alone, so the counts are the same
+    for any block size and worker count. A failing sweep raises the error of
+    its first failing replication at its first failing point, as the points run
+    one after another would.
     """
     c3_values = np.asarray(c3_values, dtype=float)
     if c3_values.size == 0:
@@ -598,7 +606,7 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     if scenario.censor_mean0 is None:
         scenario = replace(scenario, censor_mean0=calibrate_censoring(scenario, 0))
     points = [resolve_censoring(replace(scenario, c3=float(c3))) for c3 in c3_values]
-    blocks = [(points, reps, kind, resamples) for reps in _blocks(scenario)]
+    blocks = [(points, reps, kind, resamples) for reps in _blocks(scenario, resamples)]
     outcomes = _map_replications(_test_rep, blocks, workers)
     rejections = np.zeros(c3_values.size, np.int64)
     # point-major, so a failure at an earlier point wins whichever block it is in

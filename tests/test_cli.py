@@ -279,6 +279,23 @@ def test_test_setting_out_of_range_is_an_error_line(tmp_path, capsys, trial_file
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command, out", [
+    (("simulate", "--c3", "-1", "--n", "150", "--reps", "2"), "x.csv"),
+    (("power", "--kind", "global", "--c3-range=-1:-1:1", "--n", "150", "--reps", "2",
+      "--resamples", "20"), "x.csv"),
+    (("test", "--kind", "global", "--interval", "0.2,0.45", "--grid-points", "5"), "x.json"),
+])
+def test_negative_seed_is_an_error_line(tmp_path, capsys, trial_files, command, out):
+    # numpy's seeding rejects it with a traceback
+    csv_path, meta_path = trial_files
+    data = ("--input", str(csv_path), "--meta", str(meta_path)) if command[0] == "test" else ()
+    out = tmp_path / out
+    code, stdout, err = _run(capsys, *command, *data, "--seed", "-1", "--out", str(out))
+    assert code == 1
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert stdout == "" and not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_simulate_artifact(tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     code, _, err = _run(

@@ -40,6 +40,11 @@ def test_parse_accepts_crlf_and_bom():
     assert ds.n == 2
 
 
+def test_parse_reads_lone_cr_line_ends_as_lf():
+    # the command line and parse_dataset read a file by one newline rule
+    assert mt.parse_dataset(EXAMPLE_CSV.replace("\n", "\r")) == mt.parse_dataset(EXAMPLE_CSV)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

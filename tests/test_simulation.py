@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import re
+import tracemalloc
 import types
 import warnings
 
@@ -452,6 +453,29 @@ def test_sweep_blocks_do_not_grow_with_its_points(monkeypatch):
                         for size in (1, 3, 17)]
 
 
+def test_power_blocks_hold_a_bounded_count_of_normals():
+    # on 20 grid points, at the benchmark's and the study's sizes only the
+    # data rows bound a block
+    assert simulation._blocks(_scenario(n=1000, reps=40), 500)[0] == range(10)
+    assert simulation._blocks(_scenario(n=4000, reps=5), 1000)[0] == range(2)
+    # at n = 40 the normals do: 250 replications of data rows, 25 of B = 2000
+    small = _scenario(n=40, reps=300)
+    assert simulation._blocks(small)[0] == range(250)
+    assert simulation._blocks(small, 2000)[0] == range(25)
+
+
+def test_power_sweep_memory_does_not_grow_with_the_resamples():
+    # 250 replications of n = 40 made one block, which held 80 MB of normals
+    scenario = mt.Scenario(c1=3, c2=0, c3=-1, n=40, reps=250, seed=3)
+    tracemalloc.start()
+    try:
+        mt.size_power_curve(scenario, [-1.0], "global", resamples=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 def test_single_replication_has_no_ratio():
     scenario = _scenario(n=150, reps=1, grid=mt.EvaluationGrid.explicit(
         [0.3, 0.6], mt.MarkInterval(0.1, 0.9)))
@@ -499,6 +523,8 @@ def test_metrics_table_shapes_and_truth():
         dict(varpi=0.0),
         dict(varpi=-1.0),
         dict(varpi=math.nan),
+        # numpy's seeding rejected it with a traceback
+        dict(seed=-1),
     ],
 )
 def test_scenario_validation(kw):
@@ -662,9 +688,12 @@ def test_power_block_equals_single_tests_bitwise(monkeypatch, kind, n, varpi):
     # event, so the usable points differ between replications of one block
     scenario = _scenario(n=n, c3=0.0, varpi=varpi, reps=8, seed=23)
     singles = [_single_test(scenario, rep, kind, 60) for rep in range(scenario.reps)]
-    # stacks as large as a group, then stacks of one replication each
-    for stack_bytes in (inference._STACK_BYTES, 1):
-        monkeypatch.setattr(inference, "_STACK_BYTES", stack_bytes)
+    count = sum(single.reject for single in singles)
+    # sweep blocks of the default budget, then of one replication each; a
+    # group of a block is one stack
+    for block_bytes in (simulation._BLOCK_BYTES, 1):
+        monkeypatch.setattr(simulation, "_BLOCK_BYTES", block_bytes)
+        assert rejection_rate(scenario, kind, resamples=60) == (count / scenario.reps, count)
         calls, results = _recorded_tests(monkeypatch, scenario.grid.points)
         # blocks of 1, 2 and 5 replications, each one call of the block test
         flags = [flag for block in (range(0, 1), range(1, 3), range(3, 8))
@@ -684,7 +713,7 @@ def test_power_block_equals_single_tests_bitwise(monkeypatch, kind, n, varpi):
             excluded = {result.excluded_points for result in results[3:]}
             assert len(excluded) > 1
     # a block boundary inside the replications, and the default blocks
-    count = sum(single.reject for single in singles)
+    monkeypatch.undo()
     for rows in (1, 3 * n, simulation._BLOCK_ROWS):
         monkeypatch.setattr(simulation, "_BLOCK_ROWS", rows)
         assert rejection_rate(scenario, kind, resamples=60) == (count / scenario.reps, count)
