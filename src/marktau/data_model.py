@@ -151,7 +151,12 @@ class Dataset:
             raise DataError("y, delta, mark, a must be 1-d arrays of equal length")
         if y.size == 0:
             raise DataError("dataset has no records")
-        delta, arm = _binary_column(delta, "delta"), _binary_column(arm, "a")
+        return cls._checked(y, _binary_column(delta, "delta"), mark, _binary_column(arm, "a"))
+
+    @classmethod
+    def _checked(cls, y, delta, mark, arm) -> "Dataset":
+        """The dataset of float ``y`` and ``mark`` and int64 ``delta`` and ``arm`` columns of one
+        length, whose 0/1 values are already checked; they are made read-only, not copied."""
         n1, n0 = _arm_sizes(arm)
         for a in (y, delta, mark, arm):
             a.setflags(write=False)
@@ -178,7 +183,13 @@ class Dataset:
 _QUOTED_FIELD = re.compile(r'(?:\A|(?<=[,\n]))"([^",\n]*)"[^\S\n]*(?=[,\n]|\Z)')
 _QUOTED_BYTES = re.compile(rb'(?:\A|(?<=[,\n]))"([^",\n]*)"[ \t]*(?=[,\n])')
 _PADDING = re.compile(rb"\A[ \t]+|(?<=[,\n])[ \t]+|[ \t]+(?=[,\n])")
-_CHUNK_BYTES = 1 << 18  # the fixed-width fields cast at a time
+_CHUNK_BYTES = 1 << 17  # the fixed-width fields cast, or the windows read, at a time
+_WINDOW = 24  # the bytes that end at a plain decimal field, read as three little-endian words
+_EACH = np.uint64(0x0101010101010101)  # times a byte value, that value in every byte
+# item c keeps the last c bytes of a window; a gather of whole V24 items is the fastest
+_LAST = np.frombuffer(b"".join(bytes(_WINDOW - c) + b"\xff" * c for c in range(_WINDOW + 1)),
+                      f"V{_WINDOW}")
+_POWERS = np.array([float(10**k) for k in range(20)], np.longdouble)  # each exact in a double
 
 
 def _fields(row: str) -> list[str]:
@@ -202,7 +213,7 @@ def _binary(field: str, name: str, line_no: int) -> float:
     return value
 
 
-def _floats(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _cast(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The fields ``body[s:s + l]``, ascending in s, as numpy's cast of ``S{w}`` bytes reads them:
     bit for bit as ``float`` does, raising ValueError where it fails. w is the longest
     field rounded up to 8 bytes, and ``_CHUNK_BYTES`` of fields are NUL-padded at a time."""
@@ -225,6 +236,102 @@ def _floats(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def _extended() -> bool:
+    """Whether ``np.longdouble`` is x87 extended precision and computes with its whole 64-bit
+    significand. Then 1 + 2**-63 keeps its last bit, the lowest bit of its storage; an x87
+    control word set to 53-bit precision rounds the sum to 1."""
+    one = np.longdouble(1)
+    probe = np.array([one + np.ldexp(one, -63)])
+    return np.finfo(np.longdouble).nmant == 63 and probe.view(np.uint16)[0] == 1
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """Each word of digit bytes 0-9, the first digit in the lowest byte, as the integer they spell."""
+    v = v * np.uint64(10) + (v >> np.uint64(8))  # bytes 0, 2, 4 and 6 hold two digits each
+    pairs = np.uint64(0x000000FF000000FF)
+    return ((v & pairs) * np.uint64(100 + (1000000 << 32))
+            + ((v >> np.uint64(16)) & pairs) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+
+
+def _decimals(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """Each field ``body[s:s + l]`` that reads ``[+-]?digits[.digits]`` with 1 to 19 digits and
+    ends ``_WINDOW`` or more bytes into the body, exactly as ``float`` reads it, and a mask of
+    the other fields, whose values are left to the cast.
+
+    The ``_WINDOW`` bytes that end with a field are read as three words, and its digits spell an
+    integer M < 10**19, k <= 19 of them after the dot. The extended quotient M / 10**k of two
+    operands exact in a 64-bit significand is M / 10**k correctly rounded, and it is rounded
+    once more, to float64. Every midpoint between adjacent doubles has a 64-bit significand, so
+    the two roundings differ from one only where the quotient lands on a midpoint; those fields
+    are returned with the others.
+    """
+    data = np.frombuffer(body, np.uint8)
+    windows = np.ndarray((len(body) - _WINDOW + 1,), f"V{_WINDOW}", body, strides=(1,))
+    zeros, dots, low7, high = (np.uint64(b) * _EACH for b in (0x30, 0x1E, 0x7F, 0x80))
+    out = np.empty(len(starts))
+    rest = np.empty(len(starts), bool)
+    step = _CHUNK_BYTES // _WINDOW
+    for i in range(0, len(starts), step):
+        s, l = starts[i:i + step], lengths[i:i + step]
+        ends = s + l
+        sign = data[s]
+        negative = sign == ord("-")
+        chars = l - (negative | (sign == ord("+")))  # digits and dot
+        # each digit as its value 0-9, a dot as 0x1E ("." ^ "0"), and the bytes before them as 0
+        v = windows[np.maximum(ends - _WINDOW, 0)].view("<u8").reshape(-1, 3)
+        v ^= zeros
+        v &= _LAST[np.minimum(chars, _WINDOW)].view("<u8").reshape(-1, 3)
+        x = v ^ dots  # 0 in the byte of each dot
+        dot = ~(((x & low7) + low7) | x | low7) >> np.uint64(7)  # 1 in the byte of each dot
+        # each byte up to the dot takes the byte before it, which drops the dot
+        upto = (dot << np.uint64(8)) - np.uint64(1)
+        ahead = dot != 0  # a dot in this word or a later one
+        ahead[:, 1] |= ahead[:, 2]
+        ahead[:, 0] |= ahead[:, 1]
+        upto *= ahead
+        shifted = np.left_shift(v, np.uint64(8), out=x)
+        shifted.reshape(-1)[1:] |= v.reshape(-1)[:-1] >> np.uint64(56)
+        shifted[:, 0] &= ~np.uint64(0xFF)  # the window's first byte has none before it
+        v ^= (v ^ shifted) & upto
+        bad = ((v + np.uint64(0x76) * _EACH) | v) & high  # the high bit of each byte above 9
+        # the dots, and the bytes up to the dot (the dot is byte ``upto_dot`` - 1 of the window)
+        ndots, upto_dot = ((w[:, 0] + w[:, 1] + w[:, 2]) * _EACH >> np.uint64(56)
+                           for w in (dot, upto & _EACH))
+        digits = chars - (ndots > 0)
+        eights = _eight_digits(v)
+        whole = eights[:, 0] * np.uint64(10**16) + eights[:, 1] * np.uint64(10**8) + eights[:, 2]
+        # the digits after the dot; above 19 only in fields left to the cast
+        k = np.minimum((np.uint64(_WINDOW) - upto_dot) % np.uint64(_WINDOW), np.uint64(19))
+        quotient = whole.astype(np.longdouble) / _POWERS[k]
+        # a midpoint's 11 bits below the last bit of a double read 100 0000 0000
+        low = quotient.view(np.uint16)[::quotient.itemsize // 2]
+        value = out[i:i + step]
+        value[:] = quotient
+        np.negative(value, out=value, where=negative)
+        rest[i:i + step] = ((ends < _WINDOW) | (digits < 1) | (digits > 19) | (ndots > 1)
+                            | ((bad[:, 0] | bad[:, 1] | bad[:, 2]) != 0)
+                            | ((low & 0x7FF) == 0x400))
+    return out, rest
+
+
+def _floats(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The fields ``body[s:s + l]``, ascending in s, bit for bit as ``float`` reads them,
+    raising ValueError where it fails.
+
+    Where :func:`_extended` holds, :func:`_decimals` converts each plain decimal field exactly,
+    and :func:`_cast` reads the rest: the fields whose extended quotient lands on a midpoint,
+    those with an exponent, more than 19 digits, ``nan`` or ``inf`` or other text, and those
+    that end within the first ``_WINDOW`` bytes of the body.
+    """
+    if not _extended() or len(body) < _WINDOW:
+        return _cast(body, starts, lengths)
+    out, rest = _decimals(body, starts, lengths)
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        out[rest] = _cast(body, starts[rest], lengths[rest])
+    return out
+
+
 def _separators(data: np.ndarray) -> np.ndarray | None:
     """Where each field of the bytes ``data`` ends; None unless each line has four fields.
     Of the bytes at or below the comma a number holds only ``+``, so a control byte fails."""
@@ -244,7 +351,8 @@ def _columns(text: str, drop_missing_marks: bool) -> tuple | None:
 
     The text is read as ASCII bytes. If :func:`_separators` fails, blank lines
     go, then quotes and padding around fields, and it is tried again. One-byte
-    ``delta`` and ``a`` fields are read as digits, the others by :func:`_floats`.
+    ``delta`` and ``a`` fields are read as digits, the others by :func:`_floats`,
+    and both columns are checked to hold only 0 and 1.
     With ``drop_missing_marks``, an uncensored row with an empty mark is dropped
     instead of failing a check.
     """
@@ -268,7 +376,7 @@ def _columns(text: str, drop_missing_marks: bool) -> tuple | None:
     try:
         y = _floats(body, starts[:, 0], lengths[:, 0])
         # any byte but "0" or "1" reads as a value the 0/1 check rejects
-        delta, arm = ((data[starts[:, k]] - ord("0")).astype(float) if np.all(lengths[:, k] == 1)
+        delta, arm = (data[starts[:, k]] - ord("0") if np.all(lengths[:, k] == 1)
                       else _floats(body, starts[:, k], lengths[:, k]) for k in (1, 3))
         values = _floats(body, starts[:, 2][present], lengths[:, 2][present])
     except ValueError:
@@ -350,11 +458,15 @@ def parse_dataset(text: str, *, drop_missing_marks: bool = False):
     rows.
 
     A well-formed text is read as ASCII bytes: its commas and line breaks
-    prove that each row has four fields, and numpy's cast of fixed-width
-    bytes converts each column bit for bit as ``float`` does. A text that
-    fails a check, such as one with a non-ASCII character or a control byte
-    other than a line break or a tab beside a field, is read again one row at
-    a time, by the reader that alone names errors.
+    prove that each row has four fields, and each number is converted bit
+    for bit as ``float`` converts it. A plain decimal of at most 19 digits is
+    converted exactly, by integer arithmetic and one division in 64-bit
+    extended precision; a field whose quotient lands on a midpoint between
+    two doubles, and any other spelling of a number, goes to numpy's cast of
+    fixed-width bytes. A text that fails a check, such as one with a
+    non-ASCII character or a control byte other than a line break or a tab
+    beside a field, is read again one row at a time, by the reader that
+    alone names errors.
     """
     text = text.lstrip("\ufeff")
     if "\r" in text:  # a scan for "\r" is far cheaper than one for "\r\n"
@@ -362,7 +474,8 @@ def parse_dataset(text: str, *, drop_missing_marks: bool = False):
     columns, dropped = _columns(text, drop_missing_marks) or _read_rows(text, drop_missing_marks)
     if len(columns[0]) == 0:  # every data row was dropped
         raise DataError("no data rows")
-    dataset = Dataset.from_arrays(*columns)
+    y, delta, mark, arm = columns  # each reader checked delta and a
+    dataset = Dataset._checked(y, delta.astype(np.int64), mark, arm.astype(np.int64))
     return (dataset, dropped) if drop_missing_marks else dataset
 
 
@@ -394,7 +507,7 @@ def apply_mark_scaling(dataset: Dataset, scaling: ScalingRecord) -> Dataset:
     mark = dataset.mark.copy()
     observed = dataset.delta == 1
     mark[observed] = scaling.apply(mark[observed])
-    return Dataset.from_arrays(dataset.y, dataset.delta, mark, dataset.arm)
+    return Dataset._checked(dataset.y, dataset.delta, mark, dataset.arm)
 
 
 def validate(dataset: Dataset) -> ValidationReport:

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import json
 import math
@@ -306,6 +307,99 @@ def test_one_wide_field_does_not_widen_every_row():
     plain = _peak_bytes(mt.parse_dataset, _scale_text())
     wide = _peak_bytes(mt.parse_dataset, SCALE_VARIANTS["wide"](_scale_text()))
     assert wide - plain < 600_000
+
+
+def _fields_body(fields):
+    """A body of one field a line after the header, and where each field starts and how long it is."""
+    lengths = np.array([len(field) for field in fields])
+    starts = len("y,delta,mark,a\n") + np.concatenate(([0], np.cumsum(lengths + 1)[:-1]))
+    return ("y,delta,mark,a\n" + "".join(f"{field}\n" for field in fields)).encode(), starts, lengths
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@st.composite
+def _digit_strings(draw):
+    """1 to 22 digits, a dot anywhere among them or none, and an optional sign."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=22))
+    dot = draw(st.integers(-1, len(digits)))
+    if dot >= 0:
+        digits = digits[:dot] + "." + digits[dot:]
+    return draw(st.sampled_from(["", "-", "+"])) + digits
+
+
+@st.composite
+def _midpoints(draw):
+    """The exact decimal expansion of the midpoint above a double, or that rounded to 19
+    digits, which a 64-bit significand often rounds to the midpoint itself."""
+    # a random 53-bit significand: the floats strategy favours simple values
+    value = math.ldexp(draw(st.integers(2**52, 2**53 - 1)), draw(st.integers(-72, 7)))
+    middle = (decimal.Decimal(value) + decimal.Decimal(np.nextafter(value, math.inf))) / 2
+    if draw(st.booleans()):
+        middle = decimal.Context(prec=19).plus(middle)
+    return format(middle, "f")
+
+
+# leading zeros with 19 and with 20 digits after the dot; only ".", 19 digits is a plain decimal
+_ZERO_LED = st.builds(lambda whole, digits, width: whole + "." + str(digits).zfill(width),
+                      st.sampled_from(["", "0"]), st.integers(1, 10**19 - 1),
+                      st.sampled_from([19, 20]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.floats(1e-6, 1e18).map(repr), _digit_strings(), _ZERO_LED,
+                          _midpoints(),
+                          st.sampled_from(["-0.0", ".5", "5.", "+1", "9007199254740993",
+                                           "4503599627370497.5"])),
+                min_size=1, max_size=40))
+def test_floats_reads_decimals_bit_for_bit_as_float(fields):
+    expected = _bits([float(field) for field in fields])
+    assert _bits(data_model._floats(*_fields_body(fields))) == expected
+
+
+@pytest.mark.parametrize("field", ["1.2.3", "1234567.12345678.1", "+-1", "1-", ".", "+", "-.",
+                                   "1 2", "1e", "0x10", "1" * 19 + "x"])
+def test_floats_fails_on_text_float_rejects(field):
+    with pytest.raises(ValueError):
+        float(field)
+    with pytest.raises(ValueError):
+        data_model._floats(*_fields_body(["2.5", field, "0.25"]))
+
+
+def test_nearly_every_plain_decimal_takes_the_exact_route(monkeypatch):
+    # the 17-digit shortest forms a trial file holds; a silent fall back to the cast
+    # for every field would still read them right
+    rng = np.random.default_rng(17)
+    values = np.concatenate([rng.exponential(3.0, 10_000), rng.uniform(10.0, 100.0, 10_000)])
+    fields = [repr(x) for x in values.tolist()]
+    cast, counted = [], data_model._cast
+    monkeypatch.setattr(data_model, "_cast", lambda body, starts, lengths: (
+        cast.append(len(starts)) or counted(body, starts, lengths)))
+    assert _bits(data_model._floats(*_fields_body(fields))) == _bits(values)
+    if np.finfo(np.longdouble).nmant == 63:  # x87 extended precision
+        assert sum(cast) <= 0.001 * len(fields)
+
+
+@pytest.mark.parametrize("variant", SCALE_VARIANTS)
+def test_cast_alone_reads_the_same_columns(variant, monkeypatch):
+    # where np.longdouble lacks a 64-bit significand every field is cast
+    text = SCALE_VARIANTS[variant](_scale_text())
+    expected = _outcome(mt.parse_dataset, text)
+    monkeypatch.setattr(data_model, "_extended", lambda: False)
+    assert _outcome(mt.parse_dataset, text) == expected
+
+
+def test_parse_checks_delta_and_a_once(monkeypatch):
+    def binary_column(column, name):
+        raise AssertionError("delta and a checked again")
+    rows = parse_dataset_rows(_scale_text())
+    monkeypatch.setattr(data_model, "_binary_column", binary_column)
+    ds = mt.parse_dataset(_scale_text())
+    assert ds.delta.dtype == ds.arm.dtype == np.int64 and ds == rows
+    mark = apply_mark_scaling(ds, ScalingRecord(0.0, 2.0)).mark
+    np.testing.assert_array_equal(mark, rows.mark / 2)
 
 
 def _blank_every_50th_mark(text):
