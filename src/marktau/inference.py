@@ -32,8 +32,11 @@ zero variance estimate) are excluded from the maxima; constancy pairs with a
 zero pair-variance are skipped with a diagnostic count rather than failing
 the test.
 
-The block test :func:`_test_from_estimate` takes the estimator's block of
-bandwidths, columns and kernel terms whole and returns arrays, one entry per
+Each test's multipliers come from its own seed: :func:`multiplier_draws`
+gives one row of normals per seed, and a test over k usable points reads
+the first B x k of its row. The block test :func:`_test_from_estimate`
+takes the estimator's block of bandwidths, columns and kernel terms whole,
+with one such row per replication, and returns arrays, one entry per
 replication, which a simulation sweep reads directly; only :func:`run_test`
 builds a :class:`TestResult`.
 """
@@ -95,37 +98,20 @@ class TestResult:
     estimate: EstimateGrid
 
 
-class _MultiplierStream:
-    """The multiplier normals of one seed, drawn only as far as its tests read them.
+def multiplier_draws(seeds, resamples: int, points: int) -> np.ndarray:
+    """Standard normals of shape (len(seeds), resamples x points), row i from ``seeds[i]``.
 
-    A generator's ``standard_normal((B, k))`` is the first B k values of its
-    flat stream, so the tests of one replication at several c3 points, with
-    different usable-point counts, all read prefixes of one draw. The stream
-    holds what it has drawn and extends it when a test reads further.
+    Row i is the first resamples x points normals of the generator seeded by
+    ``seeds[i]``. A test over k <= points usable points reads the first
+    resamples x k of them as a (resamples, k) matrix, which is exactly that
+    generator's ``standard_normal((resamples, k))``, so the tests of one
+    replication at several c3 points, with different usable-point counts,
+    read prefixes of one row.
     """
-
-    def __init__(self, seed) -> None:
-        self._rng = np.random.default_rng(seed)
-        self._drawn = np.empty(0)
-
-    def first(self, count: int) -> np.ndarray:
-        """The first ``count`` normals of the stream."""
-        more = count - self._drawn.size
-        if more > 0:
-            extra = self._rng.standard_normal(more)
-            self._drawn = np.concatenate((self._drawn, extra)) if self._drawn.size else extra
-        return self._drawn[:count]
-
-
-def multiplier_draws(points: int, resamples: int, stream: _MultiplierStream) -> np.ndarray:
-    """Standard normals Z of shape (resamples, points), from one stream.
-
-    ``points`` counts the test's usable points. Z is always the first
-    resamples x points normals of ``stream``, whose earlier reads, by a
-    replication's other tests, this one shares; draws are never scheduled in
-    parallel.
-    """
-    return stream.first(resamples * points).reshape(resamples, points)
+    normals = np.empty((len(seeds), resamples * points))
+    for seed, row in zip(seeds, normals):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return normals
 
 
 def _check_kind(kind: str) -> None:
@@ -350,8 +336,8 @@ def p_value(resampled: np.ndarray, statistic: float, add_one_correction: bool = 
     return count / resampled.size
 
 
-def _test_from_estimate(kind: str, block: tuple, streams: list, *, resamples: int,
-                        alpha: float, pi: float | None = None) -> tuple[np.ndarray, ...]:
+def _test_from_estimate(kind: str, block: tuple, normals: np.ndarray, *, alpha: float,
+                        pi: float | None = None) -> tuple[np.ndarray, ...]:
     """The tests of a block of estimates on one grid, arrays in and arrays out.
 
     ``block`` is ``(bandwidths, columns, terms)`` of
@@ -360,19 +346,19 @@ def _test_from_estimate(kind: str, block: tuple, streams: list, *, resamples: in
     ``n0`` and ``n1`` and the kernel terms, which one :func:`arm_grams` pass
     turns into each row's control and treated Grams over the whole grid.
     Each row's treated fraction is its n1 / n, or ``pi`` for every row when
-    a design fraction is given. Row i draws its multipliers with
-    :func:`multiplier_draws` from ``streams[i]``, which the replication's
-    other tests read too. Rows with the same usable points form a group,
-    tested as one stack, which the block's size bounds: each row's
-    covariance takes its own arm scales, one ``eigh`` call factors the
-    stack, one matmul gives every multiplier sum draws @ L^T, and the kind's
-    maximum gives the whole stack's statistics, at tau as one draw, and its
-    resampled values, constancy from one pair list. So each row gets the
-    numbers a block of that row alone gives.
+    a design fraction is given. ``normals`` holds each row's multipliers,
+    shape (R, B g), from :func:`multiplier_draws`; a row over k usable
+    points reads the first B k of its own as a (B, k) matrix. Rows with the
+    same usable points form a group, tested as one stack, which the block's
+    size bounds: each row's covariance takes its own arm scales, one
+    ``eigh`` call factors the stack, one matmul gives every multiplier sum
+    draws @ L^T, and the kind's maximum gives the whole stack's statistics,
+    at tau as one draw, and its resampled values, constancy from one pair
+    list. So each row gets the numbers a block of that row alone gives.
 
-    Returns, per row, the statistic, the sorted resampled values (R,
-    resamples), the critical value, the covariance rank and the skipped
-    constancy pairs. The callers check ``kind`` and ``resamples``.
+    Returns, per row, the statistic, the sorted resampled values (R, B),
+    the critical value, the covariance rank and the skipped constancy
+    pairs. The callers check ``kind`` and B.
     """
     bandwidths, columns, terms = block
     tau, sigma2 = columns["tau"], columns["sigma2"]
@@ -383,11 +369,12 @@ def _test_from_estimate(kind: str, block: tuple, streams: list, *, resamples: in
     n = sizes.sum(axis=1)
     nh, scale = n * h, h / n
     pi = ([n1 / (n0 + n1) for n0, n1 in zip(columns["n0"], columns["n1"])] if pi is None
-          else [pi] * len(streams))
+          else [pi] * len(normals))
+    resamples = normals.shape[1] // tau.shape[1]
     usable = _usable_points(columns["flagged"], sigma2)
-    stat, crit = np.empty((2, len(streams)))
-    resampled = np.empty((len(streams), resamples))
-    rank, skipped = np.zeros((2, len(streams)), np.intp)
+    stat, crit = np.empty((2, len(normals)))
+    resampled = np.empty((len(normals), resamples))
+    rank, skipped = np.zeros((2, len(normals)), np.intp)
     groups: dict[bytes, list[int]] = {}
     for i, mask in enumerate(usable):
         groups.setdefault(mask.tobytes(), []).append(i)
@@ -397,9 +384,7 @@ def _test_from_estimate(kind: str, block: tuple, streams: list, *, resamples: in
         stack = grams[rows][:, :, cols][:, :, :, cols]
         factor, rank[rows] = covariance_factor(
             resampling_covariance(stack, [pi[i] for i in rows]))
-        draws = np.empty((len(rows), resamples, cols.size))
-        for row, i in enumerate(rows):
-            draws[row] = multiplier_draws(cols.size, resamples, streams[i])
+        draws = normals[rows, :resamples * cols.size].reshape(len(rows), resamples, cols.size)
         sums = draws @ factor.swapaxes(1, 2)
         del draws
         if kind == "global":
@@ -438,13 +423,14 @@ def run_test(kind: str, dataset: Dataset, grid: EvaluationGrid, *, resamples: in
     if pi_design is not None and not 0.0 < pi_design < 1.0:
         raise InferenceError(f"pi_design must be in (0,1), got {pi_design!r}")
     _check_resamples(resamples)
-    if isinstance(seed, int) and seed < 0:
+    if isinstance(seed, (int, np.integer)) and seed < 0:
         raise InferenceError(f"seed must be >= 0, got {seed}")
     est, block = _estimate_with_terms(dataset, grid, alpha=alpha, bandwidth=bandwidth,
                                       varpi=varpi)
     stat, resampled, crit, rank, skipped = (
-        row[0] for row in _test_from_estimate(kind, block, [_MultiplierStream(seed)],
-                                              resamples=resamples, alpha=alpha, pi=pi_design))
+        row[0] for row in _test_from_estimate(
+            kind, block, multiplier_draws([seed], resamples, grid.points.size), alpha=alpha,
+            pi=pi_design))
     usable = _usable_points(est.flagged, est.sigma2)
     return TestResult(
         statistic=float(stat), critical_value=float(crit),

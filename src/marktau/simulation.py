@@ -28,8 +28,7 @@ import numpy as np
 from .data_model import MarkInterval
 from .estimator import EvaluationGrid, _estimate_block
 from .estimator import _estimate_with_terms  # noqa: F401 - rebound by perfbench/spans.py
-from .inference import _check_kind, _check_resamples, _MultiplierStream, _test_from_estimate
-from .inference import multiplier_draws  # noqa: F401 - rebound by perfbench/spans.py
+from .inference import _check_kind, _check_resamples, _test_from_estimate, multiplier_draws
 
 __all__ = [
     "SimulationError",
@@ -460,7 +459,8 @@ def _blocks(scenario: Scenario, resamples: int = 0) -> list[range]:
     """Blocks of about ``_BLOCK_ROWS`` rows over the scenario's replications.
 
     A power block, of ``resamples`` B > 0, also holds at most ``_BLOCK_BYTES``
-    of its replications' B x g multiplier normals and 2 g x g Gram entries.
+    in its one array of multiplier normals, B x g per replication, and its
+    replications' 2 g x g Gram entries.
     """
     size = _BLOCK_ROWS // scenario.n
     if resamples:
@@ -534,36 +534,37 @@ def _test_rep(args: tuple[list[Scenario], range, str, int]) -> list:
     """The sweep worker: whether the test rejects, per c3 point and replication of a block.
 
     ``args`` holds the sweep's scenarios, one per c3 point, and a block of
-    replications. Replication r makes its data draws (stream (r, 0)) and opens
-    its multiplier stream (r, 1) once, and every point reads them: a point's
-    block estimate, derived from the shared draws as in :func:`_metrics_rep`,
-    goes whole to one call of the block test, where replication r reads the
-    first B x k normals of its stream, k its usable points there, so each test
-    gets the numbers it would get alone; :func:`_blocks` bounds what the
-    streams hold. Returns one list of flags per point, in point order; at the
-    first point that fails, the list ends with the error of that point's first
-    failing replication.
+    replications. The block makes its data draws (replication r from stream
+    (r, 0)) and its one array of multiplier normals (row r from stream
+    (r, 1), B x g of them) once, and every point reads them: a point's block
+    estimate, derived from the shared draws as in :func:`_metrics_rep`, goes
+    whole to one call of the block test, where replication r reads the first
+    B x k normals of its row, k its usable points there, so each test gets
+    the numbers it would get alone; :func:`_blocks` bounds the array.
+    Returns one list of flags per point, in point order; at the first point
+    that fails, the list ends with the error of that point's first failing
+    replication.
     """
     scenarios, reps, kind, resamples = args
     draws = _replication_draws(scenarios[0], reps)
-    streams = [_MultiplierStream(_replication_seed(scenarios[0].seed, r, 1)) for r in reps]
+    normals = multiplier_draws([_replication_seed(scenarios[0].seed, r, 1) for r in reps],
+                               resamples, scenarios[0].grid.points.size)
     outcomes: list = []
     for scenario in scenarios:
         try:
-            outcomes.append(_replayed(partial(_point_tests, scenario, draws, streams, kind,
-                                              resamples), len(reps)))
+            outcomes.append(_replayed(partial(_point_tests, scenario, draws, normals, kind),
+                                      len(reps)))
         except ValueError as exc:
             outcomes.append(exc)
             break
     return outcomes
 
 
-def _point_tests(scenario: Scenario, draws, streams: list, kind: str, resamples: int,
+def _point_tests(scenario: Scenario, draws, normals: np.ndarray, kind: str,
                  rows: slice) -> list[bool]:
     """Whether the test rejects at one c3 point, for some rows of a block."""
     stat, _, crit, _, _ = _test_from_estimate(
-        kind, _block_estimates(scenario, draws, rows), streams[rows], resamples=resamples,
-        alpha=scenario.alpha)
+        kind, _block_estimates(scenario, draws, rows), normals[rows], alpha=scenario.alpha)
     return (stat > crit).tolist()
 
 
@@ -589,11 +590,11 @@ def size_power_curve(scenario: Scenario, c3_values, kind: str, *,
     the treated arm at every c3, so a point that cannot be calibrated fails the
     sweep before any replication runs. The blocks of :func:`_blocks`, whose
     memory is bounded, share one worker pool, and each holds every c3 point, so
-    the block count does not grow with the points. A block draws each of its
-    replications' data and multiplier stream once, and every point reads them
+    the block count does not grow with the points. A block draws its
+    replications' data and multiplier normals once, and every point reads them
     (see :func:`_test_rep`): only the treated mean and its censoring mean
-    change with c3. Each test reads only its own estimate, Grams and multiplier
-    stream and gets the numbers it would get alone, so the counts are the same
+    change with c3. Each test reads only its own estimate, Grams and row of
+    normals and gets the numbers it would get alone, so the counts are the same
     for any block size and worker count. A failing sweep raises the error of
     its first failing replication at its first failing point, as the points run
     one after another would.

@@ -85,8 +85,8 @@ def _stacked(est):
 
 def _resampled_alone(kind, block, seed, resamples):
     """The sorted resampled values of the block test on a block of one estimate."""
-    return _test_from_estimate(kind, block, [inference._MultiplierStream(seed)],
-                               resamples=resamples, alpha=0.05)[1][0]
+    normals = multiplier_draws([seed], resamples, block[1]["tau"].shape[1])
+    return _test_from_estimate(kind, block, normals, alpha=0.05)[1][0]
 
 
 def _global_statistic(est):
@@ -349,26 +349,25 @@ def test_multiplier_draws_are_one_stream_in_grid_space():
     grid = mt.EvaluationGrid.explicit([0.15, 0.5, 0.55], mt.MarkInterval(0.1, 0.9))
     est, _ = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     points = int(np.count_nonzero(_usable(est)))
-    draws = multiplier_draws(points, 5, inference._MultiplierStream(99))
-    assert draws.shape == (5, 2)  # (B, usable points), never (B, n)
+    draws = multiplier_draws([99], 5, points)
+    assert draws.shape == (1, 5 * 2)  # B x usable points, never B x n
     np.testing.assert_array_equal(
-        draws, np.random.default_rng(99).standard_normal((5, 2))
+        draws[0].reshape(5, 2), np.random.default_rng(99).standard_normal((5, 2))
     )
 
 
 def test_multiplier_draws_are_prefixes_of_the_replication_stream():
     # standard_normal((B, k)) is the first B k normals of the flat stream, so
-    # a replication's tests at several c3 points share one draw of B x k_max
-    seed = np.random.SeedSequence(entropy=3, spawn_key=(1, 5, 1))
-    flat = np.random.default_rng(seed).standard_normal(200 * 21)
-    stream = inference._MultiplierStream(seed)
-    for k in (3, 20, 1, 20, 7):
-        want = flat[:200 * k].reshape(200, k)
-        fresh = inference._MultiplierStream(seed)
-        assert multiplier_draws(k, 200, fresh).tobytes() == want.tobytes()
-        assert multiplier_draws(k, 200, stream).tobytes() == want.tobytes()
-    # the stream drew B x k_max normals in all, and the generator goes on from there
-    assert stream.first(200 * 21)[-200:].tobytes() == flat[-200:].tobytes()
+    # a replication's tests at several c3 points share one row of B x g normals
+    seeds = [np.random.SeedSequence(entropy=3, spawn_key=(1, rep, 1)) for rep in (5, 6)]
+    normals = multiplier_draws(seeds, 200, 21)
+    assert normals.shape == (2, 200 * 21)
+    for seed, row in zip(seeds, normals):
+        flat = np.random.default_rng(seed).standard_normal(200 * 21)
+        assert row.tobytes() == flat.tobytes()
+        for k in (3, 20, 1, 20, 7):
+            want = np.random.default_rng(seed).standard_normal((200, k))
+            assert row[:200 * k].reshape(200, k).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["global", "constancy"])
@@ -403,8 +402,8 @@ def test_resampled_values_scale_quadratically():
     grid = mt.EvaluationGrid.explicit([0.48, 0.5], mt.MarkInterval(0.1, 0.9))
     est, (_, _, theta) = _estimate_with_terms(ds, grid, alpha=0.05, bandwidth=0.1, varpi=1.0)
     _, grams, cov = _grid_covariance(est, theta, ds.n1 / ds.n)
-    draws = multiplier_draws(int(np.count_nonzero(_usable(est))), 50,
-                             inference._MultiplierStream(4))
+    points = int(np.count_nonzero(_usable(est)))
+    draws = multiplier_draws([4], 50, points)[0].reshape(50, points)
     sums = (draws @ covariance_factor(cov)[0].T)[None]
     _, scale, _, sigma2 = _stacked(est)
     base = global_resample(scale, sigma2, sums)
@@ -602,6 +601,42 @@ def test_pi_design_changes_resampling_only():
     assert not np.array_equal(designed.resampled, base.resampled)
     with pytest.raises(InferenceError, match="pi_design"):
         mt.run_test("global", ds, NULL_SCENARIO.grid, pi_design=1.5)
+
+
+def _pinned_dataset():
+    """300 subjects from uniforms alone; no failure mark is above 0.75, so 0.95 sees none."""
+    u = np.random.default_rng(2024).random((4, 300))
+    delta = u[2] < 0.7
+    mark = np.where(delta, 0.75 * u[3], np.nan)
+    return mt.Dataset.from_arrays(1.0 + 4.0 * u[0], delta, mark, u[1] < 0.6)
+
+
+@pytest.mark.parametrize("kind, pi_design, statistic, crit, p", [
+    ("global", None, "0x1.2900662a233b0p+0", 5.245528618527595, 0.705),
+    ("constancy", None, "0x1.1f32770422880p+1", 6.187109056316115, 0.43),
+    ("global", 0.5, "0x1.2900662a233b0p+0", 5.181966313597669, 0.695),
+])
+def test_run_test_numbers_are_pinned(kind, pi_design, statistic, crit, p):
+    # the statistic comes from bincount sums and elementwise operations on
+    # these inputs, so it is pinned to the bit; the critical value goes
+    # through eigh and a BLAS product, which may differ by ulps across CPUs
+    grid = mt.EvaluationGrid.explicit([0.2, 0.35, 0.5, 0.65, 0.95], mt.MarkInterval(0.1, 0.95))
+    result = mt.run_test(kind, _pinned_dataset(), grid, resamples=200, seed=7, bandwidth=0.1,
+                         pi_design=pi_design)
+    assert result.statistic.hex() == statistic
+    assert result.critical_value == pytest.approx(crit, rel=1e-9, abs=0.0)
+    assert result.p_value == p
+    assert result.excluded_points == (0.95,)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+def test_negative_seed_rejected_before_estimating(seed):
+    ds = hand_dataset()
+    grid = mt.EvaluationGrid.explicit([0.5], mt.MarkInterval(0.1, 0.9))
+    with mock.patch.object(inference, "_estimate_with_terms") as estimate:
+        with pytest.raises(InferenceError, match="^seed must be >= 0, got -1$"):
+            mt.run_test("global", ds, grid, resamples=5, seed=seed)
+    estimate.assert_not_called()
 
 
 def test_unknown_kind_rejected():

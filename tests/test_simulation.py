@@ -17,7 +17,7 @@ from marktau import estimator, inference, simulation
 from marktau.data_model import validate
 from marktau.estimator import _estimate_block, _estimate_with_terms
 from marktau.inference import (TEST_KINDS, InferenceError, _test_from_estimate, _usable_points,
-                               arm_grams, p_value)
+                               arm_grams, multiplier_draws, p_value)
 from marktau.simulation import (
     SimulationError,
     _block_draws,
@@ -680,6 +680,27 @@ def _recorded_tests(monkeypatch, points):
     return calls, results
 
 
+@pytest.mark.parametrize("kind", TEST_KINDS)
+def test_sweep_draws_each_blocks_normals_once(monkeypatch, kind):
+    scenario = _scenario(n=300, reps=8, seed=23)
+    g = scenario.grid.points.size
+    shapes = []
+
+    def counted(seeds, resamples, points):
+        normals = multiplier_draws(seeds, resamples, points)
+        shapes.append(normals.shape)
+        return normals
+
+    monkeypatch.setattr(simulation, "multiplier_draws", counted)
+    # one block holds all 8 replications and every c3 point reads its normals
+    mt.size_power_curve(scenario, [-2.0, -1.0, 0.0], kind, resamples=60)
+    assert shapes == [(8, 60 * g)]
+    shapes.clear()
+    monkeypatch.setattr(simulation, "_BLOCK_ROWS", 2 * scenario.n)
+    mt.size_power_curve(scenario, [-2.0, -1.0, 0.0], kind, resamples=60)
+    assert shapes == [(2, 60 * g)] * 4
+
+
 @pytest.mark.parametrize("varpi", [1.0, 0.05])
 @pytest.mark.parametrize("n", [300, 1000])
 @pytest.mark.parametrize("kind", TEST_KINDS)
@@ -795,8 +816,8 @@ def test_power_settings_fail_before_calibrating(monkeypatch, kind, resamples, me
 @pytest.mark.parametrize("kind", TEST_KINDS)
 def test_sweep_counts_equal_single_point_sweeps(monkeypatch, kind, varpi):
     # every c3 point of a sweep reads its replications' shared data draws and
-    # multiplier streams; at varpi = 0.05 a replication's usable points differ
-    # between the c3 points, so its tests read different prefixes of one stream
+    # rows of multiplier normals; at varpi = 0.05 a replication's usable points
+    # differ between the c3 points, so its tests read different prefixes of one row
     scenario = _scenario(n=300, c3=0.0, varpi=varpi, reps=8, seed=23)
     c3_values = [-2.0, -0.5, 1.0]
     singles = [[_single_test(dataclasses.replace(scenario, c3=c3), rep, kind, 60)
