@@ -45,11 +45,7 @@ class MarkInterval:
     upper: float
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.lower)
-            and math.isfinite(self.upper)
-            and 0.0 <= self.lower < self.upper <= 1.0
-        ):
+        if not 0.0 <= self.lower < self.upper <= 1.0:  # false for NaN and infinities
             raise DataError(
                 "mark interval must satisfy 0 <= lower < upper <= 1, "
                 f"got [{self.lower}, {self.upper}]"
@@ -60,7 +56,7 @@ class MarkInterval:
 class ScalingRecord:
     """Affine map used to bring raw marks onto [0, 1].
 
-    ``degenerate`` marks the all-equal case, where every mark is sent to 0.5.
+    ``degenerate`` marks the all-equal case, where every mark but NaN is sent to 0.5.
     """
 
     vmin: float
@@ -70,7 +66,7 @@ class ScalingRecord:
     def apply(self, raw):
         raw = np.asarray(raw, dtype=float)
         if self.degenerate:
-            return np.full_like(raw, 0.5)
+            return np.where(np.isnan(raw), raw, 0.5)
         return (raw - self.vmin) / (self.vmax - self.vmin)
 
 
@@ -95,9 +91,7 @@ class ValidationReport:
         return not self.violations
 
     def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(map(str, self.violations))
+        return "\n".join(map(str, self.violations)) or "ok"
 
 
 def _binary_column(column: np.ndarray, name: str) -> np.ndarray:
@@ -164,8 +158,8 @@ class Dataset:
                    n1=int(n1))
 
     def observed_marks(self) -> np.ndarray:
-        """Marks of uncensored records, in record order."""
-        return self.mark[self.delta == 1]
+        """Marks of uncensored records, in record order, gathered by index."""
+        return self.mark[np.flatnonzero(self.delta == 1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -352,9 +346,9 @@ def _columns(text: str, drop_missing_marks: bool) -> tuple | None:
     The text is read as ASCII bytes. If :func:`_separators` fails, blank lines
     go, then quotes and padding around fields, and it is tried again. One-byte
     ``delta`` and ``a`` fields are read as digits, the others by :func:`_floats`,
-    and both columns are checked to hold only 0 and 1.
-    With ``drop_missing_marks``, an uncensored row with an empty mark is dropped
-    instead of failing a check.
+    and both columns are checked to hold only 0 and 1; the marks are read and placed
+    by row index. With ``drop_missing_marks``, an uncensored row with an empty mark
+    is dropped instead of failing a check, and the rows kept are taken by index.
     """
     if not text.isascii():
         return None
@@ -373,12 +367,13 @@ def _columns(text: str, drop_missing_marks: bool) -> tuple | None:
     starts = starts.reshape(-1, 4)[1:]
     data = np.frombuffer(body, np.uint8)
     present = lengths[:, 2] > 0
+    marked = np.flatnonzero(present)
     try:
         y = _floats(body, starts[:, 0], lengths[:, 0])
         # any byte but "0" or "1" reads as a value the 0/1 check rejects
         delta, arm = (data[starts[:, k]] - ord("0") if np.all(lengths[:, k] == 1)
                       else _floats(body, starts[:, k], lengths[:, k]) for k in (1, 3))
-        values = _floats(body, starts[:, 2][present], lengths[:, 2][present])
+        values = _floats(body, starts[marked, 2], lengths[marked, 2])
     except ValueError:
         return None
     uncensored = delta == 1
@@ -387,12 +382,12 @@ def _columns(text: str, drop_missing_marks: bool) -> tuple | None:
     if np.any(((delta != 0) & (delta != 1)) | ((arm != 0) & (arm != 1)) | misplaced):
         return None
     mark = np.full(len(present), math.nan)
-    mark[present] = values
+    mark[marked] = values
     columns = (y, delta, mark, arm)
     if not drop_missing_marks:
         return columns, 0
-    keep = present >= uncensored
-    return [column[keep] for column in columns], int(np.count_nonzero(~keep))
+    keep = np.flatnonzero(present >= uncensored)
+    return [column[keep] for column in columns], len(mark) - len(keep)
 
 
 def _read_rows(text: str, drop_missing_marks: bool) -> tuple:
@@ -490,10 +485,12 @@ def scale_marks(raw_marks) -> ScalingRecord:
     raw = np.asarray(raw_marks, dtype=float)
     if raw.size == 0:
         raise DataError("cannot scale an empty set of marks")
-    if not np.all(np.isfinite(raw)):
-        raise DataError("marks must be finite to be scaled")
     vmin = float(np.min(raw))
     vmax = float(np.max(raw))
+    if not (math.isfinite(vmin) and math.isfinite(vmax)):  # NaN or infinite where a mark is
+        raise DataError("marks must be finite to be scaled")
+    if not math.isfinite(vmax - vmin):
+        raise DataError(f"marks span {vmin!r} to {vmax!r}, a range too wide to scale")
     if vmin == vmax:
         warnings.warn(
             "all observed marks are equal; mapping them to 0.5 (degenerate scaling)",
@@ -503,9 +500,10 @@ def scale_marks(raw_marks) -> ScalingRecord:
 
 
 def apply_mark_scaling(dataset: Dataset, scaling: ScalingRecord) -> Dataset:
-    """Return a copy of ``dataset`` with observed marks passed through ``scaling``."""
+    """A copy of ``dataset`` whose uncensored rows, gathered and scattered back by index, have
+    their marks passed through ``scaling``; a mark on a censored row stays raw."""
     mark = dataset.mark.copy()
-    observed = dataset.delta == 1
+    observed = np.flatnonzero(dataset.delta == 1)
     mark[observed] = scaling.apply(mark[observed])
     return Dataset._checked(dataset.y, dataset.delta, mark, dataset.arm)
 
@@ -514,21 +512,25 @@ def validate(dataset: Dataset) -> ValidationReport:
     """Check every record invariant and report violations; never raises.
 
     Rules use 0-based record indices. Entries come in row order, and in the
-    order of the rules below within a row. That ``delta`` and ``a`` hold only
-    0 and 1, and that both arms hold a row, is checked when the
+    order of the rules below within a row. A clean dataset costs one vectorized
+    pass per rule; rows are indexed only when a rule fails. That ``delta`` and
+    ``a`` hold only 0 and 1, and that both arms hold a row, is checked when the
     :class:`Dataset` is built.
     """
     y, delta, mark = dataset.y, dataset.delta, dataset.mark
-    present = ~np.isnan(mark)
-    rules = (  # (rule, failing rows, the column the detail shows, detail)
-        ("y >= 0", ~(np.isfinite(y) & (y >= 0.0)), y, "y={!r} must be finite and non-negative"),
-        ("mark present iff delta = 1", (delta == 1) & ~present, None,
+    uncensored = delta == 1
+    present = mark == mark  # not NaN; a range test is false for NaN and infinities
+    rules = (  # (rule, failing rows, the column the detail shows, detail); False < True
+        ("y >= 0", ~((y >= 0.0) & (y < math.inf)), y, "y={!r} must be finite and non-negative"),
+        ("mark present iff delta = 1", uncensored > present, None,
          "uncensored row without a mark"),
-        ("mark present iff delta = 1", (delta == 0) & present, None,
+        ("mark present iff delta = 1", present > uncensored, None,
          "censored row carries a mark"),
-        ("mark in [0,1]", present & ~(np.isfinite(mark) & (mark >= 0.0) & (mark <= 1.0)), mark,
+        ("mark in [0,1]", present > ((mark >= 0.0) & (mark <= 1.0)), mark,
          "mark={!r} (is the data scaled?)"),
     )
+    if not any(failing.any() for _, failing, _, _ in rules):
+        return ValidationReport(())
     rows, which = np.nonzero(np.column_stack([failing for _, failing, _, _ in rules]))
     out: list[Violation] = []
     for i, k in zip(rows.tolist(), which.tolist()):
@@ -574,4 +576,6 @@ def parse_sidecar(text: str) -> ScalingRecord | str | None:
     vmax = _json_number(scaling["max"], "mark_scaling max")
     if not (math.isfinite(vmin) and math.isfinite(vmax) and vmin < vmax):
         raise DataError("sidecar mark_scaling needs finite min < max")
+    if not math.isfinite(vmax - vmin):
+        raise DataError("sidecar mark_scaling max - min overflows the float range")
     return ScalingRecord(vmin=vmin, vmax=vmax)

@@ -147,6 +147,21 @@ def test_estimate_requires_scaled_marks(tmp_path, capsys, trial_files):
     assert "mark in [0,1]" in err
 
 
+def test_auto_scaling_of_marks_too_far_apart_fails_loudly(tmp_path, capsys):
+    # max - min overflowed: the largest mark scaled to NaN, and validation blamed
+    # "an uncensored row without a mark"
+    csv_path, meta_path = tmp_path / "wide.csv", tmp_path / "wide.json"
+    csv_path.write_text("y,delta,mark,a\n1.0,1,-1.7e308,1\n2.0,0,,0\n1.5,1,1.7e308,0\n")
+    meta_path.write_text('{"mark_scaling": "auto"}')
+    code, _, err = _run(
+        capsys,
+        "estimate", "--input", str(csv_path), "--meta", str(meta_path),
+        "--interval", "0.2,0.45", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 1
+    assert "a range too wide to scale" in err and "without a mark" not in err
+
+
 def test_estimate_requires_interval_or_grid(tmp_path, capsys, trial_files):
     csv_path, meta_path = trial_files
     code, _, err = _run(

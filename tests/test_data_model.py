@@ -559,12 +559,47 @@ def test_scale_marks_empty_errors():
         scale_marks([])
 
 
+def test_scale_marks_rejects_a_range_too_wide_for_a_float():
+    # max - min overflowed to inf: apply() warned of the overflow, the largest mark became
+    # NaN, and validate() called its row an uncensored row without a mark
+    message = "marks span -1.7e+308 to 1.7e+308, a range too wide to scale"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        scale_marks([-1.7e308, 0.0, 1.7e308])
+    record = scale_marks([-8e307, 8e307])
+    np.testing.assert_array_equal(record.apply([-8e307, 0.0, 8e307]), [0.0, 0.5, 1.0])
+
+
 def test_apply_mark_scaling_only_touches_observed():
     ds = mt.parse_dataset("y,delta,mark,a\n1.0,1,10.0,1\n2.0,0,,0\n1.5,1,30.0,0\n")
     scaled = apply_mark_scaling(ds, scale_marks(ds.observed_marks()))
     assert scaled.mark[0] == 0.0
     assert math.isnan(scaled.mark[1])
     assert scaled.mark[2] == 1.0
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(2, 10).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n),
+        st.lists(st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+                 min_size=n, max_size=n),
+    )),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.booleans(),
+)
+def test_apply_mark_scaling_maps_each_uncensored_mark_alone(columns, vmin, width, degenerate):
+    delta, mark = columns
+    arm = [k % 2 for k in range(len(delta))]  # both arms hold a row
+    # from_arrays, unlike the parser, builds uncensored rows without a mark and censored
+    # rows with one
+    ds = mt.Dataset.from_arrays(np.ones(len(delta)), delta, mark, arm)
+    record = ScalingRecord(vmin, vmin if degenerate else vmin + width, degenerate)
+    scaled = apply_mark_scaling(ds, record).mark
+    for d, raw, out in zip(delta, mark, scaled.tolist()):
+        expected = float(record.apply(raw)) if d == 1 else raw
+        assert np.float64(out).tobytes() == np.float64(expected).tobytes()
+        assert math.isnan(out) == math.isnan(raw)
 
 
 def test_validate_reports_every_violation():
@@ -595,6 +630,31 @@ def test_validate_clean_dataset_ok():
     report = validate(mt.parse_dataset(EXAMPLE_CSV))
     assert report.ok
     assert str(report) == "ok"
+
+
+def test_validate_of_a_clean_dataset_builds_no_row_table(monkeypatch):
+    ds = mt.parse_dataset(_scale_text())
+    def column_stack(arrays):
+        raise AssertionError("a clean dataset built the rows-by-rules table")
+    monkeypatch.setattr(data_model.np, "column_stack", column_stack)
+    assert validate(ds).violations == ()
+
+
+@pytest.mark.parametrize("y, delta, mark, rule, detail", [
+    (-1.0, 1, 0.5, "y >= 0", "y=-1.0 must be finite and non-negative"),
+    (1.0, 1, math.nan, "mark present iff delta = 1", "uncensored row without a mark"),
+    (1.0, 0, 0.5, "mark present iff delta = 1", "censored row carries a mark"),
+    (1.0, 1, math.inf, "mark in [0,1]", "mark=inf (is the data scaled?)"),
+])
+def test_validate_finds_a_fault_in_the_last_of_many_rows(y, delta, mark, rule, detail):
+    n = 200_000
+    k = np.arange(n)
+    uncensored = (k % 3 != 0).astype(int)
+    columns = [k / n, uncensored, np.where(uncensored == 1, (k % 7) / 6, math.nan), k % 2]
+    for column, value in zip(columns, (y, delta, mark)):
+        column[-1] = value
+    report = validate(mt.Dataset.from_arrays(*columns))
+    assert report.violations == (data_model.Violation(n - 1, rule, detail),)
 
 
 # The tests of --drop-missing-marks: parse_dataset(text, drop_missing_marks=True)
@@ -674,6 +734,8 @@ def test_sidecar_parsing():
         pytest.param('{"mark_scaling": {"min": 0, "max": 1' + "0" * 400 + '}}',
                      "max must be a finite number", id="integer-beyond-float"),
         ('{"mark_scaling": {"min": 2.0, "max": 1.0}}', "min < max"),
+        pytest.param('{"mark_scaling": {"min": -1.7e308, "max": 1.7e308}}',
+                     "max - min overflows", id="width-beyond-float"),
         ('{"mark_scaling": "minmax"}', 'must be "auto"'),
     ],
 )
