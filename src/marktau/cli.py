@@ -40,6 +40,7 @@ from .kernels import KernelError
 from .simulation import (
     Scenario,
     SimulationError,
+    _keep_freed_memory,
     resolve_censoring,
     run_replications,
     size_power_curve,
@@ -497,6 +498,7 @@ def _notice(message, category, filename, lineno, file=None, line=None) -> None:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     argv = sys.argv[1:] if argv is None else list(argv)
     # the command is the first argument that names one: the top-level parser
     # takes no option with a value, so nothing before it can be one

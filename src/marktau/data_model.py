@@ -180,9 +180,9 @@ _PADDING = re.compile(rb"\A[ \t]+|(?<=[,\n])[ \t]+|[ \t]+(?=[,\n])")
 _CHUNK_BYTES = 1 << 17  # the fixed-width fields cast, or the windows read, at a time
 _WINDOW = 24  # the bytes that end at a plain decimal field, read as three little-endian words
 _EACH = np.uint64(0x0101010101010101)  # times a byte value, that value in every byte
-# item c keeps the last c bytes of a window; a gather of whole V24 items is the fastest
+# row c keeps the last c bytes of a window, as its three words
 _LAST = np.frombuffer(b"".join(bytes(_WINDOW - c) + b"\xff" * c for c in range(_WINDOW + 1)),
-                      f"V{_WINDOW}")
+                      "<u8").reshape(-1, 3)
 _POWERS = np.array([float(10**k) for k in range(20)], np.longdouble)  # each exact in a double
 
 
@@ -239,12 +239,21 @@ def _extended() -> bool:
     return np.finfo(np.longdouble).nmant == 63 and probe.view(np.uint16)[0] == 1
 
 
-def _eight_digits(v: np.ndarray) -> np.ndarray:
-    """Each word of digit bytes 0-9, the first digit in the lowest byte, as the integer they spell."""
-    v = v * np.uint64(10) + (v >> np.uint64(8))  # bytes 0, 2, 4 and 6 hold two digits each
+def _eight_digits(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each word of digit bytes 0-9, the first digit in the lowest byte, as the integer they
+    spell, written to ``out``; ``v`` is overwritten."""
+    np.right_shift(v, np.uint64(8), out=out)
+    v *= np.uint64(10)
+    v += out  # bytes 0, 2, 4 and 6 hold two digits each
     pairs = np.uint64(0x000000FF000000FF)
-    return ((v & pairs) * np.uint64(100 + (1000000 << 32))
-            + ((v >> np.uint64(16)) & pairs) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+    np.bitwise_and(v, pairs, out=out)
+    out *= np.uint64(100 + (1000000 << 32))
+    v >>= np.uint64(16)
+    v &= pairs
+    v *= np.uint64(1 + (10000 << 32))
+    out += v
+    out >>= np.uint64(32)
+    return out
 
 
 def _decimals(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple:
@@ -261,12 +270,18 @@ def _decimals(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple:
     """
     data = np.frombuffer(body, np.uint8)
     windows = np.ndarray((len(body) - _WINDOW + 1,), f"V{_WINDOW}", body, strides=(1,))
-    zeros, dots, low7, high = (np.uint64(b) * _EACH for b in (0x30, 0x1E, 0x7F, 0x80))
+    zeros, dots, low7, high, above9 = (np.uint64(b) * _EACH
+                                       for b in (0x30, 0x1E, 0x7F, 0x80, 0x76))
     out = np.empty(len(starts))
     rest = np.empty(len(starts), bool)
     step = _CHUNK_BYTES // _WINDOW
+    # three (step, 3) word buffers that every chunk reuses; a gather of whole V24 windows is
+    # the fastest, so each chunk's windows are a fresh array
+    buffers = np.empty((3, min(step, len(starts)), 3), np.uint64)
+    ahead = np.empty(buffers.shape[1:], bool)
     for i in range(0, len(starts), step):
         s, l = starts[i:i + step], lengths[i:i + step]
+        x, dot, upto = buffers[:, :len(s)]
         ends = s + l
         sign = data[s]
         negative = sign == ord("-")
@@ -274,25 +289,41 @@ def _decimals(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple:
         # each digit as its value 0-9, a dot as 0x1E ("." ^ "0"), and the bytes before them as 0
         v = windows[np.maximum(ends - _WINDOW, 0)].view("<u8").reshape(-1, 3)
         v ^= zeros
-        v &= _LAST[np.minimum(chars, _WINDOW)].view("<u8").reshape(-1, 3)
-        x = v ^ dots  # 0 in the byte of each dot
-        dot = ~(((x & low7) + low7) | x | low7) >> np.uint64(7)  # 1 in the byte of each dot
+        v &= np.take(_LAST, np.minimum(chars, _WINDOW), axis=0, out=x, mode="clip")
+        np.bitwise_xor(v, dots, out=x)  # 0 in the byte of each dot
+        # 1 in the byte of each dot: ~(((x & low7) + low7) | x | low7) >> 7
+        np.bitwise_and(x, low7, out=dot)
+        dot += low7
+        dot |= x
+        dot |= low7
+        np.invert(dot, out=dot)
+        dot >>= np.uint64(7)
+        ndots = (dot[:, 0] + dot[:, 1] + dot[:, 2]) * _EACH >> np.uint64(56)
         # each byte up to the dot takes the byte before it, which drops the dot
-        upto = (dot << np.uint64(8)) - np.uint64(1)
-        ahead = dot != 0  # a dot in this word or a later one
-        ahead[:, 1] |= ahead[:, 2]
-        ahead[:, 0] |= ahead[:, 1]
-        upto *= ahead
-        shifted = np.left_shift(v, np.uint64(8), out=x)
-        shifted.reshape(-1)[1:] |= v.reshape(-1)[:-1] >> np.uint64(56)
-        shifted[:, 0] &= ~np.uint64(0xFF)  # the window's first byte has none before it
-        v ^= (v ^ shifted) & upto
-        bad = ((v + np.uint64(0x76) * _EACH) | v) & high  # the high bit of each byte above 9
-        # the dots, and the bytes up to the dot (the dot is byte ``upto_dot`` - 1 of the window)
-        ndots, upto_dot = ((w[:, 0] + w[:, 1] + w[:, 2]) * _EACH >> np.uint64(56)
-                           for w in (dot, upto & _EACH))
+        np.left_shift(dot, np.uint64(8), out=upto)
+        upto -= np.uint64(1)
+        a = np.not_equal(dot, 0, out=ahead[:len(s)])  # a dot in this word or a later one
+        a[:, 1] |= a[:, 2]
+        a[:, 0] |= a[:, 1]
+        upto *= a
+        # v shifted up a byte, each word's top byte carried into the next word (through
+        # ``dot``, read for the last time above)
+        np.left_shift(v, np.uint64(8), out=x)
+        np.right_shift(v.reshape(-1)[:-1], np.uint64(56), out=dot.reshape(-1)[1:])
+        x.reshape(-1)[1:] |= dot.reshape(-1)[1:]
+        x[:, 0] &= ~np.uint64(0xFF)  # the window's first byte has none before it
+        x ^= v
+        x &= upto
+        v ^= x
+        # the bytes up to the dot (the dot is byte ``upto_dot`` - 1 of the window)
+        upto &= _EACH
+        upto_dot = (upto[:, 0] + upto[:, 1] + upto[:, 2]) * _EACH >> np.uint64(56)
+        np.add(v, above9, out=x)
+        x |= v
+        x &= high  # the high bit of each byte above 9
+        bad = (x[:, 0] | x[:, 1] | x[:, 2]) != 0
         digits = chars - (ndots > 0)
-        eights = _eight_digits(v)
+        eights = _eight_digits(v, x)
         whole = eights[:, 0] * np.uint64(10**16) + eights[:, 1] * np.uint64(10**8) + eights[:, 2]
         # the digits after the dot; above 19 only in fields left to the cast
         k = np.minimum((np.uint64(_WINDOW) - upto_dot) % np.uint64(_WINDOW), np.uint64(19))
@@ -302,8 +333,7 @@ def _decimals(body: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple:
         value = out[i:i + step]
         value[:] = quotient
         np.negative(value, out=value, where=negative)
-        rest[i:i + step] = ((ends < _WINDOW) | (digits < 1) | (digits > 19) | (ndots > 1)
-                            | ((bad[:, 0] | bad[:, 1] | bad[:, 2]) != 0)
+        rest[i:i + step] = ((ends < _WINDOW) | (digits < 1) | (digits > 19) | (ndots > 1) | bad
                             | ((low & 0x7FF) == 0x400))
     return out, rest
 

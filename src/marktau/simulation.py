@@ -18,6 +18,7 @@ contrast vanishes identically at (c1, c2, c3) = (3, 0, -2).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -56,6 +57,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Data rows a study's block holds, and bytes of normals and Grams a power block holds.
 _BLOCK_ROWS = 10_000
 _BLOCK_BYTES = 1 << 23
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+# values a marktau process fixes them at.
+_MALLOC_THRESHOLDS = ((-1, 64 << 20), (-3, 8 << 20))
 
 
 class SimulationError(ValueError):
@@ -438,11 +442,32 @@ def _metrics_rep(args: tuple[Scenario, range]) -> tuple[np.ndarray, np.ndarray, 
     return _replayed(metrics, len(reps))
 
 
+def _keep_freed_memory() -> None:
+    """Fix glibc's malloc thresholds so that freed memory stays for reuse.
+
+    By default glibc raises its mmap threshold to the largest mmapped block
+    freed so far and trims the heap top once twice that is free, so whether
+    a block's arrays reuse pages or fault fresh ones in depends on what the
+    process freed before. Fixed thresholds serve every allocation below
+    8 MiB from a heap that keeps up to 64 MiB free; larger ones are still
+    mmapped and returned when freed. Only a process marktau owns calls
+    this: the CLI and its pool workers. Where there is no ``mallopt``
+    (macOS, Windows) it does nothing, and musl's does nothing itself.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        for param, value in _MALLOC_THRESHOLDS:
+            mallopt(param, value)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def _map_replications(worker, items: list, workers: int) -> list:
     """``worker`` on each block, results in block order.
 
     One pool runs all the blocks, with at most one worker per block; a run
-    of one block or one worker stays in process.
+    of one block or one worker stays in process. Each worker starts with
+    the CLI's malloc thresholds, whichever way the pool starts processes.
     """
     workers = min(workers, len(items))
     if workers <= 1:
@@ -451,7 +476,7 @@ def _map_replications(worker, items: list, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(items) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_memory) as pool:
         return list(pool.map(worker, items, chunksize=chunk))
 
 

@@ -383,14 +383,16 @@ def test_metrics_identical_across_worker_counts(monkeypatch):
 
 
 def _recorded_pools(monkeypatch):
-    """Record the ``max_workers`` of every process pool the engine builds.
+    """Record the ``max_workers`` of every process pool the engine builds, and check
+    that its workers start with the CLI's malloc thresholds.
 
     The recording pool maps in this process, so no test here starts one.
     """
     built = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
+            assert initializer is simulation._keep_freed_memory
             built.append(max_workers)
 
         def __enter__(self):
